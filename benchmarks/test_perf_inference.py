@@ -1,4 +1,4 @@
-"""BENCH — inference throughput: legacy loop vs sequential vs batched.
+"""BENCH — inference throughput: legacy loop vs sequential vs engine.
 
 Times the classification of a fixed test set on a paper-scale N400
 population through three code paths, then sweeps the batched engine up the
@@ -6,10 +6,11 @@ paper's network sizes (N400 → N6400) to record the scaling curve past the
 single size the harness historically measured:
 
 ``legacy``
-    The pre-batching inference pipeline: a per-image, per-timestep loop
-    whose currents come from a dense float64 vector-matrix product (forced
-    here by passing the stored weights as a dense ``effective_weights``
-    override, which reproduces the original arithmetic).
+    The pre-batching inference pipeline: the per-image, per-timestep oracle
+    loop (:mod:`repro.snn.oracle`) with currents from a dense float64
+    vector-matrix product (forced by passing the stored weights as a dense
+    ``effective_weights`` override, which reproduces the original
+    arithmetic).
 ``sequential``
     The same per-image loop on the exact integer-code current operator the
     batched engine shares (the parity reference).  The operator alone
@@ -17,8 +18,9 @@ single size the harness historically measured:
     matrix has a quarter of the memory footprint the legacy path streams
     every timestep.
 ``batched``
-    The :class:`~repro.snn.engine.BatchedInferenceEngine` advancing 64
-    samples per timestep.
+    ``InferenceEngine.evaluate``: the one-row
+    :class:`~repro.snn.engine.MapParallelEngine` advancing 64 samples per
+    timestep.
 
 The batched engine must beat the inference path it replaced by at least
 5x; against the (already accelerated) sequential parity reference a
@@ -41,6 +43,7 @@ import numpy as np
 from repro.data.synthetic_mnist import SyntheticMNIST
 from repro.snn.inference import InferenceEngine
 from repro.snn.network import DiehlCookNetwork, NetworkConfig
+from repro.snn.oracle import evaluate_sequential
 
 SMOKE = os.environ.get("PERF_INFERENCE_SMOKE") == "1"
 
@@ -105,15 +108,18 @@ def test_batched_engine_speedup():
     dense_weights = network.synapses.weights
     legacy_seconds, legacy = _best_of(
         2,
-        lambda: engine.evaluate_sequential(
-            dataset, rng=np.random.default_rng(7), effective_weights=dense_weights
+        lambda: evaluate_sequential(
+            engine,
+            dataset,
+            rng=np.random.default_rng(7),
+            effective_weights=dense_weights,
         ),
     )
 
     _, engine = _build()
     sequential_seconds, sequential = _best_of(
         2,
-        lambda: engine.evaluate_sequential(dataset, rng=np.random.default_rng(7)),
+        lambda: evaluate_sequential(engine, dataset, rng=np.random.default_rng(7)),
     )
 
     _, engine = _build()

@@ -2,23 +2,17 @@
 
 Times the two primitives every engine runs — the exact register-code GEMM
 and the in-place LIF timestep advance (:mod:`repro.snn.kernels`) — in
-isolation, at paper-scale geometries (N400 and N1600 on 784 inputs), on
-every backend available on this machine.  The numpy backend is always
-measured; when numba is importable the compiled twins are measured too and
-the per-kernel speedup is recorded (and floored — the compiled advance must
-not be slower than the ufunc pipeline it replaces).
+isolation, at paper-scale geometries (N400 and N1600 on 784 inputs).
 
 Results go to ``benchmarks/results/perf_kernels.json`` so successive PRs
 can track each primitive separately from the end-to-end engine benches:
-``<size>.<backend>.gemm_gops`` is GEMM throughput in effective
-billion MACs/s, ``<size>.<backend>.advance_ns_per_neuron_step`` the advance
-cost per neuron-timestep, and ``numba_speedup`` the compiled-over-numpy
-ratio per kernel (absent without numba).  A second sweep times every
-shipped neuron model's advance at N400 and records the per-model
-ns/neuron-timestep under a ``models`` key, so the zoo's dynamics are
-tracked alongside the default LIF.  Set ``PERF_KERNELS_SMOKE=1`` (the CI
-artifact step does) to shrink the geometry sweep and drop the speedup
-floor on loaded workers.
+``<size>.numpy.gemm_gops`` is GEMM throughput in effective billion MACs/s
+and ``<size>.numpy.advance_ns_per_neuron_step`` the advance cost per
+neuron-timestep.  A second sweep times every shipped neuron model's
+advance at N400 and records the per-model ns/neuron-timestep under a
+``models`` key, so the zoo's dynamics are tracked alongside the default
+LIF.  Set ``PERF_KERNELS_SMOKE=1`` (the CI artifact step does) to shrink
+the geometry sweep.
 """
 
 from __future__ import annotations
@@ -36,9 +30,7 @@ from repro.snn.kernels import (
     OperationMasks,
     exact_gemm_dtype,
     exact_scale,
-    get_backend,
     lif_advance,
-    numba_available,
     register_gemm,
 )
 
@@ -54,8 +46,6 @@ MODEL_NAMES = ("lif", "cuba_lif", "fixed_point_lif")
 TIMESTEPS = 30 if SMOKE else 100
 BATCH = 32 if SMOKE else 64
 N_REPS = 3 if SMOKE else 5
-#: The compiled advance must at least match the numpy ufunc pipeline.
-MIN_NUMBA_ADVANCE_SPEEDUP = 0.8
 
 RESULTS_PATH = Path(__file__).parent / "results" / "perf_kernels.json"
 
@@ -70,8 +60,8 @@ def _best_of(n_reps, run):
     return best
 
 
-def _bench_backend(backend, n_neurons, rng):
-    """Time both kernels for one backend at one network size."""
+def _bench_kernels(n_neurons, rng):
+    """Time both kernels at one network size."""
     gemm_dtype = exact_gemm_dtype(N_INPUTS, 255)
     codes = np.ascontiguousarray(
         rng.integers(0, 256, size=(N_INPUTS, n_neurons)), dtype=gemm_dtype
@@ -79,7 +69,7 @@ def _bench_backend(backend, n_neurons, rng):
     raster = rng.random((BATCH * TIMESTEPS, N_INPUTS)) < 0.05
 
     def run_gemm():
-        register_gemm(raster, codes, backend=backend)
+        register_gemm(raster, codes)
 
     shape = (1, BATCH, n_neurons)
     currents = exact_scale(register_gemm(raster, codes), 2.0 / 255.0).reshape(
@@ -120,10 +110,9 @@ def _bench_backend(backend, n_neurons, rng):
             threshold,
             config,
             workspace,
-            backend=backend,
         )
 
-    run_gemm()  # warm caches (and the JIT, for numba) off the clock
+    run_gemm()  # warm caches off the clock
     run_advance()
     gemm_seconds = _best_of(N_REPS, run_gemm)
     advance_seconds = _best_of(N_REPS, run_advance)
@@ -137,17 +126,12 @@ def _bench_backend(backend, n_neurons, rng):
         "advance_ns_per_neuron_step": round(
             1e9 * advance_seconds / neuron_steps, 2
         ),
-        "_gemm_seconds": gemm_seconds,
-        "_advance_seconds": advance_seconds,
     }
 
 
 def test_kernel_throughput():
-    backends = ["numpy"] + (["numba"] if numba_available() else [])
     summary = {
         "smoke": SMOKE,
-        "backend": get_backend(),
-        "numba_available": numba_available(),
         "n_inputs": N_INPUTS,
         "timesteps": TIMESTEPS,
         "batch": BATCH,
@@ -155,61 +139,20 @@ def test_kernel_throughput():
     }
     for n_neurons in SIZES:
         rng = np.random.default_rng(n_neurons)
-        per_backend = {
-            backend: _bench_backend(backend, n_neurons, rng)
-            for backend in backends
+        summary["sizes"][f"N{n_neurons}"] = {
+            "numpy": _bench_kernels(n_neurons, rng)
         }
-        entry = {
-            backend: {
-                key: value
-                for key, value in results.items()
-                if not key.startswith("_")
-            }
-            for backend, results in per_backend.items()
-        }
-        if "numba" in per_backend:
-            entry["numba_speedup"] = {
-                "gemm": round(
-                    per_backend["numpy"]["_gemm_seconds"]
-                    / per_backend["numba"]["_gemm_seconds"],
-                    2,
-                ),
-                "advance": round(
-                    per_backend["numpy"]["_advance_seconds"]
-                    / per_backend["numba"]["_advance_seconds"],
-                    2,
-                ),
-            }
-        summary["sizes"][f"N{n_neurons}"] = entry
 
     RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
     RESULTS_PATH.write_text(json.dumps(summary, indent=2) + "\n")
 
     print()
     for size, entry in summary["sizes"].items():
-        for backend in backends:
-            results = entry[backend]
-            print(
-                f"BENCH perf_kernels: {size} [{backend}] gemm "
-                f"{results['gemm_gops']} GMAC/s, advance "
-                f"{results['advance_ns_per_neuron_step']} ns/neuron-step"
-            )
-        if "numba_speedup" in entry:
-            print(
-                f"BENCH perf_kernels: {size} numba speedup "
-                f"{entry['numba_speedup']['gemm']}x gemm, "
-                f"{entry['numba_speedup']['advance']}x advance"
-            )
-
-    # Without numba there is nothing to compare — the JSON records the
-    # numpy backend on its own, and the floor is skipped by construction.
-    if numba_available() and not SMOKE:
-        for size, entry in summary["sizes"].items():
-            speedup = entry["numba_speedup"]["advance"]
-            assert speedup >= MIN_NUMBA_ADVANCE_SPEEDUP, (
-                f"numba advance at {size} is {speedup}x the numpy kernel — "
-                "the compiled backend must not lose to the ufunc pipeline"
-            )
+        results = entry["numpy"]
+        print(
+            f"BENCH perf_kernels: {size} gemm {results['gemm_gops']} GMAC/s, "
+            f"advance {results['advance_ns_per_neuron_step']} ns/neuron-step"
+        )
 
 
 def test_model_advance_costs():
@@ -217,8 +160,7 @@ def test_model_advance_costs():
 
     Runs each registered model's :meth:`~repro.snn.models.NeuronModel.
     advance` — the exact dispatch path the engines take — over the same
-    N400 geometry the kernel sweep uses, on the numpy backend (the only
-    one all three models implement), and records the normalized
+    N400 geometry the kernel sweep uses, and records the normalized
     ns/neuron-timestep per model.  Results merge into the ``models`` key
     of ``perf_kernels.json`` by read-modify-write: ``test_kernel_throughput``
     rewrites the file whole, so this test runs after it in file order and
@@ -281,7 +223,6 @@ def test_model_advance_costs():
                 threshold,
                 config,
                 workspace,
-                backend="numpy",
             )
 
         run_advance()  # warm caches off the clock
@@ -305,7 +246,6 @@ def test_model_advance_costs():
         "n_neurons": n_neurons,
         "timesteps": TIMESTEPS,
         "batch": BATCH,
-        "backend": "numpy",
         "per_model": per_model,
     }
     RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
@@ -337,7 +277,7 @@ def test_telemetry_overhead_guard():
 
     def record_many():
         for _ in range(n_events):
-            kernel_module._record_kernel("register_gemm", "numpy", 1000)
+            kernel_module._record_kernel("register_gemm", 1000)
 
     record_many()  # warm the per-callsite child cache off the clock
     record_seconds = _best_of(3, record_many) / n_events
@@ -352,7 +292,7 @@ def test_telemetry_overhead_guard():
     raster = rng.random((32 * 30, N_INPUTS)) < 0.05
 
     def run_gemm():
-        register_gemm(raster, codes, backend="numpy")
+        register_gemm(raster, codes)
 
     run_gemm()
     gemm_seconds = _best_of(N_REPS, run_gemm)

@@ -240,16 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--no-map-parallel",
-        action="store_true",
-        help=(
-            "execute one cell at a time instead of fusing each "
-            "(experiment, fault rate) coordinate's trials and techniques "
-            "into one map-parallel engine pass (results are bit-identical "
-            "either way)"
-        ),
-    )
-    parser.add_argument(
         "--quiet", action="store_true", help="suppress per-cell progress logging"
     )
     parser.add_argument(
@@ -326,7 +316,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         n_workers=n_workers,
         resume=not args.no_resume,
         vectorized_training=not args.sequential_training,
-        map_parallel=not args.no_map_parallel,
     )
 
     print(result.render_tables())

@@ -164,19 +164,19 @@ class NeuronProtection:
     generation off for the rest of the presentation.
 
     The monitor understands both state protocols: the sequential
-    :class:`~repro.snn.neuron.LIFNeuronGroup` (1-D comparator counter) and
-    the batched :class:`~repro.snn.engine.BatchedLIFState` (a
-    ``(batch, n_neurons)`` counter).  On the batched path the gating still
-    happens live inside :meth:`__call__`, but the statistics are recorded
-    through :meth:`commit_batch` once the engine *accepts* a batch of
-    samples — the engine may re-simulate suffixes of a batch to resolve
-    cross-sample faulty-reset latches, and only accepted passes count.
+    :class:`~repro.snn.neuron.LIFNeuronGroup` of the reference loop (1-D
+    comparator counter) and the engine's
+    :class:`~repro.snn.engine.MapParallelState` (a ``(rows, batch,
+    n_neurons)`` counter).  On the engine path the gating still happens
+    live inside :meth:`__call__`, but the statistics are recorded through
+    :meth:`commit_batch` once the engine has settled a chunk — the engine
+    may re-simulate suffixes of a chunk to resolve cross-sample faulty-reset
+    latches, and only the accepted passes count.
 
-    The map-parallel engine (:class:`~repro.snn.engine.MapParallelEngine`)
-    applies the identical ``counter >= trigger_cycles`` gate inline per row
-    (a :class:`~repro.snn.engine.MapRow` carries the trigger as
-    ``protection_trigger_cycles``), so no monitor object — and no
-    protection statistics bookkeeping — exists on that path.
+    Campaign rows carry the trigger as
+    :attr:`~repro.snn.engine.MapRow.protection_trigger_cycles` instead, and
+    the engine applies the identical ``counter >= trigger_cycles`` gate
+    inline, without a monitor object or statistics bookkeeping.
 
     Parameters
     ----------
@@ -199,7 +199,7 @@ class NeuronProtection:
         """Inspect the neuron state after one timestep and gate faulty neurons.
 
         *neurons* is either a :class:`~repro.snn.neuron.LIFNeuronGroup` or
-        a :class:`~repro.snn.engine.BatchedLIFState`.
+        a :class:`~repro.snn.engine.MapParallelState`.
         """
         counter = neurons.consecutive_above_threshold
         stuck = counter >= self.trigger_cycles
@@ -214,22 +214,13 @@ class NeuronProtection:
                 self._activations += int(newly_protected.sum())
         neurons.disable_spiking(stuck)
 
-    def commit_batch(
-        self, sample_indices: np.ndarray, spike_disabled: np.ndarray
-    ) -> None:
-        """Record the protection statistics of accepted batch samples.
+    def commit_batch(self, spike_disabled: np.ndarray) -> None:
+        """Record the protection statistics of one settled engine chunk.
 
-        Parameters
-        ----------
-        sample_indices:
-            Global dataset index of each accepted row (unused by the
-            default statistics, which aggregate over samples exactly like
-            the sequential path, but part of the protocol so subclasses can
-            attribute events to samples).
-        spike_disabled:
-            Final ``(rows, n_neurons)`` spike-gate state of the accepted
-            rows; every gated (sample, neuron) pair is one activation,
-            matching the sequential count of newly-protected events.
+        *spike_disabled* is the final ``(batch, n_neurons)`` spike-gate
+        state of the chunk's samples; every gated (sample, neuron) pair is
+        one activation, matching the sequential count of newly-protected
+        events.
         """
         spike_disabled = np.asarray(spike_disabled, dtype=bool)
         if spike_disabled.any():

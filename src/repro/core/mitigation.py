@@ -326,7 +326,7 @@ class MitigationTechnique(abc.ABC):
             Optional pre-drawn fault map, replayed instead of drawing a new
             one — used by the harness for paired comparisons.
         batch_size:
-            Number of samples the batched inference engine advances
+            Number of samples the inference engine advances
             together; ``None`` uses the engine default.
         """
 

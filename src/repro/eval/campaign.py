@@ -16,8 +16,8 @@ technique.  This module turns that grid into explicit, schedulable work:
   encoded once, and every technique replays the same map against the same
   encoded presentations.  Cells at the same (experiment, fault rate)
   coordinate execute as one fused :class:`~repro.snn.engine.MapParallelEngine`
-  unit (see :func:`execute_cell_group`), with cell-at-a-time execution as
-  the bit-identical fallback (``map_parallel=False``).
+  unit (see :func:`execute_cell_group`); the records are bit-identical to
+  executing each cell alone (:func:`execute_cell`).
 * :func:`run_campaign` executes the pending cells — serially or across a
   pool of warm persistent worker processes
   (:mod:`repro.eval.pool`) — streaming every finished cell into an
@@ -992,22 +992,12 @@ def resolve_worker_count(n_workers: Optional[int]) -> int:
     return int(n_workers)
 
 
-def _schedule_units(
-    cells: Sequence[SweepCell], map_parallel: bool
-) -> List[List[SweepCell]]:
-    """Partition pending cells into execution units per the execution mode."""
-    if map_parallel:
-        return group_cells(cells)
-    return [[cell] for cell in cells]
-
-
 def _execute_serial(
     cells: Sequence[SweepCell],
     assets: Dict[str, Tuple[TrainedModel, Dataset, List[MitigationTechnique]]],
     on_result: Callable[[CellResult], None],
-    map_parallel: bool = True,
 ) -> None:
-    for unit in _schedule_units(cells, map_parallel):
+    for unit in group_cells(cells):
         model, dataset, techniques = assets[unit[0].experiment_key]
         for result in execute_cell_group(unit, model, dataset, techniques):
             on_result(result)
@@ -1020,7 +1010,6 @@ def _execute_pool(
     technique_specs: Sequence[TechniqueSpec],
     n_workers: int,
     on_result: Callable[[CellResult], None],
-    map_parallel: bool = True,
 ) -> Optional[Dict[str, object]]:
     """Distribute units over the warm persistent worker pool.
 
@@ -1034,7 +1023,7 @@ def _execute_pool(
     from repro.eval.pool import execute_units_pooled
 
     return execute_units_pooled(
-        units=_schedule_units(cells, map_parallel),
+        units=group_cells(cells),
         assets=assets,
         model_paths=model_paths,
         technique_specs=technique_specs,
@@ -1051,7 +1040,6 @@ def run_campaign(
     workdir: Optional[Union[str, Path]] = None,
     runner: Optional[ExperimentRunner] = None,
     vectorized_training: bool = True,
-    map_parallel: bool = True,
 ) -> CampaignResult:
     """Run (or resume) a campaign and return the aggregated results.
 
@@ -1085,13 +1073,10 @@ def run_campaign(
         :mod:`repro.snn.train_engine`), so cell results and resume
         fingerprints are unaffected; disabling it only makes
         training-heavy presets slower.  Ignored when *runner* is given.
-    map_parallel:
-        Schedule the trials of each (experiment, fault rate) coordinate as
-        one map-parallel execution unit (default) instead of one unit per
-        cell.  The records — and therefore stores, resume fingerprints and
-        aggregated sweeps — are bit-identical either way (see
-        :func:`execute_cell_group`); cell-at-a-time execution only spreads
-        the grid into smaller work items.
+
+    The trials of each (experiment, fault rate) coordinate execute as one
+    map-parallel unit (:func:`group_cells`); the records are bit-identical
+    to executing every cell alone (see :func:`execute_cell_group`).
     """
     n_workers = resolve_worker_count(n_workers)
     started = time.perf_counter()
@@ -1158,7 +1143,7 @@ def run_campaign(
     pool_stats: Optional[Dict[str, object]] = None
     if pending:
         if n_workers == 1:
-            _execute_serial(pending, assets, record, map_parallel=map_parallel)
+            _execute_serial(pending, assets, record)
         else:
             # Snapshots are consumed only while the pool is alive, so they
             # live in a temporary directory (cleaned up below) unless the
@@ -1187,7 +1172,6 @@ def run_campaign(
                         spec.techniques,
                         n_workers,
                         record,
-                        map_parallel=map_parallel,
                     )
                 except (OSError, ImportError) as error:
                     # Sandboxed or exotic platforms may not allow process
@@ -1201,9 +1185,7 @@ def run_campaign(
                     remaining = [
                         cell for cell in pending if cell.cell_id not in completed
                     ]
-                    _execute_serial(
-                        remaining, assets, record, map_parallel=map_parallel
-                    )
+                    _execute_serial(remaining, assets, record)
             finally:
                 if temp_dir is not None:
                     temp_dir.cleanup()

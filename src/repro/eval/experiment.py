@@ -61,7 +61,7 @@ class ExperimentConfig:
         The paper network size this configuration stands in for (e.g. the
         scaled-down N400 proxy); purely documentation carried into reports.
     eval_batch_size:
-        Number of test samples the batched inference engine classifies
+        Number of test samples the inference engine classifies
         together; forward it to :class:`~repro.eval.sweep.FaultRateSweep`
         or :meth:`MitigationTechnique.evaluate` calls built from this
         configuration.
@@ -290,7 +290,7 @@ class ExperimentRunner:
     def clean_accuracy(self, prepared: PreparedExperiment) -> float:
         """Batched clean-network accuracy (percent) on the test set (cached).
 
-        Classification runs through the batched inference engine in chunks
+        Classification runs through the inference engine in chunks
         of ``config.eval_batch_size``; the result is attached to the
         prepared experiment so repeated figure benches reuse it.
         """

@@ -217,7 +217,7 @@ class FaultRateSweep:
         Number of independent fault maps per fault rate; accuracies are
         averaged across trials.
     batch_size:
-        Chunk size forwarded to the batched inference engine for every
+        Chunk size forwarded to the inference engine for every
         accuracy measurement; ``None`` uses the engine default.
     """
 

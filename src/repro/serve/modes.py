@@ -21,7 +21,7 @@ model can be queried in three modes:
     (:mod:`repro.core.bound_and_protect`).
 
 A :class:`ServingSession` is the executable form of one ``(model, mode)``
-pair: the fault-injected network, its batched engine, and the mitigation
+pair: the fault-injected network, its engine, and the mitigation
 hooks.  Serving is **stateless per request**: every request is classified as
 if presented to the freshly loaded accelerator (the faulty-reset latch is
 cleared between requests, and requests coalesced into one micro-batch are
@@ -41,7 +41,7 @@ import numpy as np
 from repro.core.bound_and_protect import BnPVariant, NeuronProtection, WeightBounding
 from repro.faults.injector import FaultInjectionReport, FaultInjector
 from repro.faults.models import ComputeEngineFaultConfig
-from repro.snn.engine import BatchedInferenceEngine, BatchResult
+from repro.snn.engine import MapParallelEngine, MapParallelResult
 from repro.snn.inference import InferenceEngine
 from repro.snn.network import DiehlCookNetwork
 from repro.snn.training import TrainedModel
@@ -239,16 +239,18 @@ class ServingSession:
     Sessions are built by :func:`build_session`, cached warm by the model
     registry, and driven by exactly one scheduler worker thread — the
     session itself performs no locking.  The underlying network is never
-    mutated after construction (the batched engine keeps all per-run state
-    in :class:`~repro.snn.engine.BatchedLIFState`), so rebuilding a session
-    from the same model and mode always reproduces it exactly.
+    mutated after construction (the engine keeps all per-run state in
+    :class:`~repro.snn.engine.MapParallelState`), so the session builds its
+    one-row :class:`~repro.snn.engine.MapParallelEngine` once, and
+    rebuilding a session from the same model and mode reproduces it
+    exactly.
     """
 
     model: TrainedModel
     mode: ServingMode
     network: DiehlCookNetwork
     inference: InferenceEngine
-    batched: BatchedInferenceEngine
+    engine: MapParallelEngine
     effective_weights: Optional[object] = None
     protection: Optional[NeuronProtection] = None
     fault_report: Optional[FaultInjectionReport] = None
@@ -259,7 +261,7 @@ class ServingSession:
         # accelerator state, so the entry latch is pinned at session build.
         self._entry_latch = np.asarray(
             self.network.neurons.reset_fault_latched, dtype=bool
-        ).copy()
+        )[np.newaxis].copy()
 
     # ------------------------------------------------------------------ #
     @property
@@ -281,13 +283,13 @@ class ServingSession:
 
     def classify_batch(
         self, images: Sequence[np.ndarray], seeds: Sequence[int]
-    ) -> Tuple[np.ndarray, BatchResult]:
+    ) -> Tuple[np.ndarray, MapParallelResult]:
         """Classify one micro-batch of independent requests.
 
         Each ``(image, seed)`` pair is encoded from its own generator, the
-        rasters are stacked and advanced together through the batched
-        engine in stateless mode, and the spike counts are turned into
-        class votes.  Returns ``(predictions, BatchResult)``.
+        rasters are stacked and advanced together through the engine in
+        stateless mode (``carry_reset_latch=False``), and the spike counts
+        are turned into class votes.  Returns ``(predictions, result)``.
         """
         if len(images) != len(seeds):
             raise ValueError("images and seeds must have the same length")
@@ -296,14 +298,13 @@ class ServingSession:
         rasters = np.stack(
             [self.encode(image, seed) for image, seed in zip(images, seeds)]
         )
-        result = self.batched.run_encoded(
-            rasters,
-            effective_weights=self.effective_weights,
-            step_monitor=self.protection,
+        result = self.engine.run_encoded(
+            [rasters],
             initial_reset_latch=self._entry_latch,
             carry_reset_latch=False,
+            step_monitor=self.protection,
         )
-        predictions = self.inference.classify_batch(result.spike_counts)
+        predictions = self.inference.classify_batch(result.spike_counts[0])
         return predictions, result
 
     def classify_one(self, image: np.ndarray, seed: int) -> int:
@@ -356,7 +357,7 @@ def build_session(model: TrainedModel, mode: ServingMode) -> ServingSession:
         mode=mode,
         network=network,
         inference=InferenceEngine(network, model.neuron_labels),
-        batched=BatchedInferenceEngine(network),
+        engine=MapParallelEngine.for_network(network, effective_weights),
         effective_weights=effective_weights,
         protection=protection,
         fault_report=fault_report,

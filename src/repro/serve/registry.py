@@ -137,7 +137,7 @@ class ModelRegistry:
         memory (LRU-evicted beyond that).
     max_warm_sessions:
         Maximum number of built serving sessions — fault-injected network
-        plus warm :class:`~repro.snn.engine.BatchedInferenceEngine` — kept
+        plus warm :class:`~repro.snn.engine.MapParallelEngine` — kept
         across all ``(model, mode)`` pairs.
     """
 

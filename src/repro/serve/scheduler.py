@@ -1,6 +1,6 @@
 """Adaptive micro-batching: coalesce single requests into engine batches.
 
-The batched inference engine (:mod:`repro.snn.engine`) gets its throughput
+The inference engine (:mod:`repro.snn.engine`) gets its throughput
 from amortising the weight matrix across the sample dimension — but an
 online service receives samples one request at a time.  This module closes
 that gap with the classic serving pattern: requests enter a thread-safe

@@ -20,26 +20,27 @@ Design notes
 * Training (STDP + label assignment) and inference are deliberately separate
   (:mod:`repro.snn.training`, :mod:`repro.snn.inference`): all experiments in
   the paper inject faults only during inference on a pre-trained network.
-* Inference is batched: :mod:`repro.snn.engine` advances whole chunks of
-  samples per timestep with ``(batch, n_neurons)`` state arrays and one
+* Inference runs through one engine: :mod:`repro.snn.engine` advances
+  whole chunks of samples — for one network or many fault maps at once —
+  per timestep with ``(rows, batch, n_neurons)`` state arrays and one
   weight-reusing matrix multiplication, spike-for-spike equivalent to the
-  sequential per-timestep loop it replaces (which remains available as the
-  verification reference).
+  sequential per-timestep loop kept in :mod:`repro.snn.oracle` as the
+  verification reference.
 * Both primitives of every hot path — the exact integer register-code GEMM
   and the in-place LIF timestep advance — live once, in
-  :mod:`repro.snn.kernels`, with an optional numba backend
-  (``SOFTSNN_KERNEL_BACKEND``) and batch-size autotuning.
+  :mod:`repro.snn.kernels`, with batch-size autotuning.
 """
 
 from repro.snn.encoding import PoissonEncoder
 from repro.snn.engine import (
     DEFAULT_BATCH_SIZE,
     BatchedInferenceEngine,
-    BatchedLIFState,
     BatchResult,
+    MapParallelEngine,
+    MapRow,
 )
 from repro.snn.inference import InferenceEngine, InferenceResult
-from repro.snn.kernels import autotune_batch_size, get_backend, numba_available
+from repro.snn.kernels import autotune_batch_size
 from repro.snn.network import DiehlCookNetwork, NetworkConfig
 from repro.snn.neuron import LIFNeuronGroup, LIFParameters, NeuronOperationStatus
 from repro.snn.quantization import WeightQuantizer
@@ -57,12 +58,13 @@ __all__ = [
     "DEFAULT_BATCH_SIZE",
     "BatchResult",
     "BatchedInferenceEngine",
-    "BatchedLIFState",
     "DiehlCookNetwork",
     "InferenceEngine",
     "InferenceResult",
     "LIFNeuronGroup",
     "LIFParameters",
+    "MapParallelEngine",
+    "MapRow",
     "NetworkConfig",
     "NeuronOperationStatus",
     "PoissonEncoder",
@@ -76,6 +78,4 @@ __all__ = [
     "VectorizedTrainingEngine",
     "WeightQuantizer",
     "autotune_batch_size",
-    "get_backend",
-    "numba_available",
 ]

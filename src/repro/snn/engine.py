@@ -1,59 +1,54 @@
-"""Batched vectorized inference engine.
+"""The inference engine: many compute-engine configurations, one pass.
 
-Every accuracy number in the paper reproduction comes from presenting test
-images through the per-timestep loop of
-:meth:`repro.snn.network.DiehlCookNetwork.present`.  That loop is exact but
-slow: each timestep performs a memory-bound vector-matrix product (the full
-weight matrix is re-streamed from memory for every sample) plus a couple of
-dozen small NumPy operations whose fixed overhead dominates at the
-population sizes the paper sweeps.  This module batches the *sample*
-dimension instead: all neuron state becomes ``(batch, n_neurons)`` arrays
-(:class:`BatchedLIFState`), the input currents of a whole batch are produced
-by one ``(batch * timesteps, n_inputs) @ (n_inputs, n_neurons)`` matrix
-multiplication that reuses the weight matrix across samples, and every LIF
-hardware operation of :meth:`repro.snn.neuron.LIFNeuronGroup.step` — leak,
-increase, reset, spike generation, each with its per-neuron fault switch —
-is advanced for all samples at once.
+Every accuracy number of the reproduction — a single served request, a
+test-set evaluation, a whole fault-rate sweep — is produced by
+:class:`MapParallelEngine`.  It advances *rows* (:class:`MapRow`: one set of
+weight registers, per-neuron operation health and run-time mitigation hooks
+each) over chunks of samples with ``(rows, batch, n_neurons)`` state arrays:
+one exact register-code GEMM per distinct (encoding, registers) pair
+produces the input currents of every (sample, timestep), and one
+model-dispatched advance kernel (:mod:`repro.snn.kernels`) steps all rows
+and samples at once.  A single network is simply the one-row case
+(:meth:`MapParallelEngine.for_network`); :class:`BatchedInferenceEngine` is
+the thin per-network front end over it.
 
 Parity contract
 ---------------
-The engine reproduces the sequential path *spike for spike* under a fixed
-RNG:
+The engine reproduces the sequential per-timestep loop
+(:mod:`repro.snn.oracle`) *spike for spike* under a fixed RNG:
 
 * Poisson encoding draws the same underlying random stream: one
   ``generator.random((batch, timesteps, n_inputs))`` call consumes exactly
   the same values, in the same order, as the per-sample
   ``generator.random((timesteps, n_inputs))`` calls of the sequential loop.
+* Input currents are exact integer register-code sums
+  (:func:`repro.snn.kernels.register_gemm`), bitwise identical for any
+  operand shape, grouping or BLAS kernel — including the shared-base plus
+  bounding-correction decomposition used for Bound-and-Protect rows.
 * Every state update is the same elementwise expression the sequential
   :meth:`~repro.snn.neuron.LIFNeuronGroup.step` evaluates, broadcast over
-  the batch dimension; elementwise IEEE operations are bitwise independent
-  of the array shape.  The only operation that is not bitwise reproducible
-  is the BLAS matrix multiplication that accumulates input currents (BLAS
-  kernels reassociate the reduction differently for different operand
-  shapes), which can move a membrane potential by an ULP; a spike decision
-  changes only if the potential lands within one ULP of the threshold,
-  which the parity test suite verifies does not happen on the evaluated
-  workloads.
+  the row and batch axes; elementwise IEEE operations are bitwise
+  independent of the array shape.
 
 Sequential fault semantics
 --------------------------
 The paper's *faulty reset* latch couples samples: a neuron whose
 ``Vmem reset`` operation is broken keeps bursting across sample boundaries
 once it has crossed the threshold, so sample ``i`` starts with the latches
-accumulated over samples ``0..i-1``.  A naive parallel batch would lose that
-ordering.  The engine therefore runs an optimistic parallel pass assuming
-the latch state at batch entry, detects the first sample that latched a new
-neuron, accepts every sample up to and including it (their assumed latch
-state was correct), and re-simulates only the remainder with the updated
-latch state.  Each iteration permanently accepts at least one sample and
-the latch set is bounded by the number of faulty-reset neurons, so the
-fix-up converges in at most ``min(batch, faulty_reset_neurons + 1)``
-passes; fault-free batches take exactly one pass with no bookkeeping.
+accumulated over samples ``0..i-1``.  The engine therefore runs an
+optimistic parallel pass assuming the latch state at chunk entry; for every
+row that latched a new neuron it accepts the samples up to and including
+the first one that did (their assumed latch state was correct) and
+re-simulates only the remainder with the updated latches.  Each iteration
+permanently accepts at least one sample and the latch set is bounded by the
+number of faulty-reset neurons, so the fix-up converges in at most
+``min(batch, faulty_reset_neurons + 1)`` passes per row; fault-free rows
+take exactly one pass with no bookkeeping.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -83,25 +78,28 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 __all__ = [
     "DEFAULT_BATCH_SIZE",
-    "BatchedLIFState",
     "BatchResult",
     "BatchedInferenceEngine",
     "MapRow",
     "MapParallelState",
     "MapParallelResult",
     "MapParallelEngine",
+    "flatten_images",
 ]
 
-#: Step-monitor hook signature of the batched engine.  The monitor is called
-#: after every timestep with the live :class:`BatchedLIFState`; latching
-#: ``spike_disabled`` through :meth:`BatchedLIFState.disable_spiking` gates
-#: spike generation from the next timestep on, exactly like the sequential
-#: ``step_monitor`` hook.
-BatchStepMonitor = Callable[["BatchedLIFState"], None]
+#: Step-monitor hook signature.  The monitor is called after every timestep
+#: with the live :class:`MapParallelState`; latching ``spike_disabled``
+#: through :meth:`MapParallelState.disable_spiking` gates spike generation
+#: from the next timestep on, exactly like the sequential ``step_monitor``
+#: hook.  A monitor with a ``commit_batch(spike_disabled)`` method also
+#: receives each row's final ``(batch, n_neurons)`` gate state once the
+#: chunk's latch fix-up has settled (re-simulated passes never count twice).
+StepMonitor = Callable[["MapParallelState"], None]
 
-# Engine telemetry (docs/observability.md): realized batch sizes per engine
-# and latch-driven extra simulation passes — the cost of the faulty-reset
-# fix-up loop, invisible before this counter existed.
+# Engine telemetry (docs/observability.md): realized batch sizes and
+# latch-driven extra simulation passes — the cost of the faulty-reset
+# fix-up loop.  The ``engine`` label keeps the catalog's series names.
+_ENGINE = "map_parallel"
 _ENGINE_BATCHES = _obs.get_registry().counter(
     "softsnn_engine_batches_total",
     "Encoded batches executed, by engine.",
@@ -120,456 +118,40 @@ _ENGINE_RESIM = _obs.get_registry().counter(
 )
 
 
-@dataclass
-class BatchedLIFState:
-    """All mutable LIF neuron state for a batch of concurrent samples.
+def flatten_images(images: np.ndarray, n_inputs: int) -> np.ndarray:
+    """``(batch, n_inputs)`` float64 view of a batch of images.
 
-    This is the batched counterpart of the per-sample state held by
-    :class:`repro.snn.neuron.LIFNeuronGroup`: every array that is ``(n,)``
-    there is ``(batch, n)`` here, advanced for all samples at once.  The
-    adaptive threshold ``theta`` stays ``(n,)`` because inference keeps it
-    frozen (the learning unit is idle), so all samples share it.
-
-    Attributes
-    ----------
-    params:
-        Shared LIF parameters.
-    operation_status:
-        Per-neuron health of the four hardware operations (shared by all
-        samples: soft errors corrupt the physical neuron, not the sample).
-    theta:
-        Adaptive-threshold component, shape ``(n_neurons,)``.
-    sample_indices:
-        Global dataset index of each batch row; used by batched step
-        monitors to attribute protection events to samples.
-    v / refractory_remaining / comparator_output /
-    consecutive_above_threshold / spike_disabled / reset_fault_latched /
-    last_spikes:
-        The batched ``(batch, n_neurons)`` state arrays, with the same
-        meaning as their :class:`~repro.snn.neuron.LIFNeuronGroup`
-        counterparts.
+    Accepts ``(batch, height, width)``, ``(batch, n_inputs)`` or a single
+    2-D image (treated as a batch of one).
     """
-
-    params: LIFParameters
-    operation_status: NeuronOperationStatus
-    theta: np.ndarray
-    sample_indices: np.ndarray
-    v: np.ndarray
-    refractory_remaining: np.ndarray
-    comparator_output: np.ndarray
-    consecutive_above_threshold: np.ndarray
-    spike_disabled: np.ndarray
-    reset_fault_latched: np.ndarray
-    last_spikes: np.ndarray
-
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def initial(
-        cls,
-        params: LIFParameters,
-        operation_status: NeuronOperationStatus,
-        theta: np.ndarray,
-        sample_indices: np.ndarray,
-        initial_reset_latch: Optional[np.ndarray] = None,
-    ) -> "BatchedLIFState":
-        """Fresh per-sample state, as after ``LIFNeuronGroup.reset_state``.
-
-        ``initial_reset_latch`` carries the faulty-reset latches accumulated
-        by the samples processed *before* this batch; latched neurons start
-        with their membrane pinned at (or above) the firing threshold, as in
-        the sequential :meth:`~repro.snn.neuron.LIFNeuronGroup.reset_state`.
-        """
-        batch = int(np.asarray(sample_indices).size)
-        n = operation_status.n_neurons
-        theta = np.asarray(theta, dtype=np.float64)
-        v = np.full((batch, n), params.v_rest, dtype=np.float64)
-        if initial_reset_latch is None:
-            latched = np.zeros((batch, n), dtype=bool)
-        else:
-            initial_reset_latch = np.asarray(initial_reset_latch, dtype=bool)
-            latched = np.broadcast_to(initial_reset_latch, (batch, n)).copy()
-            if latched.any():
-                threshold = params.v_threshold + theta
-                v = np.where(latched, np.maximum(v, threshold), v)
-        return cls(
-            params=params,
-            operation_status=operation_status,
-            theta=theta,
-            sample_indices=np.asarray(sample_indices, dtype=np.int64),
-            v=v,
-            refractory_remaining=np.zeros((batch, n), dtype=np.int64),
-            comparator_output=np.zeros((batch, n), dtype=bool),
-            consecutive_above_threshold=np.zeros((batch, n), dtype=np.int64),
-            spike_disabled=np.zeros((batch, n), dtype=bool),
-            reset_fault_latched=latched,
-            last_spikes=np.zeros((batch, n), dtype=bool),
+    images = np.asarray(images, dtype=np.float64)
+    if images.ndim == 2 and images.shape[1] != n_inputs:
+        images = images[np.newaxis, ...]
+    if images.ndim == 3:
+        images = images.reshape(images.shape[0], -1)
+    elif images.ndim != 2:
+        raise ValueError(
+            "images must be (batch, height, width), (batch, n_inputs) or "
+            f"a single 2-D image, got shape {images.shape}"
         )
-
-    # ------------------------------------------------------------------ #
-    @property
-    def batch_size(self) -> int:
-        """Number of samples advanced concurrently."""
-        return int(self.v.shape[0])
-
-    @property
-    def n_neurons(self) -> int:
-        """Population size."""
-        return int(self.v.shape[1])
-
-    @property
-    def effective_threshold(self) -> np.ndarray:
-        """Current firing threshold including the adaptive component."""
-        return self.params.v_threshold + self.theta
-
-    def disable_spiking(self, neuron_mask: np.ndarray) -> None:
-        """Latch off spike generation for the masked (sample, neuron) pairs.
-
-        Accepts either a ``(batch, n_neurons)`` mask or an ``(n_neurons,)``
-        mask applied to every sample (mirroring the sequential
-        :meth:`~repro.snn.neuron.LIFNeuronGroup.disable_spiking`).
-        """
-        neuron_mask = np.asarray(neuron_mask, dtype=bool)
-        if neuron_mask.shape not in (
-            (self.n_neurons,),
-            (self.batch_size, self.n_neurons),
-        ):
-            raise ValueError(
-                "neuron_mask must have shape "
-                f"({self.n_neurons},) or ({self.batch_size}, {self.n_neurons}), "
-                f"got {neuron_mask.shape}"
-            )
-        self.spike_disabled |= neuron_mask
-
-
-@dataclass
-class BatchResult:
-    """Outcome of running one batch through the engine.
-
-    Attributes
-    ----------
-    output_spikes:
-        Boolean output-spike raster, shape ``(batch, timesteps, n_neurons)``.
-    spike_counts:
-        Per-sample, per-neuron output spike counts ``(batch, n_neurons)``.
-    input_spike_counts:
-        Number of input spikes delivered per sample (activity statistic for
-        the energy model).
-    final_reset_latch:
-        Faulty-reset latch state ``(n_neurons,)`` after the *last* sample of
-        the batch, accounting for the sequential sample order; feed it as
-        ``initial_reset_latch`` of the next batch.
-    final_state:
-        Per-sample final neuron state (each row taken from the simulation
-        pass in which the sample was accepted).
-    simulation_passes:
-        Number of parallel passes the latch fix-up needed (1 when no new
-        faulty-reset latch fired).
-    """
-
-    output_spikes: np.ndarray
-    spike_counts: np.ndarray
-    input_spike_counts: np.ndarray
-    final_reset_latch: np.ndarray
-    final_state: BatchedLIFState
-    simulation_passes: int = 1
-
-    @property
-    def batch_size(self) -> int:
-        """Number of samples in the batch."""
-        return int(self.output_spikes.shape[0])
-
-
-class BatchedInferenceEngine:
-    """Advance a whole batch of samples through a network per timestep.
-
-    The engine reads the network's weights, neuron parameters, adaptive
-    thresholds and fault status at :meth:`run` time, so it can be
-    constructed once and reused across fault injections or weight updates.
-
-    Parameters
-    ----------
-    network:
-        The (possibly fault-injected) network to run.  Only inference is
-        supported — training keeps the sequential per-timestep loop because
-        STDP updates the weights between timesteps.
-    model:
-        Neuron model to simulate — a registered name, a
-        :class:`~repro.snn.models.NeuronModel` instance, or ``None``
-        (default) to use the network configuration's ``neuron_model``.
-    """
-
-    def __init__(
-        self,
-        network: "DiehlCookNetwork",
-        model: Optional[object] = None,
-    ) -> None:
-        self.network = network
-        if model is None:
-            model = getattr(network.config, "neuron_model", None)
-        self.model: NeuronModel = resolve_model(model)
-        # Scratch buffers of the timestep kernel, reused across batches.
-        self._workspace = KernelWorkspace()
-
-    # ------------------------------------------------------------------ #
-    def run(
-        self,
-        images: np.ndarray,
-        rng: RNGLike = None,
-        effective_weights: Optional[np.ndarray] = None,
-        step_monitor: Optional[BatchStepMonitor] = None,
-        initial_reset_latch: Optional[np.ndarray] = None,
-        sample_offset: int = 0,
-        carry_reset_latch: bool = True,
-    ) -> BatchResult:
-        """Encode and classify a batch of images.
-
-        Parameters
-        ----------
-        images:
-            Batch of grayscale images: ``(batch, height, width)``,
-            ``(batch, n_inputs)`` flattened, or a single 2-D image (treated
-            as a batch of one).
-        rng:
-            Seed or generator for the Poisson encoding.  Encoding consumes
-            the generator's stream exactly as the sequential per-sample
-            loop would, so paired comparisons stay aligned.
-        effective_weights:
-            Optional substitute weight matrix used for current accumulation
-            (the Bound-and-Protect weight-bounding hook).
-        step_monitor:
-            Optional callable invoked with the :class:`BatchedLIFState`
-            after every timestep (the neuron-protection hook).
-        initial_reset_latch:
-            Faulty-reset latches carried over from previously processed
-            samples; defaults to the network's current latch state.
-        sample_offset:
-            Global dataset index of the first batch row (used to label
-            rows for batched step monitors).
-        carry_reset_latch:
-            See :meth:`run_encoded`.
-        """
-        network = self.network
-        images = np.asarray(images, dtype=np.float64)
-        if images.ndim == 2 and images.shape[1] != network.n_inputs:
-            images = images[np.newaxis, ...]
-        if images.ndim == 2:
-            flat = images
-        elif images.ndim == 3:
-            flat = images.reshape(images.shape[0], -1)
-        else:
-            raise ValueError(
-                "images must be (batch, height, width), (batch, n_inputs) or "
-                f"a single 2-D image, got shape {images.shape}"
-            )
-        if flat.shape[1] != network.n_inputs:
-            raise ValueError(
-                f"images have {flat.shape[1]} pixels but the network expects "
-                f"{network.n_inputs} inputs"
-            )
-        generator = resolve_rng(rng)
-        rasters = network.encoder.encode_batch(
-            flat[:, np.newaxis, :], rng=generator
+    if images.shape[1] != n_inputs:
+        raise ValueError(
+            f"images have {images.shape[1]} pixels but the network expects "
+            f"{n_inputs} inputs"
         )
-        return self.run_encoded(
-            rasters,
-            effective_weights=effective_weights,
-            step_monitor=step_monitor,
-            initial_reset_latch=initial_reset_latch,
-            sample_offset=sample_offset,
-            carry_reset_latch=carry_reset_latch,
-        )
-
-    # ------------------------------------------------------------------ #
-    def run_encoded(
-        self,
-        rasters: np.ndarray,
-        effective_weights: Optional[np.ndarray] = None,
-        step_monitor: Optional[BatchStepMonitor] = None,
-        initial_reset_latch: Optional[np.ndarray] = None,
-        sample_offset: int = 0,
-        carry_reset_latch: bool = True,
-    ) -> BatchResult:
-        """Run pre-encoded spike rasters of shape ``(batch, timesteps, n_inputs)``.
-
-        Exposed separately so benchmarks, re-executions and the campaign's
-        warm pool workers can reuse encodings; see :meth:`run` for the
-        other parameters.  The rasters are only read, never written, so
-        read-only zero-copy views (for example onto
-        ``multiprocessing.shared_memory`` segments published by the
-        campaign orchestrator) are accepted directly.
-
-        ``carry_reset_latch`` selects between the two sample-coupling
-        semantics.  ``True`` (default) reproduces the paper's sequential
-        presentation order: a neuron whose faulty ``Vmem reset`` latches
-        during sample ``i`` keeps bursting for samples ``i+1..``, resolved by
-        the optimistic re-simulation fix-up.  ``False`` treats every row as
-        an *independent presentation* that starts from ``initial_reset_latch``
-        — the online-serving semantics, where unrelated requests coalesced
-        into one micro-batch must not influence each other.  In that mode the
-        result is bitwise identical to running each row in its own
-        batch-of-one call, and ``final_reset_latch`` returns the entry latch
-        unchanged.
-        """
-        network = self.network
-        neurons = network.neurons
-        params = neurons.params
-        status = neurons.operation_status
-        n_neurons = network.n_neurons
-
-        rasters = np.asarray(rasters)
-        if rasters.ndim != 3 or rasters.shape[2] != network.n_inputs:
-            raise ValueError(
-                "rasters must have shape (batch, timesteps, n_inputs), got "
-                f"{rasters.shape}"
-            )
-        batch, timesteps, n_inputs = rasters.shape
-        if batch == 0:
-            raise ValueError("batch must not be empty")
-
-        operator = network.synapses.current_operator(effective_weights)
-
-        # One compute-bound GEMM produces the input currents of every
-        # (sample, timestep) pair, reusing the weight matrix across the
-        # whole batch; the sequential path re-streams it every timestep.
-        flat_spikes = rasters.reshape(batch * timesteps, n_inputs)
-        currents = operator.compute(flat_spikes).reshape(batch, timesteps, n_neurons)
-        # Timestep-major layout so each step touches one contiguous block.
-        currents = np.ascontiguousarray(currents.transpose(1, 0, 2))
-
-        if initial_reset_latch is None:
-            initial_reset_latch = neurons.reset_fault_latched
-        latch = np.asarray(initial_reset_latch, dtype=bool).copy()
-        has_reset_faults = bool((~status.vmem_reset_ok).any()) and carry_reset_latch
-
-        sample_indices = sample_offset + np.arange(batch, dtype=np.int64)
-        output = np.zeros((timesteps, batch, n_neurons), dtype=bool)
-        final = BatchedLIFState.initial(
-            params, status, neurons.theta, sample_indices, latch
-        )
-
-        start = 0
-        passes = 0
-        while start < batch:
-            state = BatchedLIFState.initial(
-                params, status, neurons.theta, sample_indices[start:], latch
-            )
-            self._simulate(state, currents[:, start:, :], output[:, start:, :], step_monitor)
-            passes += 1
-
-            if has_reset_faults:
-                new_events = state.reset_fault_latched & ~latch
-                event_rows = new_events.any(axis=1)
-            else:
-                event_rows = None
-            if event_rows is None or not event_rows.any():
-                accepted = slice(0, batch - start)
-            else:
-                # Samples up to and including the first one that latched a
-                # new neuron saw the correct entry latch state; everything
-                # after it must re-run with the updated latches.
-                first_event = int(np.argmax(event_rows))
-                accepted = slice(0, first_event + 1)
-                latch = latch | new_events[first_event]
-
-            self._accept_rows(final, state, start, accepted)
-            if step_monitor is not None and hasattr(step_monitor, "commit_batch"):
-                step_monitor.commit_batch(
-                    state.sample_indices[accepted],
-                    state.spike_disabled[accepted],
-                )
-            start += accepted.stop
-
-        if _obs.enabled():
-            _ENGINE_BATCHES.labels(engine="batched").inc()
-            _ENGINE_BATCH_SIZE.labels(engine="batched").observe(batch)
-            if passes > 1:
-                _ENGINE_RESIM.labels(engine="batched").inc(passes - 1)
-        output_spikes = np.ascontiguousarray(output.transpose(1, 0, 2))
-        return BatchResult(
-            output_spikes=output_spikes,
-            spike_counts=output_spikes.sum(axis=1, dtype=np.int64),
-            input_spike_counts=rasters.sum(axis=(1, 2), dtype=np.int64),
-            final_reset_latch=latch,
-            final_state=final,
-            simulation_passes=passes,
-        )
-
-    # ------------------------------------------------------------------ #
-    # internals
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _accept_rows(
-        final: BatchedLIFState,
-        state: BatchedLIFState,
-        start: int,
-        rows: slice,
-    ) -> None:
-        """Copy the accepted rows of a simulation pass into the final state."""
-        target = slice(start + rows.start, start + rows.stop)
-        final.v[target] = state.v[rows]
-        final.refractory_remaining[target] = state.refractory_remaining[rows]
-        final.comparator_output[target] = state.comparator_output[rows]
-        final.consecutive_above_threshold[target] = (
-            state.consecutive_above_threshold[rows]
-        )
-        final.spike_disabled[target] = state.spike_disabled[rows]
-        final.reset_fault_latched[target] = state.reset_fault_latched[rows]
-        final.last_spikes[target] = state.last_spikes[rows]
-
-    def _simulate(
-        self,
-        state: BatchedLIFState,
-        currents: np.ndarray,
-        output: np.ndarray,
-        step_monitor: Optional[BatchStepMonitor],
-    ) -> None:
-        """One parallel pass over all timesteps for the rows in *state*.
-
-        A thin adapter over the model's advance kernel (for the default
-        LIF, :func:`repro.snn.kernels.lif_advance`): the batched
-        ``(batch, n)`` state arrays enter the ``(rows, batch, n)`` kernel
-        as single-row views (broadcasting never changes elementwise IEEE
-        results), and the kernel advances them strictly in place, so the
-        ``step_monitor`` observes — and mutates, via
-        :meth:`BatchedLIFState.disable_spiking` — the live state after
-        every timestep, exactly like the sequential hook.
-        """
-        hook = None
-        if step_monitor is not None:
-            hook = lambda: step_monitor(state)  # noqa: E731 - local adapter
-        self.model.advance(
-            currents[:, np.newaxis, :, :],
-            output[:, np.newaxis, :, :],
-            state.v[np.newaxis],
-            state.refractory_remaining[np.newaxis],
-            state.consecutive_above_threshold[np.newaxis],
-            state.spike_disabled[np.newaxis],
-            state.reset_fault_latched[np.newaxis],
-            state.comparator_output[np.newaxis],
-            state.last_spikes[np.newaxis],
-            OperationMasks.from_status(state.operation_status),
-            state.effective_threshold,
-            self.model.step_config(state.params),
-            self._workspace,
-            step_hook=hook,
-        )
+    return images
 
 
-# ---------------------------------------------------------------------- #
-# map-parallel engine
-# ---------------------------------------------------------------------- #
 @dataclass(frozen=True, eq=False)
 class MapRow:
-    """One simulated compute-engine configuration of a map-parallel unit.
+    """One simulated compute-engine configuration.
 
     A *row* pairs a set of weight registers (typically the clean registers
     with one fault map's bit flips applied) with the matching per-neuron
-    operation health and the run-time mitigation hooks — the per-row
-    counterpart of building one faulty network and evaluating it through
-    :class:`BatchedInferenceEngine`.  Several rows that share the same
-    ``registers`` *array object* and ``raster_index`` also share their base
-    current GEMM inside :class:`MapParallelEngine`, so planners should reuse
-    array instances for identical register contents.
+    operation health and the run-time mitigation hooks.  Several rows that
+    share the same ``registers`` *array object* and ``raster_index`` also
+    share their base current GEMM inside :class:`MapParallelEngine`, so
+    planners should reuse array instances for identical register contents.
 
     Attributes
     ----------
@@ -588,7 +170,7 @@ class MapRow:
         When set, neuron protection gates off spike generation once a
         neuron's comparator stays asserted this many consecutive cycles —
         exactly the :class:`~repro.core.bound_and_protect.NeuronProtection`
-        step-monitor semantics of the per-map path.
+        step-monitor semantics.
     """
 
     raster_index: int
@@ -625,15 +207,11 @@ class MapRow:
 
 @dataclass
 class MapParallelState:
-    """All mutable LIF state of a map-parallel pass: ``(n_rows, batch, n)``.
+    """All mutable LIF state of one pass: ``(n_rows, batch, n_neurons)``.
 
-    The map-parallel counterpart of :class:`BatchedLIFState`: every array
-    gains a leading *row* (fault-map / technique) axis, and the per-neuron
-    operation masks become per-row ``(n_rows, 1, n_neurons)`` arrays because
-    each row simulates its own corrupted engine.  All state updates are the
-    same elementwise expressions the batched engine evaluates, broadcast
-    over the extra axis, which is what keeps the map-parallel pass bitwise
-    identical to running each row through its own batched engine.
+    Every array that is ``(n,)`` in the sequential
+    :class:`~repro.snn.neuron.LIFNeuronGroup` gains a leading row axis and a
+    sample axis here.  :meth:`row` returns one row's ``(batch, n)`` views.
     """
 
     v: np.ndarray
@@ -658,8 +236,9 @@ class MapParallelState:
 
         ``initial_reset_latch`` carries each row's faulty-reset latches
         accumulated by previously processed samples (shape
-        ``(n_rows, n_neurons)``); latched membranes start pinned at the
-        firing threshold, as in :meth:`BatchedLIFState.initial`.
+        ``(n_rows, n_neurons)``); latched membranes start pinned at (or
+        above) the firing threshold, as in the sequential
+        :meth:`~repro.snn.neuron.LIFNeuronGroup.reset_state`.
         """
         shape = (n_rows, batch, n_neurons)
         v = np.full(shape, params.v_rest, dtype=np.float64)
@@ -681,10 +260,40 @@ class MapParallelState:
             last_spikes=np.zeros(shape, dtype=bool),
         )
 
+    @property
+    def batch_size(self) -> int:
+        """Number of samples advanced concurrently per row."""
+        return int(self.v.shape[-2])
+
+    @property
+    def n_neurons(self) -> int:
+        """Population size."""
+        return int(self.v.shape[-1])
+
+    def disable_spiking(self, neuron_mask: np.ndarray) -> None:
+        """Latch off spike generation for the masked neurons.
+
+        The mask broadcasts against the state: ``(n_neurons,)`` gates the
+        neurons in every row and sample, a full-shape mask gates individual
+        (row, sample, neuron) triples.
+        """
+        self.spike_disabled |= np.asarray(neuron_mask, dtype=bool)
+
+    def row(self, m: int) -> "MapParallelState":
+        """Views of row *m*: every array becomes ``(batch, n_neurons)``."""
+        return MapParallelState(
+            *(getattr(self, field.name)[m] for field in fields(self))
+        )
+
+    def assign(self, m: int, offset: int, source: "MapParallelState") -> None:
+        """Overwrite row *m* from sample *offset* on with one-row *source*."""
+        for field in fields(self):
+            getattr(self, field.name)[m, offset:] = getattr(source, field.name)[0]
+
 
 @dataclass
 class MapParallelResult:
-    """Outcome of one map-parallel chunk.
+    """Outcome of one chunk.
 
     Attributes
     ----------
@@ -697,19 +306,24 @@ class MapParallelResult:
         Per-row faulty-reset latch state ``(n_rows, n_neurons)`` after the
         last sample, accounting for the sequential sample order; feed it as
         ``initial_reset_latch`` of the next chunk.
+    final_state:
+        Final per-sample neuron state of every *distinct* row (duplicate
+        rows share one simulation; ``engine.row_to_unique`` maps rows onto
+        it).  Each sample's state comes from the pass that accepted it.
     simulation_passes:
         Total simulation passes including per-row latch fix-ups (1 when no
         row latched a new faulty-reset neuron).
     output_spikes:
         Boolean output raster per row, shape
         ``(n_rows, batch, timesteps, n_neurons)`` — only materialised when
-        the chunk was run with ``collect_output_spikes=True`` (the campaign
-        hot path needs just the counts), ``None`` otherwise.
+        the chunk was run with ``collect_output_spikes=True`` (accuracy
+        consumers need just the counts), ``None`` otherwise.
     """
 
     spike_counts: np.ndarray
     input_spike_counts: np.ndarray
     final_reset_latch: np.ndarray
+    final_state: MapParallelState
     simulation_passes: int = 1
     output_spikes: Optional[np.ndarray] = None
 
@@ -723,26 +337,17 @@ class _BaseGemm:
 
 
 class MapParallelEngine:
-    """Advance many fault maps (and techniques) through the LIF model at once.
+    """Advance many compute-engine rows through the neuron model at once.
 
-    Every :class:`MapRow` stands for one complete per-map evaluation —
-    faulty registers, neuron operation status, optional weight bounding and
-    neuron protection — and the engine advances all rows' LIF state in one
-    broadcast GEMM plus one elementwise pass per timestep.  The arithmetic
-    is exactly the batched engine's:
-
-    * input currents come from integer register-code matmuls
-      (:mod:`repro.snn.synapse` exactness argument), so any grouping of the
-      GEMMs — including the shared-base + bounding-correction decomposition
-      used here — produces bitwise identical currents;
-    * all state updates are the elementwise expressions of
-      :meth:`BatchedInferenceEngine._simulate` broadcast over the row axis;
-    * the faulty-reset latch fix-up re-simulates each affected row's suffix
-      with the same accept-first-event loop the batched engine uses.
-
-    The parity suite (``tests/test_map_parallel_parity.py``) verifies the
-    resulting spikes equal a per-row :class:`BatchedInferenceEngine` run
-    bit for bit across clean, faulty and protected modes.
+    Every :class:`MapRow` stands for one complete evaluation — registers,
+    neuron operation status, optional weight bounding and neuron protection
+    — and the engine advances all rows' state in one broadcast GEMM plus
+    one elementwise pass per timestep.  Stacking rows never changes a
+    row's result: currents are exact integer sums for any grouping, and
+    every state update is elementwise.  The parity suites
+    (``tests/test_engine_parity.py``, ``tests/test_map_parallel_parity.py``)
+    pin one-row runs to the sequential oracle and stacked rows to one-row
+    runs, bit for bit, across clean, faulty and protected modes.
 
     Parameters
     ----------
@@ -798,7 +403,7 @@ class MapParallelEngine:
         # identical contents get the dedup for free.
         unique_index: Dict[Tuple, int] = {}
         unique_rows: List[MapRow] = []
-        self._row_to_unique = np.zeros(len(rows), dtype=np.int64)
+        self.row_to_unique = np.zeros(len(rows), dtype=np.int64)
         for m, row in enumerate(rows):
             key = (
                 row.raster_index,
@@ -810,7 +415,7 @@ class MapParallelEngine:
             if key not in unique_index:
                 unique_index[key] = len(unique_rows)
                 unique_rows.append(row)
-            self._row_to_unique[m] = unique_index[key]
+            self.row_to_unique[m] = unique_index[key]
         self._unique_rows = unique_rows
         n_unique = len(unique_rows)
 
@@ -852,6 +457,20 @@ class MapParallelEngine:
             self._row_correction[m] = key
             self._row_substitute[m] = float(rule.substitute)
 
+        # A base read through exactly one bounding threshold (e.g. a lone
+        # BnP network) never needs its unbounded sum: GEMM the kept codes
+        # directly and drop the masked correction term — one full-size GEMM
+        # fewer, and exact, since base - masked == kept as integer sums.
+        for b, base in enumerate(self._bases):
+            users = np.flatnonzero(self._row_base == b)
+            keys = {self._row_correction[m] for m in users}
+            key = keys.pop() if len(keys) == 1 else None
+            if key is None or self._corrections[key].is_empty:
+                continue
+            bounded = quantizer.dequantize(unique_rows[users[0]].registers) >= key[1]
+            base.codes = np.where(bounded, base.codes.dtype.type(0), base.codes)
+            self._corrections[key] = replace(self._corrections[key], masked_codes=None)
+
         self._masks = OperationMasks.stack(
             [row.operation_status for row in unique_rows]
         )
@@ -878,6 +497,47 @@ class MapParallelEngine:
             row.protection_trigger_cycles is not None for row in unique_rows
         )
 
+    @classmethod
+    def for_network(
+        cls,
+        network: "DiehlCookNetwork",
+        effective_weights: Optional[BoundedWeightRule] = None,
+        model: Optional[object] = None,
+    ) -> "MapParallelEngine":
+        """The one-row engine simulating *network* as it is right now.
+
+        Snapshots the network's registers, operation status, LIF parameters
+        and adaptive thresholds.  ``effective_weights`` is the
+        Bound-and-Protect bounding hook; only the symbolic
+        :class:`~repro.snn.synapse.BoundedWeightRule` form is simulated (a
+        dense substitute matrix has no exact register-code decomposition —
+        the sequential oracle in :mod:`repro.snn.oracle` still accepts one).
+        ``model`` defaults to the network configuration's ``neuron_model``.
+        """
+        if effective_weights is not None and not isinstance(
+            effective_weights, BoundedWeightRule
+        ):
+            raise TypeError(
+                "effective_weights must be a BoundedWeightRule (or None); "
+                f"got {type(effective_weights).__name__}"
+            )
+        neurons = network.neurons
+        row = MapRow(
+            raster_index=0,
+            registers=network.synapses.registers,
+            operation_status=neurons.operation_status,
+            weight_rule=effective_weights,
+        )
+        if model is None:
+            model = getattr(network.config, "neuron_model", None)
+        return cls(
+            [row],
+            quantizer=network.synapses.quantizer,
+            params=neurons.params,
+            theta=neurons.theta,
+            model=model,
+        )
+
     # ------------------------------------------------------------------ #
     @property
     def n_rows(self) -> int:
@@ -900,6 +560,8 @@ class MapParallelEngine:
         rasters: Sequence[np.ndarray],
         initial_reset_latch: Optional[np.ndarray] = None,
         collect_output_spikes: bool = False,
+        carry_reset_latch: bool = True,
+        step_monitor: Optional[StepMonitor] = None,
     ) -> MapParallelResult:
         """Run one chunk of pre-encoded rasters through every row.
 
@@ -908,7 +570,8 @@ class MapParallelEngine:
         rasters:
             One boolean spike raster of shape ``(batch, timesteps,
             n_inputs)`` per encoding group; ``rows[m]`` presents
-            ``rasters[rows[m].raster_index]``.
+            ``rasters[rows[m].raster_index]``.  Rasters are only read, so
+            read-only zero-copy views (e.g. onto shared memory) are fine.
         initial_reset_latch:
             Per-row faulty-reset latches ``(n_rows, n_neurons)`` carried
             over from the previous chunk; defaults to all healthy.
@@ -916,12 +579,31 @@ class MapParallelEngine:
             Also materialise the per-row boolean output rasters in the
             result (two extra full-raster copies per chunk; accuracy
             consumers need only the spike counts).
+        carry_reset_latch:
+            ``True`` (default) reproduces the paper's sequential
+            presentation order: a neuron whose faulty ``Vmem reset``
+            latches during sample ``i`` keeps bursting for samples
+            ``i+1..``, resolved by the re-simulation fix-up.  ``False``
+            treats every sample as an *independent presentation* starting
+            from ``initial_reset_latch`` — the online-serving semantics,
+            where unrelated requests coalesced into one micro-batch must
+            not influence each other; the result then equals running each
+            sample alone, and ``final_reset_latch`` is the entry latch.
+        step_monitor:
+            Optional :data:`StepMonitor` called with the live state after
+            every timestep (see there); protection on the campaign path is
+            the rows' inline ``protection_trigger_cycles`` instead.
         """
         rasters = [np.asarray(raster) for raster in rasters]
         if len(rasters) < self.n_groups:
             raise ValueError(
                 f"rows reference {self.n_groups} encoding groups but only "
                 f"{len(rasters)} rasters were provided"
+            )
+        if rasters[0].ndim != 3:
+            raise ValueError(
+                "rasters must have shape (batch, timesteps, n_inputs), got "
+                f"{rasters[0].shape}"
             )
         batch, timesteps, n_inputs = rasters[0].shape
         for raster in rasters:
@@ -935,7 +617,7 @@ class MapParallelEngine:
             raise ValueError("batch must not be empty")
         n_rows = self.n_rows
 
-        mapping = self._row_to_unique
+        mapping = self.row_to_unique
         n_unique = self.n_unique_rows
         if initial_reset_latch is None:
             latch = np.zeros((n_unique, self.n_neurons), dtype=bool)
@@ -966,30 +648,32 @@ class MapParallelEngine:
         state = MapParallelState.initial(
             self.params, self.theta, n_unique, batch, self.n_neurons, latch
         )
-        self._simulate(state, currents, output, slice(0, n_unique))
+        self._simulate(
+            state, currents, output, slice(0, n_unique), self._workspace, step_monitor
+        )
         passes = 1
 
-        # Faulty-reset latch fix-up, per row (see BatchedInferenceEngine):
-        # a row whose pass latched a new neuron keeps its samples up to and
-        # including the first event and re-simulates the remainder with the
-        # updated latch state, repeating until a pass latches nothing new.
-        if self._row_has_reset_fault.any():
+        if carry_reset_latch and self._row_has_reset_fault.any():
             for m in np.flatnonzero(self._row_has_reset_fault):
                 passes += self._fixup_row(
-                    int(m), latch, state.reset_fault_latched[m], currents, output
+                    int(m), latch, state, currents, output, step_monitor
                 )
 
+        if step_monitor is not None and hasattr(step_monitor, "commit_batch"):
+            for m in range(n_unique):
+                step_monitor.commit_batch(state.spike_disabled[m])
         if _obs.enabled():
-            _ENGINE_BATCHES.labels(engine="map_parallel").inc()
-            _ENGINE_BATCH_SIZE.labels(engine="map_parallel").observe(batch)
+            _ENGINE_BATCHES.labels(engine=_ENGINE).inc()
+            _ENGINE_BATCH_SIZE.labels(engine=_ENGINE).observe(batch)
             if passes > 1:
-                _ENGINE_RESIM.labels(engine="map_parallel").inc(passes - 1)
+                _ENGINE_RESIM.labels(engine=_ENGINE).inc(passes - 1)
         return MapParallelResult(
             spike_counts=output.sum(axis=0, dtype=np.int64)[mapping],
             input_spike_counts=np.stack(
                 [raster.sum(axis=(1, 2), dtype=np.int64) for raster in rasters]
             ),
             final_reset_latch=latch[mapping],
+            final_state=state,
             simulation_passes=passes,
             output_spikes=(
                 np.ascontiguousarray(output.transpose(1, 2, 0, 3))[mapping]
@@ -1008,11 +692,10 @@ class MapParallelEngine:
 
         One base GEMM per distinct (raster group, register array) pair plus
         one small correction GEMM pair per distinct bounding threshold —
-        all exact integer sums, combined by the same fixed elementwise
-        expressions as the per-map operators.  The rows assemble into one
-        sample-major block first and transpose to timestep-major in a
-        single pass, so every per-timestep slice of the returned array is
-        contiguous.
+        all exact integer sums, combined by fixed elementwise expressions.
+        The rows assemble into one sample-major block first and transpose
+        to timestep-major in a single pass, so every per-timestep slice of
+        the returned array is contiguous.
         """
         flats: Dict[int, np.ndarray] = {}
         for base in self._bases:
@@ -1069,19 +752,25 @@ class MapParallelEngine:
         self,
         m: int,
         latch: np.ndarray,
-        simulated_latched: np.ndarray,
+        state: MapParallelState,
         currents: np.ndarray,
         output: np.ndarray,
+        step_monitor: Optional[StepMonitor],
     ) -> int:
         """Resolve row *m*'s cross-sample faulty-reset coupling.
 
-        ``latch[m]`` is updated in place to the row's final latch state;
-        returns the number of extra simulation passes performed.
+        A row whose pass latched a new neuron keeps its samples up to and
+        including the first event and re-simulates the remainder with the
+        updated latch state, repeating until a pass latches nothing new.
+        ``latch[m]`` is updated in place to the row's final latch state and
+        the re-simulated samples' outputs and final state overwrite the
+        optimistic pass; returns the number of extra passes performed.
         """
         batch = output.shape[2]
         offset = 0
         extra_passes = 0
         row_latch = latch[m].copy()
+        simulated_latched = state.reset_fault_latched[m]
         while True:
             new_events = simulated_latched & ~row_latch
             event_rows = new_events.any(axis=-1)
@@ -1100,16 +789,17 @@ class MapParallelEngine:
                 self.n_neurons,
                 row_latch[np.newaxis, :],
             )
-            # Contiguous copy of the row's remaining currents: the strided
-            # view into the fused (T, U, B, n) block would pay its gather
-            # cost once per timestep otherwise.
+            # A view, not a copy: each timestep's (1, batch - offset, n)
+            # slice of the (T, U, B, n) block is contiguous already.
             self._simulate(
                 sub_state,
-                np.ascontiguousarray(currents[:, m : m + 1, offset:, :]),
+                currents[:, m : m + 1, offset:, :],
                 output[:, m : m + 1, offset:, :],
                 slice(m, m + 1),
-                workspace=self._fixup_workspace,
+                self._fixup_workspace,
+                step_monitor,
             )
+            state.assign(m, offset, sub_state)
             extra_passes += 1
             simulated_latched = sub_state.reset_fault_latched[0]
         latch[m] = row_latch
@@ -1121,7 +811,8 @@ class MapParallelEngine:
         currents: np.ndarray,
         output: np.ndarray,
         row_slice: slice,
-        workspace: Optional[KernelWorkspace] = None,
+        workspace: KernelWorkspace,
+        step_monitor: Optional[StepMonitor],
     ) -> None:
         """One parallel pass over all timesteps for the rows in *row_slice*.
 
@@ -1129,10 +820,13 @@ class MapParallelEngine:
         LIF, :func:`repro.snn.kernels.lif_advance`) with the engine's
         per-row operation masks and protection triggers sliced to the
         simulated rows.  The kernel advances the state arrays strictly in
-        place over its preallocated workspace, and applies neuron
-        protection after each timestep's spikes are recorded, exactly like
-        the batched engine's post-step monitor hook.
+        place, so a ``step_monitor`` observes — and may gate, via
+        :meth:`MapParallelState.disable_spiking` — the live state after
+        every timestep, exactly like the sequential hook.
         """
+        hook = None
+        if step_monitor is not None:
+            hook = lambda: step_monitor(state)  # noqa: E731 - local adapter
         self._model.advance(
             currents,
             output,
@@ -1146,6 +840,144 @@ class MapParallelEngine:
             self._masks.rows(row_slice),
             self._threshold,
             self._step_config,
-            workspace if workspace is not None else self._workspace,
+            workspace,
             triggers=self._triggers[row_slice] if self._has_protection else None,
+            step_hook=hook,
+        )
+
+
+# ---------------------------------------------------------------------- #
+# per-network front end
+# ---------------------------------------------------------------------- #
+@dataclass
+class BatchResult:
+    """Outcome of running one batch of a single network.
+
+    Attributes
+    ----------
+    output_spikes:
+        Boolean output-spike raster, shape ``(batch, timesteps, n_neurons)``.
+    spike_counts:
+        Per-sample, per-neuron output spike counts ``(batch, n_neurons)``.
+    input_spike_counts:
+        Number of input spikes delivered per sample (activity statistic for
+        the energy model).
+    final_reset_latch:
+        Faulty-reset latch state ``(n_neurons,)`` after the *last* sample of
+        the batch, accounting for the sequential sample order; feed it as
+        ``initial_reset_latch`` of the next batch.
+    final_state:
+        Per-sample final neuron state, ``(batch, n_neurons)`` arrays.
+    simulation_passes:
+        Number of passes the latch fix-up needed (1 when no new faulty-reset
+        latch fired).
+    """
+
+    output_spikes: np.ndarray
+    spike_counts: np.ndarray
+    input_spike_counts: np.ndarray
+    final_reset_latch: np.ndarray
+    final_state: MapParallelState
+    simulation_passes: int = 1
+
+    @property
+    def batch_size(self) -> int:
+        """Number of samples in the batch."""
+        return int(self.output_spikes.shape[0])
+
+
+class BatchedInferenceEngine:
+    """Classify batches of one network: a one-row :class:`MapParallelEngine`.
+
+    The front end reads the network's registers, operation status,
+    thresholds and faulty-reset latches at call time (through
+    :meth:`MapParallelEngine.for_network`), so one instance serves a
+    network across fault injections or weight updates.
+
+    Parameters
+    ----------
+    network:
+        The (possibly fault-injected) network to run.  Only inference is
+        supported — training presentations update the weights between
+        timesteps.
+    model:
+        Neuron model to simulate — a registered name, a
+        :class:`~repro.snn.models.NeuronModel` instance, or ``None``
+        (default) to use the network configuration's ``neuron_model``.
+    """
+
+    def __init__(
+        self,
+        network: "DiehlCookNetwork",
+        model: Optional[object] = None,
+    ) -> None:
+        self.network = network
+        if model is None:
+            model = getattr(network.config, "neuron_model", None)
+        self.model: NeuronModel = resolve_model(model)
+
+    def run(
+        self,
+        images: np.ndarray,
+        rng: RNGLike = None,
+        effective_weights: Optional[BoundedWeightRule] = None,
+        step_monitor: Optional[StepMonitor] = None,
+        initial_reset_latch: Optional[np.ndarray] = None,
+        carry_reset_latch: bool = True,
+    ) -> BatchResult:
+        """Encode and classify a batch of images.
+
+        ``images`` is ``(batch, height, width)``, ``(batch, n_inputs)`` or
+        a single 2-D image; ``rng`` seeds the encoding, which consumes the
+        generator's stream exactly as the sequential per-sample loop would.
+        The other parameters are those of :meth:`run_encoded`.
+        """
+        flat = flatten_images(images, self.network.n_inputs)
+        rasters = self.network.encoder.encode_batch(
+            flat[:, np.newaxis, :], rng=resolve_rng(rng)
+        )
+        return self.run_encoded(
+            rasters,
+            effective_weights=effective_weights,
+            step_monitor=step_monitor,
+            initial_reset_latch=initial_reset_latch,
+            carry_reset_latch=carry_reset_latch,
+        )
+
+    def run_encoded(
+        self,
+        rasters: np.ndarray,
+        effective_weights: Optional[BoundedWeightRule] = None,
+        step_monitor: Optional[StepMonitor] = None,
+        initial_reset_latch: Optional[np.ndarray] = None,
+        carry_reset_latch: bool = True,
+    ) -> BatchResult:
+        """Run pre-encoded rasters of shape ``(batch, timesteps, n_inputs)``.
+
+        ``initial_reset_latch`` defaults to the network's current latches;
+        see :meth:`MapParallelEngine.run_encoded` for ``step_monitor`` and
+        ``carry_reset_latch`` and :meth:`MapParallelEngine.for_network` for
+        ``effective_weights``.
+        """
+        if initial_reset_latch is None:
+            initial_reset_latch = self.network.neurons.reset_fault_latched
+        engine = MapParallelEngine.for_network(
+            self.network, effective_weights, self.model
+        )
+        result = engine.run_encoded(
+            [rasters],
+            initial_reset_latch=np.asarray(initial_reset_latch, dtype=bool)[
+                np.newaxis
+            ],
+            collect_output_spikes=True,
+            carry_reset_latch=carry_reset_latch,
+            step_monitor=step_monitor,
+        )
+        return BatchResult(
+            output_spikes=result.output_spikes[0],
+            spike_counts=result.spike_counts[0],
+            input_spike_counts=result.input_spike_counts[0],
+            final_reset_latch=result.final_reset_latch[0],
+            final_state=result.final_state.row(0),
+            simulation_passes=result.simulation_passes,
         )

@@ -8,35 +8,36 @@ the network the engine is given (corrupted registers and/or neuron operation
 status), and mitigation only changes the two hooks the engine forwards on —
 an ``effective_weights`` override and a ``step_monitor``.
 
-Datasets are classified in configurable chunks through the vectorized
-:class:`~repro.snn.engine.BatchedInferenceEngine`; the original per-image
-loop is kept as :meth:`InferenceEngine.evaluate_sequential`, the reference
-the batched path is verified against spike-for-spike.
+Datasets are classified in configurable chunks through the one inference
+engine, :class:`~repro.snn.engine.MapParallelEngine` (a single network is
+its one-row case); the original per-image loop lives in
+:mod:`repro.snn.oracle`, the reference the engine is verified against
+spike for spike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.data.datasets import Dataset
 from repro.snn.engine import (
     DEFAULT_BATCH_SIZE,
-    BatchedInferenceEngine,
     MapParallelEngine,
     MapRow,
+    StepMonitor,
+    flatten_images,
 )
 from repro.snn.kernels import autotune_batch_size
 from repro.snn.network import DiehlCookNetwork
-from repro.snn.neuron import LIFNeuronGroup, LIFParameters
+from repro.snn.neuron import LIFParameters
+from repro.snn.synapse import BoundedWeightRule
 from repro.snn.quantization import WeightQuantizer
 from repro.utils.rng import RNGLike, resolve_rng
 
 __all__ = ["InferenceResult", "InferenceEngine", "class_indicator", "evaluate_rows"]
-
-StepMonitor = Callable[[LIFNeuronGroup], None]
 
 #: Sample-chunk cap of the map-parallel evaluation path.  Results are
 #: bit-identical for any chunking (the faulty-reset latch carry reproduces
@@ -184,7 +185,7 @@ class InferenceEngine:
         self,
         image: np.ndarray,
         rng: RNGLike = None,
-        effective_weights: Optional[np.ndarray] = None,
+        effective_weights: Optional[BoundedWeightRule] = None,
         step_monitor: Optional[StepMonitor] = None,
     ) -> tuple:
         """Classify a single image; returns ``(prediction, SampleResult)``."""
@@ -217,19 +218,23 @@ class InferenceEngine:
         self,
         dataset: Dataset,
         rng: RNGLike = None,
-        effective_weights: Optional[np.ndarray] = None,
+        effective_weights: Optional[BoundedWeightRule] = None,
         step_monitor: Optional[StepMonitor] = None,
         batch_size: Optional[int] = None,
         raster: Optional[np.ndarray] = None,
     ) -> InferenceResult:
         """Classify every sample of *dataset* and aggregate the results.
 
-        The dataset is processed in chunks of ``batch_size`` samples
-        (default :data:`repro.snn.engine.DEFAULT_BATCH_SIZE`) through the
-        batched engine; the faulty-reset latch state is carried from chunk
-        to chunk so the sequential sample-order semantics are preserved,
-        and the neuron group is left in the same final state the per-image
-        loop (:meth:`evaluate_sequential`) would leave it in.
+        The dataset is processed in chunks of ``batch_size`` samples through
+        the network's one-row :class:`~repro.snn.engine.MapParallelEngine`;
+        the faulty-reset latch state is carried from chunk to chunk so the
+        sequential sample-order semantics are preserved, and the neuron
+        group is left in the same final state the per-image reference loop
+        (:func:`repro.snn.oracle.evaluate_sequential`) would leave it in.
+
+        ``effective_weights`` (a
+        :class:`~repro.snn.synapse.BoundedWeightRule`) and ``step_monitor``
+        are the Bound-and-Protect hooks, forwarded to the engine.
 
         When *raster* is given it must be the externally Poisson-encoded
         presentation tensor ``(n_samples, timesteps, n_inputs)`` for the
@@ -247,105 +252,51 @@ class InferenceEngine:
         """
         if len(dataset) == 0:
             raise ValueError("evaluation dataset must not be empty")
+        network = self.network
         if batch_size is None:
-            batch_size = autotune_batch_size(
-                self.network.n_neurons, self.network.n_inputs
-            )
+            batch_size = autotune_batch_size(network.n_neurons, network.n_inputs)
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
-        generator = resolve_rng(rng)
         n_samples = len(dataset)
         if raster is not None and raster.shape[0] != n_samples:
             raise ValueError(
                 f"raster covers {raster.shape[0]} samples, dataset has "
                 f"{n_samples}"
             )
+        generator = resolve_rng(rng)
+        if raster is None:
+            images = flatten_images(dataset.images, network.n_inputs)
         predictions = np.zeros(n_samples, dtype=np.int64)
-        spike_counts = np.zeros((n_samples, self.network.n_neurons), dtype=np.int64)
-        per_sample_output: List[int] = []
+        spike_counts = np.zeros((n_samples, network.n_neurons), dtype=np.int64)
         total_input_spikes = 0
 
-        engine = BatchedInferenceEngine(self.network)
-        latch = self.network.neurons.reset_fault_latched.copy()
-        last_result = None
+        engine = MapParallelEngine.for_network(network, effective_weights)
+        latch = network.neurons.reset_fault_latched[np.newaxis].copy()
         for start in range(0, n_samples, batch_size):
             stop = min(start + batch_size, n_samples)
-            if raster is not None:
-                result = engine.run_encoded(
-                    raster[start:stop],
-                    effective_weights=effective_weights,
-                    step_monitor=step_monitor,
-                    initial_reset_latch=latch,
-                    sample_offset=start,
+            if raster is None:
+                chunk = network.encoder.encode_batch(
+                    images[start:stop, np.newaxis, :], rng=generator
                 )
             else:
-                result = engine.run(
-                    dataset.images[start:stop],
-                    rng=generator,
-                    effective_weights=effective_weights,
-                    step_monitor=step_monitor,
-                    initial_reset_latch=latch,
-                    sample_offset=start,
-                )
+                chunk = raster[start:stop]
+            result = engine.run_encoded(
+                [chunk], initial_reset_latch=latch, step_monitor=step_monitor
+            )
             latch = result.final_reset_latch
-            predictions[start:stop] = self.classify_batch(result.spike_counts)
-            spike_counts[start:stop] = result.spike_counts
-            per_sample_output.extend(
-                int(count) for count in result.spike_counts.sum(axis=1)
-            )
+            predictions[start:stop] = self.classify_batch(result.spike_counts[0])
+            spike_counts[start:stop] = result.spike_counts[0]
             total_input_spikes += int(result.input_spike_counts.sum())
-            last_result = result
 
-        self.network.sync_neuron_state(last_result)
+        network.sync_neuron_state(result.final_state.row(0), latch[0])
         return InferenceResult(
             predictions=predictions,
             labels=dataset.labels.copy(),
             spike_counts=spike_counts,
             total_input_spikes=total_input_spikes,
-            per_sample_output_spikes=per_sample_output,
-        )
-
-    def evaluate_sequential(
-        self,
-        dataset: Dataset,
-        rng: RNGLike = None,
-        effective_weights: Optional[np.ndarray] = None,
-        step_monitor: Optional[StepMonitor] = None,
-    ) -> InferenceResult:
-        """Classify *dataset* through the per-image reference loop.
-
-        This is the pre-batching code path, kept as the ground truth the
-        batched :meth:`evaluate` is verified against (and for step monitors
-        that require the sequential :class:`~repro.snn.neuron.LIFNeuronGroup`
-        protocol).
-        """
-        if len(dataset) == 0:
-            raise ValueError("evaluation dataset must not be empty")
-        generator = resolve_rng(rng)
-        predictions = np.zeros(len(dataset), dtype=np.int64)
-        spike_counts = np.zeros((len(dataset), self.network.n_neurons), dtype=np.int64)
-        per_sample_output = []
-        total_input_spikes = 0
-
-        for index, (image, _) in enumerate(dataset):
-            sample = self.network.present_sequential(
-                image,
-                learning=False,
-                rng=generator,
-                effective_weights=effective_weights,
-                step_monitor=step_monitor,
-            )
-            predictions[index] = self.classify_counts(sample.spike_counts)
-            spike_counts[index] = sample.spike_counts
-            per_sample_output.append(sample.total_output_spikes)
-            total_input_spikes += sample.input_spike_count
-
-        return InferenceResult(
-            predictions=predictions,
-            labels=dataset.labels.copy(),
-            spike_counts=spike_counts,
-            total_input_spikes=total_input_spikes,
-            per_sample_output_spikes=per_sample_output,
+            per_sample_output_spikes=[
+                int(count) for count in spike_counts.sum(axis=1)
+            ],
         )
 
 

@@ -1,14 +1,12 @@
-"""Fused compute kernels shared by every engine in the reproduction.
+"""Fused compute kernels shared by the inference and training engines.
 
-Before this module existed, the three hot engines — batched inference
-(:class:`repro.snn.engine.BatchedInferenceEngine`), map-parallel fault
-sweeps (:class:`repro.snn.engine.MapParallelEngine`) and vectorized STDP
-training (:class:`repro.snn.train_engine.VectorizedTrainingEngine`) — each
-carried a private copy of the same two primitives: the exact integer
-register-code GEMM that accumulates input currents, and the elementwise LIF
-timestep advance.  This module owns those primitives (plus the
-Bound-and-Protect bounding-correction decomposition) so the next perf tier
-is bought once, not three times.
+The inference engine (:class:`repro.snn.engine.MapParallelEngine`) and the
+vectorized STDP trainer
+(:class:`repro.snn.train_engine.VectorizedTrainingEngine`) run the same two
+primitives: the exact integer register-code GEMM that accumulates input
+currents, and the elementwise LIF timestep advance.  This module owns those
+primitives (plus the Bound-and-Protect bounding-correction decomposition)
+so every perf tier is bought once.
 
 The three primitives
 --------------------
@@ -17,8 +15,8 @@ The three primitives
     current accumulation factorises as ``(spikes @ codes) * scale``.  The
     inner matmul only ever adds integers bounded by
     ``n_inputs * max_code``; every summation order computes such sums
-    exactly, so the result is bitwise identical for any operand shape,
-    BLAS kernel and backend.  When the bound fits the 24-bit float32
+    exactly, so the result is bitwise identical for any operand shape and
+    BLAS kernel.  When the bound fits the 24-bit float32
     mantissa the (much faster) SGEMM is exact too —
     :func:`exact_gemm_dtype` is that capability probe, decided **once** per
     register geometry and cached, instead of re-evaluated per call in each
@@ -60,22 +58,11 @@ codes — so it contains neither primitive; its healthy single-sample
 membrane step is exposed here as :func:`lif_learning_step` so the timestep
 arithmetic still has exactly one home.
 
-Backends
---------
-``SOFTSNN_KERNEL_BACKEND=numpy|numba`` selects the implementation
-(default ``numpy``).  The numba backend compiles ``@njit(cache=True)``
-twins of the GEMM and the timestep advance; the numpy path is the parity
-reference (``tests/test_kernels.py`` asserts the two are bit-identical).
-numba is an *optional* dependency: when it is not importable (or fails to
-compile) the kernels silently fall back to numpy with a logged reason.
-Kernels with a Python ``step_hook`` always run the numpy path — the hook
-must see live NumPy state between timesteps.
-
 Autotuning
 ----------
 :func:`autotune_batch_size` runs a short timed probe of the two primitives
 over candidate chunk sizes and caches the winner per
-``(n_neurons, n_inputs, backend)`` in-process.  Chunking is a pure
+``(n_neurons, n_inputs)`` in-process.  Chunking is a pure
 throughput knob — engine results are bit-identical for any batch size
 (the faulty-reset latch carry reproduces sequential sample order exactly)
 — which is what makes a *timed*, machine-dependent choice safe to wire
@@ -112,7 +99,6 @@ __all__ = [
     "AUTOTUNE_ENV",
     "DEFAULT_BATCH_SIZE",
     "FLOAT32_EXACT_SUM_LIMIT",
-    "KERNEL_BACKEND_ENV",
     "NO_PROTECTION_TRIGGER",
     "BoundingCorrection",
     "KernelWorkspace",
@@ -126,20 +112,17 @@ __all__ = [
     "exact_gemm_dtype",
     "exact_scale",
     "fixed_point_advance",
-    "get_backend",
     "lif_advance",
     "lif_learning_step",
-    "numba_available",
     "plan_bounding_correction",
     "register_gemm",
-    "set_backend",
 ]
 
 _LOGGER = get_logger("snn.kernels")
 
 # Kernel telemetry (docs/observability.md): per-primitive call counts and
-# cumulative nanoseconds, labeled by the backend that actually executed
-# (numpy when the numba dispatch falls back), plus autotuner outcomes.
+# cumulative nanoseconds, plus autotuner outcomes.  The ``backend`` label
+# keeps the catalog's series names; numpy is the only implementation.
 # Children are cached in a plain dict so the hot path pays one dict lookup
 # and two counter adds — the perf bench bounds this at ≤ 2 % of kernel time.
 _KERNEL_CALLS = _obs.get_registry().counter(
@@ -159,26 +142,25 @@ _AUTOTUNE_EVENTS = _obs.get_registry().counter(
 )
 _AUTOTUNE_BATCH = _obs.get_registry().gauge(
     "softsnn_autotune_batch_size",
-    "Most recently autotuned engine chunk size per backend.",
+    "Most recently autotuned engine chunk size.",
     labels=("backend",),
 )
-_KERNEL_CHILDREN: Dict[Tuple[str, str], Tuple[object, object]] = {}
+_BACKEND = "numpy"
+_KERNEL_CHILDREN: Dict[str, Tuple[object, object]] = {}
 
 
-def _record_kernel(kernel: str, backend: str, elapsed_ns: int) -> None:
+def _record_kernel(kernel: str, elapsed_ns: int) -> None:
     """Account one kernel invocation to the call/time counters."""
-    pair = _KERNEL_CHILDREN.get((kernel, backend))
+    pair = _KERNEL_CHILDREN.get(kernel)
     if pair is None:
         pair = (
-            _KERNEL_CALLS.labels(kernel=kernel, backend=backend),
-            _KERNEL_NS.labels(kernel=kernel, backend=backend),
+            _KERNEL_CALLS.labels(kernel=kernel, backend=_BACKEND),
+            _KERNEL_NS.labels(kernel=kernel, backend=_BACKEND),
         )
-        _KERNEL_CHILDREN[(kernel, backend)] = pair
+        _KERNEL_CHILDREN[kernel] = pair
     pair[0].inc()
     pair[1].inc(elapsed_ns)
 
-#: Environment variable selecting the kernel backend (``numpy`` | ``numba``).
-KERNEL_BACKEND_ENV = "SOFTSNN_KERNEL_BACKEND"
 
 #: Environment variable disabling the batch-size autotuner (``off`` pins
 #: :data:`DEFAULT_BATCH_SIZE` without probing).
@@ -196,211 +178,6 @@ NO_PROTECTION_TRIGGER = np.iinfo(np.int64).max
 
 #: Historical engine chunk size; the fallback when autotuning is disabled.
 DEFAULT_BATCH_SIZE = 64
-
-_BACKENDS = ("numpy", "numba")
-
-
-# ---------------------------------------------------------------------- #
-# backend selection
-# ---------------------------------------------------------------------- #
-_active_backend: Optional[str] = None
-_numba_module = None
-_numba_import_error: Optional[str] = None
-_numba_checked = False
-_numba_impl_cache: Optional[Dict[str, Callable]] = None
-_numba_impl_failed = False
-
-
-def _import_numba():
-    """Import numba once; remember the failure reason for the fallback log."""
-    global _numba_module, _numba_import_error, _numba_checked
-    if not _numba_checked:
-        _numba_checked = True
-        try:
-            import numba  # noqa: F401 - optional dependency probe
-
-            _numba_module = numba
-        except Exception as exc:  # pragma: no cover - depends on environment
-            _numba_module = None
-            _numba_import_error = str(exc)
-    return _numba_module
-
-
-def numba_available() -> bool:
-    """Whether the optional numba backend can be imported on this machine."""
-    return _import_numba() is not None
-
-
-def _resolve_backend(requested: Optional[str]) -> str:
-    """Validate a requested backend name, falling back to numpy with a log."""
-    name = (requested or "numpy").strip().lower()
-    if name not in _BACKENDS:
-        _LOGGER.warning(
-            "unknown kernel backend %r (via %s); falling back to numpy",
-            requested,
-            KERNEL_BACKEND_ENV,
-        )
-        return "numpy"
-    if name == "numba" and not numba_available():
-        _LOGGER.warning(
-            "kernel backend 'numba' requested but numba is not importable "
-            "(%s); falling back to numpy",
-            _numba_import_error,
-        )
-        return "numpy"
-    return name
-
-
-def get_backend() -> str:
-    """Active kernel backend, resolved once from :data:`KERNEL_BACKEND_ENV`."""
-    global _active_backend
-    if _active_backend is None:
-        _active_backend = _resolve_backend(os.environ.get(KERNEL_BACKEND_ENV))
-    return _active_backend
-
-
-def set_backend(name: Optional[str]) -> str:
-    """Override the kernel backend (``None`` re-resolves the environment).
-
-    Returns the backend actually activated — requesting ``numba`` on a
-    machine without it activates ``numpy`` (with a logged reason), exactly
-    like the environment-variable path.
-    """
-    global _active_backend
-    if name is None:
-        name = os.environ.get(KERNEL_BACKEND_ENV)
-    _active_backend = _resolve_backend(name)
-    return _active_backend
-
-
-def _numba_impls() -> Optional[Dict[str, Callable]]:
-    """Build (once) the jitted kernel twins; ``None`` if numba is unusable."""
-    global _numba_impl_cache, _numba_impl_failed
-    if _numba_impl_cache is not None:
-        return _numba_impl_cache
-    if _numba_impl_failed:
-        return None
-    numba = _import_numba()
-    if numba is None:
-        _numba_impl_failed = True
-        return None
-    try:
-        _numba_impl_cache = _build_numba_impls(numba)
-    except Exception as exc:  # pragma: no cover - depends on numba version
-        _LOGGER.warning(
-            "compiling numba kernels failed (%s); falling back to numpy", exc
-        )
-        _numba_impl_failed = True
-        return None
-    return _numba_impl_cache
-
-
-def _build_numba_impls(numba) -> Dict[str, Callable]:
-    """Define the ``@njit(cache=True)`` GEMM and timestep-advance kernels.
-
-    The advance is an explicit-loop transcription of the numpy kernel with
-    identical operation order per element; the default ``njit`` pipeline
-    performs no fastmath reassociation or FMA contraction, so every float
-    result matches the numpy ufunc sequence bit for bit (asserted by
-    ``tests/test_kernels.py``).
-    """
-    njit = numba.njit
-
-    @njit(cache=True)
-    def gemm(spikes, codes):  # pragma: no cover - exercised via backend tests
-        return np.dot(spikes, codes)
-
-    @njit(cache=True)
-    def advance(  # pragma: no cover - exercised via backend tests
-        currents,
-        output,
-        v,
-        refractory,
-        counter,
-        disabled,
-        latched,
-        comparator,
-        spikes,
-        leak_ok,
-        increase_ok,
-        reset_ok,
-        spike_ok,
-        triggers,
-        protect,
-        v_rest,
-        v_reset,
-        v_min,
-        decay,
-        period,
-        strength,
-        threshold,
-    ):
-        timesteps, n_rows, batch, n_neurons = currents.shape
-        for t in range(timesteps):
-            for r in range(n_rows):
-                for b in range(batch):
-                    n_spiking = 0
-                    for n in range(n_neurons):
-                        vv = v[r, b, n]
-                        # (2) Vmem leak.
-                        if leak_ok[r, n]:
-                            vv = v_rest + (vv - v_rest) * decay
-                        # (1) Vmem increase (adding literal 0.0 when gated
-                        # mirrors the numpy where-expression bit for bit).
-                        act = refractory[r, b, n] <= 0
-                        inc = 0.0
-                        if act and increase_ok[r, n]:
-                            inc = currents[t, r, b, n]
-                        vv = vv + inc
-                        if vv < v_min:
-                            vv = v_min
-                        # (4) Spike generation: comparator + counter.
-                        comp = act and (vv >= threshold[n])
-                        comparator[r, b, n] = comp
-                        if comp:
-                            counter[r, b, n] += 1
-                        else:
-                            counter[r, b, n] = 0
-                        sp = (
-                            comp
-                            and spike_ok[r, n]
-                            and not disabled[r, b, n]
-                        )
-                        spikes[r, b, n] = sp
-                        if sp:
-                            n_spiking += 1
-                        # (3) Vmem reset + refractory; faulty resets latch.
-                        if comp and reset_ok[r, n]:
-                            vv = v_reset
-                            refractory[r, b, n] = period
-                        else:
-                            if comp:
-                                latched[r, b, n] = True
-                            remaining = refractory[r, b, n] - 1
-                            if remaining < 0:
-                                remaining = 0
-                            refractory[r, b, n] = remaining
-                        v[r, b, n] = vv
-                    # Direct lateral inhibition, per (row, sample).
-                    if strength > 0.0 and n_spiking > 0:
-                        for n in range(n_neurons):
-                            others = n_spiking
-                            if spikes[r, b, n]:
-                                others = n_spiking - 1
-                            vv = v[r, b, n] - strength * others
-                            if vv < v_min:
-                                vv = v_min
-                            v[r, b, n] = vv
-                    for n in range(n_neurons):
-                        # Pin latched faulty-reset membranes at threshold.
-                        if latched[r, b, n] and v[r, b, n] < threshold[n]:
-                            v[r, b, n] = threshold[n]
-                        output[t, r, b, n] = spikes[r, b, n]
-                        # Neuron protection (post-step, like the monitor).
-                        if protect and counter[r, b, n] >= triggers[r]:
-                            disabled[r, b, n] = True
-
-    return {"gemm": gemm, "advance": advance}
 
 
 # ---------------------------------------------------------------------- #
@@ -429,35 +206,18 @@ def exact_gemm_dtype(n_inputs: int, max_code: int) -> np.dtype:
     return _exact_gemm_dtype_cached(int(n_inputs), int(max_code))
 
 
-def register_gemm(
-    spikes: np.ndarray, codes: np.ndarray, backend: Optional[str] = None
-) -> np.ndarray:
+def register_gemm(spikes: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Exact integer register-code GEMM: ``(m, n_inputs) @ (n_inputs, n)``.
 
     ``codes`` must already be in the dtype :func:`exact_gemm_dtype` chose
     for its geometry; ``spikes`` (boolean or 0/1 rows) is cast to match.
     The accumulated entries are exact integers in either float precision,
-    so the numpy and numba implementations — and any BLAS kernel either
-    dispatches to — return bitwise identical results.
+    so every BLAS kernel returns bitwise identical results.
     """
-    spikes = np.asarray(spikes)
-    if backend is None:
-        backend = get_backend()
-    impls = _numba_impls() if backend == "numba" else None
     start_ns = time.perf_counter_ns()
-    if impls is not None:
-        result = impls["gemm"](
-            np.ascontiguousarray(spikes, dtype=codes.dtype),
-            np.ascontiguousarray(codes),
-        )
-    else:
-        result = spikes.astype(codes.dtype, copy=False) @ codes
+    result = np.asarray(spikes).astype(codes.dtype, copy=False) @ codes
     if _obs.enabled():
-        _record_kernel(
-            "register_gemm",
-            "numba" if impls is not None else "numpy",
-            time.perf_counter_ns() - start_ns,
-        )
+        _record_kernel("register_gemm", time.perf_counter_ns() - start_ns)
     return result
 
 
@@ -488,10 +248,12 @@ class BoundingCorrection:
     lines feed bounded synapses, ``columns`` restricts the correction
     GEMMs to those rows of the spike matrix (exact — the dropped terms are
     all zero).  ``is_empty`` marks thresholds no stored weight reaches.
+    ``masked_codes`` is ``None`` when the base GEMM already runs on the kept
+    codes (no row reads the unbounded sum), leaving only the ``hits`` term.
     """
 
     columns: Optional[np.ndarray]
-    masked_codes: np.ndarray
+    masked_codes: Optional[np.ndarray]
     mask_codes: np.ndarray
     is_empty: bool = False
 
@@ -536,24 +298,25 @@ def plan_bounding_correction(
 
 
 def bounding_correction_terms(
-    flat_spikes: np.ndarray,
-    correction: BoundingCorrection,
-    backend: Optional[str] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The two correction GEMMs ``(masked, hits)`` for pre-cast spike rows."""
+    flat_spikes: np.ndarray, correction: BoundingCorrection
+) -> Tuple[Optional[np.ndarray], np.ndarray]:
+    """The correction GEMMs ``(masked, hits)`` for pre-cast spike rows.
+
+    ``masked`` is ``None`` when the correction carries no masked codes.
+    """
     if correction.columns is None:
         spikes = flat_spikes
     else:
         spikes = flat_spikes[:, correction.columns]
-    return (
-        register_gemm(spikes, correction.masked_codes, backend=backend),
-        register_gemm(spikes, correction.mask_codes, backend=backend),
-    )
+    masked = None
+    if correction.masked_codes is not None:
+        masked = register_gemm(spikes, correction.masked_codes)
+    return masked, register_gemm(spikes, correction.mask_codes)
 
 
 def apply_bounding_correction(
     base: np.ndarray,
-    masked: np.ndarray,
+    masked: Optional[np.ndarray],
     hits: np.ndarray,
     scale: float,
     substitute: float,
@@ -563,9 +326,10 @@ def apply_bounding_correction(
 
     All three operands are exact integer accumulators, so the combination
     is bitwise identical to the per-map bounded operator for any GEMM
-    dtype (:func:`exact_scale`).
+    dtype (:func:`exact_scale`).  ``masked=None`` means *base* already
+    sums only the in-range (kept) synapses.
     """
-    exact_scale(base - masked, scale, out=out)
+    exact_scale(base if masked is None else base - masked, scale, out=out)
     out += exact_scale(hits, substitute)
     return out
 
@@ -728,7 +492,6 @@ def lif_advance(
     workspace: KernelWorkspace,
     triggers: Optional[np.ndarray] = None,
     step_hook: Optional[Callable[[], None]] = None,
-    backend: Optional[str] = None,
 ) -> None:
     """Advance ``(rows, batch, neurons)`` LIF state over all timesteps.
 
@@ -740,7 +503,7 @@ def lif_advance(
     write, optional neuron-protection trigger gating and the optional
     ``step_hook`` — exactly the operation sequence of the sequential
     :meth:`repro.snn.neuron.LIFNeuronGroup.step` plus the post-step
-    protection semantics of the batched engines.
+    protection semantics of the sequential step monitor.
 
     Parameters
     ----------
@@ -770,92 +533,8 @@ def lif_advance(
         (:data:`NO_PROTECTION_TRIGGER` keeps a row ungated); ``None``
         skips protection entirely.
     step_hook:
-        Optional callable invoked after every timestep (the batched
-        engine's step-monitor adapter).  Forces the numpy backend — the
-        hook must observe live state between steps.
-    backend:
-        Backend override; defaults to :func:`get_backend`.
-    """
-    if backend is None:
-        backend = get_backend()
-    impls = (
-        _numba_impls() if backend == "numba" and step_hook is None else None
-    )
-    start_ns = time.perf_counter_ns()
-    if impls is not None:
-        trig = (
-            np.full(v.shape[0], NO_PROTECTION_TRIGGER, dtype=np.int64)
-            if triggers is None
-            else np.ascontiguousarray(triggers, dtype=np.int64)
-        )
-        impls["advance"](
-            currents,
-            output,
-            v,
-            refractory,
-            counter,
-            disabled,
-            latched,
-            comparator,
-            spikes,
-            np.ascontiguousarray(masks.leak_ok),
-            np.ascontiguousarray(masks.increase_ok),
-            np.ascontiguousarray(masks.reset_ok),
-            np.ascontiguousarray(masks.spike_ok),
-            trig,
-            triggers is not None,
-            config.v_rest,
-            config.v_reset,
-            config.v_min,
-            config.membrane_decay,
-            np.int64(config.refractory_period),
-            config.inhibition_strength,
-            np.ascontiguousarray(threshold, dtype=np.float64),
-        )
-    else:
-        _lif_advance_numpy(
-            currents,
-            output,
-            v,
-            refractory,
-            counter,
-            disabled,
-            latched,
-            comparator,
-            spikes,
-            masks,
-            threshold,
-            config,
-            workspace,
-            triggers,
-            step_hook,
-        )
-    if _obs.enabled():
-        _record_kernel(
-            "lif_advance",
-            "numba" if impls is not None else "numpy",
-            time.perf_counter_ns() - start_ns,
-        )
-
-
-def _lif_advance_numpy(
-    currents: np.ndarray,
-    output: np.ndarray,
-    v: np.ndarray,
-    refractory: np.ndarray,
-    counter: np.ndarray,
-    disabled: np.ndarray,
-    latched: np.ndarray,
-    comparator: np.ndarray,
-    spikes: np.ndarray,
-    masks: OperationMasks,
-    threshold: np.ndarray,
-    config: LIFStepConfig,
-    workspace: KernelWorkspace,
-    triggers: Optional[np.ndarray],
-    step_hook: Optional[Callable[[], None]],
-) -> None:
-    """Reference (numpy) timestep advance: in-place ufuncs, zero hot allocs.
+        Optional callable invoked after every timestep (the engine's
+        step-monitor adapter); it observes the live state between steps.
 
     Every statement is a bitwise-identical reformulation of the sequential
     expressions: in-place ufunc chains evaluate the same IEEE operations
@@ -864,6 +543,7 @@ def _lif_advance_numpy(
     exact.  The loop touches only the caller's state arrays and the
     workspace buffers — nothing is allocated per timestep.
     """
+    start_ns = time.perf_counter_ns()
     ws = workspace.ensure(v.shape)
     vbuf = ws.vbuf
     fbuf = ws.fbuf
@@ -961,13 +641,16 @@ def _lif_advance_numpy(
 
         # Neuron protection: gate off spike generation once the comparator
         # has stayed asserted for the row's trigger count (applied
-        # post-step, like the batched step-monitor hook).
+        # post-step, like the sequential step-monitor hook).
         if trig is not None:
             np.greater_equal(counter, trig, out=boolbuf)
             np.logical_or(disabled, boolbuf, out=disabled)
 
         if step_hook is not None:
             step_hook()
+
+    if _obs.enabled():
+        _record_kernel("lif_advance", time.perf_counter_ns() - start_ns)
 
 
 def lif_learning_step(
@@ -1032,7 +715,6 @@ def cuba_advance(
     current_decay: float = 0.5,
     triggers: Optional[np.ndarray] = None,
     step_hook: Optional[Callable[[], None]] = None,
-    backend: Optional[str] = None,
 ) -> None:
     """Current-based (CUBA) leaky LIF advance over ``(rows, batch, n)`` state.
 
@@ -1048,11 +730,8 @@ def cuba_advance(
     ``v += u`` (the synaptic accumulation itself is crossbar arithmetic,
     not a Vmem operation, so it always runs), and spike generation / reset
     keep the LIF semantics, including the faulty-reset latch and neuron
-    protection.  Only a numpy implementation exists; ``backend`` is
-    accepted for interface parity and the kernel silently runs numpy —
-    the same fallback contract as an unavailable numba.
+    protection.
     """
-    del backend  # numpy only; accepted for signature parity with lif_advance
     start_ns = time.perf_counter_ns()
     ws = workspace.ensure(v.shape)
     vbuf = ws.vbuf
@@ -1161,7 +840,7 @@ def cuba_advance(
             step_hook()
 
     if _obs.enabled():
-        _record_kernel("cuba_advance", "numpy", time.perf_counter_ns() - start_ns)
+        _record_kernel("cuba_advance", time.perf_counter_ns() - start_ns)
 
 
 def fixed_point_advance(
@@ -1182,7 +861,6 @@ def fixed_point_advance(
     decay_bits: int = 12,
     triggers: Optional[np.ndarray] = None,
     step_hook: Optional[Callable[[], None]] = None,
-    backend: Optional[str] = None,
 ) -> None:
     """Bit-accurate fixed-point LIF advance over ``(rows, batch, n)`` state.
 
@@ -1201,10 +879,7 @@ def fixed_point_advance(
     the grid at entry and divided back (exactly, by a power of two) at
     exit, so the engines' float-domain latch pinning composes correctly.
     The four faultable operations gate exactly as in :func:`lif_advance`.
-    Only a numpy implementation exists; ``backend`` is accepted for
-    interface parity and the kernel silently runs numpy.
     """
-    del backend  # numpy only; accepted for signature parity with lif_advance
     start_ns = time.perf_counter_ns()
     ws = workspace.ensure(v.shape)
     vbuf = ws.vbuf
@@ -1318,20 +993,18 @@ def fixed_point_advance(
     np.divide(v, scale, out=v)
 
     if _obs.enabled():
-        _record_kernel(
-            "fixed_point_advance", "numpy", time.perf_counter_ns() - start_ns
-        )
+        _record_kernel("fixed_point_advance", time.perf_counter_ns() - start_ns)
 
 
 # ---------------------------------------------------------------------- #
 # batch-size autotuning
 # ---------------------------------------------------------------------- #
 _AUTOTUNE_CANDIDATES = (16, 32, 64, 128)
-_autotune_cache: Dict[Tuple[int, int, str], int] = {}
+_autotune_cache: Dict[Tuple[int, int], int] = {}
 
 
 def clear_autotune_cache() -> None:
-    """Drop cached autotune decisions (tests; backend switches)."""
+    """Drop cached autotune decisions (tests)."""
     _autotune_cache.clear()
 
 
@@ -1353,7 +1026,7 @@ def autotune_batch_size(
     Runs a short timed probe — one register GEMM plus one
     :func:`lif_advance` block per candidate, on synthetic spikes — and
     returns the candidate with the best per-sample wall time.  The result
-    is cached in-process per ``(n_neurons, n_inputs, backend)``, so every
+    is cached in-process per ``(n_neurons, n_inputs)``, so every
     engine constructed for the same geometry reuses one probe.
 
     Chunk size is a pure throughput knob: engine results are bit-identical
@@ -1370,8 +1043,7 @@ def autotune_batch_size(
     if _autotune_disabled():
         _AUTOTUNE_EVENTS.labels(event="pinned").inc()
         return DEFAULT_BATCH_SIZE
-    backend = get_backend()
-    key = (n_neurons, n_inputs, backend)
+    key = (n_neurons, n_inputs)
     cached = _autotune_cache.get(key)
     if cached is not None:
         _AUTOTUNE_EVENTS.labels(event="cache_hit").inc()
@@ -1433,7 +1105,7 @@ def autotune_batch_size(
                 workspace,
             )
 
-        probe_once()  # warm caches (and, for numba, the JIT) off the clock
+        probe_once()  # warm caches off the clock
         elapsed = np.inf
         for _ in range(2):
             began = time.perf_counter()
@@ -1445,12 +1117,11 @@ def autotune_batch_size(
             best_size = size
 
     _autotune_cache[key] = best_size
-    _AUTOTUNE_BATCH.labels(backend=backend).set(best_size)
+    _AUTOTUNE_BATCH.labels(backend=_BACKEND).set(best_size)
     _LOGGER.debug(
-        "autotuned batch size for (n_neurons=%d, n_inputs=%d, backend=%s): %d",
+        "autotuned batch size for (n_neurons=%d, n_inputs=%d): %d",
         n_neurons,
         n_inputs,
-        backend,
         best_size,
     )
     return best_size

@@ -10,7 +10,7 @@ machinery runs over a *zoo* of models:
 ``lif`` (default)
     The existing leaky integrate-and-fire dynamics, dispatching verbatim
     to :func:`repro.snn.kernels.lif_advance` — bit-identical to the
-    pre-refactor behaviour by construction (numpy and numba backends).
+    pre-refactor behaviour by construction.
 ``cuba_lif``
     A current-based (CUBA) leaky LIF with a ``du/dv``-style synaptic
     current state, after lava's floating-point LIF process model
@@ -110,7 +110,6 @@ class NeuronModel:
         workspace: KernelWorkspace,
         triggers: Optional[np.ndarray] = None,
         step_hook: Optional[Callable[[], None]] = None,
-        backend: Optional[str] = None,
     ) -> None:
         """Advance ``(rows, batch, n)`` state over all timesteps in place.
 
@@ -127,9 +126,8 @@ class NeuronModel:
 class LIFModel(NeuronModel):
     """The default Diehl&Cook-style LIF: a verbatim ``lif_advance`` dispatch.
 
-    Delegating unchanged to the existing kernel (numpy reference plus the
-    optional numba twin) is what makes the refactor bit-identical for
-    every pre-existing configuration.
+    Delegating unchanged to the existing kernel is what makes the refactor
+    bit-identical for every pre-existing configuration.
     """
 
     name = "lif"
@@ -160,7 +158,7 @@ class CurrentLIFModel(NeuronModel):
         self.current_decay = float(current_decay)
 
     def advance(self, *args, **kwargs) -> None:
-        """Dispatch to :func:`repro.snn.kernels.cuba_advance` (numpy only)."""
+        """Dispatch to :func:`repro.snn.kernels.cuba_advance`."""
         cuba_advance(*args, current_decay=self.current_decay, **kwargs)
 
 

@@ -6,11 +6,11 @@ with direct lateral inhibition — into the network of Fig. 1(a).  The network
 exposes two run-time hooks that the SoftSNN methodology plugs into without
 the network knowing anything about mitigation:
 
-* ``effective_weights`` — an alternative weight matrix used for current
-  accumulation (this is where Bound-and-Protect weight bounding acts: the
-  bounding logic sits between the weight register and the adder, so the
-  stored/faulty registers are untouched but the value entering the adder is
-  bounded);
+* ``effective_weights`` — a :class:`~repro.snn.synapse.BoundedWeightRule`
+  applied during current accumulation (this is where Bound-and-Protect
+  weight bounding acts: the bounding logic sits between the weight register
+  and the adder, so the stored/faulty registers are untouched but the value
+  entering the adder is bounded);
 * ``step_monitor`` — a callable invoked after every timestep with the neuron
   group, used by the neuron-protection logic to watch the ``Vmem >= Vth``
   comparator and latch off spike generation for neurons with a faulty reset.
@@ -29,12 +29,10 @@ from repro.snn.models import DEFAULT_NEURON_MODEL, get_model
 from repro.snn.neuron import LIFNeuronGroup, LIFParameters, NeuronOperationStatus
 from repro.snn.quantization import WeightQuantizer
 from repro.snn.stdp import STDPConfig, STDPRule
-from repro.snn.synapse import SynapseMatrix
+from repro.snn.synapse import BoundedWeightRule, SynapseMatrix
 from repro.utils.rng import RNGLike, resolve_rng
 
 __all__ = ["NetworkConfig", "DiehlCookNetwork", "SampleResult"]
-
-StepMonitor = Callable[[LIFNeuronGroup], None]
 
 
 @dataclass(frozen=True)
@@ -266,18 +264,18 @@ class DiehlCookNetwork:
         image: np.ndarray,
         learning: bool = False,
         rng: RNGLike = None,
-        effective_weights: Optional[np.ndarray] = None,
-        step_monitor: Optional[StepMonitor] = None,
+        effective_weights: Optional[BoundedWeightRule] = None,
+        step_monitor: Optional[Callable] = None,
     ) -> SampleResult:
         """Present one image to the network for ``config.timesteps`` steps.
 
         Inference presentations (``learning=False``) run as a batch of one
-        through the vectorized :class:`repro.snn.engine.BatchedInferenceEngine`
-        and the neuron group's state is synchronised afterwards, so the
-        observable behaviour (spikes, latches, RNG consumption) matches the
-        sequential loop, which remains available as
-        :meth:`present_sequential`.  Training presentations keep the
-        sequential loop because STDP updates the weights between timesteps.
+        through the inference engine (:mod:`repro.snn.engine`) and the
+        neuron group's state is synchronised afterwards, so the observable
+        behaviour (spikes, latches, RNG consumption) matches the sequential
+        reference loop (:func:`repro.snn.oracle.present_sequential`).
+        Training presentations run the per-timestep STDP loop because the
+        weights change between timesteps.
 
         Parameters
         ----------
@@ -289,52 +287,43 @@ class DiehlCookNetwork:
         rng:
             Seed or generator for the Poisson input encoding.
         effective_weights:
-            Optional substitute weight matrix used for current accumulation
-            (hook used by Bound-and-Protect weight bounding).  Ignored while
-            learning.
+            Optional :class:`~repro.snn.synapse.BoundedWeightRule` applied
+            between the registers and the adder chain (the Bound-and-Protect
+            weight-bounding hook).  Ignored while learning.
         step_monitor:
             Optional callable invoked after each timestep (hook used by
             neuron protection).  On the inference path it receives the
-            engine's :class:`~repro.snn.engine.BatchedLIFState` (batch of
-            one); on the training path it receives the
+            engine's :class:`~repro.snn.engine.MapParallelState` (one row,
+            batch of one); on the training path it receives the
             :class:`~repro.snn.neuron.LIFNeuronGroup`.
         """
         if learning:
-            return self.present_sequential(
-                image,
-                learning=True,
-                rng=rng,
-                effective_weights=effective_weights,
-                step_monitor=step_monitor,
-            )
+            return self._present_learning(image, rng, step_monitor)
         image = np.asarray(image, dtype=np.float64)
         if image.size != self.n_inputs:
             raise ValueError(
                 f"image has {image.size} pixels but the network expects {self.n_inputs}"
             )
-        engine = BatchedInferenceEngine(self)
-        result = engine.run(
+        result = BatchedInferenceEngine(self).run(
             image.reshape(1, -1),
             rng=rng,
             effective_weights=effective_weights,
             step_monitor=step_monitor,
-            initial_reset_latch=self.neurons.reset_fault_latched,
         )
-        self.sync_neuron_state(result)
+        self.sync_neuron_state(result.final_state, result.final_reset_latch)
         return SampleResult(
             spike_counts=result.spike_counts[0],
             output_spikes=result.output_spikes[0],
             input_spike_count=int(result.input_spike_counts[0]),
         )
 
-    def sync_neuron_state(self, result) -> None:
-        """Mirror a batch-of-one engine run back into the neuron group.
+    def sync_neuron_state(self, state, reset_latch: np.ndarray) -> None:
+        """Mirror the last sample of an engine run back into the neuron group.
 
-        Keeps the sequential API contract: after ``present`` the neuron
-        group exposes the same final state (membranes, latches, protection
-        gates) the per-timestep loop would have left behind.
+        *state* holds ``(batch, n_neurons)`` arrays (one engine row); the
+        neuron group ends up in the final state (membranes, latches,
+        protection gates) the per-timestep loop would have left behind.
         """
-        state = result.final_state
         neurons = self.neurons
         neurons.v = state.v[-1].copy()
         neurons.refractory_remaining = state.refractory_remaining[-1].copy()
@@ -343,58 +332,35 @@ class DiehlCookNetwork:
             state.consecutive_above_threshold[-1].copy()
         )
         neurons.spike_disabled = state.spike_disabled[-1].copy()
-        neurons.reset_fault_latched = result.final_reset_latch.copy()
+        neurons.reset_fault_latched = np.asarray(reset_latch, dtype=bool).copy()
         neurons.last_spikes = state.last_spikes[-1].copy()
 
-    def present_sequential(
+    def _present_learning(
         self,
         image: np.ndarray,
-        learning: bool = False,
-        rng: RNGLike = None,
-        effective_weights: Optional[np.ndarray] = None,
-        step_monitor: Optional[StepMonitor] = None,
+        rng: RNGLike,
+        step_monitor: Optional[Callable],
     ) -> SampleResult:
-        """Present one image through the per-timestep reference loop.
-
-        This is the original sequential path the batched engine is verified
-        against (see the parity test suite); training always runs through
-        it.  Parameters are those of :meth:`present`; ``step_monitor``
-        receives the :class:`~repro.snn.neuron.LIFNeuronGroup`.
-        """
+        """One training presentation: the per-timestep STDP loop."""
         image = np.asarray(image, dtype=np.float64)
         if image.size != self.n_inputs:
             raise ValueError(
                 f"image has {image.size} pixels but the network expects {self.n_inputs}"
             )
-        generator = resolve_rng(rng)
-        raster = self.encoder.encode(image.reshape(-1), rng=generator)
-
+        raster = self.encoder.encode(image.reshape(-1), rng=resolve_rng(rng))
         self.neurons.reset_state()
         self.stdp.reset_traces()
 
-        weights = self.synapses.weights if learning else None
-        operator = (
-            None if learning else self.synapses.current_operator(effective_weights)
-        )
-        timesteps, n_neurons = raster.shape[0], self.n_neurons
-        output_spikes = np.zeros((timesteps, n_neurons), dtype=bool)
-
-        for t in range(timesteps):
-            pre_spikes = raster[t]
-            if learning:
-                current = pre_spikes.astype(np.float64) @ weights
-            else:
-                current = operator.compute(pre_spikes[np.newaxis, :])[0]
-            post_spikes = self.neurons.step(current, learning=learning)
+        weights = self.synapses.weights
+        output_spikes = np.zeros((raster.shape[0], self.n_neurons), dtype=bool)
+        for t, pre_spikes in enumerate(raster):
+            current = pre_spikes.astype(np.float64) @ weights
+            post_spikes = self.neurons.step(current, learning=True)
             output_spikes[t] = post_spikes
-
-            if learning:
-                weights = self.stdp.step(weights, pre_spikes, post_spikes)
+            weights = self.stdp.step(weights, pre_spikes, post_spikes)
             if step_monitor is not None:
                 step_monitor(self.neurons)
-
-        if learning:
-            self.synapses.set_weights(weights)
+        self.synapses.set_weights(weights)
 
         return SampleResult(
             spike_counts=output_spikes.sum(axis=0).astype(np.int64),

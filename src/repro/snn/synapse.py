@@ -70,7 +70,7 @@ class _LatticeCurrentOperator:
     matmul only ever adds integers (bounded by ``n_inputs * max_code``),
     which every summation order computes exactly — the result is bitwise
     identical for any batch shape, dtype (see :func:`_exact_gemm_dtype`)
-    and BLAS kernel, which is what makes the batched engine spike-exact
+    and BLAS kernel, which is what makes the inference engine spike-exact
     against the sequential loop.
     """
 

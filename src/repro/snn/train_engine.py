@@ -20,7 +20,7 @@ Vectorization strategy
     outer-product column update restricted to the neurons that spiked this
     step, depression a row update restricted to the inputs that spiked, and
     the clip touches only those rows and columns.  The LIF state advance is
-    the same specialised elementwise step the batched inference engine uses.
+    the same specialised elementwise step the inference engine uses.
     One dense operation per timestep remains — the current-accumulation
     GEMV, which is identical in both paths.
 
@@ -553,7 +553,7 @@ class VectorizedTrainingEngine:
         timesteps = raster.shape[0]
 
         # Exact integer-code currents for the whole presentation in one
-        # GEMM, exactly as the batched engine computes them (the code sums
+        # GEMM, exactly as the inference engine computes them (the code sums
         # are exact integers, so the evaluation is bitwise identical to
         # the engine's for any operand shape and GEMM dtype).
         gemm_dtype = exact_gemm_dtype(

@@ -13,7 +13,7 @@ Training runs through the vectorized engine of
 :mod:`repro.snn.train_engine` by default, which is bit-identical to the
 per-timestep reference loop kept available as
 :meth:`TrainingRunner.train_sequential` (mirroring how inference keeps
-``present_sequential`` next to the batched engine); pass
+its per-timestep oracle in :mod:`repro.snn.oracle`); pass
 ``vectorized=False`` — or call ``train_sequential`` — to opt out.
 
 Three learning modes are provided (``TrainingConfig.learning_mode``):
@@ -516,9 +516,8 @@ class TrainingRunner:
 
         This is the original implementation the vectorized engine is
         verified against, kept callable for parity tests and as the
-        fallback for configurations the engine does not support —
-        mirroring ``present_sequential`` next to the batched inference
-        engine.  Under a fixed *rng* it returns a model whose weights,
+        fallback for configurations the engine does not support.  Under a
+        fixed *rng* it returns a model whose weights,
         neuron labels and training history are bit-identical to
         :meth:`train`'s.
 

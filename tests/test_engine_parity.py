@@ -1,8 +1,10 @@
-"""Spike-exact parity between the batched engine and the sequential path.
+"""Spike-exact parity between the inference engine and the sequential oracle.
 
-The batched inference engine (:mod:`repro.snn.engine`) must be
-indistinguishable — spike raster for spike raster, prediction for
-prediction — from the per-timestep loop it replaces, under a fixed RNG, for
+The inference engine (:mod:`repro.snn.engine`), driven through
+``InferenceEngine.evaluate`` and the per-network ``BatchedInferenceEngine``
+front end, must be indistinguishable — spike raster for spike raster,
+prediction for prediction — from the per-timestep reference loop
+(:mod:`repro.snn.oracle`), under a fixed RNG, for
 every fault scenario of the paper: the clean network, synapse-register bit
 flips, and faulty neuron operations, including the faulty-``Vmem reset``
 burst latch that couples consecutive samples.
@@ -22,6 +24,8 @@ from repro.snn.engine import BatchedInferenceEngine
 from repro.snn.inference import InferenceEngine
 from repro.snn.network import DiehlCookNetwork, NetworkConfig
 from repro.snn.neuron import NeuronOperationStatus
+from repro.snn.oracle import evaluate_sequential, present_sequential
+from repro.snn.synapse import BoundedWeightRule
 
 N_NEURONS = 24
 N_CLASSES = 6
@@ -61,9 +65,11 @@ def assert_results_identical(sequential, batched):
 
 class TestCleanParity:
     def test_evaluate_matches_sequential(self, parity_dataset, parity_config, labels):
-        sequential = InferenceEngine(
-            build_network(parity_config), labels
-        ).evaluate_sequential(parity_dataset, rng=np.random.default_rng(7))
+        sequential = evaluate_sequential(
+            InferenceEngine(build_network(parity_config), labels),
+            parity_dataset,
+            rng=np.random.default_rng(7),
+        )
         batched = InferenceEngine(build_network(parity_config), labels).evaluate(
             parity_dataset, rng=np.random.default_rng(7), batch_size=5
         )
@@ -86,7 +92,7 @@ class TestCleanParity:
         network = build_network(parity_config)
         generator = np.random.default_rng(3)
         reference = [
-            network.present_sequential(image, rng=generator).output_spikes
+            present_sequential(network, image, rng=generator).output_spikes
             for image, _ in parity_dataset
         ]
         engine = BatchedInferenceEngine(build_network(parity_config))
@@ -119,7 +125,7 @@ class TestCleanParity:
         image = SyntheticMNIST().render(4, rng=2)
         seq_net = build_network(parity_config)
         bat_net = build_network(parity_config)
-        reference = seq_net.present_sequential(image, rng=np.random.default_rng(5))
+        reference = present_sequential(seq_net, image, rng=np.random.default_rng(5))
         wrapped = bat_net.present(image, rng=np.random.default_rng(5))
         assert np.array_equal(reference.output_spikes, wrapped.output_spikes)
         assert np.array_equal(reference.spike_counts, wrapped.spike_counts)
@@ -155,20 +161,26 @@ class TestSynapseFaultParity:
 
     @pytest.mark.parametrize("rate", [1e-2, 1e-1])
     def test_bit_flip_parity(self, parity_dataset, parity_config, labels, rate):
-        sequential = InferenceEngine(
-            self._faulted_network(parity_config, rate), labels
-        ).evaluate_sequential(parity_dataset, rng=np.random.default_rng(7))
+        sequential = evaluate_sequential(
+            InferenceEngine(self._faulted_network(parity_config, rate), labels),
+            parity_dataset,
+            rng=np.random.default_rng(7),
+        )
         batched = InferenceEngine(
             self._faulted_network(parity_config, rate), labels
         ).evaluate(parity_dataset, rng=np.random.default_rng(7), batch_size=4)
         assert_results_identical(sequential, batched)
 
     def test_effective_weights_parity(self, parity_dataset, parity_config, labels):
-        bounded = build_network(parity_config).synapses.weights * 0.5
-        sequential = InferenceEngine(
-            self._faulted_network(parity_config, 1e-1), labels
-        ).evaluate_sequential(
-            parity_dataset, rng=np.random.default_rng(7), effective_weights=bounded
+        # The engine's override is the symbolic bounding rule; bound at half
+        # the clean maximum so many faulty and clean synapses are replaced.
+        clean_max = build_network(parity_config).synapses.max_weight()
+        bounded = BoundedWeightRule(threshold=0.5 * clean_max, substitute=0.1 * clean_max)
+        sequential = evaluate_sequential(
+            InferenceEngine(self._faulted_network(parity_config, 1e-1), labels),
+            parity_dataset,
+            rng=np.random.default_rng(7),
+            effective_weights=bounded,
         )
         batched = InferenceEngine(
             self._faulted_network(parity_config, 1e-1), labels
@@ -193,7 +205,8 @@ class TestNeuronFaultParity:
     def test_all_operation_faults_parity(self, parity_dataset, parity_config, labels):
         seq_net = build_network(parity_config, self._status())
         bat_net = build_network(parity_config, self._status())
-        sequential = InferenceEngine(seq_net, labels).evaluate_sequential(
+        sequential = evaluate_sequential(
+            InferenceEngine(seq_net, labels),
             parity_dataset, rng=np.random.default_rng(7)
         )
         batched = InferenceEngine(bat_net, labels).evaluate(
@@ -224,7 +237,8 @@ class TestNeuronFaultParity:
 
         seq_net = build_network(parity_config, status)
         bat_net = build_network(parity_config, status)
-        sequential = InferenceEngine(seq_net, labels).evaluate_sequential(
+        sequential = evaluate_sequential(
+            InferenceEngine(seq_net, labels),
             dataset, rng=np.random.default_rng(13)
         )
         engine = BatchedInferenceEngine(bat_net)
@@ -253,7 +267,8 @@ class TestProtectionParity:
         bat_net = build_network(parity_config, self._status())
         seq_protection = NeuronProtection(trigger_cycles=2)
         bat_protection = NeuronProtection(trigger_cycles=2)
-        sequential = InferenceEngine(seq_net, labels).evaluate_sequential(
+        sequential = evaluate_sequential(
+            InferenceEngine(seq_net, labels),
             parity_dataset,
             rng=np.random.default_rng(7),
             step_monitor=seq_protection,

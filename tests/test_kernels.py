@@ -6,10 +6,8 @@ in the pre-refactor ``np.where`` style: the float32-exactness boundary of
 the register GEMM, the LIF timestep advance under every fault-switch
 combination (including protection triggers and carried faulty-reset
 latches), the Bound-and-Protect bounding-correction decomposition, the
-caller-owned workspace (no allocation inside the hot loop), backend
-selection / fallback, and the batch-size autotuner with its explicit-knob
-override guarantees.  When numba is importable the whole advance/GEMM
-matrix also runs against the compiled backend and must stay bit-identical.
+caller-owned workspace (no allocation inside the hot loop), and the
+batch-size autotuner with its explicit-knob override guarantees.
 """
 
 from __future__ import annotations
@@ -35,17 +33,16 @@ from repro.snn.kernels import (
     exact_scale,
     lif_advance,
     lif_learning_step,
-    numba_available,
     plan_bounding_correction,
     register_gemm,
-    set_backend,
 )
 from repro.snn.neuron import LIFParameters, NeuronOperationStatus
 from repro.snn.quantization import WeightQuantizer
 from repro.snn.synapse import BoundedWeightRule, SynapseMatrix
 
-#: Backends exercised by the parity matrix; numba joins when importable.
-BACKENDS = ["numpy"] + (["numba"] if numba_available() else [])
+#: Implementations the parity matrices run, by id: the numpy kernels.
+GEMM_KERNELS = [pytest.param(register_gemm, id="numpy")]
+ADVANCE_KERNELS = [pytest.param(lif_advance, id="numpy")]
 
 CONFIG = LIFStepConfig(
     v_rest=0.0,
@@ -59,9 +56,8 @@ CONFIG = LIFStepConfig(
 
 @pytest.fixture(autouse=True)
 def _reset_kernel_state():
-    """Isolate backend and autotune caches between tests."""
+    """Isolate the autotune cache between tests."""
     yield
-    set_backend(None)
     clear_autotune_cache()
 
 
@@ -121,26 +117,16 @@ class TestExactGemmDtype:
 # register GEMM + exact scaling
 # ---------------------------------------------------------------------- #
 class TestRegisterGemm:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("gemm", GEMM_KERNELS)
     @pytest.mark.parametrize("code_dtype", [np.float32, np.float64, np.int64])
-    def test_matches_integer_matmul(self, backend, code_dtype):
+    def test_matches_integer_matmul(self, gemm, code_dtype):
         rng = np.random.default_rng(5)
         codes = rng.integers(0, 256, size=(50, 12)).astype(code_dtype)
         spikes = rng.random((7, 50)) < 0.3
-        result = register_gemm(spikes, codes, backend=backend)
+        result = gemm(spikes, codes)
         expected = spikes.astype(np.int64) @ codes.astype(np.int64)
         assert result.dtype == codes.dtype
         assert np.array_equal(result.astype(np.int64), expected)
-
-    @pytest.mark.skipif(not numba_available(), reason="numba not installed")
-    def test_numba_bitwise_matches_numpy(self):
-        rng = np.random.default_rng(6)
-        codes = rng.integers(0, 256, size=(100, 30)).astype(np.float32)
-        spikes = rng.random((16, 100)) < 0.2
-        a = register_gemm(spikes, codes, backend="numpy")
-        b = register_gemm(spikes, codes, backend="numba")
-        assert a.dtype == b.dtype
-        assert np.array_equal(a, b)
 
     def test_exact_scale_is_float64_widening(self):
         accumulated = np.array([[3.0, 150.0]], dtype=np.float32)
@@ -224,7 +210,7 @@ def _reference_advance(
 
     This is the pre-kernel formulation the batched engine used, lifted to
     ``(rows, batch, neurons)``; :func:`lif_advance` must reproduce it bit
-    for bit on every backend.
+    for bit.
     """
     leak_ok = masks.leak_ok[:, np.newaxis, :]
     increase_ok = masks.increase_ok[:, np.newaxis, :]
@@ -276,8 +262,8 @@ def _fresh_state(shape, config, rng=None, latched_init=None):
     }
 
 
-def _run_both(currents, masks, threshold, config, backend, triggers=None,
-              state=None, workspace=None):
+def _run_both(currents, masks, threshold, config, advance=lif_advance,
+              triggers=None, state=None, workspace=None):
     """Run kernel and reference on identical state; assert bit-identity."""
     shape = currents.shape[1:]
     rng = np.random.default_rng(17)
@@ -285,7 +271,7 @@ def _run_both(currents, masks, threshold, config, backend, triggers=None,
         state = _fresh_state(shape, config, rng=rng)
     kernel_state = {key: value.copy() for key, value in state.items()}
     output = np.zeros(currents.shape, dtype=bool)
-    lif_advance(
+    advance(
         currents,
         output,
         kernel_state["v"],
@@ -300,7 +286,6 @@ def _run_both(currents, masks, threshold, config, backend, triggers=None,
         config,
         workspace if workspace is not None else KernelWorkspace(),
         triggers=triggers,
-        backend=backend,
     )
     expected = _reference_advance(
         currents,
@@ -319,7 +304,7 @@ def _run_both(currents, masks, threshold, config, backend, triggers=None,
         kernel_state[key] for key in ("v", "refractory", "counter", "disabled", "latched")
     )
     for name, got, want in zip(names, actual, expected):
-        assert np.array_equal(got, want), f"{name} diverged ({backend})"
+        assert np.array_equal(got, want), f"{name} diverged"
     return output, kernel_state
 
 
@@ -351,18 +336,18 @@ VARIANTS = ["healthy", "leak", "increase", "reset", "spike", "mixed"]
 
 
 class TestLIFAdvance:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("advance", ADVANCE_KERNELS)
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_matches_reference(self, backend, variant):
+    def test_matches_reference(self, advance, variant):
         rng = np.random.default_rng(42)
         timesteps, rows, batch, n = 25, 2, 4, 10
         masks = _masks_variant(variant, rows, n, rng)
         currents = rng.random((timesteps, rows, batch, n)) * 2.0 - 0.3
         threshold = 0.8 + rng.random(n)
-        _run_both(currents, masks, threshold, CONFIG, backend)
+        _run_both(currents, masks, threshold, CONFIG, advance)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_no_inhibition(self, backend):
+    @pytest.mark.parametrize("advance", ADVANCE_KERNELS)
+    def test_no_inhibition(self, advance):
         rng = np.random.default_rng(43)
         config = LIFStepConfig(
             v_rest=CONFIG.v_rest,
@@ -374,10 +359,10 @@ class TestLIFAdvance:
         )
         masks = _masks_variant("mixed", 1, 8, rng)
         currents = rng.random((20, 1, 3, 8)) * 2.0
-        _run_both(currents, masks, np.full(8, 1.0), config, backend)
+        _run_both(currents, masks, np.full(8, 1.0), config, advance)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_protection_triggers(self, backend):
+    @pytest.mark.parametrize("advance", ADVANCE_KERNELS)
+    def test_protection_triggers(self, advance):
         # Row 0 trips after 2 consecutive comparator assertions; row 1
         # carries the no-protection sentinel and must stay ungated.
         rng = np.random.default_rng(44)
@@ -386,13 +371,13 @@ class TestLIFAdvance:
         currents = np.full((30, rows, 3, n), 2.0)
         triggers = np.array([2, NO_PROTECTION_TRIGGER], dtype=np.int64)
         output, state = _run_both(
-            currents, masks, np.full(n, 1.0), CONFIG, backend, triggers=triggers
+            currents, masks, np.full(n, 1.0), CONFIG, advance, triggers=triggers
         )
         assert state["disabled"][0].any()
         assert not state["disabled"][1].any()
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_carried_latch_state(self, backend):
+    @pytest.mark.parametrize("advance", ADVANCE_KERNELS)
+    def test_carried_latch_state(self, advance):
         # A latch carried in from a previous chunk keeps pinning membranes
         # (the faulty-reset burst coupling across samples).
         rng = np.random.default_rng(45)
@@ -402,40 +387,22 @@ class TestLIFAdvance:
         state = _fresh_state((1, 5, n), CONFIG, rng=rng, latched_init=latched_init)
         currents = rng.random((15, 1, 5, n))
         _run_both(
-            currents, masks, np.full(n, 1.2), CONFIG, backend, state=state
+            currents, masks, np.full(n, 1.2), CONFIG, advance, state=state
         )
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_zero_size_batch(self, backend):
+    @pytest.mark.parametrize("advance", ADVANCE_KERNELS)
+    def test_zero_size_batch(self, advance):
         masks = OperationMasks.healthy(5)
         currents = np.zeros((4, 1, 0, 5))
-        output, _ = _run_both(currents, masks, np.full(5, 1.0), CONFIG, backend)
+        output, _ = _run_both(currents, masks, np.full(5, 1.0), CONFIG, advance)
         assert output.shape == (4, 1, 0, 5)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_single_neuron(self, backend):
+    @pytest.mark.parametrize("advance", ADVANCE_KERNELS)
+    def test_single_neuron(self, advance):
         rng = np.random.default_rng(46)
         masks = OperationMasks.healthy(1)
         currents = rng.random((12, 1, 3, 1)) * 2.0
-        _run_both(currents, masks, np.full(1, 1.0), CONFIG, backend)
-
-    @pytest.mark.skipif(not numba_available(), reason="numba not installed")
-    def test_numba_bitwise_matches_numpy(self):
-        rng = np.random.default_rng(47)
-        masks = _masks_variant("mixed", 3, 9, rng)
-        currents = rng.random((30, 3, 4, 9)) * 2.0 - 0.2
-        threshold = 0.7 + rng.random(9)
-        triggers = np.array([3, NO_PROTECTION_TRIGGER, 5], dtype=np.int64)
-        results = {}
-        for backend in ("numpy", "numba"):
-            results[backend] = _run_both(
-                currents, masks, threshold, CONFIG, backend, triggers=triggers
-            )
-        output_np, state_np = results["numpy"]
-        output_nb, state_nb = results["numba"]
-        assert np.array_equal(output_np, output_nb)
-        for key in state_np:
-            assert np.array_equal(state_np[key], state_nb[key]), key
+        _run_both(currents, masks, np.full(1, 1.0), CONFIG, advance)
 
 
 class TestKernelWorkspace:
@@ -475,7 +442,7 @@ class TestKernelWorkspace:
         for batch in (8, 3, 8):
             currents = np.random.default_rng(batch).random((10, 1, batch, 6)) * 2
             _run_both(
-                currents, masks, threshold, CONFIG, "numpy", workspace=shared
+                currents, masks, threshold, CONFIG, workspace=shared
             )
 
     def test_no_per_timestep_allocation(self):
@@ -573,29 +540,6 @@ class TestLIFLearningStep:
         assert np.array_equal(got_refractory, ref_refractory)
         assert np.array_equal(got_spikes, ref_spikes)
         assert np.array_equal(got_theta, ref_theta)
-
-
-# ---------------------------------------------------------------------- #
-# backend selection
-# ---------------------------------------------------------------------- #
-class TestBackendSelection:
-    def test_unknown_backend_falls_back_to_numpy(self):
-        assert set_backend("bogus") == "numpy"
-        assert kernels.get_backend() == "numpy"
-
-    def test_numba_request_resolves_by_availability(self):
-        resolved = set_backend("numba")
-        assert resolved == ("numba" if numba_available() else "numpy")
-
-    def test_none_re_resolves_environment(self, monkeypatch):
-        monkeypatch.setenv(kernels.KERNEL_BACKEND_ENV, "numpy")
-        assert set_backend(None) == "numpy"
-        monkeypatch.setenv(kernels.KERNEL_BACKEND_ENV, "NUMPY")
-        assert set_backend(None) == "numpy"  # case-insensitive
-
-    def test_env_garbage_falls_back(self, monkeypatch):
-        monkeypatch.setenv(kernels.KERNEL_BACKEND_ENV, "cuda")
-        assert set_backend(None) == "numpy"
 
 
 # ---------------------------------------------------------------------- #

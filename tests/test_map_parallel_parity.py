@@ -1,14 +1,16 @@
-"""Parity suite for the map-parallel evaluation engine.
+"""Parity suite for stacked rows of the map-parallel inference engine.
 
 The load-bearing contract of :class:`repro.snn.engine.MapParallelEngine` is
 bitwise identity: evaluating N fault maps (and techniques) stacked into one
 fused pass must produce, per row, exactly the spikes, predictions and spike
-counts a stand-alone :class:`repro.snn.engine.BatchedInferenceEngine` run of
-that row yields over the same rasters — across clean, faulty and protected
-modes, for any map count (including the single-map degenerate case) and any
-chunking.  On top of the engine parity, the campaign-level tests pin that
-grouped map-parallel cell execution writes byte-identical result-store
-records to the cell-at-a-time serial path.
+counts the row's own network yields through the per-network
+:class:`repro.snn.engine.BatchedInferenceEngine` front end (one row, with
+the bounding rule and a :class:`NeuronProtection` step monitor as hooks)
+over the same rasters — across clean, faulty and protected modes, for any
+map count (including the single-map degenerate case) and any chunking.  On
+top of the engine parity, the campaign-level tests pin that grouped
+map-parallel cell execution writes byte-identical result-store records to
+cell-at-a-time execution.
 """
 
 from __future__ import annotations
@@ -32,11 +34,13 @@ from repro.eval.campaign import (
     CampaignSpec,
     TechniqueSpec,
     build_experiment_cells,
+    collect_sweep_result,
     execute_cell,
     execute_cell_group,
     group_cells,
     run_campaign,
 )
+from repro.eval.store import ResultStore
 from repro.eval.experiment import ExperimentConfig, ExperimentRunner
 from repro.faults.fault_map import FaultMap, FaultMapGenerator
 from repro.faults.models import ComputeEngineFaultConfig, NeuronFaultType
@@ -369,14 +373,22 @@ class TestCampaignGrouping:
         spec = _campaign_spec()
         runner = ExperimentRunner(root_seed=spec.runner_seed)
         grouped = run_campaign(
-            spec, store_path=tmp_path / "grouped.jsonl", runner=runner,
-            map_parallel=True,
+            spec, store_path=tmp_path / "grouped.jsonl", runner=runner
         )
-        serial = run_campaign(
-            spec, store_path=tmp_path / "serial.jsonl", runner=runner,
-            map_parallel=False,
-        )
-        assert grouped.n_executed == serial.n_executed == grouped.n_cells
+        assert grouped.n_executed == grouped.n_cells
+
+        # Reference store: every cell executed alone, appended in grid order.
+        prepared = runner.prepare(spec.experiments[0])
+        techniques = [tspec.build() for tspec in spec.techniques]
+        serial_store = ResultStore(tmp_path / "serial.jsonl")
+        serial_store.initialize(spec, reset=True)
+        serial_results = {}
+        for cell in spec.expand():
+            result = execute_cell(
+                cell, prepared.model, prepared.test_set, techniques
+            )
+            serial_store.append_cell(result)
+            serial_results[result.cell_id] = result
 
         def normalised_records(path):
             records = {}
@@ -395,7 +407,15 @@ class TestCampaignGrouping:
         assert grouped_records == serial_records
         # And the aggregated sweeps agree exactly.
         key = spec.experiment_keys[0]
-        assert grouped.sweeps[key].summary() == serial.sweeps[key].summary()
+        serial_sweep = collect_sweep_result(
+            label=key,
+            fault_rates=spec.fault_rates,
+            technique_kinds=spec.technique_kinds,
+            n_trials=spec.n_trials,
+            records=serial_results,
+            experiment_key=key,
+        )
+        assert grouped.sweeps[key].summary() == serial_sweep.summary()
 
 
 class _EvaluateOnlyTechnique(MitigationTechnique):

@@ -34,6 +34,7 @@ from repro.snn.encoding import (
     register_encoder,
 )
 from repro.snn.engine import BatchedInferenceEngine, MapRow
+from repro.snn.oracle import evaluate_sequential
 from repro.snn.inference import InferenceEngine, class_indicator, evaluate_rows
 from repro.snn.kernels import (
     KernelWorkspace,
@@ -297,8 +298,7 @@ class TestKernelEquivalences:
             np.random.default_rng(42)
         )
         lif_out, lif_state = self._advance(
-            lif_advance, masks, currents, threshold, state, config,
-            backend="numpy",
+            lif_advance, masks, currents, threshold, state, config
         )
         cuba_out, cuba_state = self._advance(
             cuba_advance, masks, currents, threshold, state, config,
@@ -335,27 +335,6 @@ class TestKernelEquivalences:
         )
         scaled = fp_state["v"] * (1 << weight_exp)
         assert np.array_equal(scaled, np.floor(scaled))
-
-    @pytest.mark.parametrize("kernel_kwargs", [
-        (cuba_advance, {"current_decay": 0.5}),
-        (fixed_point_advance, {"weight_exp": 6, "decay_bits": 12}),
-    ], ids=["cuba", "fixed_point"])
-    def test_backend_argument_accepted_and_ignored(self, kernel_kwargs):
-        """The silent-fallback contract: any backend name runs numpy."""
-        kernel, extra = kernel_kwargs
-        masks, currents, threshold, state, config = self._setup(
-            np.random.default_rng(45)
-        )
-        plain, plain_state = self._advance(
-            kernel, masks, currents, threshold, state, config, **extra
-        )
-        named, named_state = self._advance(
-            kernel, masks, currents, threshold, state, config,
-            backend="numba", **extra,
-        )
-        assert np.array_equal(plain, named)
-        for key in state:
-            assert np.array_equal(plain_state[key], named_state[key]), key
 
 
 # --------------------------------------------------------------------- #
@@ -419,9 +398,11 @@ class TestPerModelEngineParity:
     ):
         """The default model keeps its original per-timestep-loop parity."""
         config = zoo_config()
-        sequential = InferenceEngine(
-            build_network(config, faulty_status()), labels
-        ).evaluate_sequential(zoo_dataset, rng=np.random.default_rng(7))
+        sequential = evaluate_sequential(
+            InferenceEngine(build_network(config, faulty_status()), labels),
+            zoo_dataset,
+            rng=np.random.default_rng(7),
+        )
         batched = InferenceEngine(
             build_network(config, faulty_status()), labels
         ).evaluate(zoo_dataset, rng=np.random.default_rng(7), batch_size=4)

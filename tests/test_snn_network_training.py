@@ -9,6 +9,7 @@ from repro.data.synthetic_mnist import SyntheticMNIST
 from repro.snn.inference import InferenceEngine, InferenceResult
 from repro.snn.network import DiehlCookNetwork, NetworkConfig
 from repro.snn.neuron import LIFParameters
+from repro.snn.synapse import BoundedWeightRule
 from repro.snn.training import STDPTrainer, TrainedModel, TrainingConfig
 
 
@@ -76,8 +77,9 @@ class TestDiehlCookNetwork:
     def test_effective_weights_override(self):
         network = self._network()
         image = SyntheticMNIST().render(5, rng=1)
+        # A zero threshold bounds every synapse; a zero substitute silences it.
         silent = network.present(
-            image, rng=3, effective_weights=np.zeros(network.synapses.shape)
+            image, rng=3, effective_weights=BoundedWeightRule(0.0, 0.0)
         )
         assert silent.total_output_spikes == 0
 
