@@ -321,9 +321,8 @@ class UnitInputs:
     before the engine pass: the drawn fault maps (``None`` for the clean
     unit), one pre-encoded presentation raster per cell, and the per-cell
     generators advanced past map drawing and encoding (techniques that
-    draw extra randomness consume them next).  Preparing these inputs in
-    the orchestrator is what lets warm pool workers receive presentations
-    as zero-copy shared-memory views instead of re-encoding — the records
+    draw extra randomness consume them next).  Warm pool workers prepare
+    them in a separate, timed stage before the engine pass — the records
     are bit-identical either way because the same streams are consumed in
     the same order.
     """
@@ -442,10 +441,10 @@ def execute_cell_group(
         The unit and the assets it evaluates against.
     inputs:
         Optional pre-drawn :class:`UnitInputs` — the warm-pool path, where
-        the orchestrator prepared maps and presentations and shipped the
-        rasters through shared memory.  ``None`` (the serial path) prepares
-        them here from the cell seeds; the streams consumed are identical,
-        so the records match bit for bit.
+        the worker prepares maps and presentations as a separately timed
+        stage.  ``None`` (the serial path) prepares them here from the cell
+        seeds; the streams consumed are identical, so the records match bit
+        for bit.
     """
     cells = list(cells)
     _validate_unit(cells, techniques)
@@ -1013,12 +1012,11 @@ def _execute_pool(
 ) -> Optional[Dict[str, object]]:
     """Distribute units over the warm persistent worker pool.
 
-    The orchestrator keeps the prepared assets (it draws the fault maps and
-    encodes the presentations itself, see
-    :func:`repro.eval.pool.execute_units_pooled`); workers receive the
-    model snapshot path once per experiment and the encoded rasters through
-    shared memory per unit.  Returns the pool-statistics dict for the run
-    report.
+    Workers receive the model snapshot path and the test set (through
+    shared memory) once per experiment, then draw each unit's fault maps
+    and encode its presentations themselves (see
+    :func:`repro.eval.pool.execute_units_pooled`).  Returns the
+    pool-statistics dict for the run report.
     """
     from repro.eval.pool import execute_units_pooled
 

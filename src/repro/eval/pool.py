@@ -6,24 +6,20 @@ test-set Poisson encoding *inside* the worker.  This module replaces it
 with long-lived workers and a strict split of responsibilities:
 
 Orchestrator (this process)
-    Owns every heavy asset.  It trains/loads the clean models, publishes
-    each experiment's test set once via ``multiprocessing.shared_memory``
-    (:class:`repro.utils.serialization.SharedArrayPublisher`), and — right
-    before dispatching a unit — draws that unit's fault maps and encodes
-    its presentations (:func:`repro.eval.campaign.prepare_unit_inputs`),
-    publishing the stacked rasters as one shared segment per cell.  The
-    per-unit encode overlaps with worker simulation, so encoding cost is
-    hidden behind the much larger engine pass.
+    Trains/loads the clean models, publishes each experiment's test set
+    once via ``multiprocessing.shared_memory``
+    (:class:`repro.utils.serialization.SharedArrayPublisher`) and sends
+    units as cell descriptions only; it draws no randomness.
 
 Workers (long-lived child processes)
-    Load the ``TrainedModel`` snapshot once per experiment key, attach
-    zero-copy numpy views onto the published test set and rasters, rebuild
-    techniques from their declarative specs, and run
-    :func:`repro.eval.campaign.execute_cell_group` with the pre-drawn
-    :class:`repro.eval.campaign.UnitInputs`.  Because the orchestrator
-    consumed the very same per-cell random streams in the very same order
-    the serial path does, the records coming back are bit-identical to
-    serial execution.
+    Pin OpenBLAS to one thread, load the ``TrainedModel`` snapshot once per
+    experiment key, attach zero-copy views onto the published test set,
+    rebuild techniques from their specs, then per unit draw the fault maps
+    and encode the presentations
+    (:func:`repro.eval.campaign.prepare_unit_inputs`) and run
+    :func:`repro.eval.campaign.execute_cell_group`, timing both stages.
+    Cell seeds are pure functions of grid coordinates, so the records are
+    bit-identical to serial execution.
 
 Scheduling is group-aware: units are assigned largest-first (LPT) and
 routed with affinity to a worker that already holds the unit's experiment
@@ -32,8 +28,8 @@ Results stream back over a single queue, so the caller's ``on_result``
 callback (and therefore ``ResultStore`` append/fsync and resume
 fingerprints) behaves exactly as in serial execution.
 
-Crash safety: the orchestrator owns all shared-memory segments and unlinks
-them in a ``finally`` block, so neither worker crashes nor
+Crash safety: the orchestrator owns the test-set shared-memory segments and
+unlinks them in a ``finally`` block, so neither worker crashes nor
 ``KeyboardInterrupt`` leak segments.  A worker that dies mid-unit is
 detected by liveness polling; its in-flight unit is named (experiment key
 plus cell ids) and re-executed serially once, and its queued units are
@@ -42,9 +38,9 @@ redistributed to the surviving workers.
 
 from __future__ import annotations
 
+import ctypes
 import logging
 import os
-import pickle
 import queue as queue_module
 import signal
 import time
@@ -59,7 +55,6 @@ from repro.eval.campaign import (
     CellResult,
     SweepCell,
     TechniqueSpec,
-    UnitInputs,
     execute_cell_group,
     prepare_unit_inputs,
 )
@@ -82,12 +77,17 @@ __all__ = [
 _LOGGER = get_logger("eval.pool")
 
 # Pool telemetry (docs/observability.md): orchestrator-observed unit wall
-# times, live busy/queue gauges for the progress line, shared-memory byte
-# accounting, and the crash/retry/scheduling counters that used to be
-# invisible log lines at best.
+# times, worker-measured stage times, live busy/queue gauges for the
+# progress line, shared-memory byte accounting, and the crash/retry/
+# scheduling counters that used to be invisible log lines at best.
 _POOL_UNIT_SECONDS = _obs.get_registry().histogram(
     "softsnn_campaign_unit_seconds",
     "Per-unit wall time, start-to-done as observed by the orchestrator.",
+)
+_POOL_UNIT_STAGE_SECONDS = _obs.get_registry().histogram(
+    "softsnn_campaign_unit_stage_seconds",
+    "Per-unit input preparation and engine pass time, measured in the worker.",
+    labels=("stage",),
 )
 _POOL_WORKERS_BUSY = _obs.get_registry().gauge(
     "softsnn_campaign_workers_busy",
@@ -112,17 +112,26 @@ _POOL_SCHED = _obs.get_registry().counter(
 )
 _POOL_SHM_PUBLISHED = _obs.get_registry().counter(
     "softsnn_campaign_shm_bytes_published_total",
-    "Bytes published as shared-memory segments by the orchestrator.",
+    "Test-set bytes published as shared-memory segments by the orchestrator.",
 )
 _POOL_SHM_UNLINKED = _obs.get_registry().counter(
     "softsnn_campaign_shm_bytes_unlinked_total",
     "Bytes of shared-memory segments unlinked by the orchestrator.",
 )
 
-# Units a worker may have queued or running at once.  Two keeps a worker
-# busy while the orchestrator encodes its next unit without letting
-# shared-memory rasters for the whole campaign pile up.
+# Units a worker may have queued or running at once.  Two hides the
+# done-to-next-unit round trip while leaving the rest of the backlog with
+# the orchestrator, free to move if a worker crashes.
 _MAX_IN_FLIGHT = 2
+
+# OpenBLAS thread (setter, getter) symbols: numpy's bundled scipy-openblas
+# (ILP64, then LP64), then plain OpenBLAS builds.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
 
 # Environment hook for the crash-handling tests: a worker whose task's
 # ``unit_id`` matches this value hard-exits right after acknowledging the
@@ -159,9 +168,6 @@ class _UnitTask:
     unit_id: int
     experiment_key: str
     cells: Tuple[Dict[str, object], ...]
-    fault_maps_blob: Optional[bytes]
-    raster_handles: Tuple[SharedArrayHandle, ...]
-    generators_blob: bytes
 
 
 @dataclass
@@ -174,13 +180,17 @@ class _WorkerState:
     in_flight: List[int] = field(default_factory=list)
     started_unit: Optional[int] = None
     sent_contexts: set = field(default_factory=set)
-    load: int = 0
     alive: bool = True
     #: ``perf_counter`` when the current unit's "start" ack arrived;
     #: workers execute units strictly serially, so start/done pair up.
     started_at: Optional[float] = None
     busy_seconds: float = 0.0
     units_done: int = 0
+    #: Worker-measured stage seconds, summed over the worker's units.
+    prepare_seconds: float = 0.0
+    execute_seconds: float = 0.0
+    #: OpenBLAS threads the worker runs with (``None``: no setter found).
+    blas_threads: Optional[int] = None
 
 
 class _QueueLogHandler(logging.Handler):
@@ -235,6 +245,32 @@ def _install_log_relay(
     root.propagate = False
 
 
+def _pin_blas_to_one_thread() -> Optional[int]:
+    """Set the loaded OpenBLAS to one thread; return its thread count.
+
+    The library is located through ``/proc/self/maps`` and driven through
+    its own setter, so only the calling process changes.  Returns ``None``
+    (and changes nothing) when no OpenBLAS thread setter is loaded — other
+    BLAS builds, or platforms without ``/proc``.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in maps}
+        libraries = [ctypes.CDLL(p) for p in sorted(paths) if "openblas" in p]
+    except OSError:
+        return None
+    for library in libraries:
+        for setter_name, getter_name in _OPENBLAS_THREAD_SYMBOLS:
+            setter = getattr(library, setter_name, None)
+            getter = getattr(library, getter_name, None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter(1)
+                return getter()
+    return None
+
+
 def _worker_assets(
     context: ExperimentContext,
     cache: Dict[str, Tuple[TrainedModel, Dataset, List[object]]],
@@ -272,6 +308,7 @@ def _worker_main(
     and shuts the pool down through sentinels/terminate.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    blas_threads = _pin_blas_to_one_thread()
     _install_log_relay(worker_id, result_queue)
     contexts: Dict[str, ExperimentContext] = {}
     cache: Dict[str, Tuple[TrainedModel, Dataset, List[object]]] = {}
@@ -287,14 +324,13 @@ def _worker_main(
                 contexts[payload.experiment_key] = payload
                 continue
             task: _UnitTask = payload
-            result_queue.put(("start", worker_id, task.unit_id))
+            result_queue.put(("start", worker_id, task.unit_id, blas_threads))
             if crash_unit is not None and crash_unit == str(task.unit_id):
                 # Flush the "start" ack before dying so the orchestrator
                 # reliably learns which unit the crash interrupted.
                 result_queue.close()
                 result_queue.join_thread()
                 os._exit(3)
-            raster_views: List[SharedArrayView] = []
             _LOGGER.debug(
                 "executing unit %d (%d cells, experiment %s)",
                 task.unit_id,
@@ -305,38 +341,24 @@ def _worker_main(
                 model, dataset, techniques = _worker_assets(
                     contexts[task.experiment_key], cache, views
                 )
-                raster_views = [
-                    SharedArrayView(handle) for handle in task.raster_handles
-                ]
-                fault_maps = (
-                    None
-                    if task.fault_maps_blob is None
-                    else pickle.loads(task.fault_maps_blob)
-                )
-                inputs = UnitInputs(
-                    fault_maps=fault_maps,
-                    rasters=[view.array for view in raster_views],
-                    generators=pickle.loads(task.generators_blob),
-                )
                 cells = [SweepCell.from_dict(data) for data in task.cells]
+                began = time.perf_counter()
+                # Looked up as this module's global at call time, so wrappers
+                # of ``repro.eval.pool.prepare_unit_inputs`` see the call.
+                inputs = prepare_unit_inputs(cells, model, dataset)
+                prepared = time.perf_counter()
                 results = execute_cell_group(
                     cells, model, dataset, techniques, inputs=inputs
                 )
+                records = [result.to_dict() for result in results]
+                stage_seconds = (prepared - began, time.perf_counter() - prepared)
                 result_queue.put(
-                    (
-                        "done",
-                        worker_id,
-                        task.unit_id,
-                        [result.to_dict() for result in results],
-                    )
+                    ("done", worker_id, task.unit_id, records, *stage_seconds)
                 )
             except Exception:  # noqa: BLE001 - forwarded to the orchestrator
                 result_queue.put(
                     ("error", worker_id, task.unit_id, traceback.format_exc())
                 )
-            finally:
-                for view in raster_views:
-                    view.close()
     finally:
         for view in views:
             view.close()
@@ -399,9 +421,10 @@ def execute_units_pooled(
 
     Returns a pool-statistics dict (``None`` for an empty unit list):
     worker count, wall seconds, per-worker busy time / utilization / unit
-    counts, crash and serial-retry totals, shared-memory bytes published
-    and unlinked, and per-policy scheduling decisions.  The campaign
-    embeds it in :meth:`repro.eval.campaign.CampaignResult.run_report`.
+    counts / worker-measured prepare and execute seconds / OpenBLAS
+    threads, crash and serial-retry totals, test-set shared-memory bytes
+    published and unlinked, and per-policy scheduling decisions.  The
+    campaign embeds it in :meth:`repro.eval.campaign.CampaignResult.run_report`.
 
     Parameters
     ----------
@@ -411,8 +434,8 @@ def execute_units_pooled(
         :func:`repro.eval.campaign.group_cells`.
     assets:
         Orchestrator-side ``{experiment_key: (model, test_set,
-        techniques)}`` — used to publish test sets, prepare unit inputs
-        and serially re-execute units of crashed workers.
+        techniques)}`` — used to publish test sets and serially
+        re-execute units of crashed workers.
     model_paths:
         ``{experiment_key: snapshot path}`` for worker-side model loading.
     technique_specs:
@@ -457,7 +480,6 @@ def execute_units_pooled(
     publisher = SharedArrayPublisher(prefix="softsnn-pool")
     workers: List[_WorkerState] = []
     contexts: Dict[str, ExperimentContext] = {}
-    unit_rasters: Dict[int, Tuple[SharedArrayHandle, ...]] = {}
     done: set = set()
 
     needed_keys = {unit[0].experiment_key for unit in units}
@@ -516,7 +538,7 @@ def execute_units_pooled(
             )
 
         def dispatch(worker: _WorkerState) -> None:
-            """Send the worker's next backlog unit (prepare inputs now)."""
+            """Top the worker's queue up to ``_MAX_IN_FLIGHT`` units."""
             while worker.backlog and len(worker.in_flight) < _MAX_IN_FLIGHT:
                 index = worker.backlog.pop(0)
                 unit = units[index]
@@ -524,38 +546,13 @@ def execute_units_pooled(
                 if key not in worker.sent_contexts:
                     worker.task_queue.put(("context", contexts[key]))
                     worker.sent_contexts.add(key)
-                model, dataset, _ = assets[key]
-                inputs = prepare_unit_inputs(unit, model, dataset)
-                handles = tuple(
-                    publisher.publish(raster) for raster in inputs.rasters
-                )
-                unit_rasters[index] = handles
-                nbytes = sum(handle.nbytes for handle in handles)
-                stats["shm_bytes_published"] += nbytes
-                _POOL_SHM_PUBLISHED.inc(nbytes)
                 task = _UnitTask(
                     unit_id=index,
                     experiment_key=key,
                     cells=tuple(cell.to_dict() for cell in unit),
-                    fault_maps_blob=(
-                        None
-                        if inputs.fault_maps is None
-                        else pickle.dumps(inputs.fault_maps)
-                    ),
-                    raster_handles=handles,
-                    generators_blob=pickle.dumps(inputs.generators),
                 )
                 worker.task_queue.put(("unit", task))
                 worker.in_flight.append(index)
-
-        def release_rasters(index: int) -> None:
-            nbytes = 0
-            for handle in unit_rasters.pop(index, ()):
-                nbytes += handle.nbytes
-                publisher.unlink(handle)
-            if nbytes:
-                stats["shm_bytes_unlinked"] += nbytes
-                _POOL_SHM_UNLINKED.inc(nbytes)
 
         def run_serially(index: int, reason: str) -> None:
             """Serial (orchestrator-side) execution of one unit."""
@@ -587,7 +584,6 @@ def execute_units_pooled(
             crashed = worker.started_unit
             survivors = [w for w in workers if w.alive]
             for index in worker.in_flight:
-                release_rasters(index)
                 if index in done:
                     continue
                 if index == crashed:
@@ -642,6 +638,7 @@ def execute_units_pooled(
             if kind == "start":
                 worker.started_unit = index
                 worker.started_at = time.perf_counter()
+                worker.blas_threads = message[3]
                 update_gauges()
                 continue
             if index in done:
@@ -655,7 +652,10 @@ def execute_units_pooled(
             for record in message[3]:
                 on_result(CellResult.from_dict(record))
             done.add(index)
-            release_rasters(index)
+            worker.prepare_seconds += message[4]
+            worker.execute_seconds += message[5]
+            _POOL_UNIT_STAGE_SECONDS.labels(stage="prepare").observe(message[4])
+            _POOL_UNIT_STAGE_SECONDS.labels(stage="execute").observe(message[5])
             if index in worker.in_flight:
                 worker.in_flight.remove(index)
             if worker.started_unit == index:
@@ -685,16 +685,9 @@ def execute_units_pooled(
             worker.task_queue.close()
         result_queue.cancel_join_thread()
         result_queue.close()
-        # publisher.close() unlinks every remaining segment: the shared
-        # test sets plus any rasters not yet released (crash/error paths).
-        leftover = context_shm_bytes + sum(
-            handle.nbytes
-            for handles in unit_rasters.values()
-            for handle in handles
-        )
-        if leftover:
-            stats["shm_bytes_unlinked"] += leftover
-            _POOL_SHM_UNLINKED.inc(leftover)
+        # publisher.close() unlinks every test-set segment it published.
+        stats["shm_bytes_unlinked"] = context_shm_bytes
+        _POOL_SHM_UNLINKED.inc(context_shm_bytes)
         publisher.close()
         _POOL_WORKERS_BUSY.set(0)
         _POOL_QUEUE_DEPTH.set(0)
@@ -708,6 +701,9 @@ def execute_units_pooled(
             "utilization": (
                 round(worker.busy_seconds / wall, 4) if wall > 0 else 0.0
             ),
+            "prepare_s": round(worker.prepare_seconds, 6),
+            "execute_s": round(worker.execute_seconds, 6),
+            "blas_threads": worker.blas_threads,
         }
         for worker in workers
     ]

@@ -794,9 +794,18 @@ class ServiceClient:
         mode: Any = None,
         seeds: Optional[Sequence[int]] = None,
     ) -> Dict[str, Any]:
-        """``POST /classify`` for one or many images."""
+        """``POST /classify`` for one or many images.
+
+        *images* may be an array or a list whose elements are arrays or
+        plain lists; arrays are converted for JSON, plain lists pass as is.
+        """
         if isinstance(images, np.ndarray):
             images = images.tolist()
+        else:
+            images = [
+                image.tolist() if isinstance(image, np.ndarray) else image
+                for image in images
+            ]
         payload: Dict[str, Any] = {"images": images}
         if model is not None:
             payload["model"] = model

@@ -4,8 +4,8 @@ The pool's contract has three legs, each covered here:
 
 * **Bit-identity** — store records produced through the pool equal the
   serial ones byte for byte (modulo the measured ``duration_seconds``),
-  because the orchestrator consumes the per-cell random streams in the
-  same order and ships the results of that consumption to the workers.
+  because each worker re-derives a unit's random streams from the cell
+  seeds and consumes them in the same order the serial path does.
 * **Robustness** — a worker that dies mid-unit is detected, the unit is
   named and re-executed serially once, and a half-finished pooled
   campaign resumes from its store exactly like a serial one.
@@ -95,6 +95,15 @@ def pool_segments() -> list:
     return sorted(p.name for p in _SHM_DIR.iterdir() if "softsnn" in p.name)
 
 
+def _numpy_blas_name() -> str:
+    """Lower-cased name of the BLAS numpy was built against ("" if unknown)."""
+    try:
+        config = np.show_config(mode="dicts")
+        return config["Build Dependencies"]["blas"]["name"].lower()
+    except Exception:  # noqa: BLE001 - older numpy: no dict config
+        return ""
+
+
 def pooled_assets(tmp_path: Path):
     """Orchestrator-side assets + snapshot paths for direct pool calls."""
     spec = tiny_spec()
@@ -153,17 +162,19 @@ class TestPreparedInputs:
                 assert a.n_faults == b.n_faults
 
     def test_shared_memory_raster_views_round_trip(self):
-        """Rasters published and re-attached compare equal, zero-copy."""
-        runner = ExperimentRunner(root_seed=RUNNER_SEED)
-        prepared = runner.prepare(TINY_CONFIG)
-        unit = group_cells(tiny_spec().expand())[1]
-        inputs = prepare_unit_inputs(unit, prepared.model, prepared.test_set)
+        """Arrays published and re-attached compare equal, zero-copy."""
+        rng = np.random.default_rng(0)
+        arrays = [
+            rng.random((3, 40, 1, 784)) < 0.05,  # a boolean spike raster
+            rng.random((8, 28, 28)),
+            np.arange(8, dtype=np.int64),
+        ]
         with SharedArrayPublisher(prefix="softsnn-test") as publisher:
-            handles = [publisher.publish(raster) for raster in inputs.rasters]
-            views = [SharedArrayView(handle) for handle in handles]
-            for raster, view in zip(inputs.rasters, views):
-                assert view.array.dtype == raster.dtype
-                assert np.array_equal(view.array, raster)
+            views = [SharedArrayView(publisher.publish(array)) for array in arrays]
+            for array, view in zip(arrays, views):
+                assert view.array.dtype == array.dtype
+                assert view.array.shape == array.shape
+                assert np.array_equal(view.array, array)
             for view in views:
                 view.close()
         assert pool_segments() == []
@@ -362,12 +373,22 @@ class TestPoolObservability:
         assert stats["n_workers"] == 2
         assert stats["crashes"] == 0 and stats["serial_retries"] == 0
         assert stats["wall_seconds"] > 0
-        assert stats["shm_bytes_published"] > 0
+        # Only the test set crosses shared memory; workers prepare the
+        # per-unit rasters themselves.
+        test_set = ExperimentRunner(root_seed=RUNNER_SEED).prepare(
+            TINY_CONFIG
+        ).test_set
+        assert stats["shm_bytes_published"] == (
+            test_set.images.nbytes + test_set.labels.nbytes
+        )
         # Everything published is unlinked by the end of the run.
         assert stats["shm_bytes_unlinked"] == stats["shm_bytes_published"]
         assert len(stats["workers"]) == 2
         for worker in stats["workers"]:
             assert 0.0 <= worker["utilization"] <= 1.0
+            # Stage seconds as the worker measured them.
+            assert worker["prepare_s"] > 0 and worker["execute_s"] > 0
+        assert result.run_report()["pool"]["workers"] == stats["workers"]
         assert sum(worker["units"] for worker in stats["workers"]) == len(
             group_cells(tiny_spec().expand())
         )
@@ -375,3 +396,11 @@ class TestPoolObservability:
         # Serial execution reports no pool stats.
         serial = run_campaign(tiny_spec(), store_path=None, n_workers=1)
         assert serial.pool_stats is None
+
+    @pytest.mark.skipif(
+        "openblas" not in _numpy_blas_name(), reason="numpy's BLAS is not OpenBLAS"
+    )
+    def test_workers_pin_blas_to_one_thread(self):
+        """Every worker reports running its OpenBLAS on one thread."""
+        result = run_campaign(tiny_spec(), store_path=None, n_workers=2)
+        assert [w["blas_threads"] for w in result.pool_stats["workers"]] == [1, 1]

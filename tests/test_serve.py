@@ -784,6 +784,19 @@ class TestLoadGenerator:
         summary = report.to_dict()
         assert summary["latency_ms"]["p99"] >= summary["latency_ms"]["p50"]
 
+    def test_closed_loop_over_http_with_array_images(self, service, small_split):
+        """``run_closed_loop`` sends ``[image]`` with ndarray images over HTTP."""
+        images = _test_images(small_split, 3)
+        seeds = list(range(500, 506))
+        kwargs = dict(model="tiny-mnist", mode="clean", concurrency=2)
+        with ServiceServer(service, port=0) as server:
+            report = run_closed_loop(
+                ServiceClient(server.url), images, seeds, **kwargs
+            )
+            direct = run_closed_loop(InProcessClient(service), images, seeds, **kwargs)
+        assert report.errors == 0
+        assert report.predictions == direct.predictions
+
     def test_deterministic_predictions_across_runs(self, service, small_split):
         images = _test_images(small_split, 4)
         seeds = list(range(400, 412))
