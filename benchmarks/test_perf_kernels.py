@@ -30,9 +30,9 @@ from repro.snn.kernels import (
     OperationMasks,
     exact_gemm_dtype,
     exact_scale,
-    lif_advance,
     register_gemm,
 )
+from repro.snn.models import get_model
 
 SMOKE = os.environ.get("PERF_KERNELS_SMOKE") == "1"
 
@@ -100,9 +100,11 @@ def _bench_kernels(n_neurons, rng):
             np.empty(shape, dtype=bool),
         )
 
+    advance = get_model("lif").advance
+
     def run_advance():
         reset_state()
-        lif_advance(
+        advance(
             currents,
             output,
             *state["arrays"],
@@ -168,8 +170,6 @@ def test_model_advance_costs():
     state (CUBA current, fixed-point quantization) legitimately costs more
     than the plain LIF pipeline; the column is a tracking artifact.
     """
-    from repro.snn.models import get_model
-
     n_neurons = 400
     rng = np.random.default_rng(n_neurons)
     gemm_dtype = exact_gemm_dtype(N_INPUTS, 255)

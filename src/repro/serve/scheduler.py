@@ -136,13 +136,10 @@ class MicroBatchScheduler:
         must return one result per payload, in order.  Called only from
         the scheduler's own worker thread.
     max_batch_size:
-        Flush as soon as this many requests are waiting.  The scheduler is
-        model-agnostic, so ``None`` falls back to
-        :data:`repro.snn.kernels.DEFAULT_BATCH_SIZE`; the serving layer
-        resolves ``None`` *before* construction instead, through
-        :func:`repro.snn.kernels.autotune_batch_size` for the served
-        model's geometry (see ``SoftSNNService._resolve_max_batch_size``),
-        and an explicit value always wins over both.
+        Flush as soon as this many requests are waiting; ``None`` means
+        :data:`repro.snn.kernels.DEFAULT_BATCH_SIZE`.  Batch composition
+        never changes predictions — every request is classified from its
+        own seed — so this is a pure throughput knob.
     max_delay:
         Flush when the oldest waiting request has been queued this long
         (seconds).  This bounds the latency cost a lightly loaded request

@@ -47,7 +47,6 @@ from repro.obs.trace import span
 from repro.serve.modes import ServingMode, ServingSession
 from repro.serve.registry import ModelNotFoundError, ModelRegistry, RegistryError
 from repro.serve.scheduler import MicroBatchScheduler
-from repro.snn.kernels import autotune_batch_size
 from repro.snn.training import TrainedModel
 from repro.utils.logging import get_logger
 from repro.utils.rng import SeedSequenceFactory
@@ -72,10 +71,8 @@ class ServiceConfig:
     at most this long for co-batched company before its batch is flushed.
     ``default_fault_rate`` / ``default_fault_seed`` parameterise ``faulty``
     and ``protected`` requests that do not spell out their own scenario.
-    ``max_batch_size=None`` (default) autotunes the micro-batch ceiling per
-    served model geometry through
-    :func:`repro.snn.kernels.autotune_batch_size`; an explicit value always
-    wins.
+    ``max_batch_size`` is the micro-batch ceiling; ``None`` (default)
+    means :data:`repro.snn.kernels.DEFAULT_BATCH_SIZE`.
     """
 
     models_dir: Union[str, Path] = "models"
@@ -264,23 +261,6 @@ class SoftSNNService:
             default_fault_seed=self.config.default_fault_seed,
         )
 
-    def _resolve_max_batch_size(self, session: ServingSession) -> int:
-        """Micro-batch ceiling for one session: explicit knob, else autotuned.
-
-        An explicit ``ServiceConfig.max_batch_size`` always wins; with the
-        ``None`` default the ceiling comes from
-        :func:`repro.snn.kernels.autotune_batch_size` for the served
-        model's geometry (cached in-process, so each geometry probes once).
-        Batch composition never changes predictions — every request is
-        classified from its own seed — so the timed choice is a pure
-        throughput knob.
-        """
-        if self.config.max_batch_size is not None:
-            return self.config.max_batch_size
-        return autotune_batch_size(
-            session.network.n_neurons, session.network.n_inputs
-        )
-
     def _pipeline(
         self, name: str, mode: ServingMode
     ) -> Tuple[ServingSession, MicroBatchScheduler]:
@@ -315,7 +295,7 @@ class SoftSNNService:
 
                 scheduler = MicroBatchScheduler(
                     run_batch,
-                    max_batch_size=self._resolve_max_batch_size(session),
+                    max_batch_size=self.config.max_batch_size,
                     max_delay=self.config.max_delay_ms / 1000.0,
                     idle_grace=(
                         None

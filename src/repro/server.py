@@ -123,8 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help=(
-            "micro-batch flush size (1 disables coalescing); default "
-            "autotunes per served model geometry"
+            "micro-batch flush size (1 disables coalescing); default 64"
         ),
     )
     run.add_argument(

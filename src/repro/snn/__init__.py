@@ -27,8 +27,8 @@ Design notes
   sequential per-timestep loop kept in :mod:`repro.snn.oracle` as the
   verification reference.
 * Both primitives of every hot path — the exact integer register-code GEMM
-  and the in-place LIF timestep advance — live once, in
-  :mod:`repro.snn.kernels`, with batch-size autotuning.
+  and the in-place timestep loop every neuron model runs — live once, in
+  :mod:`repro.snn.kernels`.
 """
 
 from repro.snn.encoding import PoissonEncoder
@@ -40,7 +40,6 @@ from repro.snn.engine import (
     MapRow,
 )
 from repro.snn.inference import InferenceEngine, InferenceResult
-from repro.snn.kernels import autotune_batch_size
 from repro.snn.network import DiehlCookNetwork, NetworkConfig
 from repro.snn.neuron import LIFNeuronGroup, LIFParameters, NeuronOperationStatus
 from repro.snn.quantization import WeightQuantizer
@@ -77,5 +76,4 @@ __all__ = [
     "TrainingRunner",
     "VectorizedTrainingEngine",
     "WeightQuantizer",
-    "autotune_batch_size",
 ]

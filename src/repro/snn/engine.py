@@ -816,8 +816,8 @@ class MapParallelEngine:
     ) -> None:
         """One parallel pass over all timesteps for the rows in *row_slice*.
 
-        A thin adapter over the model's advance kernel (for the default
-        LIF, :func:`repro.snn.kernels.lif_advance`) with the engine's
+        A thin adapter over the model's advance (the one timestep loop,
+        :func:`repro.snn.kernels.advance_timesteps`) with the engine's
         per-row operation masks and protection triggers sliced to the
         simulated rows.  The kernel advances the state arrays strictly in
         place, so a ``step_monitor`` observes — and may gate, via

@@ -30,7 +30,6 @@ from repro.snn.engine import (
     StepMonitor,
     flatten_images,
 )
-from repro.snn.kernels import autotune_batch_size
 from repro.snn.network import DiehlCookNetwork
 from repro.snn.neuron import LIFParameters
 from repro.snn.synapse import BoundedWeightRule
@@ -244,17 +243,14 @@ class InferenceEngine:
         untouched.  Passing the raster the engine would have encoded from
         *rng* yields bit-identical results.
 
-        When ``batch_size`` is ``None`` the chunk size comes from
-        :func:`repro.snn.kernels.autotune_batch_size` for this network's
-        geometry (results are bit-identical for any chunking, so the timed
-        choice never changes outputs); an explicit ``batch_size`` always
-        wins over the autotuner.
+        ``batch_size=None`` means :data:`repro.snn.kernels.DEFAULT_BATCH_SIZE`;
+        results are bit-identical for any chunking.
         """
         if len(dataset) == 0:
             raise ValueError("evaluation dataset must not be empty")
         network = self.network
         if batch_size is None:
-            batch_size = autotune_batch_size(network.n_neurons, network.n_inputs)
+            batch_size = DEFAULT_BATCH_SIZE
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
         n_samples = len(dataset)

@@ -4,9 +4,9 @@ The inference engine (:class:`repro.snn.engine.MapParallelEngine`) and the
 vectorized STDP trainer
 (:class:`repro.snn.train_engine.VectorizedTrainingEngine`) run the same two
 primitives: the exact integer register-code GEMM that accumulates input
-currents, and the elementwise LIF timestep advance.  This module owns those
-primitives (plus the Bound-and-Protect bounding-correction decomposition)
-so every perf tier is bought once.
+currents, and the elementwise timestep advance of the neuron model.  This
+module owns those primitives (plus the Bound-and-Protect
+bounding-correction decomposition) so every perf tier is bought once.
 
 The three primitives
 --------------------
@@ -22,15 +22,23 @@ The three primitives
     register geometry and cached, instead of re-evaluated per call in each
     engine.
 
-``lif_advance``
-    The in-place LIF timestep advance over ``(rows, batch, neurons)``
-    state: leak, integrate, clamp, threshold comparator, spike gating,
-    reset + refractory entry, faulty-reset latching, lateral inhibition,
-    latched-membrane pinning and (optionally) the neuron-protection
-    trigger.  All scratch lives in a caller-owned :class:`KernelWorkspace`
-    allocated once per run and reused across timesteps and chunks — the
-    hot loop performs no per-timestep array allocation.  Every statement is
-    a bitwise-identical reformulation of the sequential
+``advance_timesteps`` + :class:`NeuronDynamics`
+    The one in-place timestep loop over ``(rows, batch, neurons)`` state,
+    shared by every neuron model: leak, integrate, clamp, threshold
+    comparator, spike gating, reset + refractory entry, faulty-reset
+    latching, lateral inhibition, latched-membrane pinning and
+    (optionally) the neuron-protection trigger.  The loop owns every
+    statement the models share, so the paper's four faultable operations,
+    the latch and Bound-and-Protect's protection are gated in exactly one
+    place; a model plugs in only its sub-threshold dynamics
+    (:class:`LIFDynamics`, :class:`CUBADynamics`,
+    :class:`FixedPointDynamics`): domain constants, ``leak``, ``drive``
+    and ``finish`` — after lava's LIF process models, where one
+    ``run_spk`` serves the float and the bit-accurate variants.  All
+    scratch lives in a caller-owned :class:`KernelWorkspace` allocated
+    once per run and reused across timesteps and chunks — the hot loop
+    performs no per-timestep array allocation.  Every statement is a
+    bitwise-identical reformulation of the sequential
     :meth:`repro.snn.neuron.LIFNeuronGroup.step` expressions (IEEE
     elementwise operations are independent of broadcast shape;
     ``copyto(..., where=...)`` is ``np.where`` with an explicit
@@ -57,23 +65,10 @@ and multiplies spikes with *dense float training weights* — not register
 codes — so it contains neither primitive; its healthy single-sample
 membrane step is exposed here as :func:`lif_learning_step` so the timestep
 arithmetic still has exactly one home.
-
-Autotuning
-----------
-:func:`autotune_batch_size` runs a short timed probe of the two primitives
-over candidate chunk sizes and caches the winner per
-``(n_neurons, n_inputs)`` in-process.  Chunking is a pure
-throughput knob — engine results are bit-identical for any batch size
-(the faulty-reset latch carry reproduces sequential sample order exactly)
-— which is what makes a *timed*, machine-dependent choice safe to wire
-into result-deterministic pipelines.  Explicit ``batch_size`` /
-``eval_batch_size`` / ``max_batch_size`` knobs always win; set
-``SOFTSNN_AUTOTUNE=off`` to pin the historical default without probing.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -89,40 +84,37 @@ from typing import (
 import numpy as np
 
 from repro.obs import metrics as _obs
-from repro.utils.logging import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.snn.neuron import LIFParameters, NeuronOperationStatus
     from repro.snn.quantization import WeightQuantizer
 
 __all__ = [
-    "AUTOTUNE_ENV",
     "DEFAULT_BATCH_SIZE",
     "FLOAT32_EXACT_SUM_LIMIT",
     "NO_PROTECTION_TRIGGER",
     "BoundingCorrection",
+    "CUBADynamics",
+    "FixedPointDynamics",
     "KernelWorkspace",
+    "LIFDynamics",
     "LIFStepConfig",
+    "NeuronDynamics",
     "OperationMasks",
+    "advance_timesteps",
     "apply_bounding_correction",
-    "autotune_batch_size",
     "bounding_correction_terms",
-    "clear_autotune_cache",
-    "cuba_advance",
     "exact_gemm_dtype",
     "exact_scale",
-    "fixed_point_advance",
-    "lif_advance",
     "lif_learning_step",
     "plan_bounding_correction",
     "register_gemm",
 ]
 
-_LOGGER = get_logger("snn.kernels")
-
 # Kernel telemetry (docs/observability.md): per-primitive call counts and
-# cumulative nanoseconds, plus autotuner outcomes.  The ``backend`` label
-# keeps the catalog's series names; numpy is the only implementation.
+# cumulative nanoseconds; the advance is labelled by its dynamics'
+# ``kernel`` name, one per model.  The ``backend`` label keeps the
+# catalog's series names; numpy is the only implementation.
 # Children are cached in a plain dict so the hot path pays one dict lookup
 # and two counter adds — the perf bench bounds this at ≤ 2 % of kernel time.
 _KERNEL_CALLS = _obs.get_registry().counter(
@@ -134,16 +126,6 @@ _KERNEL_NS = _obs.get_registry().counter(
     "softsnn_kernel_ns_total",
     "Cumulative wall time inside kernel invocations, nanoseconds.",
     labels=("kernel", "backend"),
-)
-_AUTOTUNE_EVENTS = _obs.get_registry().counter(
-    "softsnn_autotune_events_total",
-    "Batch-size autotuner outcomes: probe, cache_hit, pinned.",
-    labels=("event",),
-)
-_AUTOTUNE_BATCH = _obs.get_registry().gauge(
-    "softsnn_autotune_batch_size",
-    "Most recently autotuned engine chunk size.",
-    labels=("backend",),
 )
 _BACKEND = "numpy"
 _KERNEL_CHILDREN: Dict[str, Tuple[object, object]] = {}
@@ -162,10 +144,6 @@ def _record_kernel(kernel: str, elapsed_ns: int) -> None:
     pair[1].inc(elapsed_ns)
 
 
-#: Environment variable disabling the batch-size autotuner (``off`` pins
-#: :data:`DEFAULT_BATCH_SIZE` without probing).
-AUTOTUNE_ENV = "SOFTSNN_AUTOTUNE"
-
 #: Largest integer magnitude the float32 mantissa holds exactly.  Register
 #: codes are non-negative, so no partial sum of a column accumulation ever
 #: exceeds the final ``n_inputs * max_code`` bound; the float32 GEMM is
@@ -176,7 +154,7 @@ FLOAT32_EXACT_SUM_LIMIT = 1 << 24
 #: counter can never reach it, so the gate stays open.
 NO_PROTECTION_TRIGGER = np.iinfo(np.int64).max
 
-#: Historical engine chunk size; the fallback when autotuning is disabled.
+#: Engine chunk size wherever the caller gives none.
 DEFAULT_BATCH_SIZE = 64
 
 
@@ -335,11 +313,11 @@ def apply_bounding_correction(
 
 
 # ---------------------------------------------------------------------- #
-# LIF timestep advance
+# the timestep skeleton and its per-model dynamics
 # ---------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class LIFStepConfig:
-    """Scalar LIF parameters consumed by the timestep kernels."""
+    """Scalar LIF parameters the per-model dynamics are built from."""
 
     v_rest: float
     v_reset: float
@@ -441,7 +419,7 @@ class OperationMasks:
 
 
 class KernelWorkspace:
-    """Caller-owned scratch buffers of the LIF timestep advance.
+    """Caller-owned scratch buffers of :func:`advance_timesteps`.
 
     One workspace is allocated per engine (or run) and reused across every
     timestep and every chunk: :meth:`ensure` reallocates only when the
@@ -476,7 +454,158 @@ class KernelWorkspace:
         return self
 
 
-def lif_advance(
+class NeuronDynamics:
+    """What one neuron model adds to the shared timestep skeleton.
+
+    :func:`advance_timesteps` owns every statement the models share —
+    integrate gating, the ``v_min`` clamp, the comparator and protection
+    counter, spike gating, reset / refractory entry, the faulty-reset
+    latch, lateral inhibition, latch pinning, the output write, the
+    protection triggers and the step hook.  A dynamics object supplies
+    only what differs between models:
+
+    * the domain constants ``v_reset``, ``v_min``, ``inhibition`` and
+      ``threshold``, in the units the membrane holds during the call;
+    * :meth:`leak`, the membrane leak;
+    * :meth:`drive`, the per-timestep quantity the membrane integrates;
+    * :meth:`finish`, run once after the last timestep.
+
+    One instance is built per advance call, so per-presentation state
+    (the CUBA synaptic current) lives on it.  A model whose membrane lives
+    in another domain (the fixed-point grid) moves ``v`` into it when the
+    instance is built and back in :meth:`finish`.  ``kernel`` is the label of
+    the ``softsnn_kernel_{calls,ns}_total`` series the call is timed
+    under.
+    """
+
+    kernel: str = "advance"
+    v_reset: float
+    v_min: float
+    inhibition: float
+    threshold: np.ndarray
+
+    def leak(self, v: np.ndarray, out: np.ndarray) -> None:
+        """Write the leaked membrane of *v* into *out* (may be *v* itself)."""
+        raise NotImplementedError
+
+    def drive(self, current: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """Return this timestep's membrane drive for input *current*.
+
+        *scratch* is a ``(rows, batch, n)`` float64 buffer the dynamics
+        may overwrite; the returned array is read before the next call.
+        """
+        raise NotImplementedError
+
+    def finish(self, v: np.ndarray) -> None:
+        """Leave the model's membrane domain after the last timestep."""
+
+
+class LIFDynamics(NeuronDynamics):
+    """Float LIF: exponential leak towards ``v_rest``, raw input drive."""
+
+    kernel = "lif_advance"
+
+    def __init__(self, config: LIFStepConfig, threshold: np.ndarray) -> None:
+        self.v_reset = config.v_reset
+        self.v_min = config.v_min
+        self.inhibition = config.inhibition_strength
+        self.threshold = threshold
+        self._v_rest = config.v_rest
+        self._decay = config.membrane_decay
+
+    def leak(self, v: np.ndarray, out: np.ndarray) -> None:
+        """``v_rest + (v - v_rest) * membrane_decay``."""
+        np.subtract(v, self._v_rest, out=out)
+        np.multiply(out, self._decay, out=out)
+        np.add(out, self._v_rest, out=out)
+
+    def drive(self, current: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """The membrane integrates the input current itself."""
+        return current
+
+
+class CUBADynamics(LIFDynamics):
+    """Current-based LIF: the membrane integrates a decaying current ``u``.
+
+    ``u`` starts at zero for every presentation (it is per-sample
+    dynamics, like the membrane), so it is allocated here, once per call.
+    Its accumulation is crossbar arithmetic, not a Vmem operation, so it
+    runs for every neuron; ``increase_ok`` gates only ``v += u``.
+    """
+
+    kernel = "cuba_advance"
+
+    def __init__(
+        self,
+        config: LIFStepConfig,
+        threshold: np.ndarray,
+        shape: Tuple[int, ...],
+        current_decay: float,
+    ) -> None:
+        super().__init__(config, threshold)
+        self._current_decay = float(current_decay)
+        self._u = np.zeros(shape, dtype=np.float64)
+
+    def drive(self, current: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """``u = u * current_decay + current``; the membrane integrates ``u``."""
+        np.multiply(self._u, self._current_decay, out=self._u)
+        np.add(self._u, current, out=self._u)
+        return self._u
+
+
+class FixedPointDynamics(NeuronDynamics):
+    """Loihi-style integer LIF on a ``2**weight_exp`` grid.
+
+    Membranes and drives are integer mantissas of the grid, held exactly
+    in float64 (magnitudes stay far below ``2**53``), so every operation
+    is exact and independent of batch shape and chunking.  Construction
+    floors ``v`` onto the grid in place and :meth:`finish` divides it back
+    (exactly, by a power of two), so ``v`` enters and leaves the call in
+    float units.
+    """
+
+    kernel = "fixed_point_advance"
+
+    def __init__(
+        self,
+        config: LIFStepConfig,
+        threshold: np.ndarray,
+        v: np.ndarray,
+        weight_exp: int,
+        decay_bits: int,
+    ) -> None:
+        scale = float(1 << int(weight_exp))
+        self._scale = scale
+        self._decay_unit = float(1 << int(decay_bits))
+        self._decay = float(int(round(config.membrane_decay * self._decay_unit)))
+        self._v_rest = float(np.floor(config.v_rest * scale))
+        self.v_reset = float(np.floor(config.v_reset * scale))
+        self.v_min = float(np.floor(config.v_min * scale))
+        self.inhibition = float(np.floor(config.inhibition_strength * scale))
+        self.threshold = np.floor(np.asarray(threshold, dtype=np.float64) * scale)
+        np.multiply(v, scale, out=v)
+        np.floor(v, out=v)
+
+    def leak(self, v: np.ndarray, out: np.ndarray) -> None:
+        """``v_rest + ((v - v_rest) * d) >> decay_bits``, ``d`` quantised."""
+        np.subtract(v, self._v_rest, out=out)
+        np.multiply(out, self._decay, out=out)
+        np.floor_divide(out, self._decay_unit, out=out)
+        np.add(out, self._v_rest, out=out)
+
+    def drive(self, current: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """The input current floored onto the grid."""
+        np.multiply(current, self._scale, out=scratch)
+        np.floor(scratch, out=scratch)
+        return scratch
+
+    def finish(self, v: np.ndarray) -> None:
+        """Divide ``v`` back to float units."""
+        np.divide(v, self._scale, out=v)
+
+
+def advance_timesteps(
+    dynamics: NeuronDynamics,
     currents: np.ndarray,
     output: np.ndarray,
     v: np.ndarray,
@@ -487,26 +616,28 @@ def lif_advance(
     comparator: np.ndarray,
     spikes: np.ndarray,
     masks: OperationMasks,
-    threshold: np.ndarray,
-    config: LIFStepConfig,
+    refractory_period: int,
     workspace: KernelWorkspace,
     triggers: Optional[np.ndarray] = None,
     step_hook: Optional[Callable[[], None]] = None,
 ) -> None:
-    """Advance ``(rows, batch, neurons)`` LIF state over all timesteps.
+    """Advance ``(rows, batch, neurons)`` neuron state over all timesteps.
 
-    This is the one timestep loop every engine runs.  Per timestep it
-    applies, in order: (2) membrane leak, (1) current integration with the
-    ``v_min`` clamp, (4) threshold comparator + consecutive-above-threshold
-    counter + spike gating, (3) reset / refractory entry with faulty-reset
-    latching, lateral inhibition, latched-membrane pinning, the output
-    write, optional neuron-protection trigger gating and the optional
+    This is the one timestep loop every engine and every neuron model
+    runs.  Per timestep it applies, in order: (2) the model's membrane
+    leak, (1) integration of the model's drive with the ``v_min`` clamp,
+    (4) threshold comparator + consecutive-above-threshold counter + spike
+    gating, (3) reset / refractory entry with faulty-reset latching,
+    lateral inhibition, latched-membrane pinning, the output write,
+    optional neuron-protection trigger gating and the optional
     ``step_hook`` — exactly the operation sequence of the sequential
     :meth:`repro.snn.neuron.LIFNeuronGroup.step` plus the post-step
     protection semantics of the sequential step monitor.
 
     Parameters
     ----------
+    dynamics:
+        The model's :class:`NeuronDynamics`, built for this call.
     currents:
         Input currents, timestep-major ``(timesteps, rows, batch, n)``.
     output:
@@ -522,10 +653,8 @@ def lif_advance(
         timestep's values.
     masks:
         Per-row operation health (:class:`OperationMasks`).
-    threshold:
-        Effective firing threshold per neuron, shape ``(n,)``.
-    config:
-        Scalar LIF parameters (:class:`LIFStepConfig`).
+    refractory_period:
+        Timesteps a reset neuron stays refractory.
     workspace:
         Scratch buffers (:class:`KernelWorkspace`), reused across calls.
     triggers:
@@ -540,8 +669,9 @@ def lif_advance(
     expressions: in-place ufunc chains evaluate the same IEEE operations
     element by element, ``copyto(..., where=...)`` is ``np.where`` with an
     explicit destination, and the integer counter / refractory updates are
-    exact.  The loop touches only the caller's state arrays and the
-    workspace buffers — nothing is allocated per timestep.
+    exact.  The loop touches only the caller's state arrays, the workspace
+    buffers and the dynamics' own per-call state — nothing is allocated
+    per timestep.
     """
     start_ns = time.perf_counter_ns()
     ws = workspace.ensure(v.shape)
@@ -551,12 +681,12 @@ def lif_advance(
     boolbuf = ws.boolbuf
     countbuf = ws.countbuf
 
-    v_rest = config.v_rest
-    v_reset = config.v_reset
-    v_min = config.v_min
-    decay = config.membrane_decay
-    period = config.refractory_period
-    strength = config.inhibition_strength
+    leak = dynamics.leak
+    drive = dynamics.drive
+    v_reset = dynamics.v_reset
+    v_min = dynamics.v_min
+    strength = dynamics.inhibition
+    threshold = dynamics.threshold
 
     leak_ok = masks.leak_ok[:, np.newaxis, :]
     increase_ok = masks.increase_ok[:, np.newaxis, :]
@@ -575,18 +705,14 @@ def lif_advance(
 
     timesteps = currents.shape[0]
     for t in range(timesteps):
-        # (2) Vmem leak: v_rest + (v - v_rest) * decay.
+        # (2) Vmem leak, gated per neuron.
         if all_leak:
-            np.subtract(v, v_rest, out=v)
-            np.multiply(v, decay, out=v)
-            np.add(v, v_rest, out=v)
+            leak(v, v)
         else:
-            np.subtract(v, v_rest, out=vbuf)
-            np.multiply(vbuf, decay, out=vbuf)
-            np.add(vbuf, v_rest, out=vbuf)
+            leak(v, vbuf)
             np.copyto(v, vbuf, where=leak_ok)
 
-        # (1) Vmem increase: v += where(integrate, current, 0.0), clamp.
+        # (1) Vmem increase: v += where(integrate, drive, 0.0), clamp.
         np.less_equal(refractory, 0, out=active)
         if all_increase:
             integrate = active
@@ -594,7 +720,7 @@ def lif_advance(
             np.logical_and(active, increase_ok, out=boolbuf)
             integrate = boolbuf
         np.copyto(fbuf, 0.0)
-        np.copyto(fbuf, currents[t], where=integrate)
+        np.copyto(fbuf, drive(currents[t], vbuf), where=integrate)
         np.add(v, fbuf, out=v)
         np.maximum(v, v_min, out=v)
 
@@ -617,7 +743,7 @@ def lif_advance(
         np.copyto(v, v_reset, where=reset_now)
         np.subtract(refractory, 1, out=refractory)
         np.maximum(refractory, 0, out=refractory)
-        np.copyto(refractory, period, where=reset_now)
+        np.copyto(refractory, refractory_period, where=reset_now)
         if not all_reset:
             np.logical_and(comparator, reset_bad, out=boolbuf)
             np.logical_or(latched, boolbuf, out=latched)
@@ -649,8 +775,10 @@ def lif_advance(
         if step_hook is not None:
             step_hook()
 
+    dynamics.finish(v)
+
     if _obs.enabled():
-        _record_kernel("lif_advance", time.perf_counter_ns() - start_ns)
+        _record_kernel(dynamics.kernel, time.perf_counter_ns() - start_ns)
 
 
 def lif_learning_step(
@@ -693,435 +821,3 @@ def lif_learning_step(
         )
         v = np.maximum(v - inhibition, config.v_min)
     return v, refractory, spikes
-
-
-# ---------------------------------------------------------------------- #
-# model-dispatched advance kernels (neuron-model zoo)
-# ---------------------------------------------------------------------- #
-def cuba_advance(
-    currents: np.ndarray,
-    output: np.ndarray,
-    v: np.ndarray,
-    refractory: np.ndarray,
-    counter: np.ndarray,
-    disabled: np.ndarray,
-    latched: np.ndarray,
-    comparator: np.ndarray,
-    spikes: np.ndarray,
-    masks: OperationMasks,
-    threshold: np.ndarray,
-    config: LIFStepConfig,
-    workspace: KernelWorkspace,
-    current_decay: float = 0.5,
-    triggers: Optional[np.ndarray] = None,
-    step_hook: Optional[Callable[[], None]] = None,
-) -> None:
-    """Current-based (CUBA) leaky LIF advance over ``(rows, batch, n)`` state.
-
-    The lava-style ``du/dv`` variant: a synaptic-current state ``u`` decays
-    by ``current_decay`` and accumulates each timestep's input, and the
-    membrane integrates ``u`` instead of the raw input current.  ``u``
-    starts at zero for every presentation (it is per-sample dynamics, like
-    the membrane), so it lives inside the call rather than in the engines'
-    state structs — one allocation per pass, none per timestep.
-
-    The paper's four faultable operations map onto the same gates as the
-    LIF kernel: ``leak_ok`` gates the membrane leak, ``increase_ok`` gates
-    ``v += u`` (the synaptic accumulation itself is crossbar arithmetic,
-    not a Vmem operation, so it always runs), and spike generation / reset
-    keep the LIF semantics, including the faulty-reset latch and neuron
-    protection.
-    """
-    start_ns = time.perf_counter_ns()
-    ws = workspace.ensure(v.shape)
-    vbuf = ws.vbuf
-    fbuf = ws.fbuf
-    active = ws.active
-    boolbuf = ws.boolbuf
-    countbuf = ws.countbuf
-    u = np.zeros(v.shape, dtype=np.float64)
-
-    v_rest = config.v_rest
-    v_reset = config.v_reset
-    v_min = config.v_min
-    decay = config.membrane_decay
-    period = config.refractory_period
-    strength = config.inhibition_strength
-    current_decay = float(current_decay)
-
-    leak_ok = masks.leak_ok[:, np.newaxis, :]
-    increase_ok = masks.increase_ok[:, np.newaxis, :]
-    reset_ok = masks.reset_ok[:, np.newaxis, :]
-    spike_ok = masks.spike_ok[:, np.newaxis, :]
-    all_leak = masks.all_leak
-    all_increase = masks.all_increase
-    all_reset = masks.all_reset
-    all_spike = masks.all_spike
-    reset_bad = None if all_reset else ~reset_ok
-    trig = (
-        None
-        if triggers is None
-        else np.asarray(triggers, dtype=np.int64).reshape(-1, 1, 1)
-    )
-
-    timesteps = currents.shape[0]
-    for t in range(timesteps):
-        # Synaptic current: decay, then accumulate this step's input.
-        np.multiply(u, current_decay, out=u)
-        np.add(u, currents[t], out=u)
-
-        # (2) Vmem leak: v_rest + (v - v_rest) * decay, gated per neuron.
-        if all_leak:
-            np.subtract(v, v_rest, out=v)
-            np.multiply(v, decay, out=v)
-            np.add(v, v_rest, out=v)
-        else:
-            np.subtract(v, v_rest, out=vbuf)
-            np.multiply(vbuf, decay, out=vbuf)
-            np.add(vbuf, v_rest, out=vbuf)
-            np.copyto(v, vbuf, where=leak_ok)
-
-        # (1) Vmem increase: v += where(integrate, u, 0.0), clamp.
-        np.less_equal(refractory, 0, out=active)
-        if all_increase:
-            integrate = active
-        else:
-            np.logical_and(active, increase_ok, out=boolbuf)
-            integrate = boolbuf
-        np.copyto(fbuf, 0.0)
-        np.copyto(fbuf, u, where=integrate)
-        np.add(v, fbuf, out=v)
-        np.maximum(v, v_min, out=v)
-
-        # (4) Spike generation: comparator and protection counter.
-        np.greater_equal(v, threshold, out=comparator)
-        np.logical_and(comparator, active, out=comparator)
-        np.add(counter, 1, out=counter)
-        np.multiply(counter, comparator, out=counter)
-        np.logical_not(disabled, out=spikes)
-        np.logical_and(spikes, comparator, out=spikes)
-        if not all_spike:
-            np.logical_and(spikes, spike_ok, out=spikes)
-
-        # (3) Vmem reset and refractory entry; faulty resets latch.
-        if all_reset:
-            reset_now = comparator
-        else:
-            np.logical_and(comparator, reset_ok, out=boolbuf)
-            reset_now = boolbuf
-        np.copyto(v, v_reset, where=reset_now)
-        np.subtract(refractory, 1, out=refractory)
-        np.maximum(refractory, 0, out=refractory)
-        np.copyto(refractory, period, where=reset_now)
-        if not all_reset:
-            np.logical_and(comparator, reset_bad, out=boolbuf)
-            np.logical_or(latched, boolbuf, out=latched)
-
-        # Direct lateral inhibition, per (row, sample).
-        if strength > 0 and spikes.any():
-            np.sum(spikes, axis=-1, keepdims=True, out=countbuf)
-            np.subtract(countbuf, spikes, out=fbuf)
-            np.multiply(fbuf, strength, out=fbuf)
-            np.subtract(v, fbuf, out=v)
-            np.maximum(v, v_min, out=v)
-
-        # Keep latched faulty-reset membranes pinned at the threshold.
-        if not all_reset and latched.any():
-            np.maximum(v, threshold, out=fbuf)
-            np.copyto(v, fbuf, where=latched)
-
-        output[t] = spikes
-
-        if trig is not None:
-            np.greater_equal(counter, trig, out=boolbuf)
-            np.logical_or(disabled, boolbuf, out=disabled)
-
-        if step_hook is not None:
-            step_hook()
-
-    if _obs.enabled():
-        _record_kernel("cuba_advance", time.perf_counter_ns() - start_ns)
-
-
-def fixed_point_advance(
-    currents: np.ndarray,
-    output: np.ndarray,
-    v: np.ndarray,
-    refractory: np.ndarray,
-    counter: np.ndarray,
-    disabled: np.ndarray,
-    latched: np.ndarray,
-    comparator: np.ndarray,
-    spikes: np.ndarray,
-    masks: OperationMasks,
-    threshold: np.ndarray,
-    config: LIFStepConfig,
-    workspace: KernelWorkspace,
-    weight_exp: int = 6,
-    decay_bits: int = 12,
-    triggers: Optional[np.ndarray] = None,
-    step_hook: Optional[Callable[[], None]] = None,
-) -> None:
-    """Bit-accurate fixed-point LIF advance over ``(rows, batch, n)`` state.
-
-    Loihi-style integer arithmetic (lava's fixed-point LIF): membrane and
-    currents live on a ``2**weight_exp`` grid (mantissa/exponent weight
-    scaling — the stored mantissa is the integer, the shared exponent is
-    the grid), and the leak is a ``decay_bits``-bit fixed-point multiply
-    with a truncating shift, ``v = v_rest + ((v - v_rest) * d) >> decay_bits``
-    where ``d = round(membrane_decay * 2**decay_bits)``.
-
-    Every quantity is an integer held exactly in the engines' float64 state
-    arrays (magnitudes stay far below ``2**53``), so each operation is an
-    exact elementwise computation — bitwise independent of batch shape and
-    chunking, which is what makes the model safe inside the parity-checked
-    engines.  ``v`` enters and leaves in float units: it is floored onto
-    the grid at entry and divided back (exactly, by a power of two) at
-    exit, so the engines' float-domain latch pinning composes correctly.
-    The four faultable operations gate exactly as in :func:`lif_advance`.
-    """
-    start_ns = time.perf_counter_ns()
-    ws = workspace.ensure(v.shape)
-    vbuf = ws.vbuf
-    fbuf = ws.fbuf
-    active = ws.active
-    boolbuf = ws.boolbuf
-    countbuf = ws.countbuf
-
-    scale = float(1 << int(weight_exp))
-    decay_unit = float(1 << int(decay_bits))
-    decay_q = float(int(round(config.membrane_decay * decay_unit)))
-    v_rest_q = float(np.floor(config.v_rest * scale))
-    v_reset_q = float(np.floor(config.v_reset * scale))
-    v_min_q = float(np.floor(config.v_min * scale))
-    strength_q = float(np.floor(config.inhibition_strength * scale))
-    period = config.refractory_period
-    threshold_q = np.floor(np.asarray(threshold, dtype=np.float64) * scale)
-
-    # Enter the integer domain: v becomes its grid mantissa, in place.
-    np.multiply(v, scale, out=v)
-    np.floor(v, out=v)
-
-    leak_ok = masks.leak_ok[:, np.newaxis, :]
-    increase_ok = masks.increase_ok[:, np.newaxis, :]
-    reset_ok = masks.reset_ok[:, np.newaxis, :]
-    spike_ok = masks.spike_ok[:, np.newaxis, :]
-    all_leak = masks.all_leak
-    all_increase = masks.all_increase
-    all_reset = masks.all_reset
-    all_spike = masks.all_spike
-    reset_bad = None if all_reset else ~reset_ok
-    trig = (
-        None
-        if triggers is None
-        else np.asarray(triggers, dtype=np.int64).reshape(-1, 1, 1)
-    )
-
-    timesteps = currents.shape[0]
-    for t in range(timesteps):
-        # (2) Vmem leak: v_rest + ((v - v_rest) * d) >> decay_bits.
-        np.subtract(v, v_rest_q, out=vbuf)
-        np.multiply(vbuf, decay_q, out=vbuf)
-        np.floor_divide(vbuf, decay_unit, out=vbuf)
-        np.add(vbuf, v_rest_q, out=vbuf)
-        if all_leak:
-            np.copyto(v, vbuf)
-        else:
-            np.copyto(v, vbuf, where=leak_ok)
-
-        # (1) Vmem increase: v += where(integrate, floor(I * 2**exp), 0).
-        np.less_equal(refractory, 0, out=active)
-        if all_increase:
-            integrate = active
-        else:
-            np.logical_and(active, increase_ok, out=boolbuf)
-            integrate = boolbuf
-        np.multiply(currents[t], scale, out=vbuf)
-        np.floor(vbuf, out=vbuf)
-        np.copyto(fbuf, 0.0)
-        np.copyto(fbuf, vbuf, where=integrate)
-        np.add(v, fbuf, out=v)
-        np.maximum(v, v_min_q, out=v)
-
-        # (4) Spike generation: comparator and protection counter.
-        np.greater_equal(v, threshold_q, out=comparator)
-        np.logical_and(comparator, active, out=comparator)
-        np.add(counter, 1, out=counter)
-        np.multiply(counter, comparator, out=counter)
-        np.logical_not(disabled, out=spikes)
-        np.logical_and(spikes, comparator, out=spikes)
-        if not all_spike:
-            np.logical_and(spikes, spike_ok, out=spikes)
-
-        # (3) Vmem reset and refractory entry; faulty resets latch.
-        if all_reset:
-            reset_now = comparator
-        else:
-            np.logical_and(comparator, reset_ok, out=boolbuf)
-            reset_now = boolbuf
-        np.copyto(v, v_reset_q, where=reset_now)
-        np.subtract(refractory, 1, out=refractory)
-        np.maximum(refractory, 0, out=refractory)
-        np.copyto(refractory, period, where=reset_now)
-        if not all_reset:
-            np.logical_and(comparator, reset_bad, out=boolbuf)
-            np.logical_or(latched, boolbuf, out=latched)
-
-        # Direct lateral inhibition on the integer grid.
-        if strength_q > 0 and spikes.any():
-            np.sum(spikes, axis=-1, keepdims=True, out=countbuf)
-            np.subtract(countbuf, spikes, out=fbuf)
-            np.multiply(fbuf, strength_q, out=fbuf)
-            np.subtract(v, fbuf, out=v)
-            np.maximum(v, v_min_q, out=v)
-
-        # Keep latched faulty-reset membranes pinned at the threshold.
-        if not all_reset and latched.any():
-            np.maximum(v, threshold_q, out=fbuf)
-            np.copyto(v, fbuf, where=latched)
-
-        output[t] = spikes
-
-        if trig is not None:
-            np.greater_equal(counter, trig, out=boolbuf)
-            np.logical_or(disabled, boolbuf, out=disabled)
-
-        if step_hook is not None:
-            step_hook()
-
-    # Leave the integer domain: exact division by a power of two.
-    np.divide(v, scale, out=v)
-
-    if _obs.enabled():
-        _record_kernel("fixed_point_advance", time.perf_counter_ns() - start_ns)
-
-
-# ---------------------------------------------------------------------- #
-# batch-size autotuning
-# ---------------------------------------------------------------------- #
-_AUTOTUNE_CANDIDATES = (16, 32, 64, 128)
-_autotune_cache: Dict[Tuple[int, int], int] = {}
-
-
-def clear_autotune_cache() -> None:
-    """Drop cached autotune decisions (tests)."""
-    _autotune_cache.clear()
-
-
-def _autotune_disabled() -> bool:
-    """Whether :data:`AUTOTUNE_ENV` pins the default chunk size."""
-    value = os.environ.get(AUTOTUNE_ENV, "").strip().lower()
-    return value in ("off", "0", "false", "no", "disable", "disabled")
-
-
-def autotune_batch_size(
-    n_neurons: int,
-    n_inputs: int,
-    candidates: Optional[Sequence[int]] = None,
-    probe_timesteps: int = 3,
-    max_code: int = 255,
-) -> int:
-    """Pick the fastest engine chunk size for one network geometry.
-
-    Runs a short timed probe — one register GEMM plus one
-    :func:`lif_advance` block per candidate, on synthetic spikes — and
-    returns the candidate with the best per-sample wall time.  The result
-    is cached in-process per ``(n_neurons, n_inputs)``, so every
-    engine constructed for the same geometry reuses one probe.
-
-    Chunk size is a pure throughput knob: engine results are bit-identical
-    for any chunking, which is what makes a timed, machine-dependent
-    choice safe inside result-deterministic pipelines.  Explicit
-    ``batch_size`` knobs bypass this function entirely, and
-    ``SOFTSNN_AUTOTUNE=off`` pins :data:`DEFAULT_BATCH_SIZE` without
-    probing.
-    """
-    n_neurons = int(n_neurons)
-    n_inputs = int(n_inputs)
-    if n_neurons <= 0 or n_inputs <= 0:
-        raise ValueError("n_neurons and n_inputs must be positive")
-    if _autotune_disabled():
-        _AUTOTUNE_EVENTS.labels(event="pinned").inc()
-        return DEFAULT_BATCH_SIZE
-    key = (n_neurons, n_inputs)
-    cached = _autotune_cache.get(key)
-    if cached is not None:
-        _AUTOTUNE_EVENTS.labels(event="cache_hit").inc()
-        return cached
-    _AUTOTUNE_EVENTS.labels(event="probe").inc()
-
-    sizes = tuple(
-        sorted({int(c) for c in (candidates or _AUTOTUNE_CANDIDATES) if c > 0})
-    )
-    if not sizes:
-        raise ValueError("at least one positive candidate is required")
-
-    rng = np.random.default_rng(0)
-    gemm_dtype = exact_gemm_dtype(n_inputs, max_code)
-    codes = np.ascontiguousarray(
-        rng.integers(0, max_code + 1, size=(n_inputs, n_neurons)), dtype=gemm_dtype
-    )
-    raster = rng.random((max(sizes) * probe_timesteps, n_inputs)) < 0.05
-    threshold = np.full(n_neurons, np.inf)
-    config = LIFStepConfig(
-        v_rest=-65.0,
-        v_reset=-60.0,
-        v_min=-80.0,
-        membrane_decay=0.95,
-        refractory_period=5,
-        inhibition_strength=0.0,
-    )
-    masks = OperationMasks.healthy(n_neurons)
-    workspace = KernelWorkspace()
-
-    best_size = sizes[0]
-    best_time = np.inf
-    for size in sizes:
-        flat = raster[: size * probe_timesteps]
-        shape = (1, size, n_neurons)
-        output = np.zeros((probe_timesteps,) + shape, dtype=bool)
-        state = [
-            np.full(shape, config.v_rest, dtype=np.float64),
-            np.zeros(shape, dtype=np.int64),
-            np.zeros(shape, dtype=np.int64),
-            np.zeros(shape, dtype=bool),
-            np.zeros(shape, dtype=bool),
-            np.empty(shape, dtype=bool),
-            np.empty(shape, dtype=bool),
-        ]
-
-        def probe_once() -> None:
-            accumulated = register_gemm(flat, codes)
-            currents = exact_scale(accumulated, 1.0 / max_code).reshape(
-                (probe_timesteps,) + shape
-            )
-            lif_advance(
-                currents,
-                output,
-                *state,
-                masks,
-                threshold,
-                config,
-                workspace,
-            )
-
-        probe_once()  # warm caches off the clock
-        elapsed = np.inf
-        for _ in range(2):
-            began = time.perf_counter()
-            probe_once()
-            elapsed = min(elapsed, time.perf_counter() - began)
-        per_sample = elapsed / size
-        if per_sample < best_time:
-            best_time = per_sample
-            best_size = size
-
-    _autotune_cache[key] = best_size
-    _AUTOTUNE_BATCH.labels(backend=_BACKEND).set(best_size)
-    _LOGGER.debug(
-        "autotuned batch size for (n_neurons=%d, n_inputs=%d): %d",
-        n_neurons,
-        n_inputs,
-        best_size,
-    )
-    return best_size

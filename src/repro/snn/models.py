@@ -8,33 +8,35 @@ name-registered spec so the same fault-injection, mitigation and campaign
 machinery runs over a *zoo* of models:
 
 ``lif`` (default)
-    The existing leaky integrate-and-fire dynamics, dispatching verbatim
-    to :func:`repro.snn.kernels.lif_advance` — bit-identical to the
-    pre-refactor behaviour by construction.
+    The existing leaky integrate-and-fire dynamics
+    (:class:`repro.snn.kernels.LIFDynamics`), pinned bit for bit to the
+    pre-zoo behaviour.
 ``cuba_lif``
     A current-based (CUBA) leaky LIF with a ``du/dv``-style synaptic
     current state, after lava's floating-point LIF process model
-    (:func:`repro.snn.kernels.cuba_advance`).
+    (:class:`repro.snn.kernels.CUBADynamics`).
 ``fixed_point_lif``
     A bit-accurate fixed-point LIF with mantissa/exponent weight scaling
     and truncating-shift leak, after lava's Loihi fixed-point model
-    (:func:`repro.snn.kernels.fixed_point_advance`).
+    (:class:`repro.snn.kernels.FixedPointDynamics`).
 
 The spec contract
 -----------------
-A :class:`NeuronModel` owns scalar hyper-parameters and one method,
-:meth:`~NeuronModel.advance`, with exactly the signature of
-:func:`~repro.snn.kernels.lif_advance`: it advances ``(rows, batch, n)``
-state over all timesteps **strictly in place** (never swapping the state
-arrays, so live step hooks keep observing them) and performs no
-per-timestep allocation beyond the caller's :class:`~repro.snn.kernels.
-KernelWorkspace`.  The per-timestep update must decompose into the
-paper's four faultable hardware operations — Vmem increase, Vmem leak,
-Vmem reset, spike generation — gated by the caller's
-:class:`~repro.snn.kernels.OperationMasks`, and must honour the
-faulty-reset latch, the lateral-inhibition term, the latched-membrane
-pinning and the neuron-protection ``triggers``.  Models observing that
-contract compose with every mitigation technique unchanged.
+A :class:`NeuronModel` owns scalar hyper-parameters and one factory,
+:meth:`~NeuronModel.dynamics`, returning the model's
+:class:`~repro.snn.kernels.NeuronDynamics` for one advance call: its
+domain constants (``v_reset``, ``v_min``, inhibition strength,
+threshold), its ``leak``, its per-timestep ``drive`` and its ``finish``.
+Those hooks are the whole contract.  :meth:`NeuronModel.advance`, defined
+once here, runs them inside the one timestep skeleton
+(:func:`repro.snn.kernels.advance_timesteps`), which owns everything else:
+the paper's four faultable hardware operations — Vmem increase, Vmem
+leak, Vmem reset, spike generation — gated by the caller's
+:class:`~repro.snn.kernels.OperationMasks`, the faulty-reset latch, the
+lateral-inhibition term, the latched-membrane pinning, the
+neuron-protection ``triggers``, strictly in-place state and no
+per-timestep allocation.  A model therefore cannot get those wrong, and
+composes with every mitigation technique unchanged.
 
 Models are registered by name (:func:`register_model`); the snapshot
 sidecar records the name through ``NetworkConfig.neuron_model``, so the
@@ -50,12 +52,14 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Union
 import numpy as np
 
 from repro.snn.kernels import (
+    CUBADynamics,
+    FixedPointDynamics,
     KernelWorkspace,
+    LIFDynamics,
     LIFStepConfig,
+    NeuronDynamics,
     OperationMasks,
-    cuba_advance,
-    fixed_point_advance,
-    lif_advance,
+    advance_timesteps,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -80,7 +84,7 @@ DEFAULT_NEURON_MODEL = "lif"
 class NeuronModel:
     """Base spec of a registered neuron model.
 
-    Subclasses set :attr:`name` and implement :meth:`advance`; the default
+    Subclasses set :attr:`name` and implement :meth:`dynamics`; the default
     :meth:`step_config` extracts the scalar LIF parameter subset every
     shipped model consumes (models with extra hyper-parameters carry them
     on the instance, not in the config).
@@ -92,6 +96,17 @@ class NeuronModel:
     def step_config(self, params: "LIFParameters") -> LIFStepConfig:
         """Scalar per-timestep configuration derived from *params*."""
         return LIFStepConfig.from_params(params)
+
+    def dynamics(
+        self, config: LIFStepConfig, threshold: np.ndarray, v: np.ndarray
+    ) -> NeuronDynamics:
+        """Build this model's dynamics for one advance call over *v*.
+
+        *config* and *threshold* are in float units.  A model whose
+        membrane lives in another domain moves *v* into it here, in place,
+        and back in the dynamics' ``finish``.
+        """
+        raise NotImplementedError
 
     def advance(
         self,
@@ -113,28 +128,43 @@ class NeuronModel:
     ) -> None:
         """Advance ``(rows, batch, n)`` state over all timesteps in place.
 
-        The signature — and the in-place / four-faultable-operations
-        contract — is exactly that of
-        :func:`repro.snn.kernels.lif_advance`; see the module docstring.
+        Builds :meth:`dynamics` and runs it through
+        :func:`repro.snn.kernels.advance_timesteps`, whose docstring
+        describes every argument; *threshold* and *config* are in float
+        units and reach the loop through the dynamics.
         """
-        raise NotImplementedError
+        advance_timesteps(
+            self.dynamics(config, threshold, v),
+            currents,
+            output,
+            v,
+            refractory,
+            counter,
+            disabled,
+            latched,
+            comparator,
+            spikes,
+            masks,
+            config.refractory_period,
+            workspace,
+            triggers=triggers,
+            step_hook=step_hook,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"
 
 
 class LIFModel(NeuronModel):
-    """The default Diehl&Cook-style LIF: a verbatim ``lif_advance`` dispatch.
-
-    Delegating unchanged to the existing kernel is what makes the refactor
-    bit-identical for every pre-existing configuration.
-    """
+    """The default Diehl&Cook-style LIF."""
 
     name = "lif"
 
-    def advance(self, *args, **kwargs) -> None:
-        """Dispatch to :func:`repro.snn.kernels.lif_advance` unchanged."""
-        lif_advance(*args, **kwargs)
+    def dynamics(
+        self, config: LIFStepConfig, threshold: np.ndarray, v: np.ndarray
+    ) -> NeuronDynamics:
+        """Float LIF dynamics (:class:`repro.snn.kernels.LIFDynamics`)."""
+        return LIFDynamics(config, threshold)
 
 
 class CurrentLIFModel(NeuronModel):
@@ -157,9 +187,11 @@ class CurrentLIFModel(NeuronModel):
             )
         self.current_decay = float(current_decay)
 
-    def advance(self, *args, **kwargs) -> None:
-        """Dispatch to :func:`repro.snn.kernels.cuba_advance`."""
-        cuba_advance(*args, current_decay=self.current_decay, **kwargs)
+    def dynamics(
+        self, config: LIFStepConfig, threshold: np.ndarray, v: np.ndarray
+    ) -> NeuronDynamics:
+        """CUBA dynamics (:class:`repro.snn.kernels.CUBADynamics`)."""
+        return CUBADynamics(config, threshold, v.shape, self.current_decay)
 
 
 class FixedPointLIFModel(NeuronModel):
@@ -185,13 +217,15 @@ class FixedPointLIFModel(NeuronModel):
         self.weight_exp = int(weight_exp)
         self.decay_bits = int(decay_bits)
 
-    def advance(self, *args, **kwargs) -> None:
-        """Dispatch to :func:`repro.snn.kernels.fixed_point_advance`."""
-        fixed_point_advance(
-            *args,
-            weight_exp=self.weight_exp,
-            decay_bits=self.decay_bits,
-            **kwargs,
+    def dynamics(
+        self, config: LIFStepConfig, threshold: np.ndarray, v: np.ndarray
+    ) -> NeuronDynamics:
+        """Integer-grid dynamics (:class:`repro.snn.kernels.FixedPointDynamics`).
+
+        Building them floors *v* onto the grid in place.
+        """
+        return FixedPointDynamics(
+            config, threshold, v, self.weight_exp, self.decay_bits
         )
 
 

@@ -6,18 +6,16 @@ in the pre-refactor ``np.where`` style: the float32-exactness boundary of
 the register GEMM, the LIF timestep advance under every fault-switch
 combination (including protection triggers and carried faulty-reset
 latches), the Bound-and-Protect bounding-correction decomposition, the
-caller-owned workspace (no allocation inside the hot loop), and the
-batch-size autotuner with its explicit-knob override guarantees.
+caller-owned workspace (no allocation inside the hot loop, for every
+shipped model), and the batch-size knobs (explicit values win, ``None``
+means the default chunk size).
 """
 
 from __future__ import annotations
 
-import types
-
 import numpy as np
 import pytest
 
-from repro.snn import kernels
 from repro.snn.kernels import (
     DEFAULT_BATCH_SIZE,
     FLOAT32_EXACT_SUM_LIMIT,
@@ -26,23 +24,22 @@ from repro.snn.kernels import (
     LIFStepConfig,
     OperationMasks,
     apply_bounding_correction,
-    autotune_batch_size,
     bounding_correction_terms,
-    clear_autotune_cache,
     exact_gemm_dtype,
     exact_scale,
-    lif_advance,
     lif_learning_step,
     plan_bounding_correction,
     register_gemm,
 )
+from repro.snn.models import available_models, get_model
 from repro.snn.neuron import LIFParameters, NeuronOperationStatus
 from repro.snn.quantization import WeightQuantizer
 from repro.snn.synapse import BoundedWeightRule, SynapseMatrix
 
-#: Implementations the parity matrices run, by id: the numpy kernels.
+#: Implementations the parity matrices run, by id: the numpy kernels (the
+#: advance is the default LIF model's run of the shared timestep loop).
 GEMM_KERNELS = [pytest.param(register_gemm, id="numpy")]
-ADVANCE_KERNELS = [pytest.param(lif_advance, id="numpy")]
+ADVANCE_KERNELS = [pytest.param(get_model("lif").advance, id="numpy")]
 
 CONFIG = LIFStepConfig(
     v_rest=0.0,
@@ -52,13 +49,6 @@ CONFIG = LIFStepConfig(
     refractory_period=3,
     inhibition_strength=1.0,
 )
-
-
-@pytest.fixture(autouse=True)
-def _reset_kernel_state():
-    """Isolate the autotune cache between tests."""
-    yield
-    clear_autotune_cache()
 
 
 # ---------------------------------------------------------------------- #
@@ -209,8 +199,8 @@ def _reference_advance(
     """Straight-line ``np.where`` transcription of the engine timestep.
 
     This is the pre-kernel formulation the batched engine used, lifted to
-    ``(rows, batch, neurons)``; :func:`lif_advance` must reproduce it bit
-    for bit.
+    ``(rows, batch, neurons)``; the LIF model's advance must reproduce it
+    bit for bit.
     """
     leak_ok = masks.leak_ok[:, np.newaxis, :]
     increase_ok = masks.increase_ok[:, np.newaxis, :]
@@ -262,7 +252,8 @@ def _fresh_state(shape, config, rng=None, latched_init=None):
     }
 
 
-def _run_both(currents, masks, threshold, config, advance=lif_advance,
+def _run_both(currents, masks, threshold, config,
+              advance=get_model("lif").advance,
               triggers=None, state=None, workspace=None):
     """Run kernel and reference on identical state; assert bit-identity."""
     shape = currents.shape[1:]
@@ -447,50 +438,57 @@ class TestKernelWorkspace:
 
     def test_no_per_timestep_allocation(self):
         # The hot loop must only touch the caller's state arrays and the
-        # workspace buffers: every timestep sees the same buffer objects.
+        # workspace buffers: every timestep sees the same buffer objects,
+        # whichever shipped model's dynamics drive it (probe models other
+        # suites register are skipped).
         n = 6
-        masks = _masks_variant("reset", 1, n, np.random.default_rng(49))
-        workspace = KernelWorkspace().ensure((1, 4, n))
-        frozen = (
-            workspace.vbuf,
-            workspace.fbuf,
-            workspace.active,
-            workspace.boolbuf,
-            workspace.countbuf,
-        )
         shape = (1, 4, n)
-        state = _fresh_state(shape, CONFIG, rng=np.random.default_rng(50))
-        comparator = np.empty(shape, dtype=bool)
-        spikes = np.empty(shape, dtype=bool)
-        seen = []
-
-        def hook():
-            assert workspace.vbuf is frozen[0]
-            assert workspace.fbuf is frozen[1]
-            assert workspace.active is frozen[2]
-            assert workspace.boolbuf is frozen[3]
-            assert workspace.countbuf is frozen[4]
-            seen.append(True)
-
+        masks = _masks_variant("reset", 1, n, np.random.default_rng(49))
         currents = np.random.default_rng(51).random((20,) + shape) * 2
-        lif_advance(
-            currents,
-            np.zeros(currents.shape, dtype=bool),
-            state["v"],
-            state["refractory"],
-            state["counter"],
-            state["disabled"],
-            state["latched"],
-            comparator,
-            spikes,
-            masks,
-            np.full(n, 1.0),
-            CONFIG,
-            workspace,
-            triggers=np.array([4], dtype=np.int64),
-            step_hook=hook,
-        )
-        assert len(seen) == 20
+        shipped = [
+            name
+            for name in available_models()
+            if type(get_model(name)).__module__ == "repro.snn.models"
+        ]
+        assert len(shipped) >= 3
+        for model in shipped:
+            workspace = KernelWorkspace().ensure(shape)
+            frozen = (
+                workspace.vbuf,
+                workspace.fbuf,
+                workspace.active,
+                workspace.boolbuf,
+                workspace.countbuf,
+            )
+            state = _fresh_state(shape, CONFIG, rng=np.random.default_rng(50))
+            seen = []
+
+            def hook():
+                assert workspace.vbuf is frozen[0], model
+                assert workspace.fbuf is frozen[1], model
+                assert workspace.active is frozen[2], model
+                assert workspace.boolbuf is frozen[3], model
+                assert workspace.countbuf is frozen[4], model
+                seen.append(True)
+
+            get_model(model).advance(
+                currents,
+                np.zeros(currents.shape, dtype=bool),
+                state["v"],
+                state["refractory"],
+                state["counter"],
+                state["disabled"],
+                state["latched"],
+                np.empty(shape, dtype=bool),
+                np.empty(shape, dtype=bool),
+                masks,
+                np.full(n, 1.0),
+                CONFIG,
+                workspace,
+                triggers=np.array([4], dtype=np.int64),
+                step_hook=hook,
+            )
+            assert len(seen) == 20, model
 
 
 class TestLIFLearningStep:
@@ -543,49 +541,10 @@ class TestLIFLearningStep:
 
 
 # ---------------------------------------------------------------------- #
-# batch-size autotuning + explicit-knob overrides
+# batch-size knobs: explicit values win, None means the default
 # ---------------------------------------------------------------------- #
-class TestAutotune:
-    def test_result_is_a_candidate(self):
-        clear_autotune_cache()
-        size = autotune_batch_size(16, 64, candidates=(4, 8), probe_timesteps=2)
-        assert size in (4, 8)
-
-    def test_cached_per_geometry(self, monkeypatch):
-        clear_autotune_cache()
-        first = autotune_batch_size(16, 64, candidates=(4, 8), probe_timesteps=2)
-
-        def boom(*args, **kwargs):
-            raise AssertionError("probe re-ran despite a cached decision")
-
-        monkeypatch.setattr(kernels, "register_gemm", boom)
-        second = autotune_batch_size(16, 64, candidates=(4, 8), probe_timesteps=2)
-        assert second == first
-
-    def test_kill_switch_pins_default(self, monkeypatch):
-        clear_autotune_cache()
-        monkeypatch.setenv(kernels.AUTOTUNE_ENV, "off")
-
-        def boom(*args, **kwargs):
-            raise AssertionError("probe ran despite SOFTSNN_AUTOTUNE=off")
-
-        monkeypatch.setattr(kernels, "register_gemm", boom)
-        assert autotune_batch_size(16, 64) == DEFAULT_BATCH_SIZE
-
-    def test_invalid_geometry_raises(self):
-        with pytest.raises(ValueError):
-            autotune_batch_size(0, 64)
-        with pytest.raises(ValueError):
-            autotune_batch_size(16, -1)
-
-    def test_empty_candidates_raise(self):
-        clear_autotune_cache()
-        with pytest.raises(ValueError):
-            autotune_batch_size(16, 64, candidates=(0, -4))
-
-
 class TestExplicitKnobWins:
-    """Explicit batch-size knobs must bypass the autotuner everywhere."""
+    """``None`` batch sizes mean :data:`DEFAULT_BATCH_SIZE`; explicit wins."""
 
     def _engine(self):
         from repro.snn.inference import InferenceEngine
@@ -602,43 +561,15 @@ class TestExplicitKnobWins:
 
         return SyntheticMNIST().generate(n_samples=3, rng=13)
 
-    def test_evaluate_explicit_batch_size_skips_autotuner(self, monkeypatch):
-        import repro.snn.inference as inference_module
-
-        def boom(*args, **kwargs):
-            raise AssertionError("autotuner consulted despite explicit knob")
-
-        monkeypatch.setattr(inference_module, "autotune_batch_size", boom)
-        result = self._engine().evaluate(
-            self._dataset(), rng=np.random.default_rng(1), batch_size=2
-        )
-        assert len(result.predictions) == 3
-
-    def test_evaluate_default_consults_autotuner(self, monkeypatch):
-        import repro.snn.inference as inference_module
-
-        calls = []
-
-        def fake(n_neurons, n_inputs):
-            calls.append((n_neurons, n_inputs))
-            return 2
-
-        monkeypatch.setattr(inference_module, "autotune_batch_size", fake)
-        result = self._engine().evaluate(
-            self._dataset(), rng=np.random.default_rng(1)
-        )
-        assert calls == [(8, 784)]
-        assert len(result.predictions) == 3
-
-    def test_evaluate_autotuned_chunking_is_bit_identical(self):
+    def test_evaluate_default_chunking_is_bit_identical(self):
         engine = self._engine()
         dataset = self._dataset()
-        autotuned = engine.evaluate(dataset, rng=np.random.default_rng(2))
+        default = engine.evaluate(dataset, rng=np.random.default_rng(2))
         explicit = self._engine().evaluate(
             dataset, rng=np.random.default_rng(2), batch_size=1
         )
-        assert np.array_equal(autotuned.predictions, explicit.predictions)
-        assert np.array_equal(autotuned.spike_counts, explicit.spike_counts)
+        assert np.array_equal(default.predictions, explicit.predictions)
+        assert np.array_equal(default.spike_counts, explicit.spike_counts)
 
     def test_scheduler_none_falls_back_to_default(self):
         from repro.serve.scheduler import MicroBatchScheduler
@@ -660,42 +591,27 @@ class TestExplicitKnobWins:
         finally:
             scheduler.close()
 
-    def test_service_explicit_max_batch_size_wins(self, monkeypatch):
-        import repro.serve.service as service_module
+    def test_service_explicit_max_batch_size_wins(self, tmp_path):
+        from repro.serve.service import ServiceConfig, SoftSNNService
+        from repro.snn.network import NetworkConfig
+        from repro.snn.training import TrainedModel
 
-        def boom(*args, **kwargs):
-            raise AssertionError("autotuner consulted despite explicit knob")
-
-        monkeypatch.setattr(service_module, "autotune_batch_size", boom)
-        stub = types.SimpleNamespace(
-            config=types.SimpleNamespace(max_batch_size=7)
+        rng = np.random.default_rng(3)
+        trained = TrainedModel(
+            network_config=NetworkConfig(n_inputs=784, n_neurons=8, timesteps=15),
+            weights=rng.random((784, 8)),
+            theta=np.zeros(8),
+            neuron_labels=np.arange(8, dtype=np.int64) % 2,
+            clean_max_weight=1.0,
+            clean_most_probable_weight=0.5,
         )
-        session = types.SimpleNamespace(
-            network=types.SimpleNamespace(n_neurons=8, n_inputs=784)
-        )
-        resolved = service_module.SoftSNNService._resolve_max_batch_size(
-            stub, session
-        )
-        assert resolved == 7
-
-    def test_service_default_autotunes_per_model_geometry(self, monkeypatch):
-        import repro.serve.service as service_module
-
-        calls = []
-
-        def fake(n_neurons, n_inputs):
-            calls.append((n_neurons, n_inputs))
-            return 11
-
-        monkeypatch.setattr(service_module, "autotune_batch_size", fake)
-        stub = types.SimpleNamespace(
-            config=types.SimpleNamespace(max_batch_size=None)
-        )
-        session = types.SimpleNamespace(
-            network=types.SimpleNamespace(n_neurons=20, n_inputs=784)
-        )
-        resolved = service_module.SoftSNNService._resolve_max_batch_size(
-            stub, session
-        )
-        assert resolved == 11
-        assert calls == [(20, 784)]
+        for knob, expected in ((7, 7), (None, DEFAULT_BATCH_SIZE)):
+            service = SoftSNNService(
+                ServiceConfig(models_dir=tmp_path / "models", max_batch_size=knob)
+            )
+            try:
+                service.register_model(trained, "knob")
+                _, scheduler = service._pipeline("knob", service.resolve_mode(None))
+                assert scheduler.max_batch_size == expected
+            finally:
+                service.close()

@@ -4,8 +4,10 @@ The neuron-model layer's contract is that every registered model composes
 with the existing fault-injection, mitigation and campaign machinery
 unchanged, and that the default LIF/Poisson pair stays byte-identical to
 the pre-zoo behaviour.  This suite pins both halves: kernel-level
-equivalences (``cuba_advance`` with zero current decay *is* the LIF
-kernel; the fixed-point kernel stays on its integer grid), per-model /
+equivalences (CUBA with zero current decay *is* the LIF model; the
+fixed-point model stays on its integer grid; every model's advance is
+pinned to a golden digest; a model defining only its dynamics runs
+through the shared timestep loop), per-model /
 per-encoding engine parity (chunk-size invariance under clean, faulty and
 protected modes; map-parallel vs batched bit-identity), training parity
 (vectorized vs sequential WTA per model; the pairwise-STDP guard),
@@ -15,6 +17,8 @@ before the zoo existed, and the campaign-layer serialization contract
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,11 +42,9 @@ from repro.snn.oracle import evaluate_sequential
 from repro.snn.inference import InferenceEngine, class_indicator, evaluate_rows
 from repro.snn.kernels import (
     KernelWorkspace,
+    LIFDynamics,
     LIFStepConfig,
     OperationMasks,
-    cuba_advance,
-    fixed_point_advance,
-    lif_advance,
 )
 from repro.snn.models import (
     DEFAULT_NEURON_MODEL,
@@ -270,11 +272,11 @@ class TestKernelEquivalences:
         )
         return masks, currents, threshold, state, config
 
-    def _advance(self, kernel, masks, currents, threshold, state, config, **kwargs):
+    def _advance(self, model, masks, currents, threshold, state, config):
         state = {key: value.copy() for key, value in state.items()}
         shape = state["v"].shape
         output = np.zeros(currents.shape, dtype=bool)
-        kernel(
+        model.advance(
             currents,
             output,
             state["v"],
@@ -288,7 +290,6 @@ class TestKernelEquivalences:
             threshold,
             config,
             KernelWorkspace(),
-            **kwargs,
         )
         return output, state
 
@@ -298,11 +299,11 @@ class TestKernelEquivalences:
             np.random.default_rng(42)
         )
         lif_out, lif_state = self._advance(
-            lif_advance, masks, currents, threshold, state, config
+            LIFModel(), masks, currents, threshold, state, config
         )
         cuba_out, cuba_state = self._advance(
-            cuba_advance, masks, currents, threshold, state, config,
-            current_decay=0.0,
+            CurrentLIFModel(current_decay=0.0),
+            masks, currents, threshold, state, config,
         )
         assert np.array_equal(lif_out, cuba_out)
         for key in state:
@@ -314,12 +315,12 @@ class TestKernelEquivalences:
             np.random.default_rng(43)
         )
         zero, _ = self._advance(
-            cuba_advance, masks, currents, threshold, state, config,
-            current_decay=0.0,
+            CurrentLIFModel(current_decay=0.0),
+            masks, currents, threshold, state, config,
         )
         half, _ = self._advance(
-            cuba_advance, masks, currents, threshold, state, config,
-            current_decay=0.5,
+            CurrentLIFModel(current_decay=0.5),
+            masks, currents, threshold, state, config,
         )
         assert not np.array_equal(zero, half)
 
@@ -330,11 +331,132 @@ class TestKernelEquivalences:
         )
         weight_exp = 6
         _, fp_state = self._advance(
-            fixed_point_advance, masks, currents, threshold, state, config,
-            weight_exp=weight_exp, decay_bits=12,
+            FixedPointLIFModel(weight_exp=weight_exp, decay_bits=12),
+            masks, currents, threshold, state, config,
         )
         scaled = fp_state["v"] * (1 << weight_exp)
         assert np.array_equal(scaled, np.floor(scaled))
+
+
+#: sha256 of one seeded advance per shipped model (faulty masks of all four
+#: operations, protection triggers, lateral inhibition on): the output
+#: raster followed by the final v / refractory / counter / disabled /
+#: latched bytes.  Pinned from the per-model kernels, so any change to the
+#: shared timestep skeleton or a model's dynamics that moves one bit fails.
+GOLDEN_ADVANCE_DIGESTS = {
+    "lif": "32704d646ff3e79a026a214bfa4bbd61c75361e8eb9c835990ae69ce7ffadbaf",
+    "cuba_lif": "d525c814f4153267d71fd928a2ddcb2664c3c0dd68d1fe36bab5522b754b674f",
+    "fixed_point_lif": (
+        "eb82ddc2c06e9ebf66065e7ca3c32789d609410975da799ee1926e1d52b68315"
+    ),
+}
+
+
+class TestGoldenAdvanceDigests:
+    @staticmethod
+    def _case():
+        rng = np.random.default_rng(2024)
+        rows, batch, n, timesteps = 2, 3, 10, 40
+        statuses = [NeuronOperationStatus.healthy(n) for _ in range(rows)]
+        statuses[0].vmem_leak_ok[[2, 7]] = False
+        statuses[0].vmem_increase_ok[4] = False
+        statuses[0].vmem_reset_ok[[1, 5]] = False
+        statuses[0].spike_generation_ok[8] = False
+        statuses[1].vmem_reset_ok[3] = False
+        statuses[1].spike_generation_ok[[0, 6]] = False
+        currents = rng.random((timesteps, rows, batch, n)) * 1.6 - 0.2
+        threshold = 0.7 + rng.random(n)
+        shape = (rows, batch, n)
+        state = [
+            rng.random(shape) - 0.5,
+            np.zeros(shape, dtype=np.int64),
+            np.zeros(shape, dtype=np.int64),
+            np.zeros(shape, dtype=bool),
+            np.zeros(shape, dtype=bool),
+        ]
+        config = LIFStepConfig(
+            v_rest=0.0,
+            v_reset=-0.25,
+            v_min=-1.5,
+            membrane_decay=0.85,
+            refractory_period=2,
+            inhibition_strength=0.3,
+        )
+        triggers = np.array([3, 5], dtype=np.int64)
+        return OperationMasks.stack(statuses), currents, threshold, state, config, triggers
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_advance_matches_pinned_digest(self, model):
+        import hashlib
+
+        masks, currents, threshold, state, config, triggers = self._case()
+        shape = state[0].shape
+        output = np.zeros(currents.shape, dtype=bool)
+        get_model(model).advance(
+            currents,
+            output,
+            *state,
+            np.empty(shape, dtype=bool),
+            np.empty(shape, dtype=bool),
+            masks,
+            threshold,
+            config,
+            KernelWorkspace(),
+            triggers=triggers,
+        )
+        assert output.any() and state[4].any() and state[3].any()
+        digest = hashlib.sha256()
+        for array in (output, *state):
+            digest.update(np.ascontiguousarray(array).tobytes())
+        assert digest.hexdigest() == GOLDEN_ADVANCE_DIGESTS[model]
+
+
+class _SlowLeakModel(NeuronModel):
+    """A toy model that defines only its dynamics: LIF with a slower leak."""
+
+    name = "_zoo_slow_leak"
+
+    def dynamics(self, config, threshold, v):
+        return LIFDynamics(replace(config, membrane_decay=0.99), threshold)
+
+
+class TestDynamicsOnlyModel:
+    """The shared timestep loop supplies everything but the dynamics."""
+
+    def test_registered_toy_model_is_chunk_size_invariant(
+        self, zoo_dataset, labels
+    ):
+        model = register_model(_SlowLeakModel(), replace=True)
+        assert "advance" not in vars(type(model))
+        config = zoo_config(model.name)
+        monitors = [NeuronProtection(trigger_cycles=2) for _ in range(2)]
+        networks = [build_network(config, faulty_status()) for _ in range(2)]
+        outcomes = [
+            InferenceEngine(network, labels).evaluate(
+                zoo_dataset,
+                rng=np.random.default_rng(7),
+                step_monitor=monitor,
+                batch_size=batch_size,
+            )
+            for network, monitor, batch_size in zip(networks, monitors, (1, 4))
+        ]
+        assert outcomes[0].spike_counts.sum() > 0
+        assert np.array_equal(outcomes[0].predictions, outcomes[1].predictions)
+        assert np.array_equal(outcomes[0].spike_counts, outcomes[1].spike_counts)
+        assert monitors[0].statistics() == monitors[1].statistics()
+        assert np.array_equal(
+            networks[0].neurons.reset_fault_latched,
+            networks[1].neurons.reset_fault_latched,
+        )
+        lif = InferenceEngine(
+            build_network(zoo_config(), faulty_status()), labels
+        ).evaluate(
+            zoo_dataset,
+            rng=np.random.default_rng(7),
+            step_monitor=NeuronProtection(trigger_cycles=2),
+            batch_size=4,
+        )
+        assert not np.array_equal(lif.spike_counts, outcomes[0].spike_counts)
 
 
 # --------------------------------------------------------------------- #
