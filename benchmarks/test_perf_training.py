@@ -6,7 +6,8 @@ pays the most for) at the N400 proxy scale PR 1's inference bench uses,
 through both code paths:
 
 ``sequential``
-    The per-timestep reference loop (``train_sequential``): two dense
+    The per-timestep reference trainer
+    (:func:`repro.snn.oracle.train_sequential`): two dense
     outer products, a dense add/subtract and a full-matrix clip per
     timestep, plus batch-of-one label-assignment presentations.
 ``vectorized``
@@ -34,6 +35,7 @@ import numpy as np
 
 from repro.data.synthetic_mnist import SyntheticMNIST
 from repro.snn.network import NetworkConfig
+from repro.snn.oracle import train_sequential
 from repro.snn.training import TrainingConfig, TrainingRunner
 
 TIMESTEPS = 150
@@ -62,7 +64,10 @@ def _train(n_neurons: int, n_samples: int, vectorized: bool):
         ),
     )
     start = time.perf_counter()
-    model = runner.train(dataset, rng=7, vectorized=vectorized)
+    if vectorized:
+        model = runner.train(dataset, rng=7)
+    else:
+        model = train_sequential(runner, dataset, rng=7)
     return time.perf_counter() - start, model
 
 

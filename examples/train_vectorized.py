@@ -5,8 +5,8 @@ The walkthrough behind the README's "Training quickstart":
 
 1. generate a synthetic-MNIST workload,
 2. train the paper's pairwise-STDP network through the vectorized engine
-   (the default path of ``TrainingRunner.train``) and time it against the
-   per-timestep reference loop (``train_sequential``),
+   (``TrainingRunner.train``) and time it against the per-timestep
+   reference trainer (``repro.snn.oracle.train_sequential``),
 3. verify the two are bit-identical — the engine's defining contract,
 4. snapshot the model atomically and register it with the serving layer,
 5. retrain it in place through ``ModelRegistry.retrain`` (the hot path a
@@ -27,6 +27,7 @@ import numpy as np
 
 from repro import NetworkConfig, TrainingConfig, TrainingRunner, load_workload
 from repro.serve.registry import ModelRegistry
+from repro.snn.oracle import train_sequential
 from repro.utils.logging import configure_logging
 
 
@@ -47,11 +48,11 @@ def main() -> None:
         ),
     )
     start = time.perf_counter()
-    model = runner.train(train_set, rng=7)  # vectorized (default)
+    model = runner.train(train_set, rng=7)  # the vectorized engine
     vectorized_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    reference = runner.train_sequential(train_set, rng=7)
+    reference = train_sequential(runner, train_set, rng=7)
     sequential_s = time.perf_counter() - start
     print(
         f"pairwise STDP, N100: vectorized {vectorized_s:.2f}s, "

@@ -232,14 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-size", type=int, help="inference batch size per accuracy measurement"
     )
     parser.add_argument(
-        "--sequential-training",
-        action="store_true",
-        help=(
-            "train clean models through the per-timestep reference loop "
-            "instead of the (bit-identical, faster) vectorized engine"
-        ),
-    )
-    parser.add_argument(
         "--quiet", action="store_true", help="suppress per-cell progress logging"
     )
     parser.add_argument(
@@ -315,7 +307,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         store_path=store_path,
         n_workers=n_workers,
         resume=not args.no_resume,
-        vectorized_training=not args.sequential_training,
     )
 
     print(result.render_tables())

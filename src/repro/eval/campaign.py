@@ -1037,7 +1037,6 @@ def run_campaign(
     resume: bool = True,
     workdir: Optional[Union[str, Path]] = None,
     runner: Optional[ExperimentRunner] = None,
-    vectorized_training: bool = True,
 ) -> CampaignResult:
     """Run (or resume) a campaign and return the aggregated results.
 
@@ -1065,12 +1064,6 @@ def run_campaign(
         one to share its model cache across several campaign runs; its
         root seed must equal ``spec.runner_seed``, otherwise the workers'
         regenerated datasets would not match the orchestrator's.
-    vectorized_training:
-        Train clean models through the vectorized engine (default).  The
-        models are bit-identical either way (see
-        :mod:`repro.snn.train_engine`), so cell results and resume
-        fingerprints are unaffected; disabling it only makes
-        training-heavy presets slower.  Ignored when *runner* is given.
 
     The trials of each (experiment, fault rate) coordinate execute as one
     map-parallel unit (:func:`group_cells`); the records are bit-identical
@@ -1098,9 +1091,7 @@ def run_campaign(
 
     # Train (or fetch cached) clean models once, in the orchestrator.
     if runner is None:
-        runner = ExperimentRunner(
-            root_seed=spec.runner_seed, vectorized_training=vectorized_training
-        )
+        runner = ExperimentRunner(root_seed=spec.runner_seed)
     elif runner.seeds.root_seed != spec.runner_seed:
         raise ValueError(
             f"runner root seed {runner.seeds.root_seed} does not match "

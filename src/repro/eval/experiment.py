@@ -241,16 +241,10 @@ class ExperimentRunner:
     ----------
     root_seed:
         Root seed of the deterministic per-experiment seed factory.
-    vectorized_training:
-        Whether :meth:`prepare` trains clean models through the vectorized
-        engine (the default).  Either setting produces bit-identical
-        models — this is an escape hatch for timing comparisons and for
-        distrusting the engine, not a semantic switch.
     """
 
-    def __init__(self, root_seed: int = 0, vectorized_training: bool = True) -> None:
+    def __init__(self, root_seed: int = 0) -> None:
         self.seeds = SeedSequenceFactory(root_seed=root_seed)
-        self.vectorized_training = bool(vectorized_training)
         self._cache: Dict[ExperimentConfig, PreparedExperiment] = {}
 
     # ------------------------------------------------------------------ #
@@ -277,9 +271,7 @@ class ExperimentRunner:
         )
         trainer = TrainingRunner(config.network_config(), config.training_config())
         train_rng = self.seeds.rng_for(f"train/{config.label()}/{config.seed}")
-        model = trainer.train(
-            train_set, rng=train_rng, vectorized=self.vectorized_training
-        )
+        model = trainer.train(train_set, rng=train_rng)
 
         prepared = PreparedExperiment(
             config=config, model=model, train_set=train_set, test_set=test_set

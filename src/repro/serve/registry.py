@@ -296,7 +296,6 @@ class ModelRegistry:
         train_set,
         training_config: TrainingConfig,
         rng=None,
-        vectorized: bool = True,
     ) -> SnapshotEntry:
         """Retrain a registered model in place and republish it atomically.
 
@@ -304,7 +303,7 @@ class ModelRegistry:
         snapshot's network configuration is reused (read from the metadata
         sidecar — the stored model is neither decoded nor warm-cached, as
         it is about to be replaced), a fresh model is trained on
-        *train_set* (through the vectorized engine by default, which is
+        *train_set* (through the vectorized training engine, which is
         what makes in-place retrains cheap enough to do live), and the
         snapshot files are rewritten through the atomic temp-file + rename
         writers.  Concurrent requests keep being served from the warm
@@ -326,8 +325,6 @@ class ModelRegistry:
             the caller must state the rule a refresh uses.
         rng:
             Seed or generator for the training run.
-        vectorized:
-            Forwarded to :meth:`~repro.snn.training.TrainingRunner.train`.
 
         Returns
         -------
@@ -350,12 +347,9 @@ class ModelRegistry:
         entry.verify()
         network_config = TrainedModel.load_network_config(entry.json_path)
         runner = TrainingRunner(network_config, training_config)
-        retrained = runner.train(train_set, rng=rng, vectorized=vectorized)
+        retrained = runner.train(train_set, rng=rng)
         _LOGGER.info(
-            "retrained model %r in place (%d samples, vectorized=%s)",
-            name,
-            len(train_set),
-            vectorized,
+            "retrained model %r in place (%d samples)", name, len(train_set)
         )
         return self.register(retrained, name, workload=entry.workload)
 

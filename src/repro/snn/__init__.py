@@ -26,6 +26,10 @@ Design notes
   weight-reusing matrix multiplication, spike-for-spike equivalent to the
   sequential per-timestep loop kept in :mod:`repro.snn.oracle` as the
   verification reference.
+* Training runs through one trainer,
+  :class:`~repro.snn.train_engine.VectorizedTrainingEngine`; its
+  per-timestep reference, :func:`repro.snn.oracle.train_sequential`, is
+  likewise a test oracle only.
 * Both primitives of every hot path — the exact integer register-code GEMM
   and the in-place timestep loop every neuron model runs — live once, in
   :mod:`repro.snn.kernels`.
@@ -43,7 +47,7 @@ from repro.snn.inference import InferenceEngine, InferenceResult
 from repro.snn.network import DiehlCookNetwork, NetworkConfig
 from repro.snn.neuron import LIFNeuronGroup, LIFParameters, NeuronOperationStatus
 from repro.snn.quantization import WeightQuantizer
-from repro.snn.stdp import STDPConfig, STDPRule
+from repro.snn.stdp import STDPConfig
 from repro.snn.synapse import SynapseMatrix
 from repro.snn.train_engine import VectorizedTrainingEngine
 from repro.snn.training import (
@@ -68,7 +72,6 @@ __all__ = [
     "NeuronOperationStatus",
     "PoissonEncoder",
     "STDPConfig",
-    "STDPRule",
     "STDPTrainer",
     "SynapseMatrix",
     "TrainedModel",

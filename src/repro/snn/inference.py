@@ -190,7 +190,6 @@ class InferenceEngine:
         """Classify a single image; returns ``(prediction, SampleResult)``."""
         result = self.network.present(
             image,
-            learning=False,
             rng=rng,
             effective_weights=effective_weights,
             step_monitor=step_monitor,

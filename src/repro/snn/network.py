@@ -28,7 +28,7 @@ from repro.snn.engine import BatchedInferenceEngine
 from repro.snn.models import DEFAULT_NEURON_MODEL, get_model
 from repro.snn.neuron import LIFNeuronGroup, LIFParameters, NeuronOperationStatus
 from repro.snn.quantization import WeightQuantizer
-from repro.snn.stdp import STDPConfig, STDPRule
+from repro.snn.stdp import STDPConfig
 from repro.snn.synapse import BoundedWeightRule, SynapseMatrix
 from repro.utils.rng import RNGLike, resolve_rng
 
@@ -227,11 +227,6 @@ class DiehlCookNetwork:
             n_neurons=self.config.n_neurons, params=self.config.neuron_params
         )
         self.encoder = self.config.make_encoder()
-        self.stdp = STDPRule(
-            n_inputs=self.config.n_inputs,
-            n_neurons=self.config.n_neurons,
-            config=self.config.stdp,
-        )
 
     # ------------------------------------------------------------------ #
     # convenience accessors
@@ -262,43 +257,34 @@ class DiehlCookNetwork:
     def present(
         self,
         image: np.ndarray,
-        learning: bool = False,
         rng: RNGLike = None,
         effective_weights: Optional[BoundedWeightRule] = None,
         step_monitor: Optional[Callable] = None,
     ) -> SampleResult:
-        """Present one image to the network for ``config.timesteps`` steps.
+        """Present one image for inference for ``config.timesteps`` steps.
 
-        Inference presentations (``learning=False``) run as a batch of one
-        through the inference engine (:mod:`repro.snn.engine`) and the
-        neuron group's state is synchronised afterwards, so the observable
-        behaviour (spikes, latches, RNG consumption) matches the sequential
-        reference loop (:func:`repro.snn.oracle.present_sequential`).
-        Training presentations run the per-timestep STDP loop because the
-        weights change between timesteps.
+        The image runs as a batch of one through the inference engine
+        (:mod:`repro.snn.engine`) and the neuron group's state is
+        synchronised afterwards, so the observable behaviour (spikes,
+        latches, RNG consumption) matches the sequential reference loop
+        (:func:`repro.snn.oracle.present_sequential`).
 
         Parameters
         ----------
         image:
             Grayscale image whose flattened size equals ``n_inputs``.
-        learning:
-            When True, STDP updates and threshold adaptation are applied;
-            inference runs must pass False.
         rng:
             Seed or generator for the Poisson input encoding.
         effective_weights:
             Optional :class:`~repro.snn.synapse.BoundedWeightRule` applied
             between the registers and the adder chain (the Bound-and-Protect
-            weight-bounding hook).  Ignored while learning.
+            weight-bounding hook).
         step_monitor:
             Optional callable invoked after each timestep (hook used by
-            neuron protection).  On the inference path it receives the
-            engine's :class:`~repro.snn.engine.MapParallelState` (one row,
-            batch of one); on the training path it receives the
-            :class:`~repro.snn.neuron.LIFNeuronGroup`.
+            neuron protection).  It receives the engine's
+            :class:`~repro.snn.engine.MapParallelState` (one row, batch of
+            one).
         """
-        if learning:
-            return self._present_learning(image, rng, step_monitor)
         image = np.asarray(image, dtype=np.float64)
         if image.size != self.n_inputs:
             raise ValueError(
@@ -334,39 +320,6 @@ class DiehlCookNetwork:
         neurons.spike_disabled = state.spike_disabled[-1].copy()
         neurons.reset_fault_latched = np.asarray(reset_latch, dtype=bool).copy()
         neurons.last_spikes = state.last_spikes[-1].copy()
-
-    def _present_learning(
-        self,
-        image: np.ndarray,
-        rng: RNGLike,
-        step_monitor: Optional[Callable],
-    ) -> SampleResult:
-        """One training presentation: the per-timestep STDP loop."""
-        image = np.asarray(image, dtype=np.float64)
-        if image.size != self.n_inputs:
-            raise ValueError(
-                f"image has {image.size} pixels but the network expects {self.n_inputs}"
-            )
-        raster = self.encoder.encode(image.reshape(-1), rng=resolve_rng(rng))
-        self.neurons.reset_state()
-        self.stdp.reset_traces()
-
-        weights = self.synapses.weights
-        output_spikes = np.zeros((raster.shape[0], self.n_neurons), dtype=bool)
-        for t, pre_spikes in enumerate(raster):
-            current = pre_spikes.astype(np.float64) @ weights
-            post_spikes = self.neurons.step(current, learning=True)
-            output_spikes[t] = post_spikes
-            weights = self.stdp.step(weights, pre_spikes, post_spikes)
-            if step_monitor is not None:
-                step_monitor(self.neurons)
-        self.synapses.set_weights(weights)
-
-        return SampleResult(
-            spike_counts=output_spikes.sum(axis=0).astype(np.int64),
-            output_spikes=output_spikes,
-            input_spike_count=int(raster.sum()),
-        )
 
     def normalize_weights(self, target_sum: float) -> None:
         """Scale each neuron's incoming weights to a fixed total.

@@ -1,19 +1,24 @@
-"""Sequential reference inference: the oracle the engine is verified against.
+"""Sequential references: the oracles the engines are verified against.
 
 These per-image, per-timestep loops are the original simulation of the
 paper's network — one :meth:`~repro.snn.neuron.LIFNeuronGroup.step` per
-timestep with currents from the crossbar's current operator.  They are far
-slower than :mod:`repro.snn.engine` and exist only so the parity suites and
-benches can check the engine spike for spike; no production path imports
-this module.
+timestep.  They are far slower than :mod:`repro.snn.engine` and
+:mod:`repro.snn.train_engine` and exist only so the parity suites and
+benches can check the engines spike for spike and weight for weight; no
+production path imports this module, and it records no telemetry.
 
-Unlike the engine, the oracle also accepts a dense float ``effective_weights``
-matrix (the pre-register "legacy" arithmetic some benches time).
+* :func:`present_sequential` / :func:`evaluate_sequential` — inference,
+  with currents from the crossbar's current operator.  Unlike the engine,
+  they also accept a dense float ``effective_weights`` matrix (the
+  pre-register "legacy" arithmetic some benches time).
+* :func:`train_sequential` — training: per-timestep pair STDP through
+  :class:`~repro.snn.stdp.STDPRule`, winner-take-all learning through
+  batch-of-one presentations, and per-sample spiking label assignment.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -21,10 +26,17 @@ from repro.data.datasets import Dataset
 from repro.snn.inference import InferenceEngine, InferenceResult
 from repro.snn.network import DiehlCookNetwork, SampleResult
 from repro.snn.neuron import LIFNeuronGroup
+from repro.snn.stdp import STDPRule
 from repro.snn.synapse import EffectiveWeights
+from repro.snn.train_engine import (
+    VectorizedTrainingEngine,
+    neuron_labels_from_responses,
+    wta_sample_update,
+)
+from repro.snn.training import TrainedModel, TrainingRunner
 from repro.utils.rng import RNGLike, resolve_rng
 
-__all__ = ["present_sequential", "evaluate_sequential"]
+__all__ = ["present_sequential", "evaluate_sequential", "train_sequential"]
 
 #: Sequential step-monitor hook: called with the live neuron group.
 SequentialMonitor = Callable[[LIFNeuronGroup], None]
@@ -102,4 +114,163 @@ def evaluate_sequential(
         spike_counts=spike_counts,
         total_input_spikes=total_input_spikes,
         per_sample_output_spikes=per_sample_output,
+    )
+
+
+# --------------------------------------------------------------------- #
+# training
+# --------------------------------------------------------------------- #
+def train_sequential(
+    runner: TrainingRunner, dataset: Dataset, rng: RNGLike = None
+) -> TrainedModel:
+    """Train *runner*'s configuration through the per-timestep reference.
+
+    Under the same *rng* the returned model's weights, neuron labels,
+    theta, clean-weight statistics and history are bit-identical to
+    :meth:`TrainingRunner.train`'s, and the generator is left in the same
+    state.  Input validation, fast label assignment and model assembly are
+    the runner's own; network construction and the epoch order are the
+    engine's.
+    """
+    generator = runner._check_inputs(dataset, rng)
+    engine = VectorizedTrainingEngine(runner.network_config, runner.training_config)
+    mode = runner.training_config.learning_mode
+    if mode == "pairwise_stdp":
+        weights, history = _train_pairwise_stdp(engine, dataset, generator)
+    else:
+        weights, history = _train_wta(
+            engine, dataset, generator, spiking=(mode == "spiking_wta")
+        )
+    if runner.training_config.label_assignment_mode == "spiking":
+        neuron_labels = assign_labels_sequential(engine, weights, dataset, generator)
+    else:
+        neuron_labels = runner._assign_labels_fast(weights, dataset)
+    return runner._trained_model(weights, neuron_labels, history)
+
+
+def _train_pairwise_stdp(
+    engine: VectorizedTrainingEngine,
+    dataset: Dataset,
+    generator: np.random.Generator,
+) -> Tuple[np.ndarray, Dict[str, list]]:
+    """Per-timestep pair-based STDP (the classical rule)."""
+    config = engine.training_config
+    network = engine._build_network(generator)
+    network.normalize_weights(config.weight_norm_total)
+    rule = STDPRule(network.n_inputs, network.n_neurons, network.config.stdp)
+
+    history: Dict[str, list] = {"epoch_mean_spikes": []}
+    for _ in range(config.epochs):
+        epoch_spikes: List[int] = []
+        for index in engine._epoch_order(len(dataset), generator):
+            image, _ = dataset[int(index)]
+            epoch_spikes.append(_present_learning(network, rule, image, generator))
+            network.normalize_weights(config.weight_norm_total)
+        history["epoch_mean_spikes"].append(float(np.mean(epoch_spikes)))
+    return network.synapses.weights, history
+
+
+def _present_learning(
+    network: DiehlCookNetwork,
+    rule: STDPRule,
+    image: np.ndarray,
+    generator: np.random.Generator,
+) -> int:
+    """One training presentation; returns the total output spike count.
+
+    The weights change between timesteps, so every step accumulates
+    currents from the dense float training weights, advances the neuron
+    group with threshold adaptation on, and applies one full STDP step.
+    """
+    raster = network.encoder.encode(image.reshape(-1), rng=generator)
+    network.neurons.reset_state()
+    rule.reset_traces()
+
+    weights = network.synapses.weights
+    output_spikes = 0
+    for pre_spikes in raster:
+        current = pre_spikes.astype(np.float64) @ weights
+        post_spikes = network.neurons.step(current, learning=True)
+        output_spikes += int(post_spikes.sum())
+        weights = rule.step(weights, pre_spikes, post_spikes)
+    network.synapses.set_weights(weights)
+    return output_spikes
+
+
+def _train_wta(
+    engine: VectorizedTrainingEngine,
+    dataset: Dataset,
+    generator: np.random.Generator,
+    spiking: bool,
+) -> Tuple[np.ndarray, Dict[str, list]]:
+    """Sample-level winner-take-all learning, one network presentation each.
+
+    The per-sample update is the engine's own
+    :func:`~repro.snn.train_engine.wta_sample_update`, so this reference
+    and ``VectorizedTrainingEngine.train_wta`` differ only in how a sample
+    is presented.
+    """
+    config = engine.training_config
+    network_config = engine.network_config
+    n_neurons = network_config.n_neurons
+
+    network = engine._build_network(generator)
+    network.normalize_weights(config.weight_norm_total)
+    weights = network.synapses.weights
+    conscience = np.zeros(n_neurons, dtype=np.float64)
+    wins = np.zeros(n_neurons, dtype=np.int64)
+
+    history: Dict[str, list] = {"epoch_neurons_used": [], "epoch_mean_spikes": []}
+    for _ in range(config.epochs):
+        epoch_spikes: List[int] = []
+        for index in engine._epoch_order(len(dataset), generator):
+            image, _ = dataset[int(index)]
+            flat = image.reshape(-1)
+            if spiking:
+                network.synapses.set_weights(weights)
+                network.neurons.theta = conscience.copy()
+                result = network.present(image, rng=generator)
+                epoch_spikes.append(result.total_output_spikes)
+                responses = result.spike_counts.astype(np.float64)
+                if responses.max() <= 0:
+                    # Silent presentation: fall back to the linear response
+                    # so every sample still contributes.
+                    responses = flat @ weights - conscience
+            else:
+                responses = flat @ weights - conscience
+                epoch_spikes.append(0)
+            weights = wta_sample_update(
+                weights, conscience, wins, flat, responses, config
+            )
+        history["epoch_neurons_used"].append(int((wins > 0).sum()))
+        history["epoch_mean_spikes"].append(
+            float(np.mean(epoch_spikes)) if epoch_spikes else 0.0
+        )
+    weights = np.clip(weights, 0.0, network_config.stdp.w_max)
+    return weights.reshape(network_config.n_inputs, n_neurons), history
+
+
+def assign_labels_sequential(
+    engine: VectorizedTrainingEngine,
+    weights: np.ndarray,
+    dataset: Dataset,
+    rng: RNGLike = None,
+) -> np.ndarray:
+    """Spiking label assignment, one presentation per labelled image.
+
+    The reference for
+    :meth:`~repro.snn.train_engine.VectorizedTrainingEngine.assign_labels_spiking`
+    at any batch size.
+    """
+    generator = resolve_rng(rng)
+    network = engine._build_network(generator)
+    network.synapses.set_weights(weights)
+    spike_counts = np.stack(
+        [network.present(image, rng=generator).spike_counts for image, _ in dataset]
+    )
+    return neuron_labels_from_responses(
+        spike_counts,
+        dataset.labels,
+        dataset.n_classes,
+        engine.training_config.label_smoothing,
     )

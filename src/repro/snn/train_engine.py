@@ -19,14 +19,16 @@ Vectorization strategy
     trace recursion but applies the updates *sparsely*: potentiation is an
     outer-product column update restricted to the neurons that spiked this
     step, depression a row update restricted to the inputs that spiked, and
-    the clip touches only those rows and columns.  The LIF state advance is
-    the same specialised elementwise step the inference engine uses.
+    the clip touches only those rows and columns (plus one dense clip after
+    the first timestep of each presentation, see the parity contract).  The
+    LIF state advance is the same specialised elementwise step the
+    inference engine uses.
     One dense operation per timestep remains — the current-accumulation
     GEMV, which is identical in both paths.
 
 ``spiking_wta`` / ``fast_wta``
     The per-sample winner-take-all update is already cheap; what the
-    sequential path pays for is presenting every sample through a fresh
+    sequential oracle pays for is presenting every sample through a fresh
     batch-of-one :class:`~repro.snn.engine.BatchedInferenceEngine` run
     (state allocation, layout transposes, result assembly).  The engine
     inlines a lean single-sample presentation over the same exact
@@ -40,8 +42,9 @@ Label assignment (``"spiking"`` mode)
 
 Parity contract
 ---------------
-The engine is **bit-identical** to the sequential trainer
-(:meth:`repro.snn.training.TrainingRunner.train_sequential`) — same weights,
+The engine is the only production trainer.  It is **bit-identical** to the
+per-timestep reference trainer :func:`repro.snn.oracle.train_sequential`
+(kept for the parity suites and benches only) — same weights,
 same spike counts, same neuron labels, same training history — because every
 floating-point operation is either literally the same expression or an
 exactness-preserving restriction of one:
@@ -54,12 +57,13 @@ exactness-preserving restriction of one:
   skipping it changes nothing; a spiking column receives the same
   multiply-then-add sequence in both paths.
 * The full-matrix clip is the identity on entries already inside
-  ``[w_min, w_max]``.  With ``w_min == 0`` every untouched entry stays in
-  range between timesteps (weights enter each presentation from a quantise
-  round trip or a clipped normalisation), so clipping only the touched rows
-  and columns is exact.  A configuration with ``w_min > 0`` breaks that
-  invariant, which is why :meth:`VectorizedTrainingEngine.unsupported_reason`
-  routes it to the sequential reference instead.
+  ``[w_min, w_max]``.  Weights enter each presentation from a clipped
+  normalisation into ``[0, w_max]``, so with ``w_min > 0`` some entries
+  start below the bound: the engine clips the whole matrix once, after the
+  sparse updates of the first timestep, exactly like the reference's first
+  step.  From then on every entry a step leaves untouched is already in
+  range, so clipping only the touched rows and columns is exact.  At
+  ``w_min == 0`` the dense clip is the identity.
 * Current accumulation during WTA presentations and label assignment uses
   the register-code GEMM of :mod:`repro.snn.synapse`: the sums are exact
   integers, hence bitwise independent of batch shape and dtype.
@@ -68,13 +72,14 @@ exactness-preserving restriction of one:
   same argument :mod:`repro.snn.engine` relies on).
 
 ``tests/test_train_engine_parity.py`` locks the contract down across
-learning modes, seeds, dataset sizes and odd label-assignment batch tails.
+learning modes, seeds, dataset sizes, lower weight bounds and odd
+label-assignment batch tails.
 """
 
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 import numpy as np
 
@@ -101,14 +106,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 __all__ = [
     "LABEL_ASSIGNMENT_BATCH",
     "VectorizedTrainingEngine",
-    "record_training_epoch",
+    "neuron_labels_from_responses",
     "wta_sample_update",
 ]
 
 _LOGGER = get_logger("snn.train_engine")
 
-# Training telemetry (docs/observability.md), shared with the sequential
-# trainer in :mod:`repro.snn.training`: epoch throughput per learning mode.
+# Training telemetry (docs/observability.md): epoch throughput per learning
+# mode.
 _TRAINING_EPOCHS = _obs.get_registry().counter(
     "softsnn_training_epochs_total",
     "Completed training epochs, by learning mode.",
@@ -121,7 +126,7 @@ _TRAINING_EPOCH_SECONDS = _obs.get_registry().histogram(
 )
 
 
-def record_training_epoch(mode: str, seconds: float) -> None:
+def _record_training_epoch(mode: str, seconds: float) -> None:
     """Account one completed training epoch to the epoch counters."""
     if _obs.enabled():
         _TRAINING_EPOCHS.labels(mode=mode).inc()
@@ -142,14 +147,14 @@ def wta_sample_update(
     responses: np.ndarray,
     config: "TrainingConfig",
 ) -> np.ndarray:
-    """One winner-take-all weight update, shared by both training paths.
+    """One winner-take-all weight update, shared with the sequential oracle.
 
     Winner selection, the receptive-field blend toward the presented
     pattern, the conscience (homeostatic bias) bookkeeping, and the
     Diehl & Cook column normalisation — everything in a WTA training step
-    except the presentation itself.  :meth:`TrainingRunner._train_wta`
-    (sequential) and :meth:`VectorizedTrainingEngine.train_wta` call this
-    single implementation, so the two paths cannot drift apart.
+    except the presentation itself.  :meth:`VectorizedTrainingEngine.train_wta`
+    and the sequential oracle (:func:`repro.snn.oracle.train_sequential`)
+    call this single implementation, so the two cannot drift apart.
 
     Parameters
     ----------
@@ -189,10 +194,51 @@ def wta_sample_update(
     return weights * (config.weight_norm_total / column_sums)
 
 
+def neuron_labels_from_responses(
+    responses: np.ndarray,
+    labels: np.ndarray,
+    n_classes: int,
+    label_smoothing: float,
+) -> np.ndarray:
+    """Label every neuron with the class it responds to most on average.
+
+    Shared by both label-assignment modes and the sequential oracle.  The
+    per-class sums accumulate in sample order, so the same responses give
+    the same labels bit for bit whichever path produced them.
+
+    Parameters
+    ----------
+    responses:
+        Per-sample neuron responses ``(n_samples, n_neurons)`` (spike
+        counts or linear responses).
+    labels:
+        Class label of every sample, shape ``(n_samples,)``.
+    n_classes:
+        Number of classes of the labelled dataset.
+    label_smoothing:
+        Constant added to the class means before the argmax, so silent
+        neurons do not tie.
+
+    Returns
+    -------
+    numpy.ndarray
+        Class label per neuron, shape ``(n_neurons,)``, dtype int64.
+    """
+    response_sums = np.zeros((n_classes, responses.shape[1]), dtype=np.float64)
+    class_counts = np.zeros(n_classes, dtype=np.float64)
+    for response, label in zip(responses, labels):
+        response_sums[label] += response
+        class_counts[label] += 1
+    class_counts[class_counts == 0] = 1.0
+    mean_responses = response_sums / class_counts[:, np.newaxis]
+    mean_responses += label_smoothing
+    return np.argmax(mean_responses, axis=0).astype(np.int64)
+
+
 class VectorizedTrainingEngine:
     """Bit-exact vectorized implementation of the unsupervised trainer.
 
-    The engine mirrors :class:`repro.snn.training.TrainingRunner`'s three
+    The engine runs :class:`repro.snn.training.TrainingRunner`'s three
     learning modes and its spiking label assignment, with the dense
     per-timestep weight traffic replaced by sparse trace-outer-product
     updates (see the module docstring for the parity argument).  Instances
@@ -223,56 +269,18 @@ class VectorizedTrainingEngine:
         self._workspace = KernelWorkspace()
 
     # ------------------------------------------------------------------ #
-    # capability probe
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def unsupported_reason(
-        network_config: NetworkConfig, training_config: "TrainingConfig"
-    ) -> Optional[str]:
-        """Why this configuration must use the sequential path, or ``None``.
-
-        The only unsupported corner is pairwise STDP with a strictly
-        positive lower weight bound: the sparse-clip exactness argument
-        needs every untouched weight to already satisfy ``w >= w_min``,
-        which a post-normalisation matrix does not guarantee when
-        ``w_min > 0``.
-
-        Parameters
-        ----------
-        network_config:
-            Candidate network configuration.
-        training_config:
-            Candidate training configuration.
-
-        Returns
-        -------
-        str or None
-            A human-readable reason to fall back, or ``None`` when the
-            vectorized engine reproduces the sequential trainer exactly.
-        """
-        if (
-            training_config.learning_mode == "pairwise_stdp"
-            and network_config.stdp.w_min != 0.0
-        ):
-            return (
-                "pairwise STDP with stdp.w_min > 0 breaks the sparse-clip "
-                "exactness invariant; using the sequential reference"
-            )
-        return None
-
-    # ------------------------------------------------------------------ #
-    # helpers shared with the sequential trainer
+    # helpers shared with the sequential oracle
     # ------------------------------------------------------------------ #
     def _epoch_order(
         self, n_samples: int, generator: np.random.Generator
     ) -> np.ndarray:
-        """Sample presentation order for one epoch (same RNG use as the runner)."""
+        """Sample presentation order for one epoch."""
         if self.training_config.shuffle:
             return generator.permutation(n_samples)
         return np.arange(n_samples)
 
     def _build_network(self, generator: np.random.Generator) -> DiehlCookNetwork:
-        """Fresh high-precision training network (same RNG draws as sequential)."""
+        """Fresh training network in the high-precision learning format."""
         return DiehlCookNetwork(
             config=self.network_config,
             rng=generator,
@@ -402,6 +410,12 @@ class VectorizedTrainingEngine:
                             )
                         if any_pre:
                             weights[rows] = np.clip(weights[rows], w_min, w_max)
+                        if t == 0:
+                            # The first step clips the whole matrix, as the
+                            # reference does: presentations start from
+                            # weights in [0, w_max], which may lie below
+                            # w_min.  Identity when w_min == 0.
+                            np.clip(weights, w_min, w_max, out=weights)
 
                         if any_post:
                             sample_spikes += int(spikes.sum())
@@ -421,12 +435,11 @@ class VectorizedTrainingEngine:
 
             mean_spikes = float(np.mean(epoch_spikes))
             history["epoch_mean_spikes"].append(mean_spikes)
-            record_training_epoch(
+            _record_training_epoch(
                 "pairwise_stdp", time.perf_counter() - epoch_began
             )
             _LOGGER.info(
-                "pairwise_stdp (vectorized) epoch %d/%d: "
-                "mean output spikes per sample %.2f",
+                "pairwise_stdp epoch %d/%d: mean output spikes per sample %.2f",
                 epoch + 1,
                 config.epochs,
                 mean_spikes,
@@ -505,9 +518,9 @@ class VectorizedTrainingEngine:
             history["epoch_mean_spikes"].append(
                 float(np.mean(epoch_spikes)) if epoch_spikes else 0.0
             )
-            record_training_epoch(mode, time.perf_counter() - epoch_began)
+            _record_training_epoch(mode, time.perf_counter() - epoch_began)
             _LOGGER.info(
-                "%s (vectorized) epoch %d/%d: %d of %d neurons selected as winners",
+                "%s epoch %d/%d: %d of %d neurons selected as winners",
                 mode,
                 epoch + 1,
                 config.epochs,
@@ -626,26 +639,21 @@ class VectorizedTrainingEngine:
         """
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
-        config = self.training_config
-        n_classes = dataset.n_classes
-        n_neurons = self.network_config.n_neurons
-        response_sums = np.zeros((n_classes, n_neurons), dtype=np.float64)
-        class_counts = np.zeros(n_classes, dtype=np.float64)
-
         network = self._build_network(generator)
         network.synapses.set_weights(weights)
         engine = BatchedInferenceEngine(network)
 
         flat_images = dataset.flattened_images()
-        labels = dataset.labels
-        for start in range(0, len(dataset), batch_size):
-            chunk = flat_images[start : start + batch_size]
-            result = engine.run(chunk, rng=generator)
-            for row, label in enumerate(labels[start : start + len(chunk)]):
-                response_sums[label] += result.spike_counts[row]
-                class_counts[label] += 1
-
-        class_counts[class_counts == 0] = 1.0
-        mean_responses = response_sums / class_counts[:, np.newaxis]
-        mean_responses += config.label_smoothing
-        return np.argmax(mean_responses, axis=0).astype(np.int64)
+        spike_counts = np.concatenate(
+            [
+                engine.run(flat_images[start : start + batch_size], rng=generator)
+                .spike_counts
+                for start in range(0, len(dataset), batch_size)
+            ]
+        )
+        return neuron_labels_from_responses(
+            spike_counts,
+            dataset.labels,
+            dataset.n_classes,
+            self.training_config.label_smoothing,
+        )

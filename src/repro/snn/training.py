@@ -10,11 +10,10 @@ statistics (``wgh_max``, ``wgh_hp``) the Bound-and-Protect techniques use as
 their safe range.
 
 Training runs through the vectorized engine of
-:mod:`repro.snn.train_engine` by default, which is bit-identical to the
-per-timestep reference loop kept available as
-:meth:`TrainingRunner.train_sequential` (mirroring how inference keeps
-its per-timestep oracle in :mod:`repro.snn.oracle`); pass
-``vectorized=False`` — or call ``train_sequential`` — to opt out.
+:mod:`repro.snn.train_engine`, which is bit-identical to the per-timestep
+reference trainer :func:`repro.snn.oracle.train_sequential`; like the
+inference oracle next to it, the reference exists only for the parity
+suites and benches.
 
 Three learning modes are provided (``TrainingConfig.learning_mode``):
 
@@ -44,7 +43,6 @@ the fault models — it only determines the quality of the clean weights.
 
 from __future__ import annotations
 
-import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Union
@@ -52,24 +50,19 @@ from typing import Dict, Optional, Union
 import numpy as np
 
 from repro.data.datasets import Dataset
-from repro.obs.trace import span
 from repro.snn.models import DEFAULT_NEURON_MODEL
 from repro.snn.network import DiehlCookNetwork, NetworkConfig
 from repro.snn.neuron import LIFParameters
 from repro.snn.stdp import STDPConfig
 from repro.snn.train_engine import (
     VectorizedTrainingEngine,
-    record_training_epoch,
-    wta_sample_update,
+    neuron_labels_from_responses,
 )
-from repro.utils.logging import get_logger
 from repro.utils.rng import RNGLike, resolve_rng
 from repro.utils.serialization import load_json, load_npz, save_json, save_npz
 from repro.utils.validation import check_in_choices
 
 __all__ = ["TrainingConfig", "TrainedModel", "TrainingRunner", "STDPTrainer"]
-
-_LOGGER = get_logger("snn.training")
 
 LEARNING_MODES = ("pairwise_stdp", "spiking_wta", "fast_wta")
 LABEL_ASSIGNMENT_MODES = ("spiking", "fast")
@@ -373,11 +366,9 @@ class TrainingRunner:
 
     The runner owns the full training pipeline: unsupervised weight
     learning in one of the three modes of :class:`TrainingConfig`, neuron
-    label assignment, and clean-weight statistics extraction.  By default
-    the weight learning and the spiking label assignment execute through
-    the bit-exact :class:`~repro.snn.train_engine.VectorizedTrainingEngine`;
-    the original per-timestep loop remains available via
-    :meth:`train_sequential` and serves as the parity reference.
+    label assignment, and clean-weight statistics extraction.  The weight
+    learning and the spiking label assignment execute through the
+    bit-exact :class:`~repro.snn.train_engine.VectorizedTrainingEngine`.
 
     Parameters
     ----------
@@ -402,12 +393,7 @@ class TrainingRunner:
     # ------------------------------------------------------------------ #
     # public API
     # ------------------------------------------------------------------ #
-    def train(
-        self,
-        dataset: Dataset,
-        rng: RNGLike = None,
-        vectorized: bool = True,
-    ) -> TrainedModel:
+    def train(self, dataset: Dataset, rng: RNGLike = None) -> TrainedModel:
         """Run unsupervised training followed by neuron label assignment.
 
         Parameters
@@ -418,15 +404,6 @@ class TrainingRunner:
         rng:
             Seed or generator driving every random choice of the run
             (weight initialisation, epoch shuffles, Poisson encodings).
-        vectorized:
-            When True (default) the weight learning and the spiking label
-            assignment execute through the
-            :class:`~repro.snn.train_engine.VectorizedTrainingEngine`,
-            which is bit-identical to the sequential reference but several
-            times faster; pass False to force the original per-timestep
-            loop.  Configurations the engine cannot reproduce exactly
-            (currently: pairwise STDP with ``stdp.w_min > 0``) fall back
-            to the sequential path automatically.
 
         Returns
         -------
@@ -437,9 +414,32 @@ class TrainingRunner:
         Raises
         ------
         ValueError
-            If the dataset is empty or its pixel count does not match the
-            network's input dimension.
+            If the dataset is empty, its pixel count does not match the
+            network's input dimension, or pairwise STDP is requested for a
+            neuron model other than LIF.
         """
+        generator = self._check_inputs(dataset, rng)
+        engine = VectorizedTrainingEngine(self.network_config, self.training_config)
+        mode = self.training_config.learning_mode
+        if mode == "pairwise_stdp":
+            weights, history = engine.train_pairwise(dataset, generator)
+        else:
+            weights, history = engine.train_wta(
+                dataset, generator, spiking=(mode == "spiking_wta")
+            )
+        if self.training_config.label_assignment_mode == "spiking":
+            neuron_labels = engine.assign_labels_spiking(weights, dataset, generator)
+        else:
+            neuron_labels = self._assign_labels_fast(weights, dataset)
+        return self._trained_model(weights, neuron_labels, history)
+
+    # ------------------------------------------------------------------ #
+    # pipeline steps shared with the sequential oracle
+    # ------------------------------------------------------------------ #
+    def _check_inputs(
+        self, dataset: Dataset, rng: RNGLike
+    ) -> np.random.Generator:
+        """Validate the training inputs; returns the resolved generator."""
         if len(dataset) == 0:
             raise ValueError("training dataset must not be empty")
         if dataset.n_pixels != self.network_config.n_inputs:
@@ -447,57 +447,46 @@ class TrainingRunner:
                 f"dataset has {dataset.n_pixels} pixels per image but the network "
                 f"expects {self.network_config.n_inputs} inputs"
             )
-        generator = resolve_rng(rng)
-        mode = self.training_config.learning_mode
         neuron_model = getattr(
             self.network_config, "neuron_model", DEFAULT_NEURON_MODEL
         )
-        if mode == "pairwise_stdp" and neuron_model != DEFAULT_NEURON_MODEL:
-            # Both pairwise implementations (the vectorized
-            # lif_learning_step fast path and the sequential
-            # LIFNeuronGroup reference) advance LIF dynamics only.
+        if (
+            self.training_config.learning_mode == "pairwise_stdp"
+            and neuron_model != DEFAULT_NEURON_MODEL
+        ):
+            # Pairwise STDP (the engine's lif_learning_step fast path and
+            # the oracle's LIFNeuronGroup reference) advances LIF only.
             raise ValueError(
                 "pairwise_stdp training supports only the "
                 f"{DEFAULT_NEURON_MODEL!r} neuron model, got {neuron_model!r}; "
                 "use spiking_wta or fast_wta for other models"
             )
+        return resolve_rng(rng)
 
-        engine: Optional[VectorizedTrainingEngine] = None
-        if vectorized:
-            reason = VectorizedTrainingEngine.unsupported_reason(
-                self.network_config, self.training_config
-            )
-            if reason is None:
-                engine = VectorizedTrainingEngine(
-                    self.network_config, self.training_config
-                )
-            else:
-                _LOGGER.info("vectorized training unavailable: %s", reason)
+    def _assign_labels_fast(
+        self, weights: np.ndarray, dataset: Dataset
+    ) -> np.ndarray:
+        """Label neurons from the linear expected-rate response (no RNG)."""
+        flat_images = dataset.flattened_images()
+        # Normalise each image to unit total intensity so the linear
+        # responses are comparable across samples with different amounts
+        # of "ink", mirroring the encoder's per-sample rate normalisation.
+        totals = flat_images.sum(axis=1, keepdims=True)
+        totals[totals == 0] = 1.0
+        return neuron_labels_from_responses(
+            (flat_images / totals) @ weights,
+            dataset.labels,
+            dataset.n_classes,
+            self.training_config.label_smoothing,
+        )
 
-        if engine is not None:
-            if mode == "pairwise_stdp":
-                weights, history = engine.train_pairwise(dataset, generator)
-            else:
-                weights, history = engine.train_wta(
-                    dataset, generator, spiking=(mode == "spiking_wta")
-                )
-            if self.training_config.label_assignment_mode == "spiking":
-                neuron_labels = engine.assign_labels_spiking(
-                    weights, dataset, generator
-                )
-            else:
-                neuron_labels = self._assign_labels(weights, dataset, generator)
-        else:
-            if mode == "pairwise_stdp":
-                weights, history = self._train_pairwise_stdp(dataset, generator)
-            else:
-                weights, history = self._train_wta(
-                    dataset, generator, spiking=(mode == "spiking_wta")
-                )
-            neuron_labels = self._assign_labels(weights, dataset, generator)
-
-        clean_max = float(weights.max())
-        most_probable = self._most_probable_weight(weights)
+    def _trained_model(
+        self,
+        weights: np.ndarray,
+        neuron_labels: np.ndarray,
+        history: Dict[str, list],
+    ) -> TrainedModel:
+        """Assemble the clean model and its weight statistics."""
         return TrainedModel(
             network_config=self.network_config,
             weights=weights,
@@ -506,200 +495,10 @@ class TrainingRunner:
             # neuron parameters are loaded fresh for the inference phase.
             theta=np.zeros(self.network_config.n_neurons),
             neuron_labels=neuron_labels,
-            clean_max_weight=clean_max,
-            clean_most_probable_weight=most_probable,
+            clean_max_weight=float(weights.max()),
+            clean_most_probable_weight=self._most_probable_weight(weights),
             training_history=history,
         )
-
-    def train_sequential(self, dataset: Dataset, rng: RNGLike = None) -> TrainedModel:
-        """Train through the per-timestep reference loop.
-
-        This is the original implementation the vectorized engine is
-        verified against, kept callable for parity tests and as the
-        fallback for configurations the engine does not support.  Under a
-        fixed *rng* it returns a model whose weights,
-        neuron labels and training history are bit-identical to
-        :meth:`train`'s.
-
-        Parameters
-        ----------
-        dataset:
-            Labelled training images.
-        rng:
-            Seed or generator; consumed exactly as :meth:`train` does.
-
-        Returns
-        -------
-        TrainedModel
-            The trained clean model.
-        """
-        return self.train(dataset, rng=rng, vectorized=False)
-
-    # ------------------------------------------------------------------ #
-    # learning modes (sequential reference implementations)
-    # ------------------------------------------------------------------ #
-    def _train_pairwise_stdp(
-        self, dataset: Dataset, generator: np.random.Generator
-    ) -> tuple:
-        """Per-timestep pair-based STDP (the classical rule)."""
-        network = DiehlCookNetwork(
-            config=self.network_config,
-            rng=generator,
-            quantizer=self.network_config.make_training_quantizer(),
-        )
-        network.normalize_weights(self.training_config.weight_norm_total)
-
-        history: Dict[str, list] = {"epoch_mean_spikes": []}
-        for epoch in range(self.training_config.epochs):
-            epoch_began = time.perf_counter()
-            with span("train.epoch", mode="pairwise_stdp", epoch=epoch + 1):
-                order = self._epoch_order(len(dataset), generator)
-                epoch_spikes = []
-                for index in order:
-                    image, _ = dataset[int(index)]
-                    result = network.present(image, learning=True, rng=generator)
-                    network.normalize_weights(
-                        self.training_config.weight_norm_total
-                    )
-                    epoch_spikes.append(result.total_output_spikes)
-            mean_spikes = float(np.mean(epoch_spikes))
-            history["epoch_mean_spikes"].append(mean_spikes)
-            record_training_epoch(
-                "pairwise_stdp", time.perf_counter() - epoch_began
-            )
-            _LOGGER.info(
-                "pairwise_stdp epoch %d/%d: mean output spikes per sample %.2f",
-                epoch + 1,
-                self.training_config.epochs,
-                mean_spikes,
-            )
-        return network.synapses.weights, history
-
-    def _train_wta(
-        self,
-        dataset: Dataset,
-        generator: np.random.Generator,
-        spiking: bool,
-    ) -> tuple:
-        """Sample-level winner-take-all Hebbian learning.
-
-        The per-sample update is the shared
-        :func:`~repro.snn.train_engine.wta_sample_update`, so this path
-        and ``VectorizedTrainingEngine.train_wta`` differ only in how a
-        sample is presented.
-        """
-        config = self.training_config
-        n_inputs = self.network_config.n_inputs
-        n_neurons = self.network_config.n_neurons
-
-        network = DiehlCookNetwork(
-            config=self.network_config,
-            rng=generator,
-            quantizer=self.network_config.make_training_quantizer(),
-        )
-        network.normalize_weights(config.weight_norm_total)
-        weights = network.synapses.weights
-        conscience = np.zeros(n_neurons, dtype=np.float64)
-        wins = np.zeros(n_neurons, dtype=np.int64)
-
-        mode = "spiking_wta" if spiking else "fast_wta"
-        history: Dict[str, list] = {"epoch_neurons_used": [], "epoch_mean_spikes": []}
-        for epoch in range(self.training_config.epochs):
-            epoch_began = time.perf_counter()
-            with span("train.epoch", mode=mode, epoch=epoch + 1):
-                order = self._epoch_order(len(dataset), generator)
-                epoch_spikes = []
-                for index in order:
-                    image, _ = dataset[int(index)]
-                    flat = image.reshape(-1)
-                    if spiking:
-                        network.synapses.set_weights(weights)
-                        network.neurons.theta = conscience.copy()
-                        result = network.present(
-                            image, learning=False, rng=generator
-                        )
-                        epoch_spikes.append(result.total_output_spikes)
-                        responses = result.spike_counts.astype(np.float64)
-                        if responses.max() <= 0:
-                            # Silent presentation: fall back to the linear
-                            # response so every sample still contributes.
-                            responses = flat @ weights - conscience
-                    else:
-                        responses = flat @ weights - conscience
-                        epoch_spikes.append(0)
-                    weights = wta_sample_update(
-                        weights, conscience, wins, flat, responses, config
-                    )
-
-            neurons_used = int((wins > 0).sum())
-            history["epoch_neurons_used"].append(neurons_used)
-            history["epoch_mean_spikes"].append(
-                float(np.mean(epoch_spikes)) if epoch_spikes else 0.0
-            )
-            record_training_epoch(mode, time.perf_counter() - epoch_began)
-            _LOGGER.info(
-                "%s epoch %d/%d: %d of %d neurons selected as winners",
-                mode,
-                epoch + 1,
-                self.training_config.epochs,
-                neurons_used,
-                n_neurons,
-            )
-        weights = np.clip(weights, 0.0, self.network_config.stdp.w_max)
-        return weights.reshape(n_inputs, n_neurons), history
-
-    # ------------------------------------------------------------------ #
-    # label assignment
-    # ------------------------------------------------------------------ #
-    def _assign_labels(
-        self,
-        weights: np.ndarray,
-        dataset: Dataset,
-        generator: np.random.Generator,
-    ) -> np.ndarray:
-        """Assign a class label to each neuron from its mean class response."""
-        n_classes = dataset.n_classes
-        n_neurons = self.network_config.n_neurons
-        response_sums = np.zeros((n_classes, n_neurons), dtype=np.float64)
-        class_counts = np.zeros(n_classes, dtype=np.float64)
-
-        if self.training_config.label_assignment_mode == "spiking":
-            network = DiehlCookNetwork(
-                config=self.network_config,
-                rng=generator,
-                quantizer=self.network_config.make_training_quantizer(),
-            )
-            network.synapses.set_weights(weights)
-            for image, label in dataset:
-                result = network.present(image, learning=False, rng=generator)
-                response_sums[label] += result.spike_counts
-                class_counts[label] += 1
-        else:
-            flat_images = dataset.flattened_images()
-            # Normalise each image to unit total intensity so the linear
-            # responses are comparable across samples with different amounts
-            # of "ink", mirroring the encoder's per-sample rate normalisation.
-            totals = flat_images.sum(axis=1, keepdims=True)
-            totals[totals == 0] = 1.0
-            responses = (flat_images / totals) @ weights
-            for index, label in enumerate(dataset.labels):
-                response_sums[label] += responses[index]
-                class_counts[label] += 1
-
-        class_counts[class_counts == 0] = 1.0
-        mean_responses = response_sums / class_counts[:, np.newaxis]
-        mean_responses += self.training_config.label_smoothing
-        return np.argmax(mean_responses, axis=0).astype(np.int64)
-
-    # ------------------------------------------------------------------ #
-    # helpers
-    # ------------------------------------------------------------------ #
-    def _epoch_order(
-        self, n_samples: int, generator: np.random.Generator
-    ) -> np.ndarray:
-        if self.training_config.shuffle:
-            return generator.permutation(n_samples)
-        return np.arange(n_samples)
 
     def _most_probable_weight(self, weights: np.ndarray, bins: int = 64) -> float:
         """Mode of the non-zero clean weight distribution (``wgh_hp``)."""

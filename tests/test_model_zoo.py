@@ -38,7 +38,7 @@ from repro.snn.encoding import (
     register_encoder,
 )
 from repro.snn.engine import BatchedInferenceEngine, MapRow
-from repro.snn.oracle import evaluate_sequential
+from repro.snn.oracle import evaluate_sequential, train_sequential
 from repro.snn.inference import InferenceEngine, class_indicator, evaluate_rows
 from repro.snn.kernels import (
     KernelWorkspace,
@@ -621,7 +621,9 @@ class TestPerModelTraining:
                 epochs=1, learning_mode=mode, label_assignment_mode="fast"
             ),
         )
-        return runner.train(dataset, rng=5, vectorized=vectorized)
+        if vectorized:
+            return runner.train(dataset, rng=5)
+        return train_sequential(runner, dataset, rng=5)
 
     @pytest.mark.parametrize("model", MODELS)
     def test_vectorized_equals_sequential_spiking_wta(self, model):

@@ -429,14 +429,19 @@ class TestModelRegistry:
 
         # The retrain is deterministic and engine-backed: an offline
         # sequential retrain from the same seed yields the same weights.
+        from repro.snn.oracle import train_sequential
         from repro.snn.training import TrainingRunner
 
-        offline = TrainingRunner(
-            reloaded.network_config,
-            TrainingConfig(
-                epochs=1, learning_mode="fast_wta", label_assignment_mode="fast"
+        offline = train_sequential(
+            TrainingRunner(
+                reloaded.network_config,
+                TrainingConfig(
+                    epochs=1, learning_mode="fast_wta", label_assignment_mode="fast"
+                ),
             ),
-        ).train_sequential(train_set, rng=5)
+            train_set,
+            rng=5,
+        )
         assert np.array_equal(offline.weights, reloaded.weights)
 
     def test_retrain_refuses_tampered_snapshot(self, registry, small_split):

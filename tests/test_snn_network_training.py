@@ -9,8 +9,15 @@ from repro.data.synthetic_mnist import SyntheticMNIST
 from repro.snn.inference import InferenceEngine, InferenceResult
 from repro.snn.network import DiehlCookNetwork, NetworkConfig
 from repro.snn.neuron import LIFParameters
+from repro.snn.oracle import train_sequential
+from repro.snn.stdp import STDPConfig
 from repro.snn.synapse import BoundedWeightRule
-from repro.snn.training import STDPTrainer, TrainedModel, TrainingConfig
+from repro.snn.training import (
+    STDPTrainer,
+    TrainedModel,
+    TrainingConfig,
+    TrainingRunner,
+)
 
 
 class TestNetworkConfig:
@@ -61,17 +68,34 @@ class TestDiehlCookNetwork:
             network.present(np.zeros((10, 10)))
 
     def test_learning_changes_weights(self):
-        network = self._network()
-        before = network.synapses.weights
-        image = SyntheticMNIST().render(0, rng=1)
-        network.present(image, learning=True, rng=2)
-        assert not np.allclose(network.synapses.weights, before)
+        # Same seed, same presentations; only the STDP learning rates
+        # differ, so any weight difference is the learning rule's doing.
+        # A large normalisation total makes the untrained network spike
+        # (at the default 3.0 it stays silent on one sample).
+        dataset = SyntheticMNIST().generate(n_samples=1, rng=1)
+        training = TrainingConfig(
+            epochs=1,
+            learning_mode="pairwise_stdp",
+            label_assignment_mode="fast",
+            weight_norm_total=20.0,
+        )
+
+        def train(stdp):
+            config = NetworkConfig(
+                n_inputs=784, n_neurons=10, timesteps=40, stdp=stdp
+            )
+            return train_sequential(
+                TrainingRunner(config, training), dataset, rng=2
+            ).weights
+
+        before = train(STDPConfig(learning_rate_pre=0.0, learning_rate_post=0.0))
+        assert not np.allclose(train(STDPConfig()), before)
 
     def test_inference_does_not_change_weights(self):
         network = self._network()
         before = network.synapses.weights
         image = SyntheticMNIST().render(0, rng=1)
-        network.present(image, learning=False, rng=2)
+        network.present(image, rng=2)
         assert np.array_equal(network.synapses.weights, before)
 
     def test_effective_weights_override(self):
