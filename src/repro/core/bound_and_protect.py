@@ -157,11 +157,10 @@ class WeightBounding:
 class NeuronProtection:
     """Faulty ``Vmem reset`` detector and spike gate (Section 3.2 / Fig. 11c).
 
-    An instance is used as the ``step_monitor`` hook of the inference
-    paths: after every timestep it reads how long each neuron's
-    ``Vmem >= Vth`` comparator has stayed asserted, and once that reaches
-    ``trigger_cycles`` (two in the paper) it latches the neuron's spike
-    generation off for the rest of the presentation.
+    As a ``step_monitor`` hook it reads, after every timestep, how long
+    each neuron's ``Vmem >= Vth`` comparator has stayed asserted, and once
+    that reaches ``trigger_cycles`` (two in the paper) it latches the
+    neuron's spike generation off for the rest of the presentation.
 
     The monitor understands both state protocols: the sequential
     :class:`~repro.snn.neuron.LIFNeuronGroup` of the reference loop (1-D
@@ -173,10 +172,14 @@ class NeuronProtection:
     may re-simulate suffixes of a chunk to resolve cross-sample faulty-reset
     latches, and only the accepted passes count.
 
-    Campaign rows carry the trigger as
-    :attr:`~repro.snn.engine.MapRow.protection_trigger_cycles` instead, and
-    the engine applies the identical ``counter >= trigger_cycles`` gate
-    inline, without a monitor object or statistics bookkeeping.
+    The engine paths — ``BnPTechnique.evaluate``
+    (``InferenceEngine.evaluate(protection=...)``), protected serving
+    sessions and campaign rows — carry the trigger as
+    :attr:`~repro.snn.engine.MapRow.protection_trigger_cycles` instead: the
+    engine applies the identical ``counter >= trigger_cycles`` gate inline
+    in its timestep loop, and the first two record their statistics
+    through :meth:`commit_batch` once per settled chunk (campaign rows keep
+    none).
 
     Parameters
     ----------

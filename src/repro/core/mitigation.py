@@ -740,7 +740,7 @@ class BnPTechnique(MitigationTechnique):
             dataset,
             rng=generator,
             effective_weights=effective_weights,
-            step_monitor=protection,
+            protection=protection,
             batch_size=batch_size,
         )
 

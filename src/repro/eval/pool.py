@@ -21,8 +21,8 @@ Workers (long-lived child processes)
     Cell seeds are pure functions of grid coordinates, so the records are
     bit-identical to serial execution.
 
-Scheduling is group-aware: units are assigned largest-first (LPT) and
-routed with affinity to a worker that already holds the unit's experiment
+Scheduling is group-aware: units are assigned largest-first (LPT, by cell
+count and then fault rate) and routed with affinity to a worker that already holds the unit's experiment
 assets, unless that worker is overloaded relative to the least-loaded one.
 Results stream back over a single queue, so the caller's ``on_result``
 callback (and therefore ``ResultStore`` append/fsync and resume
@@ -384,8 +384,17 @@ def _assign_units(
     balance for anything but large imbalances.  When *decisions* is given,
     per-policy routing counts are accumulated into it (the same tallies
     feed the ``softsnn_campaign_sched_decisions_total`` counter).
+
+    Units are placed largest first: by cell count, then by fault rate.  At
+    equal cell counts a higher fault rate is the costlier unit (fewer
+    rows deduplicate, more synapses are bounded, more faulty resets force
+    latch re-simulations), so placing those first keeps the heavy units of
+    a sweep from piling up on one worker.
     """
-    order = sorted(range(len(units)), key=lambda i: -len(units[i]))
+    order = sorted(
+        range(len(units)),
+        key=lambda i: (-len(units[i]), -(units[i][0].fault_rate or 0.0)),
+    )
     loads = [0] * n_workers
     keys: List[set] = [set() for _ in range(n_workers)]
     backlog: List[List[int]] = [[] for _ in range(n_workers)]

@@ -16,8 +16,10 @@ model can be queried in three modes:
     reproducible object, exactly like a campaign trial.
 ``protected``
     The same fault injection, but served through SoftSNN's mitigation: BnP
-    weight bounding as the crossbar's effective-weight rule plus the neuron
-    protection monitor gating faulty-reset bursts
+    weight bounding as the crossbar's effective-weight rule plus neuron
+    protection gating faulty-reset bursts inside the engine's timestep
+    loop, its statistics kept by the session's
+    :class:`~repro.core.bound_and_protect.NeuronProtection`
     (:mod:`repro.core.bound_and_protect`).
 
 A :class:`ServingSession` is the executable form of one ``(model, mode)``
@@ -302,8 +304,11 @@ class ServingSession:
             [rasters],
             initial_reset_latch=self._entry_latch,
             carry_reset_latch=False,
-            step_monitor=self.protection,
         )
+        if self.protection is not None:
+            # The engine row gates inline (protection_trigger_cycles);
+            # the statistics record the settled micro-batch once.
+            self.protection.commit_batch(result.final_state.spike_disabled[0])
         predictions = self.inference.classify_batch(result.spike_counts[0])
         return predictions, result
 
@@ -357,7 +362,13 @@ def build_session(model: TrainedModel, mode: ServingMode) -> ServingSession:
         mode=mode,
         network=network,
         inference=InferenceEngine(network, model.neuron_labels),
-        engine=MapParallelEngine.for_network(network, effective_weights),
+        engine=MapParallelEngine.for_network(
+            network,
+            effective_weights,
+            protection_trigger_cycles=(
+                None if protection is None else protection.trigger_cycles
+            ),
+        ),
         effective_weights=effective_weights,
         protection=protection,
         fault_report=fault_report,

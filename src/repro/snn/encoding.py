@@ -38,6 +38,11 @@ __all__ = [
 #: Name of the encoding every pre-existing configuration resolves to.
 DEFAULT_ENCODING = "poisson"
 
+#: Samples per float64 draw in :meth:`PoissonEncoder.encode_batch`: large
+#: enough to amortise the generator call, small enough that the draw
+#: buffer (``16 * timesteps * n_pixels`` doubles) stays a few megabytes.
+DRAW_CHUNK_SAMPLES = 16
+
 
 class PoissonEncoder:
     """Convert grayscale images into Bernoulli/Poisson spike trains.
@@ -124,12 +129,15 @@ class PoissonEncoder:
             (encoded as a batch of one).  Pass a flattened batch as
             ``(n, 1, n_pixels)``.
         rng:
-            Seed or generator.  The whole batch is drawn with a single
-            ``generator.random((n, timesteps, n_pixels))`` call, which
-            consumes exactly the same stream values, in the same order, as
-            ``n`` successive :meth:`encode` calls — so batched and
-            sequential presentations of the same samples see bitwise
-            identical rasters.
+            Seed or generator.  The batch is drawn in chunks of
+            :data:`DRAW_CHUNK_SAMPLES` samples through one reused float64
+            buffer (``generator.random(out=...)``) and compared straight
+            into a preallocated boolean raster.  Consecutive draws consume
+            exactly the same stream values, in the same order, as one
+            ``generator.random((n, timesteps, n_pixels))`` call or ``n``
+            successive :meth:`encode` calls — so batched and sequential
+            presentations of the same samples see bitwise identical
+            rasters, while the float64 draws held at once stay bounded.
 
         Returns
         -------
@@ -146,9 +154,18 @@ class PoissonEncoder:
             )
         probabilities = np.stack(
             [self.spike_probabilities(image) for image in images]
+        )[:, np.newaxis, :]
+        n_samples, _, n_pixels = probabilities.shape
+        raster = np.empty((n_samples, self.timesteps, n_pixels), dtype=bool)
+        draws = np.empty(
+            (min(n_samples, DRAW_CHUNK_SAMPLES), self.timesteps, n_pixels)
         )
-        draws = generator.random((images.shape[0], self.timesteps, probabilities.shape[1]))
-        return draws < probabilities[:, np.newaxis, :]
+        for start in range(0, n_samples, DRAW_CHUNK_SAMPLES):
+            stop = min(start + DRAW_CHUNK_SAMPLES, n_samples)
+            chunk = draws[: stop - start]
+            generator.random(out=chunk)
+            np.less(chunk, probabilities[start:stop], out=raster[start:stop])
+        return raster
 
     def expected_spike_counts(self, image: np.ndarray) -> np.ndarray:
         """Expected number of spikes per pixel over the full presentation."""

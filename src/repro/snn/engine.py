@@ -5,26 +5,43 @@ test-set evaluation, a whole fault-rate sweep — is produced by
 :class:`MapParallelEngine`.  It advances *rows* (:class:`MapRow`: one set of
 weight registers, per-neuron operation health and run-time mitigation hooks
 each) over chunks of samples with ``(rows, batch, n_neurons)`` state arrays:
-one exact register-code GEMM per distinct (encoding, registers) pair
-produces the input currents of every (sample, timestep), and one
-model-dispatched advance kernel (:mod:`repro.snn.kernels`) steps all rows
-and samples at once.  A single network is simply the one-row case
+exact register-code GEMMs per distinct (encoding, registers) pair produce
+the input currents of every (sample, timestep), and one model-dispatched
+advance kernel (:mod:`repro.snn.kernels`) steps all rows and samples at
+once.  A single network is simply the one-row case
 (:meth:`MapParallelEngine.for_network`); :class:`BatchedInferenceEngine` is
 the thin per-network front end over it.
+
+Streaming a chunk
+-----------------
+A chunk is processed in blocks of ``ceil(BLOCK_GEMM_ROWS / batch)``
+timesteps.  First, block by block, the raster's time slice is cast to the
+GEMM dtype in timestep-major order and GEMMed into one ``(T, batch, n)``
+accumulator per base GEMM and per bounding-correction term, in the GEMM
+dtype; these accumulators are kept for the whole chunk, so the latch
+fix-up below re-reads them instead of re-running GEMMs.  Then each pass
+advances the state block by block: the block's float64 currents are
+scaled (and bound-corrected) from the accumulators into one reused buffer
+and fed to the model's advance, with the model's dynamics built once per
+pass and carried across blocks.  No whole-chunk float copy of the raster
+and no float64 ``(T, rows, batch, n)`` current tensor is ever built; the
+block length changes no bit (``tests/test_engine_blocking.py``).
 
 Parity contract
 ---------------
 The engine reproduces the sequential per-timestep loop
 (:mod:`repro.snn.oracle`) *spike for spike* under a fixed RNG:
 
-* Poisson encoding draws the same underlying random stream: one
-  ``generator.random((batch, timesteps, n_inputs))`` call consumes exactly
-  the same values, in the same order, as the per-sample
-  ``generator.random((timesteps, n_inputs))`` calls of the sequential loop.
+* Poisson encoding draws the same underlying random stream: the batch's
+  consecutive chunked draws consume exactly the same values, in the same
+  order, as the per-sample ``generator.random((timesteps, n_inputs))``
+  calls of the sequential loop.
 * Input currents are exact integer register-code sums
   (:func:`repro.snn.kernels.register_gemm`), bitwise identical for any
-  operand shape, grouping or BLAS kernel — including the shared-base plus
-  bounding-correction decomposition used for Bound-and-Protect rows.
+  operand shape, grouping, timestep blocking or BLAS kernel — including
+  the shared-base plus bounding-correction decomposition used for
+  Bound-and-Protect rows — and are scaled to float64 by the same
+  elementwise expressions in any block.
 * Every state update is the same elementwise expression the sequential
   :meth:`~repro.snn.neuron.LIFNeuronGroup.step` evaluates, broadcast over
   the row and batch axes; elementwise IEEE operations are bitwise
@@ -77,6 +94,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.snn.network import DiehlCookNetwork
 
 __all__ = [
+    "BLOCK_GEMM_ROWS",
     "DEFAULT_BATCH_SIZE",
     "BatchResult",
     "BatchedInferenceEngine",
@@ -84,6 +102,7 @@ __all__ = [
     "MapParallelState",
     "MapParallelResult",
     "MapParallelEngine",
+    "block_timesteps",
     "flatten_images",
 ]
 
@@ -95,6 +114,12 @@ __all__ = [
 #: receives each row's final ``(batch, n_neurons)`` gate state once the
 #: chunk's latch fix-up has settled (re-simulated passes never count twice).
 StepMonitor = Callable[["MapParallelState"], None]
+
+#: GEMM rows one timestep block aims for: a chunk of ``batch`` samples is
+#: processed in blocks of ``ceil(BLOCK_GEMM_ROWS / batch)`` timesteps, so
+#: every block GEMM stays BLAS-efficient while the block's float64
+#: currents stay small; serving's 1-2 sample micro-batches run as one block.
+BLOCK_GEMM_ROWS = 1024
 
 # Engine telemetry (docs/observability.md): realized batch sizes and
 # latch-driven extra simulation passes — the cost of the faulty-reset
@@ -328,6 +353,20 @@ class MapParallelResult:
     output_spikes: Optional[np.ndarray] = None
 
 
+def block_timesteps(batch: int, timesteps: int) -> int:
+    """Timesteps per block of a chunk: at least :data:`BLOCK_GEMM_ROWS` GEMM rows."""
+    return min(timesteps, -(-BLOCK_GEMM_ROWS // batch))
+
+
+def _gemm_rows(
+    accumulator: Optional[np.ndarray], start: int, stop: int
+) -> Optional[np.ndarray]:
+    """Timesteps ``[start, stop)`` of a ``(T, batch, n)`` accumulator as GEMM rows."""
+    if accumulator is None:
+        return None
+    return accumulator[start:stop].reshape(-1, accumulator.shape[-1])
+
+
 @dataclass
 class _BaseGemm:
     """One shared current GEMM: a (raster group, register array) pair."""
@@ -336,18 +375,35 @@ class _BaseGemm:
     codes: np.ndarray
 
 
+@dataclass
+class _Accumulators:
+    """One chunk's exact register-code sums, ``(T, batch, n)`` each.
+
+    ``bases[b]`` belongs to ``engine._bases[b]``; ``terms`` maps a bounding
+    correction key onto its ``(masked, hits)`` pair (``masked`` is ``None``
+    when the base already sums the kept codes).  ``block`` is the chunk's
+    timestep block length.
+    """
+
+    bases: List[np.ndarray]
+    terms: Dict[Tuple[int, float], Tuple[Optional[np.ndarray], np.ndarray]]
+    block: int
+
+
 class MapParallelEngine:
     """Advance many compute-engine rows through the neuron model at once.
 
     Every :class:`MapRow` stands for one complete evaluation — registers,
     neuron operation status, optional weight bounding and neuron protection
-    — and the engine advances all rows' state in one broadcast GEMM plus
-    one elementwise pass per timestep.  Stacking rows never changes a
-    row's result: currents are exact integer sums for any grouping, and
-    every state update is elementwise.  The parity suites
-    (``tests/test_engine_parity.py``, ``tests/test_map_parallel_parity.py``)
-    pin one-row runs to the sequential oracle and stacked rows to one-row
-    runs, bit for bit, across clean, faulty and protected modes.
+    — and the engine advances all rows' state through shared per-block
+    GEMMs plus one elementwise pass per timestep.  Stacking rows never
+    changes a row's result: currents are exact integer sums for any
+    grouping or timestep blocking, and every state update is elementwise.
+    The parity suites (``tests/test_engine_parity.py``,
+    ``tests/test_map_parallel_parity.py``, ``tests/test_engine_blocking.py``)
+    pin one-row runs to the sequential oracle, stacked rows to one-row
+    runs and every block length to one block, bit for bit, across clean,
+    faulty and protected modes.
 
     Parameters
     ----------
@@ -483,6 +539,10 @@ class MapParallelEngine:
         # evict each other's buffers between chunks.
         self._workspace = KernelWorkspace()
         self._fixup_workspace = KernelWorkspace()
+        # Block-sized cast-raster and current buffers, reused across
+        # blocks, passes and chunks.
+        self._buffers: Dict[str, np.ndarray] = {}
+        self._groups = sorted({base.raster_index for base in self._bases})
 
         self._triggers = np.array(
             [
@@ -503,6 +563,7 @@ class MapParallelEngine:
         network: "DiehlCookNetwork",
         effective_weights: Optional[BoundedWeightRule] = None,
         model: Optional[object] = None,
+        protection_trigger_cycles: Optional[int] = None,
     ) -> "MapParallelEngine":
         """The one-row engine simulating *network* as it is right now.
 
@@ -513,6 +574,8 @@ class MapParallelEngine:
         dense substitute matrix has no exact register-code decomposition —
         the sequential oracle in :mod:`repro.snn.oracle` still accepts one).
         ``model`` defaults to the network configuration's ``neuron_model``.
+        ``protection_trigger_cycles`` is the row's inline neuron protection
+        (:attr:`MapRow.protection_trigger_cycles`).
         """
         if effective_weights is not None and not isinstance(
             effective_weights, BoundedWeightRule
@@ -527,6 +590,7 @@ class MapParallelEngine:
             registers=network.synapses.registers,
             operation_status=neurons.operation_status,
             weight_rule=effective_weights,
+            protection_trigger_cycles=protection_trigger_cycles,
         )
         if model is None:
             model = getattr(network.config, "neuron_model", None)
@@ -591,8 +655,9 @@ class MapParallelEngine:
             sample alone, and ``final_reset_latch`` is the entry latch.
         step_monitor:
             Optional :data:`StepMonitor` called with the live state after
-            every timestep (see there); protection on the campaign path is
-            the rows' inline ``protection_trigger_cycles`` instead.
+            every timestep (see there); the campaign, ``BnPTechnique``
+            evaluation and protected serving paths protect through the
+            rows' inline ``protection_trigger_cycles`` instead.
         """
         rasters = [np.asarray(raster) for raster in rasters]
         if len(rasters) < self.n_groups:
@@ -642,21 +707,29 @@ class MapParallelEngine:
             for m in range(n_rows):
                 latch[mapping[m]] = full_latch[m]
 
-        currents = self._compute_currents(rasters, batch, timesteps)
+        accumulators = self._accumulate(rasters, batch, timesteps)
 
-        output = np.zeros((timesteps, n_unique, batch, self.n_neurons), dtype=bool)
+        # Every element is written: the loop computes each timestep's
+        # spikes straight into it.
+        output = np.empty((timesteps, n_unique, batch, self.n_neurons), dtype=bool)
         state = MapParallelState.initial(
             self.params, self.theta, n_unique, batch, self.n_neurons, latch
         )
         self._simulate(
-            state, currents, output, slice(0, n_unique), self._workspace, step_monitor
+            state,
+            accumulators,
+            output,
+            slice(0, n_unique),
+            0,
+            self._workspace,
+            step_monitor,
         )
         passes = 1
 
         if carry_reset_latch and self._row_has_reset_fault.any():
             for m in np.flatnonzero(self._row_has_reset_fault):
                 passes += self._fixup_row(
-                    int(m), latch, state, currents, output, step_monitor
+                    int(m), latch, state, accumulators, output, step_monitor
                 )
 
         if step_monitor is not None and hasattr(step_monitor, "commit_batch"):
@@ -669,8 +742,9 @@ class MapParallelEngine:
                 _ENGINE_RESIM.labels(engine=_ENGINE).inc(passes - 1)
         return MapParallelResult(
             spike_counts=output.sum(axis=0, dtype=np.int64)[mapping],
-            input_spike_counts=np.stack(
-                [raster.sum(axis=(1, 2), dtype=np.int64) for raster in rasters]
+            input_spike_counts=np.array(
+                [[np.count_nonzero(sample) for sample in raster] for raster in rasters],
+                dtype=np.int64,
             ),
             final_reset_latch=latch[mapping],
             final_state=state,
@@ -685,75 +759,123 @@ class MapParallelEngine:
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    def _compute_currents(
-        self, rasters: Sequence[np.ndarray], batch: int, timesteps: int
+    def _scratch(
+        self, name: str, shape: Tuple[int, ...], dtype: np.dtype
     ) -> np.ndarray:
-        """Per-unique-row input currents, timestep-major ``(T, U, batch, n)``.
+        """A reusable scratch array of *shape*, grown on demand and kept."""
+        size = int(np.prod(shape))
+        buffer = self._buffers.get(name)
+        if buffer is None or buffer.size < size or buffer.dtype != dtype:
+            buffer = np.empty(size, dtype=dtype)
+            self._buffers[name] = buffer
+        return buffer[:size].reshape(shape)
 
-        One base GEMM per distinct (raster group, register array) pair plus
-        one small correction GEMM pair per distinct bounding threshold —
-        all exact integer sums, combined by fixed elementwise expressions.
-        The rows assemble into one sample-major block first and transpose
-        to timestep-major in a single pass, so every per-timestep slice of
-        the returned array is contiguous.
+    def _accumulate(
+        self, rasters: Sequence[np.ndarray], batch: int, timesteps: int
+    ) -> _Accumulators:
+        """The chunk's exact register-code accumulators, timestep-major.
+
+        One ``(T, batch, n)`` accumulator in the GEMM dtype per base GEMM
+        (distinct raster group and register array) and per bounding
+        correction term, filled block by block of timesteps: each block's
+        raster slice is cast to the GEMM dtype in timestep-major order in
+        one reused buffer and GEMMed straight into the accumulators' rows.
+        The entries are exact integer sums, so they do not depend on the
+        blocking.  The accumulators live for the whole chunk, so the latch
+        fix-up re-reads them instead of re-running GEMMs.
         """
-        flats: Dict[int, np.ndarray] = {}
-        for base in self._bases:
-            if base.raster_index not in flats:
-                flats[base.raster_index] = np.ascontiguousarray(
-                    rasters[base.raster_index].reshape(
-                        batch * timesteps, self.n_inputs
-                    ),
-                    dtype=self._gemm_dtype,
-                )
-        base_currents = [
-            register_gemm(flats[base.raster_index], base.codes)
-            for base in self._bases
-        ]
-        correction_terms: Dict[Tuple[int, float], Tuple[np.ndarray, np.ndarray]] = {}
-        for key, correction in self._corrections.items():
-            if correction.is_empty:
-                continue
-            flat = flats[self._bases[key[0]].raster_index]
-            correction_terms[key] = bounding_correction_terms(flat, correction)
+        shape = (timesteps, batch, self.n_neurons)
+        dtype = self._gemm_dtype
+        bases = [np.empty(shape, dtype=dtype) for _ in self._bases]
+        terms = {
+            key: (
+                None
+                if correction.masked_codes is None
+                else np.empty(shape, dtype=dtype),
+                np.empty(shape, dtype=dtype),
+            )
+            for key, correction in self._corrections.items()
+            if not correction.is_empty
+        }
+        block = block_timesteps(batch, timesteps)
+        spikes = self._scratch("spikes", (block, batch, self.n_inputs), dtype)
+        for start in range(0, timesteps, block):
+            stop = min(start + block, timesteps)
+            for group in self._groups:
+                flat = spikes[: stop - start]
+                np.copyto(flat, rasters[group][:, start:stop].transpose(1, 0, 2))
+                flat = flat.reshape(-1, self.n_inputs)
+                for b, base in enumerate(self._bases):
+                    if base.raster_index == group:
+                        register_gemm(
+                            flat, base.codes, out=_gemm_rows(bases[b], start, stop)
+                        )
+                for key, (masked, hits) in terms.items():
+                    if self._bases[key[0]].raster_index == group:
+                        bounding_correction_terms(
+                            flat,
+                            self._corrections[key],
+                            out=(
+                                _gemm_rows(masked, start, stop),
+                                _gemm_rows(hits, start, stop),
+                            ),
+                        )
+        return _Accumulators(bases=bases, terms=terms, block=block)
 
-        scale = self.quantizer.scale
-        n_unique = self.n_unique_rows
-        stacked = np.empty(
-            (n_unique, batch * timesteps, self.n_neurons), dtype=np.float64
+    def _block_currents(
+        self,
+        accumulators: _Accumulators,
+        start: int,
+        stop: int,
+        row_slice: slice,
+        offset: int,
+    ) -> np.ndarray:
+        """Float64 input currents of timesteps ``[start, stop)``.
+
+        Shape ``(stop - start, rows, batch - offset, n)`` for the unique
+        rows in *row_slice* and the samples from *offset* on: each row's
+        base accumulator scaled to weights, plus its bounding correction —
+        fixed elementwise expressions of exact integer sums, so the
+        currents are the same bits in any block.
+        """
+        rows = range(*row_slice.indices(self.n_unique_rows))
+        batch = accumulators.bases[0].shape[1] - offset
+        currents = self._scratch(
+            "currents",
+            (stop - start, len(rows), batch, self.n_neurons),
+            np.dtype(np.float64),
         )
-        for m in range(n_unique):
-            accumulated = base_currents[int(self._row_base[m])]
+        scale = self.quantizer.scale
+        window = (slice(start, stop), slice(offset, None))
+        for i, m in enumerate(rows):
+            accumulated = accumulators.bases[int(self._row_base[m])][window]
+            out = currents[:, i]
             key = self._row_correction[m]
             if key is None:
-                exact_scale(accumulated, scale, out=stacked[m])
+                exact_scale(accumulated, scale, out=out)
             elif self._corrections[key].is_empty:
                 # Nothing is out of range: the bounded sum equals the
                 # lattice sum plus an exactly-zero substitute term.
-                exact_scale(accumulated, scale, out=stacked[m])
-                stacked[m] += 0.0
+                exact_scale(accumulated, scale, out=out)
+                out += 0.0
             else:
-                masked, hits = correction_terms[key]
+                masked, hits = accumulators.terms[key]
                 apply_bounding_correction(
                     accumulated,
-                    masked,
-                    hits,
+                    None if masked is None else masked[window],
+                    hits[window],
                     scale,
                     self._row_substitute[m],
-                    out=stacked[m],
+                    out=out,
                 )
-        return np.ascontiguousarray(
-            stacked.reshape(n_unique, batch, timesteps, self.n_neurons).transpose(
-                2, 0, 1, 3
-            )
-        )
+        return currents
 
     def _fixup_row(
         self,
         m: int,
         latch: np.ndarray,
         state: MapParallelState,
-        currents: np.ndarray,
+        accumulators: _Accumulators,
         output: np.ndarray,
         step_monitor: Optional[StepMonitor],
     ) -> int:
@@ -789,13 +911,12 @@ class MapParallelEngine:
                 self.n_neurons,
                 row_latch[np.newaxis, :],
             )
-            # A view, not a copy: each timestep's (1, batch - offset, n)
-            # slice of the (T, U, B, n) block is contiguous already.
             self._simulate(
                 sub_state,
-                currents[:, m : m + 1, offset:, :],
+                accumulators,
                 output[:, m : m + 1, offset:, :],
                 slice(m, m + 1),
+                offset,
                 self._fixup_workspace,
                 step_monitor,
             )
@@ -808,42 +929,56 @@ class MapParallelEngine:
     def _simulate(
         self,
         state: MapParallelState,
-        currents: np.ndarray,
+        accumulators: _Accumulators,
         output: np.ndarray,
         row_slice: slice,
+        offset: int,
         workspace: KernelWorkspace,
         step_monitor: Optional[StepMonitor],
     ) -> None:
         """One parallel pass over all timesteps for the rows in *row_slice*.
 
-        A thin adapter over the model's advance (the one timestep loop,
-        :func:`repro.snn.kernels.advance_timesteps`) with the engine's
-        per-row operation masks and protection triggers sliced to the
-        simulated rows.  The kernel advances the state arrays strictly in
-        place, so a ``step_monitor`` observes — and may gate, via
+        Simulates the samples from *offset* on (the latch fix-up's
+        suffixes) block by block of timesteps: each block's float64
+        currents are computed from the accumulators into one reused
+        buffer and advanced through the model's loop
+        (:func:`repro.snn.kernels.advance_timesteps`) with the engine's
+        per-row operation masks and protection triggers.  The model's
+        dynamics are built once for the pass and carried across blocks.
+        The kernel advances the state arrays strictly in place, so a
+        ``step_monitor`` observes — and may gate, via
         :meth:`MapParallelState.disable_spiking` — the live state after
         every timestep, exactly like the sequential hook.
         """
         hook = None
         if step_monitor is not None:
             hook = lambda: step_monitor(state)  # noqa: E731 - local adapter
-        self._model.advance(
-            currents,
-            output,
-            state.v,
-            state.refractory_remaining,
-            state.consecutive_above_threshold,
-            state.spike_disabled,
-            state.reset_fault_latched,
-            state.comparator_output,
-            state.last_spikes,
-            self._masks.rows(row_slice),
-            self._threshold,
-            self._step_config,
-            workspace,
-            triggers=self._triggers[row_slice] if self._has_protection else None,
-            step_hook=hook,
-        )
+        model = self._model
+        dynamics = model.dynamics(self._step_config, self._threshold, state.v)
+        masks = self._masks.rows(row_slice)
+        triggers = self._triggers[row_slice] if self._has_protection else None
+        timesteps = output.shape[0]
+        for start in range(0, timesteps, accumulators.block):
+            stop = min(start + accumulators.block, timesteps)
+            model.advance(
+                self._block_currents(accumulators, start, stop, row_slice, offset),
+                output[start:stop],
+                state.v,
+                state.refractory_remaining,
+                state.consecutive_above_threshold,
+                state.spike_disabled,
+                state.reset_fault_latched,
+                state.comparator_output,
+                state.last_spikes,
+                masks,
+                self._threshold,
+                self._step_config,
+                workspace,
+                triggers=triggers,
+                step_hook=hook,
+                dynamics=dynamics,
+            )
+        dynamics.finish(state.v)
 
 
 # ---------------------------------------------------------------------- #

@@ -41,9 +41,13 @@ __all__ = ["InferenceResult", "InferenceEngine", "class_indicator", "evaluate_ro
 #: Sample-chunk cap of the map-parallel evaluation path.  Results are
 #: bit-identical for any chunking (the faulty-reset latch carry reproduces
 #: the sequential per-sample semantics exactly), so the chunk is a pure
-#: performance knob: shorter chunks shorten the suffixes the latch fix-up
-#: re-simulates and keep the fused (timesteps, rows, chunk, neurons)
-#: current block cache-resident.
+#: performance choice: shorter chunks shorten the suffixes the latch
+#: fix-up re-simulates, and keep the chunk's kept ``(timesteps, chunk,
+#: neurons)`` register-code accumulators — one per base GEMM and per
+#: bounding-correction term — small when many rows share one pass.  The
+#: float64 currents are never materialised for the whole chunk: the engine
+#: scales one timestep block at a time, and a 16-sample chunk makes that
+#: block 64 timesteps (:data:`repro.snn.engine.BLOCK_GEMM_ROWS`).
 MAP_PARALLEL_CHUNK_SIZE = 16
 
 
@@ -220,6 +224,7 @@ class InferenceEngine:
         step_monitor: Optional[StepMonitor] = None,
         batch_size: Optional[int] = None,
         raster: Optional[np.ndarray] = None,
+        protection: Optional[object] = None,
     ) -> InferenceResult:
         """Classify every sample of *dataset* and aggregate the results.
 
@@ -233,6 +238,13 @@ class InferenceEngine:
         ``effective_weights`` (a
         :class:`~repro.snn.synapse.BoundedWeightRule`) and ``step_monitor``
         are the Bound-and-Protect hooks, forwarded to the engine.
+        ``protection`` (a
+        :class:`~repro.core.bound_and_protect.NeuronProtection`) is the
+        inline form of a protection monitor: the engine row gates at its
+        ``trigger_cycles`` inside the timestep loop, and its
+        ``commit_batch`` records each settled chunk's gates — the same
+        spikes and statistics as passing it as ``step_monitor``, without a
+        Python call per timestep.
 
         When *raster* is given it must be the externally Poisson-encoded
         presentation tensor ``(n_samples, timesteps, n_inputs)`` for the
@@ -265,7 +277,13 @@ class InferenceEngine:
         spike_counts = np.zeros((n_samples, network.n_neurons), dtype=np.int64)
         total_input_spikes = 0
 
-        engine = MapParallelEngine.for_network(network, effective_weights)
+        engine = MapParallelEngine.for_network(
+            network,
+            effective_weights,
+            protection_trigger_cycles=(
+                None if protection is None else protection.trigger_cycles
+            ),
+        )
         latch = network.neurons.reset_fault_latched[np.newaxis].copy()
         for start in range(0, n_samples, batch_size):
             stop = min(start + batch_size, n_samples)
@@ -279,6 +297,8 @@ class InferenceEngine:
                 [chunk], initial_reset_latch=latch, step_monitor=step_monitor
             )
             latch = result.final_reset_latch
+            if protection is not None:
+                protection.commit_batch(result.final_state.spike_disabled[0])
             predictions[start:stop] = self.classify_batch(result.spike_counts[0])
             spike_counts[start:stop] = result.spike_counts[0]
             total_input_spikes += int(result.input_spike_counts.sum())

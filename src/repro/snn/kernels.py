@@ -24,10 +24,12 @@ The three primitives
 
 ``advance_timesteps`` + :class:`NeuronDynamics`
     The one in-place timestep loop over ``(rows, batch, neurons)`` state,
-    shared by every neuron model: leak, integrate, clamp, threshold
-    comparator, spike gating, reset + refractory entry, faulty-reset
-    latching, lateral inhibition, latched-membrane pinning and
-    (optionally) the neuron-protection trigger.  The loop owns every
+    run over one block of timesteps per call (the engine streams a pass
+    block by block with one dynamics object; the trainer makes one call
+    per presentation) and shared by every neuron model: leak, integrate,
+    clamp, threshold comparator, spike gating, reset + refractory entry,
+    faulty-reset latching, lateral inhibition, latched-membrane pinning
+    and (optionally) the neuron-protection trigger.  The loop owns every
     statement the models share, so the paper's four faultable operations,
     the latch and Bound-and-Protect's protection are gated in exactly one
     place; a model plugs in only its sub-threshold dynamics
@@ -36,13 +38,16 @@ The three primitives
     and ``finish`` — after lava's LIF process models, where one
     ``run_spk`` serves the float and the bit-accurate variants.  All
     scratch lives in a caller-owned :class:`KernelWorkspace` allocated
-    once per run and reused across timesteps and chunks — the hot loop
-    performs no per-timestep array allocation.  Every statement is a
+    once per run and reused across timesteps, blocks and chunks — the hot
+    loop performs no per-timestep array allocation, and writes spikes
+    straight into the output raster.  Every statement is a
     bitwise-identical reformulation of the sequential
     :meth:`repro.snn.neuron.LIFNeuronGroup.step` expressions (IEEE
     elementwise operations are independent of broadcast shape;
-    ``copyto(..., where=...)`` is ``np.where`` with an explicit
-    destination; the integer counter and refractory updates are exact).
+    ``copyto``/``maximum`` with ``where=`` are ``np.where`` with an
+    explicit destination; a non-negative drive times the 0/1 integrate
+    mask is ``where(mask, drive, 0.0)``; the integer counter and
+    refractory updates are exact).
     State arrays are mutated strictly in place — never swapped — so live
     step hooks (e.g. :class:`repro.core.bound_and_protect.NeuronProtection`)
     observe and mutate the same arrays the kernel advances.
@@ -184,16 +189,22 @@ def exact_gemm_dtype(n_inputs: int, max_code: int) -> np.dtype:
     return _exact_gemm_dtype_cached(int(n_inputs), int(max_code))
 
 
-def register_gemm(spikes: np.ndarray, codes: np.ndarray) -> np.ndarray:
+def register_gemm(
+    spikes: np.ndarray, codes: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Exact integer register-code GEMM: ``(m, n_inputs) @ (n_inputs, n)``.
 
     ``codes`` must already be in the dtype :func:`exact_gemm_dtype` chose
     for its geometry; ``spikes`` (boolean or 0/1 rows) is cast to match.
     The accumulated entries are exact integers in either float precision,
-    so every BLAS kernel returns bitwise identical results.
+    so every BLAS kernel returns bitwise identical results.  *out*, when
+    given, is a C-contiguous ``(m, n)`` array of the codes' dtype the
+    product is written into (the engine's per-block accumulator rows).
     """
     start_ns = time.perf_counter_ns()
-    result = np.asarray(spikes).astype(codes.dtype, copy=False) @ codes
+    result = np.matmul(
+        np.asarray(spikes).astype(codes.dtype, copy=False), codes, out=out
+    )
     if _obs.enabled():
         _record_kernel("register_gemm", time.perf_counter_ns() - start_ns)
     return result
@@ -276,20 +287,25 @@ def plan_bounding_correction(
 
 
 def bounding_correction_terms(
-    flat_spikes: np.ndarray, correction: BoundingCorrection
+    flat_spikes: np.ndarray,
+    correction: BoundingCorrection,
+    out: Optional[Tuple[Optional[np.ndarray], np.ndarray]] = None,
 ) -> Tuple[Optional[np.ndarray], np.ndarray]:
     """The correction GEMMs ``(masked, hits)`` for pre-cast spike rows.
 
     ``masked`` is ``None`` when the correction carries no masked codes.
+    *out*, when given, is the ``(masked, hits)`` pair of destination rows
+    (see :func:`register_gemm`), with ``None`` for an absent ``masked``.
     """
+    masked_out, hits_out = (None, None) if out is None else out
     if correction.columns is None:
         spikes = flat_spikes
     else:
         spikes = flat_spikes[:, correction.columns]
     masked = None
     if correction.masked_codes is not None:
-        masked = register_gemm(spikes, correction.masked_codes)
-    return masked, register_gemm(spikes, correction.mask_codes)
+        masked = register_gemm(spikes, correction.masked_codes, out=masked_out)
+    return masked, register_gemm(spikes, correction.mask_codes, out=hits_out)
 
 
 def apply_bounding_correction(
@@ -427,8 +443,8 @@ class KernelWorkspace:
     simulation performs no per-timestep — and between equal-shaped chunks
     no per-chunk — array allocation.  The buffer set matches what one
     timestep needs: two float64 scratch blocks, two boolean scratch blocks
-    and the ``(rows, batch, 1)`` spike-count accumulator of the lateral
-    inhibition term.
+    and the ``(rows, batch, 1)`` float64 spike-count accumulator of the
+    lateral inhibition term.
     """
 
     __slots__ = ("shape", "vbuf", "fbuf", "active", "boolbuf", "countbuf")
@@ -450,7 +466,7 @@ class KernelWorkspace:
             self.fbuf = np.empty(shape, dtype=np.float64)
             self.active = np.empty(shape, dtype=bool)
             self.boolbuf = np.empty(shape, dtype=bool)
-            self.countbuf = np.empty(shape[:2] + (1,), dtype=np.int64)
+            self.countbuf = np.empty(shape[:2] + (1,), dtype=np.float64)
         return self
 
 
@@ -468,14 +484,17 @@ class NeuronDynamics:
       ``threshold``, in the units the membrane holds during the call;
     * :meth:`leak`, the membrane leak;
     * :meth:`drive`, the per-timestep quantity the membrane integrates;
+      it must be non-negative (see :func:`advance_timesteps`);
     * :meth:`finish`, run once after the last timestep.
 
-    One instance is built per advance call, so per-presentation state
-    (the CUBA synaptic current) lives on it.  A model whose membrane lives
-    in another domain (the fixed-point grid) moves ``v`` into it when the
-    instance is built and back in :meth:`finish`.  ``kernel`` is the label of
-    the ``softsnn_kernel_{calls,ns}_total`` series the call is timed
-    under.
+    One instance is built per simulation *pass* over a ``v`` block and
+    advanced across every block of timesteps the pass feeds the loop, so
+    per-presentation state (the CUBA synaptic current) lives on it and
+    carries from block to block.  A model whose membrane lives in another
+    domain (the fixed-point grid) moves ``v`` into it when the instance is
+    built and back in :meth:`finish`, once per pass.  ``kernel`` is the
+    label of the ``softsnn_kernel_{calls,ns}_total`` series each advance
+    call is timed under.
     """
 
     kernel: str = "advance"
@@ -528,7 +547,8 @@ class CUBADynamics(LIFDynamics):
     """Current-based LIF: the membrane integrates a decaying current ``u``.
 
     ``u`` starts at zero for every presentation (it is per-sample
-    dynamics, like the membrane), so it is allocated here, once per call.
+    dynamics, like the membrane), so it is allocated here, once per pass,
+    and carries across the pass's timestep blocks.
     Its accumulation is crossbar arithmetic, not a Vmem operation, so it
     runs for every neuron; ``increase_ok`` gates only ``v += u``.
     """
@@ -621,35 +641,49 @@ def advance_timesteps(
     triggers: Optional[np.ndarray] = None,
     step_hook: Optional[Callable[[], None]] = None,
 ) -> None:
-    """Advance ``(rows, batch, neurons)`` neuron state over all timesteps.
+    """Advance ``(rows, batch, neurons)`` neuron state over a block of timesteps.
 
     This is the one timestep loop every engine and every neuron model
     runs.  Per timestep it applies, in order: (2) the model's membrane
     leak, (1) integration of the model's drive with the ``v_min`` clamp,
     (4) threshold comparator + consecutive-above-threshold counter + spike
     gating, (3) reset / refractory entry with faulty-reset latching,
-    lateral inhibition, latched-membrane pinning, the output write,
-    optional neuron-protection trigger gating and the optional
-    ``step_hook`` — exactly the operation sequence of the sequential
+    lateral inhibition, latched-membrane pinning, optional
+    neuron-protection trigger gating and the optional ``step_hook`` —
+    exactly the operation sequence of the sequential
     :meth:`repro.snn.neuron.LIFNeuronGroup.step` plus the post-step
     protection semantics of the sequential step monitor.
+
+    A pass may feed its timesteps in consecutive blocks, one call each,
+    with the same *dynamics* and state arrays: the loop keeps no state of
+    its own between timesteps, so any blocking advances bit-identically
+    to one call over the whole presentation.  The loop never calls
+    ``dynamics.finish`` — the owner of the pass does, after its last
+    block (:meth:`repro.snn.models.NeuronModel.advance`).
 
     Parameters
     ----------
     dynamics:
-        The model's :class:`NeuronDynamics`, built for this call.
+        The model's :class:`NeuronDynamics`, built once for the pass.
     currents:
-        Input currents, timestep-major ``(timesteps, rows, batch, n)``.
+        Input currents of this block, timestep-major
+        ``(timesteps, rows, batch, n)`` float64.  Every drive the dynamics
+        derive from them must be non-negative — register-code currents
+        are (codes, scale and the BnP substitute are), and so is every
+        shipped drive — because the integrate step multiplies the drive by
+        the 0/1 integrate mask: ``drive * 0.0`` is ``+0.0`` for a
+        non-negative drive, so the product equals the sequential
+        ``where(integrate, drive, 0.0)`` bit for bit.
     output:
-        Boolean output raster ``(timesteps, rows, batch, n)``; written per
-        timestep.
+        Boolean output raster ``(timesteps, rows, batch, n)`` of this
+        block; each timestep's spikes are computed directly into it.
     v / refractory / counter / disabled / latched:
         The live state arrays ``(rows, batch, n)``, advanced strictly in
         place (never reassigned or swapped) so step hooks observing them —
         and mutating ``disabled`` — always see the current values.
     comparator / spikes:
-        Caller-owned per-timestep result buffers ``(rows, batch, n)``,
-        written in place each step; after the call they hold the final
+        Caller-owned result buffers ``(rows, batch, n)``: ``comparator`` is
+        written every timestep; after the call both hold the block's final
         timestep's values.
     masks:
         Per-row operation health (:class:`OperationMasks`).
@@ -667,11 +701,14 @@ def advance_timesteps(
 
     Every statement is a bitwise-identical reformulation of the sequential
     expressions: in-place ufunc chains evaluate the same IEEE operations
-    element by element, ``copyto(..., where=...)`` is ``np.where`` with an
-    explicit destination, and the integer counter / refractory updates are
-    exact.  The loop touches only the caller's state arrays, the workspace
-    buffers and the dynamics' own per-call state — nothing is allocated
-    per timestep.
+    element by element, ``copyto(..., where=...)`` and
+    ``maximum(..., where=...)`` are ``np.where`` with an explicit
+    destination, ``comparator > disabled`` is ``comparator & ~disabled``
+    on booleans, the inhibition's float spike count holds the same small
+    integers as an integer count, and the integer counter / refractory
+    updates are exact.  The loop touches only the caller's arrays, the
+    workspace buffers and the dynamics' own per-pass state — nothing is
+    allocated per timestep.
     """
     start_ns = time.perf_counter_ns()
     ws = workspace.ensure(v.shape)
@@ -705,6 +742,8 @@ def advance_timesteps(
 
     timesteps = currents.shape[0]
     for t in range(timesteps):
+        spikes_t = output[t]
+
         # (2) Vmem leak, gated per neuron.
         if all_leak:
             leak(v, v)
@@ -712,15 +751,15 @@ def advance_timesteps(
             leak(v, vbuf)
             np.copyto(v, vbuf, where=leak_ok)
 
-        # (1) Vmem increase: v += where(integrate, drive, 0.0), clamp.
+        # (1) Vmem increase: v += drive * integrate (non-negative drive,
+        # so exactly v += where(integrate, drive, 0.0)), then clamp.
         np.less_equal(refractory, 0, out=active)
         if all_increase:
             integrate = active
         else:
             np.logical_and(active, increase_ok, out=boolbuf)
             integrate = boolbuf
-        np.copyto(fbuf, 0.0)
-        np.copyto(fbuf, drive(currents[t], vbuf), where=integrate)
+        np.multiply(drive(currents[t], vbuf), integrate, out=fbuf)
         np.add(v, fbuf, out=v)
         np.maximum(v, v_min, out=v)
 
@@ -729,10 +768,9 @@ def advance_timesteps(
         np.logical_and(comparator, active, out=comparator)
         np.add(counter, 1, out=counter)
         np.multiply(counter, comparator, out=counter)
-        np.logical_not(disabled, out=spikes)
-        np.logical_and(spikes, comparator, out=spikes)
+        np.greater(comparator, disabled, out=spikes_t)
         if not all_spike:
-            np.logical_and(spikes, spike_ok, out=spikes)
+            np.logical_and(spikes_t, spike_ok, out=spikes_t)
 
         # (3) Vmem reset and refractory entry; faulty resets latch.
         if all_reset:
@@ -751,19 +789,16 @@ def advance_timesteps(
         # Direct lateral inhibition, per (row, sample).  Blocks without
         # spikes receive an exactly-zero inhibition, which is a no-op
         # because v_min <= v_reset guarantees v >= v_min here.
-        if strength > 0 and spikes.any():
-            np.sum(spikes, axis=-1, keepdims=True, out=countbuf)
-            np.subtract(countbuf, spikes, out=fbuf)
+        if strength > 0 and spikes_t.any():
+            np.sum(spikes_t, axis=-1, keepdims=True, out=countbuf)
+            np.subtract(countbuf, spikes_t, out=fbuf)
             np.multiply(fbuf, strength, out=fbuf)
             np.subtract(v, fbuf, out=v)
             np.maximum(v, v_min, out=v)
 
         # Keep latched faulty-reset membranes pinned at the threshold.
         if not all_reset and latched.any():
-            np.maximum(v, threshold, out=fbuf)
-            np.copyto(v, fbuf, where=latched)
-
-        output[t] = spikes
+            np.maximum(v, threshold, out=v, where=latched)
 
         # Neuron protection: gate off spike generation once the comparator
         # has stayed asserted for the row's trigger count (applied
@@ -775,7 +810,8 @@ def advance_timesteps(
         if step_hook is not None:
             step_hook()
 
-    dynamics.finish(v)
+    if timesteps:
+        np.copyto(spikes, output[timesteps - 1])
 
     if _obs.enabled():
         _record_kernel(dynamics.kernel, time.perf_counter_ns() - start_ns)

@@ -125,16 +125,28 @@ class NeuronModel:
         workspace: KernelWorkspace,
         triggers: Optional[np.ndarray] = None,
         step_hook: Optional[Callable[[], None]] = None,
+        dynamics: Optional[NeuronDynamics] = None,
     ) -> None:
-        """Advance ``(rows, batch, n)`` state over all timesteps in place.
+        """Advance ``(rows, batch, n)`` state over *currents*' timesteps in place.
 
-        Builds :meth:`dynamics` and runs it through
+        Runs the model's dynamics through
         :func:`repro.snn.kernels.advance_timesteps`, whose docstring
         describes every argument; *threshold* and *config* are in float
         units and reach the loop through the dynamics.
+
+        Without *dynamics* the call is a whole pass: it builds
+        :meth:`dynamics` over *v*, advances every timestep of *currents*
+        and finishes them.  A caller feeding one pass in timestep blocks
+        builds the dynamics once itself, passes them to every block's
+        call and calls their ``finish`` after the last block — so CUBA's
+        synaptic current carries across blocks and the fixed-point
+        membrane enters and leaves its integer domain once.
         """
+        pass_owner = dynamics is None
+        if pass_owner:
+            dynamics = self.dynamics(config, threshold, v)
         advance_timesteps(
-            self.dynamics(config, threshold, v),
+            dynamics,
             currents,
             output,
             v,
@@ -150,6 +162,8 @@ class NeuronModel:
             triggers=triggers,
             step_hook=step_hook,
         )
+        if pass_owner:
+            dynamics.finish(v)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"

@@ -1,0 +1,317 @@
+"""Timestep blocking of the engine pass, inline protection and memory bounds.
+
+:class:`~repro.snn.engine.MapParallelEngine` computes each chunk's exact
+register-code accumulators and then advances the neuron state one block of
+timesteps at a time, scaling only that block's currents to float64.  The
+block length is a pure performance choice, so this suite pins that any
+block length — one timestep, an odd seven, the whole presentation — yields
+byte-identical spikes, final state and latches, for every shipped neuron
+model (whose dynamics are built once per pass and carried across blocks),
+with latch fix-up suffixes crossing block boundaries, and at batch 1.
+
+It also pins the inline neuron protection of ``BnPTechnique.evaluate`` and
+protected serving sessions to the per-timestep ``step_monitor`` hook it
+replaced, and bounds the traced memory of one N400 chunk and of encoding
+64 images (deterministic allocation sizes, not timings).
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+from dataclasses import fields
+
+import numpy as np
+import pytest
+
+import repro.snn.engine as engine_module
+from repro.core.bound_and_protect import BnPVariant, NeuronProtection, WeightBounding
+from repro.core.mitigation import BnPTechnique
+from repro.data.synthetic_mnist import SyntheticMNIST
+from repro.faults.fault_map import FaultMap
+from repro.faults.models import NeuronFaultType
+from repro.serve.modes import ServingMode, build_session
+from repro.snn.encoding import PoissonEncoder
+from repro.snn.engine import MapParallelEngine, MapRow, block_timesteps
+from repro.snn.inference import InferenceEngine
+from repro.snn.network import NetworkConfig
+from repro.snn.neuron import NeuronOperationStatus
+from repro.snn.synapse import BoundedWeightRule
+from repro.snn.training import TrainedModel
+from repro.utils.rng import resolve_rng
+
+MODELS = ("lif", "cuba_lif", "fixed_point_lif")
+N_NEURONS = 16
+TIMESTEPS = 30
+#: ``BLOCK_GEMM_ROWS`` settings giving blocks of 1 and 7 timesteps and one
+#: block spanning the presentation (the block is ceil(rows / batch)).
+BLOCKINGS = {"block1": lambda batch: 1, "block7": lambda batch: 7 * batch,
+             "whole": lambda batch: 10**9}
+
+
+def _trained(model_name: str, n_neurons: int = N_NEURONS,
+             timesteps: int = TIMESTEPS) -> TrainedModel:
+    """A deterministic trained model without paying for actual training."""
+    rng = np.random.default_rng(3)
+    return TrainedModel(
+        network_config=NetworkConfig(
+            n_inputs=784,
+            n_neurons=n_neurons,
+            timesteps=timesteps,
+            neuron_model=model_name,
+        ),
+        weights=rng.random((784, n_neurons)),
+        theta=rng.random(n_neurons) * 0.05,
+        neuron_labels=np.arange(n_neurons, dtype=np.int64) % 4,
+        clean_max_weight=1.0,
+        clean_most_probable_weight=0.6,
+    )
+
+
+def _faulty_status(n_neurons: int) -> NeuronOperationStatus:
+    """One fault of every operation kind, including two faulty resets."""
+    status = NeuronOperationStatus.healthy(n_neurons)
+    status.vmem_leak_ok[3] = False
+    status.vmem_increase_ok[6] = False
+    status.spike_generation_ok[9] = False
+    status.vmem_reset_ok[[1, 12]] = False
+    return status
+
+
+def _engine(trained: TrainedModel) -> MapParallelEngine:
+    """Rows covering every current path the block loop scales.
+
+    Clean, faulty (faulty resets: the latch fix-up), bounded + protected
+    on a base that also serves an unbounded row (so the masked correction
+    term is kept), and an unreachable bounding threshold (the empty
+    correction) on a second raster group.
+    """
+    config = trained.network_config
+    quantizer = config.make_quantizer(trained.clean_max_weight)
+    clean = np.asarray(trained.build_network(rng=0).synapses.registers).copy()
+    faulty = clean.copy()
+    faulty.flat[[3, 500, 1207, 2000]] = quantizer.max_code
+    status = _faulty_status(config.n_neurons)
+    bnp3 = WeightBounding.for_variant(
+        BnPVariant.BNP3,
+        clean_max_weight=trained.clean_max_weight,
+        most_probable_weight=trained.clean_most_probable_weight,
+    ).as_weight_rule()
+    rows = [
+        MapRow(0, clean, NeuronOperationStatus.healthy(config.n_neurons)),
+        MapRow(0, faulty, status),
+        MapRow(0, faulty, status, weight_rule=bnp3, protection_trigger_cycles=2),
+        MapRow(
+            1, faulty, status,
+            weight_rule=BoundedWeightRule(threshold=1e9, substitute=0.0),
+        ),
+    ]
+    return MapParallelEngine(
+        rows,
+        quantizer=quantizer,
+        params=config.neuron_params,
+        theta=trained.theta,
+        model=config.neuron_model,
+    )
+
+
+def _rasters(batch: int, timesteps: int = TIMESTEPS):
+    images = np.stack(
+        [SyntheticMNIST().render(digit % 10, rng=digit) for digit in range(batch)]
+    ).reshape(batch, -1)
+    encoder = PoissonEncoder(timesteps=timesteps, max_rate=0.4)
+    return [
+        encoder.encode_batch(images[:, np.newaxis, :], rng=seed) for seed in (5, 6)
+    ]
+
+
+def _run(monkeypatch, engine, rasters, rows_per_block, **kwargs):
+    monkeypatch.setattr(engine_module, "BLOCK_GEMM_ROWS", rows_per_block)
+    monitor = NeuronProtection(trigger_cycles=3)
+    result = engine.run_encoded(
+        rasters, collect_output_spikes=True, step_monitor=monitor, **kwargs
+    )
+    return result, monitor.statistics()
+
+
+def _assert_byte_identical(result, reference):
+    assert result.output_spikes.tobytes() == reference.output_spikes.tobytes()
+    assert np.array_equal(result.spike_counts, reference.spike_counts)
+    assert np.array_equal(result.final_reset_latch, reference.final_reset_latch)
+    assert np.array_equal(result.input_spike_counts, reference.input_spike_counts)
+    assert result.simulation_passes == reference.simulation_passes
+    for field in fields(reference.final_state):
+        got = getattr(result.final_state, field.name)
+        want = getattr(reference.final_state, field.name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field.name
+
+
+class TestBlockBoundaryParity:
+    @pytest.mark.parametrize("model", MODELS)
+    def test_any_block_length_is_byte_identical(self, monkeypatch, model):
+        batch = 6
+        engine = _engine(_trained(model))
+        rasters = _rasters(batch)
+        latch = np.zeros((engine.n_rows, N_NEURONS), dtype=bool)
+        latch[[1, 2, 3], 12] = True  # a latch carried in from a previous chunk
+        runs = {
+            name: _run(
+                monkeypatch, engine, rasters, rows(batch), initial_reset_latch=latch
+            )
+            for name, rows in BLOCKINGS.items()
+        }
+        reference, reference_stats = runs.pop("whole")
+        # The fix-up re-simulated suffixes (crossing every block boundary
+        # of the shorter blockings) and the model actually spiked.
+        assert reference.simulation_passes > 1
+        assert reference.spike_counts.sum() > 0
+        for name, (result, stats) in runs.items():
+            _assert_byte_identical(result, reference)
+            assert stats == reference_stats, name
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_batch_of_one(self, monkeypatch, model):
+        engine = _engine(_trained(model))
+        rasters = [raster[:1] for raster in _rasters(2)]
+        runs = {
+            name: _run(monkeypatch, engine, rasters, rows(1))
+            for name, rows in BLOCKINGS.items()
+        }
+        reference, reference_stats = runs.pop("whole")
+        assert reference.spike_counts.sum() > 0
+        for name, (result, stats) in runs.items():
+            _assert_byte_identical(result, reference)
+            assert stats == reference_stats, name
+
+    def test_serving_micro_batches_run_as_one_block(self):
+        assert block_timesteps(1, 100) == 100
+        assert block_timesteps(2, 100) == 100
+        assert block_timesteps(16, 100) == 64
+        assert block_timesteps(64, 100) == 16
+        assert block_timesteps(4096, 100) == 1
+
+    def test_input_spike_counts_are_per_sample_totals(self):
+        engine = _engine(_trained("lif"))
+        rasters = _rasters(3)
+        result = engine.run_encoded(rasters)
+        expected = np.stack([r.sum(axis=(1, 2), dtype=np.int64) for r in rasters])
+        assert result.input_spike_counts.dtype == np.int64
+        assert np.array_equal(result.input_spike_counts, expected)
+
+
+# ---------------------------------------------------------------------- #
+# inline protection on the evaluate and serving paths
+# ---------------------------------------------------------------------- #
+def _fault_map(trained: TrainedModel) -> FaultMap:
+    bits = trained.network_config.weight_bits
+    return FaultMap(
+        crossbar_shape=(784, trained.n_neurons),
+        synapse_flat_indices=np.array([3, 40, 500, 1207]),
+        synapse_bit_positions=np.array([bits - 1] * 4),
+        neuron_faults=[
+            (1, NeuronFaultType.VMEM_RESET),
+            (12, NeuronFaultType.VMEM_RESET),
+            (4, NeuronFaultType.SPIKE_GENERATION),
+        ],
+        fault_rate=1e-2,
+        bit_width=bits,
+    )
+
+
+class TestInlineProtection:
+    def test_bnp_evaluate_matches_step_monitor_hook(self):
+        trained = _trained("lif")
+        dataset = SyntheticMNIST().generate(n_samples=12, rng=21)
+        fault_map = _fault_map(trained)
+        technique = BnPTechnique(BnPVariant.BNP3)
+        inline = technique.evaluate(
+            trained, dataset, rng=17, fault_map=fault_map, batch_size=5
+        )
+
+        # The hook path on the identically built faulty network.
+        generator = resolve_rng(17)
+        network, _ = technique._build_faulty_network(
+            trained, None, generator, fault_map
+        )
+        monitor = NeuronProtection(trigger_cycles=technique.protection_trigger_cycles)
+        hooked = InferenceEngine(network, trained.neuron_labels).evaluate(
+            dataset,
+            rng=generator,
+            effective_weights=technique.bounding_for(trained).as_weight_rule(),
+            step_monitor=monitor,
+            batch_size=5,
+        )
+        assert np.array_equal(inline.predictions, hooked.predictions)
+        assert np.array_equal(inline.spike_counts, hooked.spike_counts)
+        protection = technique.last_protection
+        assert protection.activation_count > 0
+        assert protection.protected_neurons == monitor.protected_neurons
+        assert protection.activation_count == monitor.activation_count
+
+    def test_protected_session_matches_step_monitor_hook(self):
+        trained = _trained("lif")
+        mode = ServingMode(kind="protected", fault_rate=0.3, fault_seed=1)
+        session = build_session(trained, mode)
+        assert session.engine.rows[0].protection_trigger_cycles == (
+            mode.protection_trigger_cycles
+        )
+        images = [
+            SyntheticMNIST().render(digit, rng=digit).reshape(-1)
+            for digit in (1, 4, 7)
+        ]
+        seeds = [11, 12, 13]
+        _, result = session.classify_batch(images, seeds)
+
+        reference = build_session(trained, mode)
+        monitor = NeuronProtection(trigger_cycles=mode.protection_trigger_cycles)
+        hooked = MapParallelEngine.for_network(
+            reference.network, reference.effective_weights
+        ).run_encoded(
+            [np.stack([reference.encode(i, s) for i, s in zip(images, seeds)])],
+            initial_reset_latch=reference.network.neurons.reset_fault_latched[
+                np.newaxis
+            ],
+            carry_reset_latch=False,
+            step_monitor=monitor,
+        )
+        assert np.array_equal(result.spike_counts, hooked.spike_counts)
+        assert session.protection.activation_count > 0
+        assert session.protection.protected_neurons == monitor.protected_neurons
+        assert session.protection.activation_count == monitor.activation_count
+
+
+# ---------------------------------------------------------------------- #
+# memory bounds (traced allocation peaks, not timings)
+# ---------------------------------------------------------------------- #
+def _traced_peak_mb(run) -> float:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBounds:
+    def test_n400_bnp3_chunk_stays_under_50_mb(self):
+        trained = _trained("lif", n_neurons=400, timesteps=100)
+        engine = _engine(trained)
+        bnp3_row = engine.rows[2]
+        engine = MapParallelEngine(
+            [bnp3_row],
+            quantizer=engine.quantizer,
+            params=engine.params,
+            theta=engine.theta,
+        )
+        raster = np.random.default_rng(0).random((64, 100, 784)) < 0.02
+        peak = _traced_peak_mb(lambda: engine.run_encoded([raster]))
+        # With the whole-chunk float raster copy and the float64
+        # (T, U, B, n) current tensor (20 MB alone) this chunk traced 82 MB.
+        assert peak <= 50.0, f"one N400 x B64 x T100 BnP3 chunk traced {peak:.1f} MB"
+
+    def test_encoding_64_images_stays_under_16_mb(self):
+        encoder = PoissonEncoder(timesteps=100, max_rate=0.25)
+        images = np.random.default_rng(1).random((64, 28, 28))
+        peak = _traced_peak_mb(lambda: encoder.encode_batch(images, rng=2))
+        # The raster itself is 5 MB; one whole-batch float64 draw (40 MB)
+        # made this trace 46 MB.
+        assert peak <= 16.0, f"encoding 64 images traced {peak:.1f} MB"
