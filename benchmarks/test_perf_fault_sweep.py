@@ -8,8 +8,9 @@ the paper's fault rates) three ways:
   through its stand-alone :meth:`MitigationTechnique.evaluate` call (one
   full engine pass per (cell, technique), re-encoding the test set each
   time).  This is the baseline the speedup is measured against.
-* **cell-at-a-time map-parallel** — :func:`execute_cell` per cell: one
-  fused engine pass per cell covering all techniques.
+* **cell-at-a-time map-parallel** — :func:`execute_cell_group` on a
+  one-cell unit per cell: one fused engine pass per cell covering all
+  techniques.
 * **grouped map-parallel** — :func:`execute_cell_group` per fault rate:
   all trials *and* all techniques of a rate in one fused pass.
 

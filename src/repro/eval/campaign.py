@@ -17,21 +17,24 @@ technique.  This module turns that grid into explicit, schedulable work:
   encoded presentations.  Cells at the same (experiment, fault rate)
   coordinate execute as one fused :class:`~repro.snn.engine.MapParallelEngine`
   unit (see :func:`execute_cell_group`); the records are bit-identical to
-  executing each cell alone (:func:`execute_cell`).
+  executing each cell as a unit of its own.
 * :func:`run_campaign` executes the pending cells — serially or across a
   pool of warm persistent worker processes
   (:mod:`repro.eval.pool`) — streaming every finished cell into an
   append-only :class:`~repro.eval.store.ResultStore` so an interrupted
   campaign resumes where it stopped, and finally aggregates the records
   back into per-experiment :class:`~repro.eval.sweep.SweepResult` objects.
+  :class:`~repro.eval.sweep.FaultRateSweep` runs on the same serial
+  executor.
 
 Workers never retrain and never regenerate data: the orchestrator trains
 each clean model once, snapshots it with
-:meth:`~repro.snn.training.TrainedModel.save`, publishes the test set (and
-each unit's pre-encoded presentations) in shared memory, and long-lived
-workers load the snapshot once and attach zero-copy views — so a unit's
-marginal cost in a worker is the simulation itself, which is what lets the
-pool approach linear scaling on multi-core machines.
+:meth:`~repro.snn.training.TrainedModel.save` and hands every worker the
+snapshot path and the test set once, as process arguments.  Long-lived
+workers load the snapshot once, then draw each unit's fault maps and
+encode its presentations themselves — so a unit's marginal cost in a
+worker is its own simulation, which is what lets the pool approach linear
+scaling on multi-core machines.
 """
 
 from __future__ import annotations
@@ -78,7 +81,6 @@ __all__ = [
     "CampaignResult",
     "UnitInputs",
     "build_experiment_cells",
-    "execute_cell",
     "execute_cell_group",
     "prepare_unit_inputs",
     "group_cells",
@@ -127,10 +129,12 @@ class TechniqueSpec:
         return build_technique(self.kind, **self.options)
 
     def to_dict(self) -> Dict[str, object]:
+        """JSON-friendly form (technique kind value plus options)."""
         return {"kind": self.kind.value, "options": dict(self.options)}
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "TechniqueSpec":
+        """Rebuild a spec from :meth:`to_dict` output."""
         return cls(kind=MitigationKind(data["kind"]), options=dict(data.get("options", {})))
 
 
@@ -170,6 +174,7 @@ class SweepCell:
         )
 
     def to_dict(self) -> Dict[str, object]:
+        """JSON-friendly form, as sent to pool workers."""
         return {
             "experiment_key": self.experiment_key,
             "fault_rate": self.fault_rate,
@@ -183,6 +188,7 @@ class SweepCell:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "SweepCell":
+        """Rebuild a cell from :meth:`to_dict` output."""
         return cls(
             experiment_key=str(data["experiment_key"]),
             fault_rate=(
@@ -218,6 +224,7 @@ class CellResult:
     duration_seconds: float = 0.0
 
     def to_dict(self) -> Dict[str, object]:
+        """JSON-friendly form, as appended to the result store."""
         return {
             "cell_id": self.cell_id,
             "experiment_key": self.experiment_key,
@@ -231,6 +238,7 @@ class CellResult:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "CellResult":
+        """Rebuild a result from :meth:`to_dict` output (store records)."""
         return cls(
             cell_id=str(data["cell_id"]),
             experiment_key=str(data["experiment_key"]),
@@ -425,8 +433,8 @@ def execute_cell_group(
     (:func:`repro.core.mitigation.evaluate_techniques_mapped`), and one
     :class:`CellResult` per cell comes back out.  Because the per-row
     engine arithmetic is bit-identical to stand-alone evaluation, grouping
-    is purely an execution-strategy choice: the records equal the ones
-    :func:`execute_cell` produces for each cell alone (only the measured
+    is purely an execution-strategy choice: the records equal the ones a
+    one-cell unit produces for each cell alone (only the measured
     ``duration_seconds`` differs — the unit's wall clock is split evenly
     across its cells).
 
@@ -496,23 +504,6 @@ def execute_cell_group(
             )
         )
     return results
-
-
-def execute_cell(
-    cell: SweepCell,
-    model: TrainedModel,
-    dataset: Dataset,
-    techniques: Sequence[MitigationTechnique],
-) -> CellResult:
-    """Run one cell: draw its fault map, evaluate every technique against it.
-
-    Single-cell front end of :func:`execute_cell_group` (see there for the
-    randomness protocol).  Every technique — including the clean reference
-    cell, which historically inherited ``techniques[0]``'s accuracy — is
-    evaluated explicitly, and all techniques see the same fault map and the
-    same encoded presentations.
-    """
-    return execute_cell_group([cell], model, dataset, techniques)[0]
 
 
 def group_cells(cells: Sequence[SweepCell]) -> List[List[SweepCell]]:
@@ -629,8 +620,8 @@ class CampaignSpec:
     seed:
         Root seed of the per-cell seed derivation.
     runner_seed:
-        Root seed of the :class:`ExperimentRunner` that trains (and of the
-        workers that regenerate) each experiment's data and model.
+        Root seed of the :class:`ExperimentRunner` that generates each
+        experiment's data and trains its model.
     """
 
     name: str
@@ -731,9 +722,11 @@ class CampaignSpec:
 
     @property
     def technique_kinds(self) -> List[MitigationKind]:
+        """Technique kinds compared at every grid point, in spec order."""
         return [spec.kind for spec in self.techniques]
 
     def experiment_by_key(self, key: str) -> ExperimentConfig:
+        """The experiment whose label is *key* (``KeyError`` if none)."""
         for config in self.experiments:
             if config.label() == key:
                 return config
@@ -757,6 +750,7 @@ class CampaignSpec:
         return cells
 
     def to_dict(self) -> Dict[str, object]:
+        """JSON-friendly form (store metadata and fingerprint input)."""
         return {
             "name": self.name,
             "experiments": [config.to_dict() for config in self.experiments],
@@ -771,6 +765,7 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "CampaignSpec":
+        """Rebuild a spec from :meth:`to_dict` output."""
         return cls(
             name=str(data["name"]),
             experiments=[
@@ -996,38 +991,16 @@ def _execute_serial(
     assets: Dict[str, Tuple[TrainedModel, Dataset, List[MitigationTechnique]]],
     on_result: Callable[[CellResult], None],
 ) -> None:
+    """Execute cells in-process, one map-parallel unit at a time.
+
+    The serial executor of :func:`run_campaign` and of
+    :meth:`repro.eval.sweep.FaultRateSweep.run`; *assets* maps each
+    experiment key to its ``(model, test_set, techniques)``.
+    """
     for unit in group_cells(cells):
         model, dataset, techniques = assets[unit[0].experiment_key]
         for result in execute_cell_group(unit, model, dataset, techniques):
             on_result(result)
-
-
-def _execute_pool(
-    cells: Sequence[SweepCell],
-    assets: Dict[str, Tuple[TrainedModel, Dataset, List[MitigationTechnique]]],
-    model_paths: Dict[str, str],
-    technique_specs: Sequence[TechniqueSpec],
-    n_workers: int,
-    on_result: Callable[[CellResult], None],
-) -> Optional[Dict[str, object]]:
-    """Distribute units over the warm persistent worker pool.
-
-    Workers receive the model snapshot path and the test set (through
-    shared memory) once per experiment, then draw each unit's fault maps
-    and encode its presentations themselves (see
-    :func:`repro.eval.pool.execute_units_pooled`).  Returns the
-    pool-statistics dict for the run report.
-    """
-    from repro.eval.pool import execute_units_pooled
-
-    return execute_units_pooled(
-        units=group_cells(cells),
-        assets=assets,
-        model_paths=model_paths,
-        technique_specs=technique_specs,
-        n_workers=n_workers,
-        on_result=on_result,
-    )
 
 
 def run_campaign(
@@ -1058,12 +1031,13 @@ def run_campaign(
         When false an existing store is truncated instead of resumed.
     workdir:
         Directory for trained-model snapshots handed to pool workers.
-        Defaults to a sibling of the store (or a temporary directory).
+        Defaults to a temporary directory removed after the run.
     runner:
         Experiment runner to prepare (train) the clean models with.  Pass
         one to share its model cache across several campaign runs; its
-        root seed must equal ``spec.runner_seed``, otherwise the workers'
-        regenerated datasets would not match the orchestrator's.
+        root seed must equal ``spec.runner_seed``, otherwise its models and
+        test sets would not be the ones the spec (and its store
+        fingerprint) describes.
 
     The trials of each (experiment, fault rate) coordinate execute as one
     map-parallel unit (:func:`group_cells`); the records are bit-identical
@@ -1095,8 +1069,8 @@ def run_campaign(
     elif runner.seeds.root_seed != spec.runner_seed:
         raise ValueError(
             f"runner root seed {runner.seeds.root_seed} does not match "
-            f"spec.runner_seed {spec.runner_seed}; workers would regenerate "
-            "different datasets than the orchestrator prepared"
+            f"spec.runner_seed {spec.runner_seed}; its models and test sets "
+            "would not be the ones the spec describes"
         )
     needed_keys = {cell.experiment_key for cell in pending}
     assets: Dict[str, Tuple[TrainedModel, Dataset, List[MitigationTechnique]]] = {}
@@ -1154,13 +1128,15 @@ def run_campaign(
                     safe = key.replace("/", "_").replace(" ", "_")
                     model_paths[key] = str(assets[key][0].save(models_dir / safe))
                 try:
-                    pool_stats = _execute_pool(
-                        pending,
-                        assets,
-                        model_paths,
-                        spec.techniques,
-                        n_workers,
-                        record,
+                    from repro.eval.pool import execute_units_pooled
+
+                    pool_stats = execute_units_pooled(
+                        units=group_cells(pending),
+                        assets=assets,
+                        model_paths=model_paths,
+                        technique_specs=spec.techniques,
+                        n_workers=n_workers,
+                        on_result=record,
                     )
                 except (OSError, ImportError) as error:
                     # Sandboxed or exotic platforms may not allow process

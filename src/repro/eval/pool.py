@@ -6,15 +6,16 @@ test-set Poisson encoding *inside* the worker.  This module replaces it
 with long-lived workers and a strict split of responsibilities:
 
 Orchestrator (this process)
-    Trains/loads the clean models, publishes each experiment's test set
-    once via ``multiprocessing.shared_memory``
-    (:class:`repro.utils.serialization.SharedArrayPublisher`) and sends
-    units as cell descriptions only; it draws no randomness.
+    Trains/loads the clean models, hands every worker one
+    :class:`ExperimentContext` per experiment (snapshot path, test set,
+    technique specs) as a process argument — fork inherits it, spawn
+    pickles it once — and then sends units as cell descriptions only; it
+    draws no randomness.
 
 Workers (long-lived child processes)
     Pin OpenBLAS to one thread, load the ``TrainedModel`` snapshot once per
-    experiment key, attach zero-copy views onto the published test set,
-    rebuild techniques from their specs, then per unit draw the fault maps
+    experiment key, rebuild techniques from their specs, then per unit
+    draw the fault maps
     and encode the presentations
     (:func:`repro.eval.campaign.prepare_unit_inputs`) and run
     :func:`repro.eval.campaign.execute_cell_group`, timing both stages.
@@ -28,12 +29,12 @@ Results stream back over a single queue, so the caller's ``on_result``
 callback (and therefore ``ResultStore`` append/fsync and resume
 fingerprints) behaves exactly as in serial execution.
 
-Crash safety: the orchestrator owns the test-set shared-memory segments and
-unlinks them in a ``finally`` block, so neither worker crashes nor
-``KeyboardInterrupt`` leak segments.  A worker that dies mid-unit is
-detected by liveness polling; its in-flight unit is named (experiment key
-plus cell ids) and re-executed serially once, and its queued units are
-redistributed to the surviving workers.
+Crash safety: the orchestrator shuts the workers down in a ``finally``
+block (sentinel, then ``terminate``), so neither an error nor a
+``KeyboardInterrupt`` leaves child processes behind.  A worker that dies
+mid-unit is detected by liveness polling; its in-flight unit is named
+(experiment key plus cell ids) and re-executed serially once, and its
+queued units are redistributed to the surviving workers.
 """
 
 from __future__ import annotations
@@ -61,12 +62,6 @@ from repro.eval.campaign import (
 from repro.obs import metrics as _obs
 from repro.snn.training import TrainedModel
 from repro.utils.logging import env_log_level, get_logger
-from repro.utils.serialization import (
-    SharedArrayHandle,
-    SharedArrayPublisher,
-    SharedArrayView,
-    reap_stale_segments,
-)
 
 __all__ = [
     "ExperimentContext",
@@ -78,8 +73,7 @@ _LOGGER = get_logger("eval.pool")
 
 # Pool telemetry (docs/observability.md): orchestrator-observed unit wall
 # times, worker-measured stage times, live busy/queue gauges for the
-# progress line, shared-memory byte accounting, and the crash/retry/
-# scheduling counters that used to be invisible log lines at best.
+# progress line, and the crash/retry/scheduling counters that used to be invisible log lines at best.
 _POOL_UNIT_SECONDS = _obs.get_registry().histogram(
     "softsnn_campaign_unit_seconds",
     "Per-unit wall time, start-to-done as observed by the orchestrator.",
@@ -109,14 +103,6 @@ _POOL_SCHED = _obs.get_registry().counter(
     "softsnn_campaign_sched_decisions_total",
     "LPT unit-routing decisions by policy.",
     labels=("policy",),
-)
-_POOL_SHM_PUBLISHED = _obs.get_registry().counter(
-    "softsnn_campaign_shm_bytes_published_total",
-    "Test-set bytes published as shared-memory segments by the orchestrator.",
-)
-_POOL_SHM_UNLINKED = _obs.get_registry().counter(
-    "softsnn_campaign_shm_bytes_unlinked_total",
-    "Bytes of shared-memory segments unlinked by the orchestrator.",
 )
 
 # Units a worker may have queued or running at once.  Two hides the
@@ -148,16 +134,14 @@ class ExperimentContext:
     """Everything a worker needs to build one experiment's assets.
 
     The model travels as a snapshot path (loaded once per worker), the
-    test set as shared-memory handles (attached zero-copy), techniques as
-    declarative specs (rebuilt in-process).
+    test set as the :class:`Dataset` itself, techniques as declarative
+    specs (rebuilt in-process).  Workers receive every context once, as a
+    process argument.
     """
 
     experiment_key: str
     model_path: str
-    images: SharedArrayHandle
-    labels: SharedArrayHandle
-    dataset_name: str
-    dataset_metadata: Dict[str, object]
+    dataset: Dataset
     technique_specs: Tuple[Dict[str, object], ...]
 
 
@@ -179,7 +163,6 @@ class _WorkerState:
     backlog: List[int] = field(default_factory=list)
     in_flight: List[int] = field(default_factory=list)
     started_unit: Optional[int] = None
-    sent_contexts: set = field(default_factory=set)
     alive: bool = True
     #: ``perf_counter`` when the current unit's "start" ack arrived;
     #: workers execute units strictly serially, so start/done pair up.
@@ -274,94 +257,76 @@ def _pin_blas_to_one_thread() -> Optional[int]:
 def _worker_assets(
     context: ExperimentContext,
     cache: Dict[str, Tuple[TrainedModel, Dataset, List[object]]],
-    views: List[SharedArrayView],
 ) -> Tuple[TrainedModel, Dataset, List[object]]:
     """Build (and cache) one experiment's worker-side assets."""
     if context.experiment_key not in cache:
         model = TrainedModel.load(context.model_path)
-        image_view = SharedArrayView(context.images)
-        label_view = SharedArrayView(context.labels)
-        views.extend([image_view, label_view])
-        dataset = Dataset(
-            images=image_view.array,
-            labels=label_view.array,
-            name=context.dataset_name,
-            metadata=dict(context.dataset_metadata),
-        )
         techniques = [
             TechniqueSpec.from_dict(spec).build()
             for spec in context.technique_specs
         ]
-        cache[context.experiment_key] = (model, dataset, techniques)
+        cache[context.experiment_key] = (model, context.dataset, techniques)
     return cache[context.experiment_key]
 
 
 def _worker_main(
     worker_id: int,
+    contexts: Dict[str, ExperimentContext],
     task_queue: "mp.queues.Queue",
     result_queue: "mp.queues.Queue",
 ) -> None:
-    """Worker loop: receive contexts and units, stream results back.
+    """Worker loop: receive units, stream results back.
 
-    The worker ignores ``SIGINT`` so a ``KeyboardInterrupt`` in the
-    orchestrator does not race its cleanup: the orchestrator keeps control
-    and shuts the pool down through sentinels/terminate.
+    *contexts* arrives once, as a process argument, and covers every
+    experiment the campaign's units may name.  The worker ignores
+    ``SIGINT`` so a ``KeyboardInterrupt`` in the orchestrator does not race
+    its cleanup: the orchestrator keeps control and shuts the pool down
+    through sentinels/terminate.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     blas_threads = _pin_blas_to_one_thread()
     _install_log_relay(worker_id, result_queue)
-    contexts: Dict[str, ExperimentContext] = {}
     cache: Dict[str, Tuple[TrainedModel, Dataset, List[object]]] = {}
-    views: List[SharedArrayView] = []
     crash_unit = os.environ.get(_CRASH_UNIT_ENV)
-    try:
-        while True:
-            message = task_queue.get()
-            if message is None:
-                break
-            kind, payload = message
-            if kind == "context":
-                contexts[payload.experiment_key] = payload
-                continue
-            task: _UnitTask = payload
-            result_queue.put(("start", worker_id, task.unit_id, blas_threads))
-            if crash_unit is not None and crash_unit == str(task.unit_id):
-                # Flush the "start" ack before dying so the orchestrator
-                # reliably learns which unit the crash interrupted.
-                result_queue.close()
-                result_queue.join_thread()
-                os._exit(3)
-            _LOGGER.debug(
-                "executing unit %d (%d cells, experiment %s)",
-                task.unit_id,
-                len(task.cells),
-                task.experiment_key,
+    while True:
+        task: Optional[_UnitTask] = task_queue.get()
+        if task is None:
+            break
+        result_queue.put(("start", worker_id, task.unit_id, blas_threads))
+        if crash_unit is not None and crash_unit == str(task.unit_id):
+            # Flush the "start" ack before dying so the orchestrator
+            # reliably learns which unit the crash interrupted.
+            result_queue.close()
+            result_queue.join_thread()
+            os._exit(3)
+        _LOGGER.debug(
+            "executing unit %d (%d cells, experiment %s)",
+            task.unit_id,
+            len(task.cells),
+            task.experiment_key,
+        )
+        try:
+            model, dataset, techniques = _worker_assets(
+                contexts[task.experiment_key], cache
             )
-            try:
-                model, dataset, techniques = _worker_assets(
-                    contexts[task.experiment_key], cache, views
-                )
-                cells = [SweepCell.from_dict(data) for data in task.cells]
-                began = time.perf_counter()
-                # Looked up as this module's global at call time, so wrappers
-                # of ``repro.eval.pool.prepare_unit_inputs`` see the call.
-                inputs = prepare_unit_inputs(cells, model, dataset)
-                prepared = time.perf_counter()
-                results = execute_cell_group(
-                    cells, model, dataset, techniques, inputs=inputs
-                )
-                records = [result.to_dict() for result in results]
-                stage_seconds = (prepared - began, time.perf_counter() - prepared)
-                result_queue.put(
-                    ("done", worker_id, task.unit_id, records, *stage_seconds)
-                )
-            except Exception:  # noqa: BLE001 - forwarded to the orchestrator
-                result_queue.put(
-                    ("error", worker_id, task.unit_id, traceback.format_exc())
-                )
-    finally:
-        for view in views:
-            view.close()
+            cells = [SweepCell.from_dict(data) for data in task.cells]
+            began = time.perf_counter()
+            # Looked up as this module's global at call time, so wrappers
+            # of ``repro.eval.pool.prepare_unit_inputs`` see the call.
+            inputs = prepare_unit_inputs(cells, model, dataset)
+            prepared = time.perf_counter()
+            results = execute_cell_group(
+                cells, model, dataset, techniques, inputs=inputs
+            )
+            records = [result.to_dict() for result in results]
+            stage_seconds = (prepared - began, time.perf_counter() - prepared)
+            result_queue.put(
+                ("done", worker_id, task.unit_id, records, *stage_seconds)
+            )
+        except Exception:  # noqa: BLE001 - forwarded to the orchestrator
+            result_queue.put(
+                ("error", worker_id, task.unit_id, traceback.format_exc())
+            )
 
 
 def _describe_unit(unit: Sequence[SweepCell]) -> str:
@@ -431,9 +396,9 @@ def execute_units_pooled(
     Returns a pool-statistics dict (``None`` for an empty unit list):
     worker count, wall seconds, per-worker busy time / utilization / unit
     counts / worker-measured prepare and execute seconds / OpenBLAS
-    threads, crash and serial-retry totals, test-set shared-memory bytes
-    published and unlinked, and per-policy scheduling decisions.  The
-    campaign embeds it in :meth:`repro.eval.campaign.CampaignResult.run_report`.
+    threads, crash and serial-retry totals, and per-policy scheduling
+    decisions.  The campaign embeds it in
+    :meth:`repro.eval.campaign.CampaignResult.run_report`.
 
     Parameters
     ----------
@@ -443,8 +408,8 @@ def execute_units_pooled(
         :func:`repro.eval.campaign.group_cells`.
     assets:
         Orchestrator-side ``{experiment_key: (model, test_set,
-        techniques)}`` — used to publish test sets and serially
-        re-execute units of crashed workers.
+        techniques)}`` — the test sets travel to the workers, and units
+        of crashed workers re-execute serially against these assets.
     model_paths:
         ``{experiment_key: snapshot path}`` for worker-side model loading.
     technique_specs:
@@ -472,54 +437,32 @@ def execute_units_pooled(
         "n_workers": n_workers,
         "crashes": 0,
         "serial_retries": 0,
-        "shm_bytes_published": 0,
-        "shm_bytes_unlinked": 0,
         "sched_decisions": {"affinity": 0, "least_loaded": 0},
     }
 
-    stale = reap_stale_segments("softsnn-pool")
-    if stale:
-        _LOGGER.warning(
-            "reaped %d shared-memory segment(s) orphaned by a killed "
-            "campaign run", len(stale)
+    specs = tuple(spec.to_dict() for spec in technique_specs)
+    contexts = {
+        key: ExperimentContext(
+            experiment_key=key,
+            model_path=model_paths[key],
+            dataset=assets[key][1],
+            technique_specs=specs,
         )
-
+        for key in sorted({unit[0].experiment_key for unit in units})
+    }
     ctx = mp.get_context()
     result_queue = ctx.Queue()
-    publisher = SharedArrayPublisher(prefix="softsnn-pool")
     workers: List[_WorkerState] = []
-    contexts: Dict[str, ExperimentContext] = {}
     done: set = set()
 
-    needed_keys = {unit[0].experiment_key for unit in units}
-    context_shm_bytes = 0
     try:
-        for key in sorted(needed_keys):
-            dataset = assets[key][1]
-            images = publisher.publish(dataset.images)
-            labels = publisher.publish(dataset.labels)
-            context_shm_bytes += images.nbytes + labels.nbytes
-            contexts[key] = ExperimentContext(
-                experiment_key=key,
-                model_path=model_paths[key],
-                images=images,
-                labels=labels,
-                dataset_name=dataset.name,
-                dataset_metadata=dict(dataset.metadata),
-                technique_specs=tuple(
-                    spec.to_dict() for spec in technique_specs
-                ),
-            )
-        stats["shm_bytes_published"] = context_shm_bytes
-        _POOL_SHM_PUBLISHED.inc(context_shm_bytes)
-
         for backlog in _assign_units(
             units, n_workers, stats["sched_decisions"]
         ):
             task_queue = ctx.Queue()
             process = ctx.Process(
                 target=_worker_main,
-                args=(len(workers), task_queue, result_queue),
+                args=(len(workers), contexts, task_queue, result_queue),
                 daemon=True,
             )
             process.start()
@@ -551,16 +494,12 @@ def execute_units_pooled(
             while worker.backlog and len(worker.in_flight) < _MAX_IN_FLIGHT:
                 index = worker.backlog.pop(0)
                 unit = units[index]
-                key = unit[0].experiment_key
-                if key not in worker.sent_contexts:
-                    worker.task_queue.put(("context", contexts[key]))
-                    worker.sent_contexts.add(key)
                 task = _UnitTask(
                     unit_id=index,
-                    experiment_key=key,
+                    experiment_key=unit[0].experiment_key,
                     cells=tuple(cell.to_dict() for cell in unit),
                 )
-                worker.task_queue.put(("unit", task))
+                worker.task_queue.put(task)
                 worker.in_flight.append(index)
 
         def run_serially(index: int, reason: str) -> None:
@@ -694,10 +633,6 @@ def execute_units_pooled(
             worker.task_queue.close()
         result_queue.cancel_join_thread()
         result_queue.close()
-        # publisher.close() unlinks every test-set segment it published.
-        stats["shm_bytes_unlinked"] = context_shm_bytes
-        _POOL_SHM_UNLINKED.inc(context_shm_bytes)
-        publisher.close()
         _POOL_WORKERS_BUSY.set(0)
         _POOL_QUEUE_DEPTH.set(0)
 

@@ -7,8 +7,9 @@ every technique seeing the *same* fault map at each rate so the comparison
 is paired.  :class:`FaultRateSweep` exposes that loop as a single-experiment
 front end over the campaign machinery of :mod:`repro.eval.campaign`: the
 sweep grid is expanded into independent, deterministically seeded cells and
-executed serially in-process, so the results are bit-identical to the same
-grid distributed over a campaign's process pool.
+executed in-process by the campaign's own serial executor, so the results
+are bit-identical to the same grid distributed over a campaign's process
+pool.
 """
 
 from __future__ import annotations
@@ -21,12 +22,9 @@ from repro.core.mitigation import MitigationTechnique
 from repro.data.datasets import Dataset
 from repro.hardware.enhancements import MitigationKind
 from repro.snn.training import TrainedModel
-from repro.utils.logging import get_logger
 from repro.utils.rng import RNGLike, derive_root_seed
 
 __all__ = ["TechniqueAccuracy", "SweepResult", "FaultRateSweep"]
-
-_LOGGER = get_logger("eval.sweep")
 
 #: Fault rates swept by the paper's compute-engine experiments (Fig. 13).
 PAPER_FAULT_RATES = (1e-4, 1e-3, 1e-2, 1e-1)
@@ -197,8 +195,8 @@ class FaultRateSweep:
 
     This is the single-experiment front end of the campaign subsystem: the
     sweep is expanded into independent cells (one per fault rate × trial,
-    plus the fault-free reference) and executed on the in-process serial
-    path.  Because every cell is seeded from its grid coordinates, the
+    plus the fault-free reference) and executed on the campaign's
+    in-process serial executor.  Because every cell is seeded from its grid coordinates, the
     results are bit-identical to running the same grid as a parallel
     campaign with the same seed and experiment key.
 
@@ -260,10 +258,9 @@ class FaultRateSweep:
         its experiment key reproduces these exact accuracies.
         """
         from repro.eval.campaign import (
+            _execute_serial,
             build_experiment_cells,
             collect_sweep_result,
-            execute_cell_group,
-            group_cells,
         )
 
         if fault_rates is None:
@@ -280,32 +277,16 @@ class FaultRateSweep:
             inject_neurons=self.inject_neurons,
             batch_size=self.batch_size,
         )
-        records = {}
-        # All trials of one fault rate execute as a single map-parallel
-        # unit; the records are bit-identical to cell-at-a-time execution.
-        for unit in group_cells(cells):
-            results = execute_cell_group(
-                unit, self.model, self.dataset, self.techniques
-            )
-            for result in results:
-                records[result.cell_id] = result
-            if unit[0].is_clean:
-                continue
-            means = {
-                kind: sum(r.accuracies[kind] for r in results) / len(results)
-                for kind in results[0].accuracies
-            }
-            _LOGGER.info(
-                "%s: fault rate %.0e done (%s)",
-                label,
-                unit[0].fault_rate,
-                ", ".join(f"{kind}={acc:.1f}%" for kind, acc in means.items()),
-            )
-
+        results = []
+        _execute_serial(
+            cells,
+            {label: (self.model, self.dataset, self.techniques)},
+            results.append,
+        )
         return collect_sweep_result(
             label=label,
             fault_rates=fault_rates,
             technique_kinds=[technique.kind for technique in self.techniques],
             n_trials=self.n_trials,
-            records=records,
+            records={result.cell_id: result for result in results},
         )

@@ -635,7 +635,7 @@ class MapParallelEngine:
             One boolean spike raster of shape ``(batch, timesteps,
             n_inputs)`` per encoding group; ``rows[m]`` presents
             ``rasters[rows[m].raster_index]``.  Rasters are only read, so
-            read-only zero-copy views (e.g. onto shared memory) are fine.
+            read-only views are fine.
         initial_reset_latch:
             Per-row faulty-reset latches ``(n_rows, n_neurons)`` carried
             over from the previous chunk; defaults to all healthy.

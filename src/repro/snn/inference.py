@@ -248,8 +248,8 @@ class InferenceEngine:
 
         When *raster* is given it must be the externally Poisson-encoded
         presentation tensor ``(n_samples, timesteps, n_inputs)`` for the
-        whole dataset (for example a zero-copy shared-memory view published
-        by the campaign orchestrator); the engine then consumes it directly
+        whole dataset (for example the one a campaign unit encodes once and
+        replays across techniques); the engine then consumes it directly
         instead of encoding ``dataset.images``, and *rng* is left
         untouched.  Passing the raster the engine would have encoded from
         *rng* yields bit-identical results.

@@ -12,18 +12,6 @@ Three formats cover every artefact the library writes:
   out as one self-contained record so a killed run loses at most the
   line being written.
 
-A fourth mechanism is process-to-process, not disk: POSIX shared memory
-(:class:`SharedArrayPublisher` / :class:`SharedArrayView`) publishes numpy
-arrays once and lets worker processes attach zero-copy views instead of
-regenerating or re-receiving the data.  The warm campaign worker pool uses
-it to share pre-encoded test-set presentations and the test images
-themselves.  Lifecycle contract: the publishing process owns every segment
-and unlinks it (:meth:`SharedArrayPublisher.close` is crash-safe to call
-from ``finally``); attaching processes only map and unmap, and
-attach without registering with the ``multiprocessing`` resource tracker so
-a worker exiting — cleanly or not — can never tear a segment away from its
-owner.
-
 NumPy scalars and arrays are converted to native Python types on the way
 out of the JSON writers.
 """
@@ -33,12 +21,9 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import uuid
 from contextlib import contextmanager
-from dataclasses import dataclass
-from multiprocessing import shared_memory
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Tuple, Union
+from typing import Any, Dict, Iterator, List, Mapping, Union
 
 import numpy as np
 
@@ -50,10 +35,6 @@ __all__ = [
     "load_npz",
     "append_jsonl",
     "read_jsonl",
-    "SharedArrayHandle",
-    "SharedArrayPublisher",
-    "SharedArrayView",
-    "reap_stale_segments",
 ]
 
 PathLike = Union[str, Path]
@@ -228,219 +209,3 @@ def read_jsonl(path: PathLike, tolerate_truncated_tail: bool = True) -> List[Any
                 break
             raise ValueError(f"corrupt JSONL record at {path}:{index + 1}")
     return records
-
-
-# ---------------------------------------------------------------------- #
-# shared-memory array publication
-# ---------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class SharedArrayHandle:
-    """Address of one numpy array published in POSIX shared memory.
-
-    A handle is a tiny picklable value — segment name plus the array's
-    shape and dtype — that travels over a task queue so the receiving
-    process can map the same physical pages with :class:`SharedArrayView`
-    instead of copying the array through the pipe.
-    """
-
-    name: str
-    shape: Tuple[int, ...]
-    dtype: str
-
-    @property
-    def nbytes(self) -> int:
-        """Payload size of the described array in bytes."""
-        count = 1
-        for extent in self.shape:
-            count *= int(extent)
-        return count * np.dtype(self.dtype).itemsize
-
-
-@contextmanager
-def _untracked_attachment() -> Iterator[None]:
-    """Attach to a segment without registering it with the resource tracker.
-
-    CPython (< 3.13, where ``track=False`` lands) registers every
-    ``SharedMemory`` attachment with the ``multiprocessing`` resource
-    tracker, which then treats the segment as leaked when the attaching
-    process exits.  Attachers must not own the segment lifetime — the
-    publisher unlinks — and under the default ``fork`` start method all
-    processes share one tracker, so an attach-side registration (or a
-    compensating ``unregister``) corrupts the publisher's own
-    bookkeeping.  Suppressing the registration for the duration of the
-    attach keeps the tracker's view exactly what the publisher declared.
-    """
-    try:  # pragma: no cover - interpreter-internal API, absent on some builds
-        from multiprocessing import resource_tracker
-    except Exception:
-        yield
-        return
-    original = resource_tracker.register
-    resource_tracker.register = lambda *args, **kwargs: None
-    try:
-        yield
-    finally:
-        resource_tracker.register = original
-
-
-class SharedArrayView:
-    """Zero-copy numpy view of a published segment, on the attaching side.
-
-    The view holds the mapping open for as long as the object lives;
-    :meth:`close` unmaps it (tolerating still-exported buffers, which are
-    then released when the process exits).  Attachers never unlink — the
-    publishing process owns the segment.
-    """
-
-    def __init__(self, handle: SharedArrayHandle) -> None:
-        with _untracked_attachment():
-            self._segment = shared_memory.SharedMemory(name=handle.name)
-        self.array: np.ndarray = np.ndarray(
-            tuple(handle.shape),
-            dtype=np.dtype(handle.dtype),
-            buffer=self._segment.buf,
-        )
-
-    def close(self) -> None:
-        """Unmap the segment; safe to call twice."""
-        self.array = None  # drop the exported buffer if nothing else holds it
-        try:
-            self._segment.close()
-        except BufferError:  # a live slice still references the mapping;
-            pass  # the OS reclaims it when the process exits
-
-
-class SharedArrayPublisher:
-    """Publish numpy arrays in shared memory and own their lifetime.
-
-    Every :meth:`publish` copies an array into a fresh uniquely named
-    segment and returns its :class:`SharedArrayHandle`.  The publisher —
-    and only the publisher — unlinks segments, either individually
-    (:meth:`unlink`, e.g. when a work unit completes) or wholesale
-    (:meth:`close`, idempotent and safe in ``finally``/``except`` paths, so
-    a crash or ``KeyboardInterrupt`` in the owning process cannot leak
-    segments as long as the process gets to unwind).
-    """
-
-    def __init__(self, prefix: str = "softsnn") -> None:
-        self.prefix = prefix
-        self._segments: Dict[str, shared_memory.SharedMemory] = {}
-
-    def __enter__(self) -> "SharedArrayPublisher":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def __len__(self) -> int:
-        return len(self._segments)
-
-    def publish(self, array: np.ndarray) -> SharedArrayHandle:
-        """Copy *array* into a new shared segment and return its handle."""
-        array = np.ascontiguousarray(array)
-        name = f"{self.prefix}-{os.getpid():x}-{uuid.uuid4().hex[:16]}"
-        segment = shared_memory.SharedMemory(
-            name=name, create=True, size=max(1, array.nbytes)
-        )
-        if array.nbytes:
-            view = np.ndarray(array.shape, dtype=array.dtype, buffer=segment.buf)
-            view[...] = array
-            del view
-        self._segments[name] = segment
-        return SharedArrayHandle(
-            name=name, shape=tuple(array.shape), dtype=str(array.dtype)
-        )
-
-    def unlink(self, handle: SharedArrayHandle) -> None:
-        """Destroy one published segment; unknown/already-freed is a no-op.
-
-        Unlinking while workers are still attached is safe (POSIX keeps the
-        pages alive until the last mapping closes); the name just becomes
-        unavailable for new attachments.
-        """
-        segment = self._segments.pop(handle.name, None)
-        if segment is None:
-            return
-        try:
-            segment.close()
-        except BufferError:  # pragma: no cover - publisher views are transient
-            pass
-        try:
-            segment.unlink()
-        except FileNotFoundError:  # pragma: no cover - external cleanup raced us
-            pass
-
-    def close(self) -> None:
-        """Unlink every remaining segment this publisher created."""
-        for name in list(self._segments):
-            self.unlink(
-                SharedArrayHandle(name=name, shape=(), dtype="uint8")
-            )
-
-
-def _pid_can_still_run(pid: int) -> bool:
-    """Whether *pid* names a process that could still touch its segments.
-
-    A zombie counts as dead: it keeps its pid (``kill(pid, 0)`` succeeds)
-    but can never execute again — and on minimal containers whose pid 1
-    does not reap orphans, a SIGKILLed orchestrator stays a zombie
-    forever, which is exactly the case the reaper exists for.
-    """
-    try:
-        with open(f"/proc/{pid}/stat", "rb") as handle:
-            stat = handle.read()
-    except FileNotFoundError:
-        return False
-    except OSError:  # pragma: no cover - no /proc: fall back to a signal probe
-        try:
-            os.kill(pid, 0)
-            return True
-        except ProcessLookupError:
-            return False
-        except PermissionError:
-            return True
-    # The state letter follows the parenthesised comm (which may itself
-    # contain spaces and parentheses, hence rpartition).
-    state = stat.rpartition(b")")[2].split()
-    return bool(state) and state[0] != b"Z"
-
-
-def reap_stale_segments(prefix: str) -> List[str]:
-    """Unlink published segments whose owning process no longer exists.
-
-    ``close()`` in a ``finally`` and the multiprocessing resource tracker
-    cover every exit path except the one nothing can: ``SIGKILL``
-    delivered to the whole process group (OOM killer, ``timeout -sKILL``)
-    takes the tracker down with the publisher, and the segments stay in
-    ``/dev/shm`` forever.  Segment names embed the publishing pid
-    (``{prefix}-{pid:x}-{uuid}``), so a later run can sweep them: any
-    segment under *prefix* whose pid is dead is unlinked.  A live pid —
-    including a recycled one — is left alone; recycling therefore only
-    ever delays a reap, never destroys a live run's data.
-
-    Returns the reaped segment names.  No-op on platforms without a
-    ``/dev/shm`` namespace.
-    """
-    shm_dir = Path("/dev/shm")
-    if not shm_dir.is_dir():  # pragma: no cover - non-POSIX-shm platform
-        return []
-    reaped = []
-    for path in shm_dir.iterdir():
-        if not path.name.startswith(prefix + "-"):
-            continue
-        suffix = path.name[len(prefix) + 1 :]
-        pid_hex, _, _ = suffix.partition("-")
-        try:
-            pid = int(pid_hex, 16)
-        except ValueError:
-            continue
-        if pid == os.getpid():
-            continue
-        if _pid_can_still_run(pid):
-            continue  # owner is alive (or its pid was recycled): keep
-        try:
-            path.unlink()
-            reaped.append(path.name)
-        except FileNotFoundError:  # pragma: no cover - another reaper raced us
-            pass
-    return reaped

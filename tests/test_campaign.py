@@ -24,7 +24,7 @@ from repro.eval.campaign import (
     SweepCell,
     TechniqueSpec,
     build_experiment_cells,
-    execute_cell,
+    execute_cell_group,
     run_campaign,
 )
 from repro.eval.experiment import ExperimentConfig, ExperimentRunner, prepare_datasets
@@ -153,10 +153,9 @@ class TestSerialParallelParity:
             batch_size=TINY_CONFIG.eval_batch_size,
         )
         result = sweep.run(fault_rates=RATES, rng=CAMPAIGN_SEED, label=key)
-        campaign_sweep = serial_result.sweeps[key]
-        assert result.clean_accuracy == campaign_sweep.clean_accuracy
-        for kind, series in campaign_sweep.techniques.items():
-            assert result.techniques[kind].per_trial == series.per_trial
+        # The whole summary: clean baselines (shared and per technique),
+        # rates, means and raw per-trial accuracies.
+        assert result.summary() == serial_result.sweeps[key].summary()
 
     def test_execute_cell_is_deterministic(self, serial_result):
         runner = ExperimentRunner(root_seed=RUNNER_SEED)
@@ -165,8 +164,8 @@ class TestSerialParallelParity:
         cell = build_experiment_cells(
             TINY_CONFIG.label(), RATES, 2, root_seed=CAMPAIGN_SEED
         )[3]
-        a = execute_cell(cell, prepared.model, prepared.test_set, techniques)
-        b = execute_cell(cell, prepared.model, prepared.test_set, techniques)
+        a = execute_cell_group([cell], prepared.model, prepared.test_set, techniques)[0]
+        b = execute_cell_group([cell], prepared.model, prepared.test_set, techniques)[0]
         assert a.accuracies == b.accuracies
         assert a.n_faults == b.n_faults
 

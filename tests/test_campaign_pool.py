@@ -9,14 +9,15 @@ The pool's contract has three legs, each covered here:
 * **Robustness** — a worker that dies mid-unit is detected, the unit is
   named and re-executed serially once, and a half-finished pooled
   campaign resumes from its store exactly like a serial one.
-* **Hygiene** — no shared-memory segments survive a normal run, a worker
-  crash, or a ``KeyboardInterrupt`` in the orchestrator.
+* **Hygiene** — no worker process outlives a normal run or a
+  ``KeyboardInterrupt`` in the orchestrator.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import multiprocessing as mp
 import os
 from pathlib import Path
 
@@ -36,7 +37,6 @@ from repro.eval.campaign import (
 from repro.eval.experiment import ExperimentConfig, ExperimentRunner
 from repro.eval.pool import execute_units_pooled
 from repro.hardware.enhancements import MitigationKind
-from repro.utils.serialization import SharedArrayPublisher, SharedArrayView
 
 TINY_CONFIG = ExperimentConfig(
     workload="mnist", n_neurons=10, n_train=24, n_test=8, timesteps=40, epochs=1
@@ -44,8 +44,6 @@ TINY_CONFIG = ExperimentConfig(
 RATES = [1e-3, 1e-1]
 CAMPAIGN_SEED = 5
 RUNNER_SEED = 3
-
-_SHM_DIR = Path("/dev/shm")
 
 
 def tiny_spec(**overrides) -> CampaignSpec:
@@ -76,23 +74,6 @@ def store_cells(path: Path) -> list:
         records.append(record)
     records.sort(key=lambda record: record["cell_id"])
     return records
-
-
-def pool_segments() -> list:
-    """Shared-memory segments of ours currently present on the system.
-
-    Orphans left by *other* (dead) processes — e.g. a previously
-    SIGKILLed campaign on a shared box — are swept first so they cannot
-    fail an unrelated hygiene assertion; anything this process leaked
-    has a live owner pid and is still reported.
-    """
-    if not _SHM_DIR.is_dir():  # pragma: no cover - non-POSIX-shm platform
-        pytest.skip("no /dev/shm to inspect")
-    from repro.utils.serialization import reap_stale_segments
-
-    for prefix in ("softsnn-pool", "softsnn-test", "softsnn"):
-        reap_stale_segments(prefix)
-    return sorted(p.name for p in _SHM_DIR.iterdir() if "softsnn" in p.name)
 
 
 def _numpy_blas_name() -> str:
@@ -161,24 +142,6 @@ class TestPreparedInputs:
                 assert a.accuracies == b.accuracies
                 assert a.n_faults == b.n_faults
 
-    def test_shared_memory_raster_views_round_trip(self):
-        """Arrays published and re-attached compare equal, zero-copy."""
-        rng = np.random.default_rng(0)
-        arrays = [
-            rng.random((3, 40, 1, 784)) < 0.05,  # a boolean spike raster
-            rng.random((8, 28, 28)),
-            np.arange(8, dtype=np.int64),
-        ]
-        with SharedArrayPublisher(prefix="softsnn-test") as publisher:
-            views = [SharedArrayView(publisher.publish(array)) for array in arrays]
-            for array, view in zip(arrays, views):
-                assert view.array.dtype == array.dtype
-                assert view.array.shape == array.shape
-                assert np.array_equal(view.array, array)
-            for view in views:
-                view.close()
-        assert pool_segments() == []
-
 
 class TestPoolBitIdentity:
     def test_store_records_byte_identical(self, tmp_path):
@@ -203,6 +166,23 @@ class TestPoolBitIdentity:
         pool_store = tmp_path / "pool.jsonl"
         run_campaign(spec, store_path=serial_store, n_workers=1)
         run_campaign(spec, store_path=pool_store, n_workers=2)
+        assert store_cells(serial_store) == store_cells(pool_store)
+
+    def test_spawned_workers_match_serial(self, tmp_path, monkeypatch):
+        """Spawned workers (contexts pickled, not inherited) match serial."""
+        spawn = mp.get_context("spawn")
+        monkeypatch.setattr(
+            "repro.eval.pool.mp.get_context", lambda *args, **kwargs: spawn
+        )
+        spec = tiny_spec()
+        serial_store = tmp_path / "serial.jsonl"
+        pool_store = tmp_path / "pool.jsonl"
+        run_campaign(spec, store_path=serial_store, n_workers=1)
+        pooled = run_campaign(spec, store_path=pool_store, n_workers=2)
+        # The spawned workers did the work: no serial fallback or retry.
+        stats = pooled.pool_stats
+        assert stats is not None and stats["serial_retries"] == 0
+        assert all(worker["units"] > 0 for worker in stats["workers"])
         assert store_cells(serial_store) == store_cells(pool_store)
 
 
@@ -248,69 +228,16 @@ class TestCrashRecovery:
         assert "died mid-unit" in caplog.text
         assert TINY_CONFIG.label() in caplog.text
         assert store_cells(serial_store) == store_cells(pool_store)
-        assert pool_segments() == []
 
 
-class TestSharedMemoryHygiene:
-    def test_no_segments_after_normal_run(self, tmp_path):
+class TestProcessHygiene:
+    def test_no_children_after_normal_run(self, tmp_path):
+        """A finished pooled run leaves no worker process behind."""
         run_campaign(tiny_spec(), store_path=tmp_path / "s.jsonl", n_workers=2)
-        assert pool_segments() == []
+        assert mp.active_children() == []
 
-    def test_stale_segments_of_dead_owner_are_reaped(self, tmp_path):
-        """Segments orphaned by a SIGKILLed run are swept by the next one.
-
-        SIGKILL to the whole process group (OOM killer, ``timeout
-        -sKILL``) takes down the publisher *and* the resource tracker, so
-        only a later run can reclaim the segments — by noticing the pid
-        baked into the name is dead.  On containers whose pid 1 does not
-        reap orphans the killed owner lingers as a zombie, which must
-        count as dead too (it can never run again).
-        """
-        import subprocess
-        import sys
-        import time
-
-        from multiprocessing import resource_tracker, shared_memory
-
-        from repro.utils.serialization import reap_stale_segments
-
-        def stale_segment(pid: int, tag: str) -> str:
-            name = f"softsnn-pool-{pid:x}-{tag}"
-            segment = shared_memory.SharedMemory(name=name, create=True, size=16)
-            segment.close()
-            # The reaper will unlink behind the tracker's back; hand over
-            # the lifetime so the tracker does not warn about a leak.
-            resource_tracker.unregister(segment._name, "shared_memory")
-            return name
-
-        # A pid guaranteed dead: a subprocess we have already reaped.
-        reaped_child = subprocess.Popen([sys.executable, "-c", ""])
-        reaped_child.wait()
-        dead_name = stale_segment(reaped_child.pid, "deadbeefdeadbeef")
-        # A zombie: exited but deliberately not waited on yet.
-        zombie = subprocess.Popen([sys.executable, "-c", ""])
-        deadline = time.monotonic() + 10.0
-        while time.monotonic() < deadline:
-            with open(f"/proc/{zombie.pid}/stat", "rb") as fh:
-                if fh.read().rpartition(b")")[2].split()[0] == b"Z":
-                    break
-            time.sleep(0.05)
-        zombie_name = stale_segment(zombie.pid, "0000000000zombie")
-        live_name = f"softsnn-pool-{os.getpid():x}-feedfacefeedface"
-        live = shared_memory.SharedMemory(name=live_name, create=True, size=16)
-        try:
-            reaped = reap_stale_segments("softsnn-pool")
-            assert dead_name in reaped
-            assert zombie_name in reaped
-            assert live_name in pool_segments()  # live owner: untouched
-        finally:
-            zombie.wait()
-            live.close()
-            live.unlink()
-        assert pool_segments() == []
-
-    def test_no_segments_after_keyboard_interrupt(self, tmp_path):
-        """Interrupting the orchestrator mid-campaign leaks nothing."""
+    def test_no_children_after_keyboard_interrupt(self, tmp_path):
+        """Interrupting the orchestrator mid-campaign leaves no workers."""
         _, units, assets, model_paths = pooled_assets(tmp_path)
         received = []
 
@@ -328,7 +255,7 @@ class TestSharedMemoryHygiene:
                 on_result=interrupt,
             )
         assert received  # the interrupt fired mid-stream, not before work
-        assert pool_segments() == []
+        assert mp.active_children() == []
 
 
 class TestPoolObservability:
@@ -365,24 +292,14 @@ class TestPoolObservability:
         assert relayed, "no worker-tagged records reached the orchestrator"
         assert any("executing unit" in text for text in relayed)
 
-    def test_pool_stats_cover_workers_and_shm(self, tmp_path):
-        """The returned run stats account workers, time, and shm bytes."""
+    def test_pool_stats_cover_workers(self, tmp_path):
+        """The returned run stats account workers, time and scheduling."""
         result = run_campaign(tiny_spec(), store_path=None, n_workers=2)
         stats = result.pool_stats
         assert stats is not None
         assert stats["n_workers"] == 2
         assert stats["crashes"] == 0 and stats["serial_retries"] == 0
         assert stats["wall_seconds"] > 0
-        # Only the test set crosses shared memory; workers prepare the
-        # per-unit rasters themselves.
-        test_set = ExperimentRunner(root_seed=RUNNER_SEED).prepare(
-            TINY_CONFIG
-        ).test_set
-        assert stats["shm_bytes_published"] == (
-            test_set.images.nbytes + test_set.labels.nbytes
-        )
-        # Everything published is unlinked by the end of the run.
-        assert stats["shm_bytes_unlinked"] == stats["shm_bytes_published"]
         assert len(stats["workers"]) == 2
         for worker in stats["workers"]:
             assert 0.0 <= worker["utilization"] <= 1.0

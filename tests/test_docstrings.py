@@ -1,8 +1,9 @@
-"""Docstring coverage of the public snn/ and serve/ API surfaces.
+"""Docstring coverage of the public snn/, serve/ and eval/ API surfaces.
 
-CI runs ``ruff check --select D`` over ``src/repro/snn`` and
-``src/repro/serve`` (see ``.github/workflows/ci.yml`` and the
-``[tool.ruff.lint]`` configuration in ``pyproject.toml``); this test is the
+CI runs ``ruff check --select D`` over ``src/repro/snn``,
+``src/repro/serve`` and ``src/repro/eval`` (see
+``.github/workflows/ci.yml`` and the ``[tool.ruff.lint]`` configuration
+in ``pyproject.toml``); this test is the
 dependency-free local backstop for the part of that contract that matters
 most — every public module, class, function and method in those packages
 carries a docstring — so a missing docstring fails ``pytest`` on machines
@@ -17,10 +18,11 @@ from pathlib import Path
 
 import pytest
 
+import repro.eval
 import repro.serve
 import repro.snn
 
-PACKAGES = [repro.snn, repro.serve]
+PACKAGES = [repro.snn, repro.serve, repro.eval]
 
 
 def _module_paths():
@@ -64,6 +66,6 @@ def test_public_api_is_documented(path: Path):
     missing = list(_missing_docstrings(path))
     assert not missing, (
         f"{path.name}: public definitions without docstrings: {missing} "
-        "(the serving/training layers are documented API surface — "
-        "see docs/ and the ruff D lint in CI)"
+        "(the serving/training/evaluation layers are documented API "
+        "surface — see docs/ and the ruff D lint in CI)"
     )

@@ -35,7 +35,6 @@ from repro.eval.campaign import (
     TechniqueSpec,
     build_experiment_cells,
     collect_sweep_result,
-    execute_cell,
     execute_cell_group,
     group_cells,
     run_campaign,
@@ -350,7 +349,7 @@ class TestCampaignGrouping:
         assert {cell.rate_index for cell in units[2]} == {1}
 
     def test_grouped_records_equal_per_cell_records(self, trained_model, small_split):
-        """execute_cell_group == execute_cell per cell, field for field."""
+        """A grouped unit equals one-cell units per cell, field for field."""
         _, test_set = small_split
         techniques = [NoMitigation(), ReExecutionTMR(), BnPTechnique(BnPVariant.BNP1)]
         cells = build_experiment_cells(
@@ -358,7 +357,7 @@ class TestCampaignGrouping:
         )
         grouped = execute_cell_group(cells, trained_model, test_set, techniques)
         for cell, grouped_result in zip(cells, grouped):
-            single = execute_cell(cell, trained_model, test_set, techniques)
+            single = execute_cell_group([cell], trained_model, test_set, techniques)[0]
             assert single.cell_id == grouped_result.cell_id
             assert single.accuracies == grouped_result.accuracies
             assert single.n_faults == grouped_result.n_faults
@@ -384,9 +383,9 @@ class TestCampaignGrouping:
         serial_store.initialize(spec, reset=True)
         serial_results = {}
         for cell in spec.expand():
-            result = execute_cell(
-                cell, prepared.model, prepared.test_set, techniques
-            )
+            result = execute_cell_group(
+                [cell], prepared.model, prepared.test_set, techniques
+            )[0]
             serial_store.append_cell(result)
             serial_results[result.cell_id] = result
 
@@ -456,13 +455,13 @@ class TestEvaluateOnlyFallback:
         )
         grouped = execute_cell_group(cells, trained_model, test_set, techniques)
         for cell, grouped_result in zip(cells, grouped):
-            single = execute_cell(cell, trained_model, test_set, techniques)
+            single = execute_cell_group([cell], trained_model, test_set, techniques)[0]
             assert single.accuracies == grouped_result.accuracies
         assert set(grouped[0].accuracies) == {"no_mitigation", "re_execution"}
 
         # The clean cell evaluates the fallback technique too.
         clean = build_experiment_cells("exp", [1e-2], 1, root_seed=8, batch_size=8)[0]
-        record = execute_cell(clean, trained_model, test_set, techniques)
+        record = execute_cell_group([clean], trained_model, test_set, techniques)[0]
         assert set(record.accuracies) == {"no_mitigation", "re_execution", "clean"}
 
 
@@ -520,7 +519,7 @@ class TestCleanCellAttribution:
             "probe", [1e-2], 1, root_seed=3, batch_size=4
         )[0]
         assert clean_cell.is_clean
-        result = execute_cell(clean_cell, model, dataset, techniques)
+        result = execute_cell_group([clean_cell], model, dataset, techniques)[0]
 
         assert set(result.accuracies) == {"no_mitigation", "bnp1", "clean"}
         # The unmitigated clean network is perfect; the bounded one loses

@@ -425,9 +425,9 @@ class TestGrafanaDashboard:
             "softsnn_span_seconds",
         ):
             assert expected in families
-        # 25 families: the two batch-autotune families were removed along
-        # with the autotuner.
-        assert len(families) >= 25
+        # Exact, not a floor: a family dropped from (or added to) the
+        # catalog must update this count on purpose.
+        assert len(families) == 23
 
     def test_every_cataloged_family_has_a_panel(self):
         dashboard = json.loads(
