@@ -2,45 +2,37 @@
 
 Runs a Fig. 13-shaped campaign grid (two workloads, the paper's five fault
 rates, clean references included) through the serial in-process executor
-and through the warm persistent worker pool at several worker counts, and
-records the whole scaling curve ``{workers: speedup}`` in
-``benchmarks/results/perf_campaign.json`` so successive PRs can track
-orchestration overhead and scaling, not just a single point.
+and through the warm persistent worker pool at 2 and 4 workers, and records
+the scaling curve (the ``speedup_<w>w`` series) in the ``perf_campaign``
+record so successive PRs can track orchestration overhead and scaling.
 
-Correctness is asserted hard: the pooled store records must equal the
+Correctness is asserted hard: every pooled store's records must equal the
 serial ones byte for byte (modulo the measured ``duration_seconds``) — the
-campaign determinism contract.  Timing is asserted relative to what the
-machine can actually deliver: with ``C`` available cores, ``w`` workers
-can at best approach ``min(w, C)``x, so the floor scales with
-``min(w, C)`` and degrades to "the warm pool must be near serial parity"
-on a single-core box (where the old cold pool sat at 0.16x).
-
-Set ``PERF_CAMPAIGN_SMOKE=1`` (the CI artifact step does) to shrink the
-grid and the worker sweep for constrained runners.
+campaign determinism contract.  Timing follows the bench harness (one
+untimed pooled warm-up, then the median of rotated serial/pool pairs) and
+is asserted relative to what the machine can deliver: with ``C`` usable
+cores, ``w`` workers can at best approach ``min(w, C)``x, so the floor and
+the ceiling scale with ``min(w, C)``.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
-import time
 from pathlib import Path
 
-from repro.eval.campaign import CampaignSpec, TechniqueSpec, run_campaign
+from _harness import assert_at_least, time_sides, write_record
+from repro.eval.campaign import CampaignSpec, run_campaign
 from repro.eval.experiment import ExperimentConfig, ExperimentRunner
 from repro.eval.sweep import PAPER_FAULT_RATES
 from repro.hardware.enhancements import MitigationKind
 
-SMOKE = os.environ.get("PERF_CAMPAIGN_SMOKE") == "1"
-AVAILABLE_CPUS = os.cpu_count() or 1
-
-WORKLOADS = ["mnist"] if SMOKE else ["mnist", "fashion-mnist"]
-FAULT_RATES = list(PAPER_FAULT_RATES)[-2:] if SMOKE else list(PAPER_FAULT_RATES)
-N_TRIALS = 1 if SMOKE else 2
-N_TEST = 40 if SMOKE else 100
-WORKER_COUNTS = [2] if SMOKE else [2, 4]
-
-RESULTS_PATH = Path(__file__).parent / "results" / "perf_campaign.json"
+WORKLOADS = ["mnist", "fashion-mnist"]
+FAULT_RATES = list(PAPER_FAULT_RATES)
+N_TRIALS = 2
+N_TEST = 100
+WORKER_COUNTS = [2, 4]
 
 
 def _spec() -> CampaignSpec:
@@ -77,34 +69,44 @@ def _store_cells(path: Path) -> list:
     return [json.dumps(record, sort_keys=True) for record in records]
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask, not the host's count)."""
+    return len(os.sched_getaffinity(0))
+
+
 def _speedup_ceiling(n_workers: int) -> float:
     """Highest physically plausible speedup for *n_workers* on this machine.
 
-    A pool cannot beat ``min(workers, cores)`` — anything above that
-    (beyond measurement margin) means the serial baseline itself was
-    anomalous (e.g. a load spike during the serial run), and committing
-    the curve would inflate every speedup.  Guarded before the results
-    file is written.
+    A pool cannot beat ``min(workers, cores)`` — a median above that
+    (beyond measurement margin) means the serial runs themselves were
+    anomalous (e.g. a load spike during them), and the record would
+    inflate every speedup.
     """
-    return 1.25 * min(n_workers, AVAILABLE_CPUS)
+    return 1.25 * min(n_workers, _usable_cpus())
 
 
 def _speedup_floor(n_workers: int) -> float:
-    """Lowest acceptable speedup for *n_workers* on this machine.
+    """Lowest acceptable median speedup for *n_workers* on this machine.
 
     A warm pool cannot beat the core count, so expect 60% of the ideal
     ``min(workers, cores)``x when extra cores exist; on a single core the
     bar is near-parity with serial — the warm pool's whole point is that
-    its fixed costs (snapshot load once, zero-copy attach) no longer
-    swamp execution the way the old cold pool's did (0.16x).
+    its fixed costs (snapshot load and test-set hand-off once per worker)
+    no longer swamp execution the way the old cold pool's did (0.16x).
     """
-    usable = min(n_workers, AVAILABLE_CPUS)
+    usable = min(n_workers, _usable_cpus())
     if usable <= 1:
         # Oversubscribed workers on one core add context-switch noise on
         # top of orchestration; the floor only needs to catch cold-pool
         # pathologies (per-unit reload/re-encode), which sit far below.
         return 0.4
     return 0.6 * usable
+
+
+def test_speedup_floor_follows_cpu_affinity(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert _speedup_floor(2) == 0.4
+    assert _speedup_ceiling(4) == 1.25
 
 
 def test_campaign_warm_pool_scaling(tmp_path):
@@ -115,82 +117,56 @@ def test_campaign_warm_pool_scaling(tmp_path):
     for config in _spec().experiments:
         runner.prepare(config)
 
-    start = time.perf_counter()
-    serial = run_campaign(
-        _spec(), store_path=tmp_path / "serial.jsonl", n_workers=1, runner=runner
-    )
-    serial_seconds = time.perf_counter() - start
-    serial_records = _store_cells(tmp_path / "serial.jsonl")
-    n_cells = serial.n_cells
+    run_ids = itertools.count()
 
-    curve = {1: 1.0}
-    pool_seconds = {}
-    for n_workers in WORKER_COUNTS:
-        store = tmp_path / f"pool{n_workers}.jsonl"
-        start = time.perf_counter()
+    def run(n_workers):
+        # A fresh store per run: an existing one would resume, not execute.
+        store = tmp_path / f"w{n_workers}-{next(run_ids)}.jsonl"
         run_campaign(_spec(), store_path=store, n_workers=n_workers, runner=runner)
-        elapsed = time.perf_counter() - start
-        pool_seconds[n_workers] = elapsed
-        curve[n_workers] = serial_seconds / elapsed if elapsed > 0 else float("inf")
+        return store
 
-        # Correctness first: the executors must agree byte for byte.
+    sides = {"serial": lambda: run(1)}
+    for n_workers in WORKER_COUNTS:
+        sides[f"pool{n_workers}"] = lambda n_workers=n_workers: run(n_workers)
+    timing = time_sides(sides, warmup=lambda: run(WORKER_COUNTS[0]))
+
+    # Correctness first: every pooled run must agree with serial byte for byte.
+    serial_records = _store_cells(timing.results["serial"])
+    for store in sorted(tmp_path.glob("w*.jsonl")):
         assert _store_cells(store) == serial_records, (
-            f"pool({n_workers}) store records diverged from serial"
+            f"{store.name} store records diverged from serial"
         )
 
-    # Best-of-2 serial baseline: re-measure after the pool runs and keep
-    # the faster time.  A transient load spike during the single serial
-    # run would otherwise inflate the whole speedup curve (a 1-CPU box
-    # once "measured" 2.5x this way).
-    start = time.perf_counter()
-    run_campaign(
-        _spec(), store_path=tmp_path / "serial2.jsonl", n_workers=1, runner=runner
+    samples = {f"{side}_s": seconds for side, seconds in timing.seconds.items()}
+    for n_workers in WORKER_COUNTS:
+        samples[f"speedup_{n_workers}w"] = timing.ratios("serial", f"pool{n_workers}")
+    record = write_record(
+        "perf_campaign",
+        {
+            "n_cells": len(serial_records),
+            "workloads": WORKLOADS,
+            "fault_rates": FAULT_RATES,
+            "n_trials": N_TRIALS,
+            "n_test": N_TEST,
+            "worker_counts": WORKER_COUNTS,
+        },
+        samples,
     )
-    serial_seconds = min(serial_seconds, time.perf_counter() - start)
-    for n_workers in WORKER_COUNTS:
-        curve[n_workers] = serial_seconds / pool_seconds[n_workers]
-
-    # Physical sanity before the curve becomes the committed baseline.
-    for n_workers in WORKER_COUNTS:
-        ceiling = _speedup_ceiling(n_workers)
-        assert curve[n_workers] <= ceiling, (
-            f"pool({n_workers}) 'speedup' {curve[n_workers]:.2f}x exceeds the "
-            f"physical ceiling {ceiling:.2f}x on {AVAILABLE_CPUS} cpu(s) — "
-            f"the serial baseline ({serial_seconds:.2f}s) is anomalous; "
-            f"not committing an inflated curve"
-        )
-
-    summary = {
-        "n_cells": n_cells,
-        "workloads": WORKLOADS,
-        "fault_rates": FAULT_RATES,
-        "n_trials": N_TRIALS,
-        "available_cpus": AVAILABLE_CPUS,
-        "smoke": SMOKE,
-        "serial_seconds": round(serial_seconds, 3),
-        "serial_ms_per_cell": round(1000.0 * serial_seconds / n_cells, 1),
-        "pool_seconds": {
-            str(workers): round(seconds, 3)
-            for workers, seconds in pool_seconds.items()
-        },
-        "pool_speedup": {
-            str(workers): round(speedup, 2) for workers, speedup in curve.items()
-        },
-    }
-    RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
-    RESULTS_PATH.write_text(json.dumps(summary, indent=2) + "\n")
+    medians = record["median"]
 
     print()
     print(
-        f"BENCH perf_campaign: {n_cells} cells on {AVAILABLE_CPUS} cpu(s), "
-        f"serial {summary['serial_seconds']}s, scaling "
-        + ", ".join(f"{w}w={curve[w]:.2f}x" for w in WORKER_COUNTS)
+        f"BENCH perf_campaign: {len(serial_records)} cells on "
+        f"{_usable_cpus()} cpu(s), serial {medians['serial_s']:.2f}s, scaling "
+        + ", ".join(f"{w}w={medians[f'speedup_{w}w']:.2f}x" for w in WORKER_COUNTS)
     )
 
     for n_workers in WORKER_COUNTS:
-        floor = _speedup_floor(n_workers)
-        assert curve[n_workers] >= floor, (
-            f"warm pool at {n_workers} workers reached {curve[n_workers]:.2f}x "
-            f"(serial {serial_seconds:.2f}s, pool {pool_seconds[n_workers]:.2f}s) "
-            f"on {AVAILABLE_CPUS} cpu(s); expected at least {floor:.2f}x"
+        speedup = medians[f"speedup_{n_workers}w"]
+        ceiling = _speedup_ceiling(n_workers)
+        assert speedup <= ceiling, (
+            f"pool({n_workers}) median 'speedup' {speedup:.2f}x exceeds the "
+            f"physical ceiling {ceiling:.2f}x on {_usable_cpus()} cpu(s) — "
+            f"the serial runs ({timing.seconds['serial']}) are anomalous"
         )
+        assert_at_least(record, f"speedup_{n_workers}w", _speedup_floor(n_workers))

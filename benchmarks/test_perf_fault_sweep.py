@@ -16,33 +16,25 @@ the paper's fault rates) three ways:
 
 Correctness is asserted hard — grouped and cell-at-a-time execution must
 produce bit-identical records (the campaign determinism contract) — and
-the grouped path must beat the legacy loop by the ROADMAP floor of 3x
-(relaxed in ``PERF_FAULT_SWEEP_SMOKE=1`` CI mode, which also shrinks the
-grid; the committed ``results/perf_fault_sweep.json`` records a full run).
+the median of the bench harness's rotated legacy/grouped pairs must clear
+the ROADMAP floor of 3x.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import time
-from pathlib import Path
-
 import numpy as np
 
+from _harness import assert_at_least, time_sides, write_record
 from repro.core.mitigation import build_technique
 from repro.eval.campaign import (
     build_experiment_cells,
     execute_cell_group,
     group_cells,
 )
-from repro.eval.experiment import ExperimentConfig, ExperimentRunner
 from repro.eval.sweep import PAPER_FAULT_RATES
 from repro.faults.fault_map import FaultMapGenerator
 from repro.faults.models import ComputeEngineFaultConfig
 from repro.hardware.enhancements import MitigationKind
-
-SMOKE = os.environ.get("PERF_FAULT_SWEEP_SMOKE") == "1"
 
 #: Fig. 13 compares every technique of the paper.
 TECHNIQUE_KINDS = (
@@ -53,12 +45,9 @@ TECHNIQUE_KINDS = (
     MitigationKind.BNP3,
 )
 
-FAULT_RATES = list(PAPER_FAULT_RATES)[-2:] if SMOKE else list(PAPER_FAULT_RATES)
+FAULT_RATES = list(PAPER_FAULT_RATES)
 N_TRIALS = 2
-#: CI runners are noisy and share cores; locally the grouped path clears 3x.
-MIN_SPEEDUP = 1.5 if SMOKE else 3.0
-
-RESULTS_PATH = Path(__file__).parent / "results" / "perf_fault_sweep.json"
+MIN_SPEEDUP = 3.0
 
 
 def _legacy_cell_loop(cells, model, dataset, techniques):
@@ -66,8 +55,8 @@ def _legacy_cell_loop(cells, model, dataset, techniques):
 
     One fault map per cell, replayed across the techniques through their
     stand-alone ``evaluate`` calls — n_techniques full engine passes (and
-    re-encodings) per cell, which is exactly the cost structure this PR's
-    engine removes.
+    re-encodings) per cell, which is exactly the cost structure the
+    map-parallel engine removes.
     """
     map_generator = FaultMapGenerator(
         crossbar_shape=(model.network_config.n_inputs, model.n_neurons),
@@ -111,72 +100,57 @@ def test_fault_sweep_map_parallel_speedup(runner, mnist_n400_config):
         include_clean=False,
     )
 
-    start = time.perf_counter()
-    _legacy_cell_loop(cells, model, test_set, techniques)
-    legacy_seconds = time.perf_counter() - start
+    def grouped():
+        return [
+            result
+            for unit in group_cells(cells)
+            for result in execute_cell_group(unit, model, test_set, techniques)
+        ]
 
-    start = time.perf_counter()
-    cellwise = [
-        result
-        for cell in cells
-        for result in execute_cell_group([cell], model, test_set, techniques)
-    ]
-    cellwise_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    grouped = [
-        result
-        for unit in group_cells(cells)
-        for result in execute_cell_group(unit, model, test_set, techniques)
-    ]
-    grouped_seconds = time.perf_counter() - start
+    timing = time_sides(
+        {
+            "legacy": lambda: _legacy_cell_loop(cells, model, test_set, techniques),
+            "cellwise": lambda: [
+                result
+                for cell in cells
+                for result in execute_cell_group([cell], model, test_set, techniques)
+            ],
+            "grouped": grouped,
+        },
+        warmup=grouped,
+    )
 
     # Correctness first: grouped execution must be bit-identical to
     # cell-at-a-time execution, record for record.
-    assert len(grouped) == len(cellwise) == len(cells)
-    grouped_by_id = {result.cell_id: result for result in grouped}
+    fused, cellwise = timing.results["grouped"], timing.results["cellwise"]
+    assert len(fused) == len(cellwise) == len(cells)
+    fused_by_id = {result.cell_id: result for result in fused}
     for single in cellwise:
-        fused = grouped_by_id[single.cell_id]
-        assert fused.accuracies == single.accuracies
-        assert fused.n_faults == single.n_faults
+        assert fused_by_id[single.cell_id].accuracies == single.accuracies
+        assert fused_by_id[single.cell_id].n_faults == single.n_faults
 
-    speedup = legacy_seconds / grouped_seconds if grouped_seconds > 0 else float("inf")
-    n_evaluations = len(cells) * len(techniques)
-    summary = {
-        "smoke": SMOKE,
-        "grid": {
+    samples = {f"{side}_s": seconds for side, seconds in timing.seconds.items()}
+    samples["speedup_grouped_vs_legacy"] = timing.ratios("legacy", "grouped")
+    samples["speedup_cellwise_vs_legacy"] = timing.ratios("legacy", "cellwise")
+    record = write_record(
+        "perf_fault_sweep",
+        {
             "experiment": mnist_n400_config.label(),
             "fault_rates": FAULT_RATES,
             "n_trials": N_TRIALS,
             "techniques": [kind.value for kind in TECHNIQUE_KINDS],
             "n_cells": len(cells),
-            "n_evaluations": n_evaluations,
+            "n_evaluations": len(cells) * len(techniques),
         },
-        "legacy_per_cell_seconds": round(legacy_seconds, 3),
-        "cellwise_map_parallel_seconds": round(cellwise_seconds, 3),
-        "grouped_map_parallel_seconds": round(grouped_seconds, 3),
-        "legacy_ms_per_evaluation": round(1000.0 * legacy_seconds / n_evaluations, 2),
-        "grouped_ms_per_evaluation": round(
-            1000.0 * grouped_seconds / n_evaluations, 2
-        ),
-        "speedup_grouped_vs_legacy": round(speedup, 2),
-        "speedup_cellwise_vs_legacy": round(
-            legacy_seconds / cellwise_seconds if cellwise_seconds > 0 else 0.0, 2
-        ),
-    }
-    RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
-    RESULTS_PATH.write_text(json.dumps(summary, indent=2) + "\n")
+        samples,
+    )
+    medians = record["median"]
 
     print()
     print(
         f"BENCH perf_fault_sweep: {len(cells)} cells x {len(techniques)} "
-        f"techniques, legacy {summary['legacy_per_cell_seconds']}s, "
-        f"cell-wise {summary['cellwise_map_parallel_seconds']}s, grouped "
-        f"{summary['grouped_map_parallel_seconds']}s "
-        f"({summary['speedup_grouped_vs_legacy']}x vs legacy)"
+        f"techniques, legacy {medians['legacy_s']:.3f}s, cell-wise "
+        f"{medians['cellwise_s']:.3f}s, grouped {medians['grouped_s']:.3f}s "
+        f"({medians['speedup_grouped_vs_legacy']:.2f}x vs legacy)"
     )
-
-    assert speedup >= MIN_SPEEDUP, (
-        f"grouped map-parallel sweep is only {speedup:.2f}x faster than the "
-        f"per-cell loop (floor {MIN_SPEEDUP}x) on {len(cells)} cells"
-    )
+    assert_at_least(record, "speedup_grouped_vs_legacy", MIN_SPEEDUP)

@@ -23,29 +23,20 @@ single size the harness historically measured:
     timestep.
 
 The batched engine must beat the inference path it replaced by at least
-5x; against the (already accelerated) sequential parity reference a
-smaller factor remains.  Results (including the per-size scaling entries
-under ``scaling``, each carrying its own geometry) are written to
-``benchmarks/results/perf_inference.json`` so successive PRs can track the
-hot path.  Set ``PERF_INFERENCE_SMOKE=1`` (the CI artifact step does) to
-shrink the scaling sweep to its smallest point.
+3x, and the (already accelerated) sequential parity reference by 1.3x,
+both judged on the median of the bench harness's rotated pairs.  The two
+tests write the ``perf_inference`` and ``perf_inference_scaling`` records.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import time
-from pathlib import Path
-
 import numpy as np
 
+from _harness import assert_at_least, time_sides, write_record
 from repro.data.synthetic_mnist import SyntheticMNIST
 from repro.snn.inference import InferenceEngine
 from repro.snn.network import DiehlCookNetwork, NetworkConfig
 from repro.snn.oracle import evaluate_sequential
-
-SMOKE = os.environ.get("PERF_INFERENCE_SMOKE") == "1"
 
 #: Paper-scale excitatory population (Fig. 13 sweeps N400…N3600).
 N_NEURONS = 400
@@ -53,81 +44,46 @@ TIMESTEPS = 150
 N_SAMPLES = 64
 BATCH_SIZE = 64
 
-#: Scaling sweep points: ``(n_neurons, timesteps, n_samples, n_reps)``.
-#: Paper sizes, unscaled; the N6400 point runs a shallower geometry — the
+#: Scaling sweep points: ``(n_neurons, timesteps, n_samples)``.  Paper
+#: sizes, unscaled; the N6400 point runs a shallower geometry — the
 #: recorded ns/neuron-timestep normalizes the cost, so fewer samples and
 #: timesteps keep the tier-1 wall time bounded while still exercising the
 #: big-GEMM regime past the N1600 the curve historically stopped at.
-#: Every full point is best-of-2 — a single rep at N6400 once swung the
-#: committed ns/neuron-timestep by 2x between bench runs.
-SCALING_POINTS = (
-    [(400, 50, 16, 1)]
-    if SMOKE
-    else [(400, 150, 64, 2), (1600, 150, 64, 2), (6400, 100, 32, 2)]
-)
-
-RESULTS_PATH = Path(__file__).parent / "results" / "perf_inference.json"
+SCALING_POINTS = [(400, 150, 64), (1600, 150, 64), (6400, 100, 32)]
 
 
-def _merge_results(section, payload):
-    """Update one key of the shared results file, keeping the others."""
-    summary = {}
-    if RESULTS_PATH.exists():
-        summary = json.loads(RESULTS_PATH.read_text())
-    summary[section] = payload
-    RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
-    RESULTS_PATH.write_text(json.dumps(summary, indent=2) + "\n")
-
-
-def _build():
-    config = NetworkConfig(
-        n_inputs=784, n_neurons=N_NEURONS, timesteps=TIMESTEPS
-    )
+def _engine(n_neurons=N_NEURONS, timesteps=TIMESTEPS):
+    config = NetworkConfig(n_inputs=784, n_neurons=n_neurons, timesteps=timesteps)
     network = DiehlCookNetwork(config, rng=1)
-    labels = np.arange(N_NEURONS, dtype=np.int64) % 10
-    return network, InferenceEngine(network, labels)
-
-
-def _best_of(n_reps, run):
-    """Best-of-N wall time: the minimum is the least load-disturbed run."""
-    best_seconds, result = None, None
-    for _ in range(n_reps):
-        start = time.perf_counter()
-        result = run()
-        elapsed = time.perf_counter() - start
-        if best_seconds is None or elapsed < best_seconds:
-            best_seconds = elapsed
-    return best_seconds, result
+    labels = np.arange(n_neurons, dtype=np.int64) % 10
+    return InferenceEngine(network, labels)
 
 
 def test_batched_engine_speedup():
     dataset = SyntheticMNIST().generate(n_samples=N_SAMPLES, rng=5)
+    legacy, sequential, batched = _engine(), _engine(), _engine()
+    dense_weights = legacy.network.synapses.weights
 
-    # Legacy pipeline: dense float64 weights through the per-image loop.
-    network, engine = _build()
-    dense_weights = network.synapses.weights
-    legacy_seconds, legacy = _best_of(
-        2,
-        lambda: evaluate_sequential(
-            engine,
-            dataset,
-            rng=np.random.default_rng(7),
-            effective_weights=dense_weights,
-        ),
-    )
-
-    _, engine = _build()
-    sequential_seconds, sequential = _best_of(
-        2,
-        lambda: evaluate_sequential(engine, dataset, rng=np.random.default_rng(7)),
-    )
-
-    _, engine = _build()
-    batched_seconds, batched = _best_of(
-        3,
-        lambda: engine.evaluate(
+    def run_batched():
+        return batched.evaluate(
             dataset, rng=np.random.default_rng(7), batch_size=BATCH_SIZE
-        ),
+        )
+
+    timing = time_sides(
+        {
+            # Legacy pipeline: dense float64 weights through the per-image loop.
+            "legacy": lambda: evaluate_sequential(
+                legacy,
+                dataset,
+                rng=np.random.default_rng(7),
+                effective_weights=dense_weights,
+            ),
+            "sequential": lambda: evaluate_sequential(
+                sequential, dataset, rng=np.random.default_rng(7)
+            ),
+            "batched": run_batched,
+        },
+        warmup=run_batched,
     )
 
     # Throughput must not come at the cost of correctness: the batched
@@ -135,49 +91,43 @@ def test_batched_engine_speedup():
     # legacy path is timed only — its dense float64 sums can differ by an
     # ULP at threshold ties, which is exactly why the exact operator
     # replaced it.)
-    assert np.array_equal(sequential.predictions, batched.predictions)
-    assert np.array_equal(sequential.spike_counts, batched.spike_counts)
+    reference, result = timing.results["sequential"], timing.results["batched"]
+    assert np.array_equal(reference.predictions, result.predictions)
+    assert np.array_equal(reference.spike_counts, result.spike_counts)
 
-    speedup_vs_legacy = legacy_seconds / batched_seconds
-    speedup_vs_sequential = sequential_seconds / batched_seconds
-    summary = {
-        "n_neurons": N_NEURONS,
-        "timesteps": TIMESTEPS,
-        "n_samples": N_SAMPLES,
-        "batch_size": BATCH_SIZE,
-        "legacy_ms_per_sample": round(1000.0 * legacy_seconds / N_SAMPLES, 3),
-        "sequential_ms_per_sample": round(
-            1000.0 * sequential_seconds / N_SAMPLES, 3
-        ),
-        "batched_ms_per_sample": round(1000.0 * batched_seconds / N_SAMPLES, 3),
-        "speedup_vs_legacy": round(speedup_vs_legacy, 2),
-        "speedup_vs_sequential": round(speedup_vs_sequential, 2),
+    samples = {
+        f"{side}_ms_per_sample": [1000.0 * s / N_SAMPLES for s in seconds]
+        for side, seconds in timing.seconds.items()
     }
-    _merge_results("n400_paths", summary)
+    samples["speedup_vs_legacy"] = timing.ratios("legacy", "batched")
+    samples["speedup_vs_sequential"] = timing.ratios("sequential", "batched")
+    record = write_record(
+        "perf_inference",
+        {
+            "n_neurons": N_NEURONS,
+            "timesteps": TIMESTEPS,
+            "n_samples": N_SAMPLES,
+            "batch_size": BATCH_SIZE,
+        },
+        samples,
+    )
+    medians = record["median"]
 
     print()
     print(
-        f"BENCH perf_inference: N{N_NEURONS}, {N_SAMPLES} samples, "
-        f"batch {BATCH_SIZE}: legacy {summary['legacy_ms_per_sample']} "
-        f"ms/sample, sequential {summary['sequential_ms_per_sample']} "
-        f"ms/sample, batched {summary['batched_ms_per_sample']} ms/sample "
-        f"({summary['speedup_vs_legacy']}x vs legacy, "
-        f"{summary['speedup_vs_sequential']}x vs sequential)"
+        f"BENCH perf_inference: N{N_NEURONS}, {N_SAMPLES} samples, batch "
+        f"{BATCH_SIZE}: legacy {medians['legacy_ms_per_sample']:.2f}, "
+        f"sequential {medians['sequential_ms_per_sample']:.2f}, batched "
+        f"{medians['batched_ms_per_sample']:.2f} ms/sample "
+        f"({medians['speedup_vs_legacy']:.2f}x vs legacy, "
+        f"{medians['speedup_vs_sequential']:.2f}x vs sequential)"
     )
 
     # The engine replaced the legacy path; that is the bar to clear.  An
-    # idle single-core machine measures ~5.3x / ~2.5x; best-of-N timing
-    # plus floors well below that keep a loaded CI worker from turning
-    # the bench flaky.
-    assert speedup_vs_legacy >= 3.0, (
-        f"batched engine only {speedup_vs_legacy:.1f}x faster than the "
-        f"legacy inference loop (legacy {legacy_seconds:.2f}s, batched "
-        f"{batched_seconds:.2f}s)"
-    )
-    assert speedup_vs_sequential >= 1.3, (
-        f"batched engine only {speedup_vs_sequential:.1f}x faster than the "
-        f"sequential parity reference"
-    )
+    # idle machine measures well above both floors; they sit low enough
+    # that a loaded CI worker does not turn the bench flaky.
+    assert_at_least(record, "speedup_vs_legacy", 3.0)
+    assert_at_least(record, "speedup_vs_sequential", 1.3)
 
 
 def test_batched_scaling_curve():
@@ -189,53 +139,45 @@ def test_batched_scaling_curve():
     signal that the batched path scales past the single N400 point the
     harness historically pinned.  Each point carries its own geometry
     (``SCALING_POINTS``) so the N6400 entry stays affordable; the
-    normalized ns/neuron-timestep column is what makes the points
+    normalized ns/neuron-timestep series is what makes the points
     comparable.  No speed floor is asserted across sizes — the curve is a
     tracking artifact, not a gate.
     """
-    datasets = {}
-    curve = {}
+    sides = {}
+    for n_neurons, timesteps, n_samples in SCALING_POINTS:
+        engine = _engine(n_neurons, timesteps)
+        dataset = SyntheticMNIST().generate(n_samples=n_samples, rng=5)
+        sides[f"N{n_neurons}"] = lambda engine=engine, dataset=dataset: engine.evaluate(
+            dataset, rng=np.random.default_rng(7), batch_size=BATCH_SIZE
+        )
+    timing = time_sides(sides, warmup=sides["N400"])
+
+    samples = {}
+    for n_neurons, timesteps, n_samples in SCALING_POINTS:
+        seconds = timing.seconds[f"N{n_neurons}"]
+        samples[f"N{n_neurons}_ms_per_sample"] = [
+            1000.0 * s / n_samples for s in seconds
+        ]
+        samples[f"N{n_neurons}_ns_per_neuron_timestep"] = [
+            1e9 * s / (n_samples * timesteps * n_neurons) for s in seconds
+        ]
+    record = write_record(
+        "perf_inference_scaling",
+        {
+            "batch_size": BATCH_SIZE,
+            "points": [
+                {"n_neurons": n, "timesteps": t, "n_samples": s}
+                for n, t, s in SCALING_POINTS
+            ],
+        },
+        samples,
+    )
+
     print()
-    for n_neurons, timesteps, n_samples, n_reps in SCALING_POINTS:
-        if n_samples not in datasets:
-            datasets[n_samples] = SyntheticMNIST().generate(
-                n_samples=n_samples, rng=5
-            )
-        dataset = datasets[n_samples]
-        config = NetworkConfig(
-            n_inputs=784, n_neurons=n_neurons, timesteps=timesteps
-        )
-        network = DiehlCookNetwork(config, rng=1)
-        labels = np.arange(n_neurons, dtype=np.int64) % 10
-        engine = InferenceEngine(network, labels)
-        seconds, _ = _best_of(
-            n_reps,
-            lambda engine=engine, dataset=dataset: engine.evaluate(
-                dataset, rng=np.random.default_rng(7), batch_size=BATCH_SIZE
-            ),
-        )
-        ms_per_sample = 1000.0 * seconds / n_samples
-        ns_per_neuron_step = (
-            1e9 * seconds / (n_samples * timesteps * n_neurons)
-        )
-        curve[f"N{n_neurons}"] = {
-            "timesteps": timesteps,
-            "n_samples": n_samples,
-            "ms_per_sample": round(ms_per_sample, 3),
-            "ns_per_neuron_timestep": round(ns_per_neuron_step, 2),
-        }
+    for n_neurons, _, _ in SCALING_POINTS:
         print(
             f"BENCH perf_inference scaling: N{n_neurons} "
-            f"{curve[f'N{n_neurons}']['ms_per_sample']} ms/sample "
-            f"({curve[f'N{n_neurons}']['ns_per_neuron_timestep']} "
+            f"{record['median'][f'N{n_neurons}_ms_per_sample']:.3f} ms/sample "
+            f"({record['median'][f'N{n_neurons}_ns_per_neuron_timestep']:.2f} "
             f"ns/neuron-timestep)"
         )
-    _merge_results(
-        "scaling",
-        {
-            "smoke": SMOKE,
-            "batch_size": BATCH_SIZE,
-            "available_cpus": os.cpu_count() or 1,
-            "sizes": curve,
-        },
-    )

@@ -13,16 +13,17 @@ Both runs classify the same 400 requests (N400-proxy network, 48 neurons,
 100 timesteps) with the same per-request seeds, so the bench first asserts
 the predictions are bit-identical — serving must not trade exactness for
 throughput — and then asserts the micro-batched configuration clears at
-least 2x the baseline throughput.  The summary lands in
-``benchmarks/results/perf_serving.json`` so successive PRs can track the
-serving path.
+least 2x the baseline throughput, on the median of the bench harness's
+rotated pairs.  The ``perf_serving`` record carries both configurations'
+last load reports.
 """
 
 from __future__ import annotations
 
-import json
+from contextlib import ExitStack
 from pathlib import Path
 
+from _harness import assert_at_least, time_sides, write_record
 from repro.eval.experiment import ExperimentConfig, ExperimentRunner
 from repro.serve.loadgen import run_closed_loop
 from repro.serve.registry import ModelRegistry
@@ -33,8 +34,6 @@ CONCURRENCY = 16
 MICRO_BATCH_SIZE = 32
 MICRO_DELAY_MS = 10.0
 MODEL_NAME = "bench-mnist-n400"
-
-RESULTS_PATH = Path(__file__).parent / "results" / "perf_serving.json"
 
 #: N400-proxy serving model (same scaling as the campaign benches).
 BENCH_CONFIG = ExperimentConfig(
@@ -69,59 +68,57 @@ def test_microbatch_vs_single_request_serving(tmp_path):
     seeds = list(range(10_000, 10_000 + N_REQUESTS))
     warmup_seeds = list(range(20_000, 20_016))
 
-    reports = {}
-    for label, max_batch, delay_ms in (
-        ("batch1", 1, 0.0),
-        ("microbatch", MICRO_BATCH_SIZE, MICRO_DELAY_MS),
-    ):
-        with _make_service(
-            tmp_path / label, prepared.model, max_batch, delay_ms
-        ) as service:
-            client = InProcessClient(service)
-            # Warm the session (fault-free network build, BLAS paths) so
-            # the timed run measures steady-state serving.
-            run_closed_loop(
-                client,
-                images,
-                warmup_seeds,
-                model=MODEL_NAME,
-                mode="clean",
-                concurrency=CONCURRENCY,
-                label=f"{label}-warmup",
+    with ExitStack() as stack:
+        services = {
+            label: stack.enter_context(
+                _make_service(tmp_path / label, prepared.model, max_batch, delay_ms)
             )
-            reports[label] = run_closed_loop(
-                client,
+            for label, max_batch, delay_ms in (
+                ("batch1", 1, 0.0),
+                ("microbatch", MICRO_BATCH_SIZE, MICRO_DELAY_MS),
+            )
+        }
+
+        def load(label, request_seeds):
+            return run_closed_loop(
+                InProcessClient(services[label]),
                 images,
-                seeds,
+                request_seeds,
                 model=MODEL_NAME,
                 mode="clean",
                 concurrency=CONCURRENCY,
                 label=label,
-                metrics_source=service.metrics_snapshot,
+                metrics_source=services[label].metrics_snapshot,
             )
 
-    baseline = reports["batch1"]
-    micro = reports["microbatch"]
+        # Warm each session (fault-free network build, BLAS paths) so the
+        # timed runs measure steady-state serving.
+        timing = time_sides(
+            {label: lambda label=label: load(label, seeds) for label in services},
+            warmup=lambda: [load(label, warmup_seeds) for label in services],
+        )
 
+    baseline, micro = timing.results["batch1"], timing.results["microbatch"]
     # Correctness first: micro-batching must not change a single answer.
     assert baseline.errors == 0 and micro.errors == 0
     assert micro.predictions == baseline.predictions
 
-    speedup = micro.throughput_rps / baseline.throughput_rps
-    summary = {
-        "n_requests": N_REQUESTS,
-        "concurrency": CONCURRENCY,
-        "n_neurons": BENCH_CONFIG.n_neurons,
-        "paper_network_size": BENCH_CONFIG.paper_network_size,
-        "timesteps": BENCH_CONFIG.timesteps,
-        "baseline_batch1": baseline.to_dict(),
-        "microbatch": micro.to_dict(),
-        "max_batch_size": MICRO_BATCH_SIZE,
-        "max_delay_ms": MICRO_DELAY_MS,
-        "speedup": round(speedup, 2),
-    }
-    RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
-    RESULTS_PATH.write_text(json.dumps(summary, indent=2) + "\n")
+    samples = {f"{label}_s": seconds for label, seconds in timing.seconds.items()}
+    samples["speedup"] = timing.ratios("batch1", "microbatch")
+    record = write_record(
+        "perf_serving",
+        {
+            "n_requests": N_REQUESTS,
+            "concurrency": CONCURRENCY,
+            "n_neurons": BENCH_CONFIG.n_neurons,
+            "paper_network_size": BENCH_CONFIG.paper_network_size,
+            "timesteps": BENCH_CONFIG.timesteps,
+            "max_batch_size": MICRO_BATCH_SIZE,
+            "max_delay_ms": MICRO_DELAY_MS,
+        },
+        samples,
+        reports={"batch1": baseline.to_dict(), "microbatch": micro.to_dict()},
+    )
 
     print()
     print(
@@ -130,13 +127,10 @@ def test_microbatch_vs_single_request_serving(tmp_path):
         f"(p99 {baseline.latency_percentiles()['p99']:.1f}ms) vs "
         f"microbatch {micro.throughput_rps:.0f} rps "
         f"(p99 {micro.latency_percentiles()['p99']:.1f}ms, "
-        f"mean occupancy {micro.mean_batch_size}) -> {speedup:.2f}x"
+        f"mean occupancy {micro.mean_batch_size}) -> "
+        f"median {record['median']['speedup']:.2f}x"
     )
 
     # The acceptance floor: micro-batching must at least double throughput
     # over one-request-one-call serving at this size.
-    assert speedup >= 2.0, (
-        f"micro-batched serving reached only {speedup:.2f}x the batch-1 "
-        f"baseline ({micro.throughput_rps:.0f} vs "
-        f"{baseline.throughput_rps:.0f} rps)"
-    )
+    assert_at_least(record, "speedup", 2.0)

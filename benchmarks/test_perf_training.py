@@ -2,7 +2,7 @@
 
 Times end-to-end ``TrainingRunner.train`` (pairwise STDP + spiking label
 assignment — the paper's rule and the configuration the sequential trainer
-pays the most for) at the N400 proxy scale PR 1's inference bench uses,
+pays the most for) at the N400 proxy scale the inference bench uses,
 through both code paths:
 
 ``sequential``
@@ -16,23 +16,16 @@ through both code paths:
     assignment, bit-identical to the sequential path.
 
 A smaller N100 measurement rides along so EXPERIMENTS.md can show how the
-gap scales with the population size.  Results go to
-``benchmarks/results/perf_training.json``.
-
-Set ``PERF_TRAINING_SMOKE=1`` (the CI artifact step does) to shrink the
-workload and relax the speedup floor — loaded CI runners still verify
-parity and produce a tracking artifact without flaking on wall-clock.
+gap scales with the population size.  The headline N400 speedup must clear
+3x on the median of the bench harness's rotated pairs; the
+``perf_training`` record carries every size's series.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import time
-from pathlib import Path
-
 import numpy as np
 
+from _harness import assert_at_least, time_sides, write_record
 from repro.data.synthetic_mnist import SyntheticMNIST
 from repro.snn.network import NetworkConfig
 from repro.snn.oracle import train_sequential
@@ -40,99 +33,73 @@ from repro.snn.training import TrainingConfig, TrainingRunner
 
 TIMESTEPS = 150
 EPOCHS = 1
-
-SMOKE = bool(int(os.environ.get("PERF_TRAINING_SMOKE", "0") or "0"))
 #: (population size, training samples) measured; the last row is the
 #: headline N400 proxy (Fig. 13 sweeps N400…N3600).
-SIZES = [(50, 6), (100, 6)] if SMOKE else [(100, 12), (400, 12)]
+SIZES = [(100, 12), (400, 12)]
 #: Wall-clock floor asserted on the headline row.  An idle machine
-#: measures ~9x; the floor sits well below that so a loaded CI worker
+#: measures ~7-9x; the floor sits well below that so a loaded CI worker
 #: does not turn the bench flaky (same policy as the inference bench).
-MIN_SPEEDUP = 1.5 if SMOKE else 3.0
-
-RESULTS_PATH = Path(__file__).parent / "results" / "perf_training.json"
-
-
-def _train(n_neurons: int, n_samples: int, vectorized: bool):
-    dataset = SyntheticMNIST().generate(n_samples=n_samples, rng=11)
-    runner = TrainingRunner(
-        NetworkConfig(n_inputs=784, n_neurons=n_neurons, timesteps=TIMESTEPS),
-        TrainingConfig(
-            epochs=EPOCHS,
-            learning_mode="pairwise_stdp",
-            label_assignment_mode="spiking",
-        ),
-    )
-    start = time.perf_counter()
-    if vectorized:
-        model = runner.train(dataset, rng=7)
-    else:
-        model = train_sequential(runner, dataset, rng=7)
-    return time.perf_counter() - start, model
+MIN_SPEEDUP = 3.0
 
 
 def test_vectorized_training_speedup():
-    rows = []
-    headline = None
+    sides = {}
     for n_neurons, n_samples in SIZES:
-        sequential_seconds, sequential = _train(n_neurons, n_samples, False)
-        vectorized_seconds, vectorized = _train(n_neurons, n_samples, True)
+        dataset = SyntheticMNIST().generate(n_samples=n_samples, rng=11)
+        runner = TrainingRunner(
+            NetworkConfig(n_inputs=784, n_neurons=n_neurons, timesteps=TIMESTEPS),
+            TrainingConfig(
+                epochs=EPOCHS,
+                learning_mode="pairwise_stdp",
+                label_assignment_mode="spiking",
+            ),
+        )
+        sides[f"N{n_neurons}_sequential"] = (
+            lambda runner=runner, data=dataset: train_sequential(runner, data, rng=7)
+        )
+        sides[f"N{n_neurons}_vectorized"] = (
+            lambda runner=runner, data=dataset: runner.train(data, rng=7)
+        )
+    timing = time_sides(sides, warmup=sides[f"N{SIZES[0][0]}_vectorized"])
 
+    samples = {}
+    for n_neurons, n_samples in SIZES:
+        sequential = timing.results[f"N{n_neurons}_sequential"]
+        vectorized = timing.results[f"N{n_neurons}_vectorized"]
         # Speed must not cost exactness: the engine's defining property is
         # bit-identical weights, labels and history.
         assert np.array_equal(sequential.weights, vectorized.weights)
-        assert np.array_equal(
-            sequential.neuron_labels, vectorized.neuron_labels
-        )
+        assert np.array_equal(sequential.neuron_labels, vectorized.neuron_labels)
         assert sequential.training_history == vectorized.training_history
 
-        speedup = sequential_seconds / vectorized_seconds
-        row = {
-            "n_neurons": n_neurons,
-            "n_samples": n_samples,
+        for path in ("sequential", "vectorized"):
+            samples[f"N{n_neurons}_{path}_ms_per_sample"] = [
+                1000.0 * s / n_samples for s in timing.seconds[f"N{n_neurons}_{path}"]
+            ]
+        samples[f"N{n_neurons}_speedup"] = timing.ratios(
+            f"N{n_neurons}_sequential", f"N{n_neurons}_vectorized"
+        )
+    record = write_record(
+        "perf_training",
+        {
+            "learning_mode": "pairwise_stdp",
+            "label_assignment_mode": "spiking",
             "timesteps": TIMESTEPS,
             "epochs": EPOCHS,
-            "sequential_s": round(sequential_seconds, 3),
-            "vectorized_s": round(vectorized_seconds, 3),
-            "sequential_ms_per_sample": round(
-                1000.0 * sequential_seconds / n_samples, 1
-            ),
-            "vectorized_ms_per_sample": round(
-                1000.0 * vectorized_seconds / n_samples, 1
-            ),
-            "speedup": round(speedup, 2),
-        }
-        rows.append(row)
-        headline = row
-
-    summary = {
-        "learning_mode": "pairwise_stdp",
-        "label_assignment_mode": "spiking",
-        "smoke": SMOKE,
-        "bit_identical": True,
-        "sizes": rows,
-        "headline_n_neurons": headline["n_neurons"],
-        "headline_speedup": headline["speedup"],
-    }
-    if headline["n_neurons"] == 400:
-        # The acceptance number tracked across PRs: the paper-scale proxy.
-        summary["n400_speedup"] = headline["speedup"]
-    RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
-    RESULTS_PATH.write_text(json.dumps(summary, indent=2) + "\n")
+            "sizes": [{"n_neurons": n, "n_samples": s} for n, s in SIZES],
+        },
+        samples,
+    )
+    medians = record["median"]
 
     print()
-    for row in rows:
+    for n_neurons, n_samples in SIZES:
         print(
-            f"BENCH perf_training: N{row['n_neurons']}, {row['n_samples']} "
-            f"samples x {row['epochs']} epoch(s), {row['timesteps']} steps: "
-            f"sequential {row['sequential_ms_per_sample']} ms/sample, "
-            f"vectorized {row['vectorized_ms_per_sample']} ms/sample "
-            f"({row['speedup']}x)"
+            f"BENCH perf_training: N{n_neurons}, {n_samples} samples x {EPOCHS} "
+            f"epoch(s), {TIMESTEPS} steps: sequential "
+            f"{medians[f'N{n_neurons}_sequential_ms_per_sample']:.1f} ms/sample, "
+            f"vectorized {medians[f'N{n_neurons}_vectorized_ms_per_sample']:.1f} "
+            f"ms/sample ({medians[f'N{n_neurons}_speedup']:.2f}x)"
         )
 
-    assert headline["speedup"] >= MIN_SPEEDUP, (
-        f"vectorized training only {headline['speedup']:.1f}x faster than the "
-        f"sequential loop at N{headline['n_neurons']} "
-        f"(sequential {headline['sequential_s']:.2f}s, "
-        f"vectorized {headline['vectorized_s']:.2f}s)"
-    )
+    assert_at_least(record, f"N{SIZES[-1][0]}_speedup", MIN_SPEEDUP)
