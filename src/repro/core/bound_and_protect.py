@@ -157,29 +157,23 @@ class WeightBounding:
 class NeuronProtection:
     """Faulty ``Vmem reset`` detector and spike gate (Section 3.2 / Fig. 11c).
 
-    As a ``step_monitor`` hook it reads, after every timestep, how long
-    each neuron's ``Vmem >= Vth`` comparator has stayed asserted, and once
-    that reaches ``trigger_cycles`` (two in the paper) it latches the
-    neuron's spike generation off for the rest of the presentation.
+    Once a neuron's ``Vmem >= Vth`` comparator has stayed asserted for
+    ``trigger_cycles`` consecutive cycles (two in the paper), its spike
+    generation is latched off for the rest of the presentation.
 
-    The monitor understands both state protocols: the sequential
-    :class:`~repro.snn.neuron.LIFNeuronGroup` of the reference loop (1-D
-    comparator counter) and the engine's
-    :class:`~repro.snn.engine.MapParallelState` (a ``(rows, batch,
-    n_neurons)`` counter).  On the engine path the gating still happens
-    live inside :meth:`__call__`, but the statistics are recorded through
-    :meth:`commit_batch` once the engine has settled a chunk — the engine
-    may re-simulate suffixes of a chunk to resolve cross-sample faulty-reset
-    latches, and only the accepted passes count.
-
-    The engine paths — ``BnPTechnique.evaluate``
-    (``InferenceEngine.evaluate(protection=...)``), protected serving
-    sessions and campaign rows — carry the trigger as
-    :attr:`~repro.snn.engine.MapRow.protection_trigger_cycles` instead: the
-    engine applies the identical ``counter >= trigger_cycles`` gate inline
-    in its timestep loop, and the first two record their statistics
-    through :meth:`commit_batch` once per settled chunk (campaign rows keep
-    none).
+    The object has two roles.  On the engine paths —
+    ``InferenceEngine.evaluate(protection=...)`` (``BnPTechnique``),
+    protected serving sessions and campaign rows — the trigger travels as
+    :attr:`~repro.snn.engine.MapRow.protection_trigger_cycles`: the engine
+    applies the ``counter >= trigger_cycles`` gate inline in its timestep
+    loop, and the first two record their statistics through
+    :meth:`commit_batch` once per settled chunk (the engine may
+    re-simulate suffixes of a chunk to resolve cross-sample faulty-reset
+    latches, and only the accepted passes count; campaign rows keep no
+    statistics).  In the sequential oracle (:mod:`repro.snn.oracle`),
+    :meth:`__call__` is the monitor run on the
+    :class:`~repro.snn.neuron.LIFNeuronGroup` after every timestep — the
+    reference the inline gate is verified against.
 
     Parameters
     ----------
@@ -199,22 +193,19 @@ class NeuronProtection:
 
     # ------------------------------------------------------------------ #
     def __call__(self, neurons) -> None:
-        """Inspect the neuron state after one timestep and gate faulty neurons.
+        """Gate the oracle's faulty neurons after one sequential timestep.
 
-        *neurons* is either a :class:`~repro.snn.neuron.LIFNeuronGroup` or
-        a :class:`~repro.snn.engine.MapParallelState`.
+        *neurons* is a :class:`~repro.snn.neuron.LIFNeuronGroup`.
         """
-        counter = neurons.consecutive_above_threshold
-        stuck = counter >= self.trigger_cycles
+        stuck = neurons.consecutive_above_threshold >= self.trigger_cycles
         if not stuck.any():
             return
-        if counter.ndim == 1:
-            newly_protected = stuck & ~neurons.spike_disabled
-            if newly_protected.any():
-                self._protected_neurons.update(
-                    int(index) for index in np.flatnonzero(newly_protected)
-                )
-                self._activations += int(newly_protected.sum())
+        newly_protected = stuck & ~neurons.spike_disabled
+        if newly_protected.any():
+            self._protected_neurons.update(
+                int(index) for index in np.flatnonzero(newly_protected)
+            )
+            self._activations += int(newly_protected.sum())
         neurons.disable_spiking(stuck)
 
     def commit_batch(self, spike_disabled: np.ndarray) -> None:

@@ -21,14 +21,16 @@ experiment harness passes the same map to every technique so comparisons at
 a given fault rate are paired.
 
 Besides the one-at-a-time :meth:`MitigationTechnique.evaluate` interface,
-techniques participate in *map-parallel* evaluation: given many fault maps,
-each technique plans its per-map compute-engine rows — stacked faulty or
-bounded registers, per-map operation status, protection triggers — via
-:meth:`MitigationTechnique.plan_rows`, and
+every technique participates in *map-parallel* evaluation: given many fault
+maps, it plans its per-map compute-engine rows — stacked faulty or bounded
+registers, per-map operation status, protection triggers — via the
+abstract :meth:`MitigationTechnique.plan_rows`, and
 :func:`evaluate_techniques_mapped` advances all rows of all techniques
 through the :class:`~repro.snn.engine.MapParallelEngine` in one fused pass.
-Per (technique, map) pair the result is bit-identical to a stand-alone
-evaluation of that pair over the same rasters.
+A :class:`~repro.snn.engine.MapRow` (weight rule plus protection trigger)
+is the only way a mitigation reaches the engine.  Per (technique, map)
+pair the result is bit-identical to a stand-alone evaluation of that pair
+over the same rasters.
 """
 
 from __future__ import annotations
@@ -212,8 +214,8 @@ def evaluate_techniques_mapped(
     dataset:
         Test set (supplies the ground-truth labels).
     techniques:
-        Techniques to compare; each must implement
-        :meth:`MitigationTechnique.plan_rows`.
+        Techniques to compare, of distinct kinds (results are keyed by
+        :attr:`MitigationTechnique.kind`).
     fault_config:
         Injection configuration shared by the maps (``None`` for the
         fault-free reference measurement).
@@ -222,8 +224,7 @@ def evaluate_techniques_mapped(
     generators:
         One per-cell generator, consumed — in technique order — only by
         techniques that draw additional randomness (re-execution with a
-        nonzero ``reexposure_fraction``) and by fallback techniques
-        without a row protocol, which evaluate stand-alone from them.
+        nonzero ``reexposure_fraction``).
     rasters:
         One pre-encoded spike raster ``(n_samples, T, n_inputs)`` per cell
         — every technique presents the *same* encoded test set of its cell,
@@ -233,57 +234,38 @@ def evaluate_techniques_mapped(
     """
     if not techniques:
         raise ValueError("at least one technique is required")
+    kinds = [technique.kind for technique in techniques]
+    if len(set(kinds)) != len(kinds):
+        raise ValueError(
+            "techniques must have distinct kinds, got "
+            f"{[kind.value for kind in kinds]}"
+        )
     if not rasters:
         raise ValueError("at least one raster group (cell) is required")
     assets = prepare_map_assets(model, fault_maps, len(rasters))
-
-    # Techniques that implement the row protocol fuse into one engine
-    # pass; a technique exposing only the stand-alone ``evaluate``
-    # interface falls back to it per map, consuming the cell generators at
-    # its turn in technique order (so the per-cell randomness protocol
-    # stays deterministic).  Fallback techniques draw their own
-    # presentations — the pre-fusion behaviour of ``evaluate``.
+    plans = [
+        technique.plan_rows(model, assets, fault_config, generators)
+        for technique in techniques
+    ]
+    rows = [row for plan in plans for row in plan.rows]
+    quantizer = model.network_config.make_quantizer(model.clean_max_weight)
+    row_results = evaluate_rows(
+        rows,
+        rasters,
+        model.neuron_labels,
+        dataset.labels,
+        quantizer=quantizer,
+        params=model.network_config.neuron_params,
+        theta=model.theta,
+        batch_size=batch_size,
+        model=getattr(model.network_config, "neuron_model", None),
+    )
     outcomes: Dict[MitigationKind, List[InferenceResult]] = {}
-    plans: List[TechniqueRowPlan] = []
-    planned: List["MitigationTechnique"] = []
-    for technique in techniques:
-        try:
-            plans.append(
-                technique.plan_rows(model, assets, fault_config, generators)
-            )
-            planned.append(technique)
-        except NotImplementedError:
-            outcomes[technique.kind] = [
-                technique.evaluate(
-                    model,
-                    dataset,
-                    fault_config=fault_config,
-                    rng=generators[index],
-                    fault_map=None if fault_maps is None else fault_maps[index],
-                    batch_size=batch_size,
-                )
-                for index in range(len(rasters))
-            ]
-
-    if plans:
-        rows = [row for plan in plans for row in plan.rows]
-        quantizer = model.network_config.make_quantizer(model.clean_max_weight)
-        row_results = evaluate_rows(
-            rows,
-            rasters,
-            model.neuron_labels,
-            dataset.labels,
-            quantizer=quantizer,
-            params=model.network_config.neuron_params,
-            theta=model.theta,
-            batch_size=batch_size,
-            model=getattr(model.network_config, "neuron_model", None),
-        )
-        offset = 0
-        for technique, plan in zip(planned, plans):
-            chunk = row_results[offset : offset + len(plan.rows)]
-            offset += len(plan.rows)
-            outcomes[technique.kind] = technique.combine_row_results(chunk, plan)
+    offset = 0
+    for technique, plan in zip(techniques, plans):
+        chunk = row_results[offset : offset + len(plan.rows)]
+        offset += len(plan.rows)
+        outcomes[technique.kind] = technique.combine_row_results(chunk, plan)
     return outcomes
 
 
@@ -333,6 +315,7 @@ class MitigationTechnique(abc.ABC):
     # ------------------------------------------------------------------ #
     # map-parallel protocol
     # ------------------------------------------------------------------ #
+    @abc.abstractmethod
     def plan_rows(
         self,
         model: TrainedModel,
@@ -348,16 +331,7 @@ class MitigationTechnique(abc.ABC):
         registers, bounding rule, protection trigger).  ``generators`` are
         the per-cell generators, to be consumed only when the technique
         needs additional random draws.
-
-        The default raises ``NotImplementedError``, which
-        :func:`evaluate_techniques_mapped` treats as "no row protocol":
-        the technique then runs through its stand-alone :meth:`evaluate`
-        per map, outside the fused pass.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement map-parallel row "
-            "planning; campaigns fall back to its stand-alone evaluate()"
-        )
 
     def combine_row_results(
         self, row_results: List[InferenceResult], plan: TechniqueRowPlan
@@ -413,6 +387,10 @@ class NoMitigation(MitigationTechnique):
         fault_map: Optional[FaultMap] = None,
         batch_size: Optional[int] = None,
     ) -> InferenceResult:
+        """Classify *dataset* on the faulty network, unmitigated.
+
+        See :meth:`MitigationTechnique.evaluate` for the parameters.
+        """
         generator = resolve_rng(rng)
         network, _ = self._build_faulty_network(
             model, fault_config, generator, fault_map
@@ -495,6 +473,12 @@ class ReExecutionTMR(MitigationTechnique):
         fault_map: Optional[FaultMap] = None,
         batch_size: Optional[int] = None,
     ) -> InferenceResult:
+        """Classify *dataset* ``n_executions`` times and majority-vote.
+
+        The first execution carries the fault scenario; the re-executions
+        run on reloaded parameters.  See :meth:`MitigationTechnique.evaluate`
+        for the parameters.
+        """
         generator = resolve_rng(rng)
         runs = []
         for execution in range(self.n_executions):
@@ -722,6 +706,11 @@ class BnPTechnique(MitigationTechnique):
         fault_map: Optional[FaultMap] = None,
         batch_size: Optional[int] = None,
     ) -> InferenceResult:
+        """Classify *dataset* on the faulty network with bounding and protection.
+
+        Records :attr:`last_bounded_count` and :attr:`last_protection`.
+        See :meth:`MitigationTechnique.evaluate` for the parameters.
+        """
         generator = resolve_rng(rng)
         network, _ = self._build_faulty_network(
             model, fault_config, generator, fault_map

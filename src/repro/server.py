@@ -211,9 +211,13 @@ def _reference_predictions(
     """Direct (scheduler-free) evaluation of the same ``(image, seed)`` pairs.
 
     Each sample is evaluated through a freshly built session — the
-    stateless per-request semantics of the serving layer — via the plain
-    :meth:`~repro.snn.inference.InferenceEngine.evaluate` path.
+    stateless per-request semantics of the serving layer — by the
+    sequential oracle (:func:`repro.snn.oracle.evaluate_sequential`), with
+    the session's protection as its per-timestep monitor: an independent
+    path, not the engine the service itself runs.
     """
+    from repro.snn.oracle import evaluate_sequential
+
     reference: List[int] = []
     for image, seed in zip(images, seeds):
         session = build_session(model, mode)
@@ -221,7 +225,8 @@ def _reference_predictions(
             images=np.asarray(image, dtype=np.float64).reshape(1, 28, 28),
             labels=np.zeros(1, dtype=np.int64),
         )
-        result = session.inference.evaluate(
+        result = evaluate_sequential(
+            session.inference,
             sample_set,
             rng=int(seed),
             effective_weights=session.effective_weights,

@@ -3,12 +3,12 @@
 Every accuracy number of the reproduction — a single served request, a
 test-set evaluation, a whole fault-rate sweep — is produced by
 :class:`MapParallelEngine`.  It advances *rows* (:class:`MapRow`: one set of
-weight registers, per-neuron operation health and run-time mitigation hooks
-each) over chunks of samples with ``(rows, batch, n_neurons)`` state arrays:
-exact register-code GEMMs per distinct (encoding, registers) pair produce
-the input currents of every (sample, timestep), and one model-dispatched
-advance kernel (:mod:`repro.snn.kernels`) steps all rows and samples at
-once.  A single network is simply the one-row case
+weight registers, per-neuron operation health, weight rule and protection
+trigger each) over chunks of samples with ``(rows, batch, n_neurons)``
+state arrays: exact register-code GEMMs per distinct (encoding, registers)
+pair produce the input currents of every (sample, timestep), and one
+model-dispatched advance kernel (:mod:`repro.snn.kernels`) steps all rows
+and samples at once.  A single network is simply the one-row case
 (:meth:`MapParallelEngine.for_network`); :class:`BatchedInferenceEngine` is
 the thin per-network front end over it.
 
@@ -66,7 +66,7 @@ take exactly one pass with no bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -105,15 +105,6 @@ __all__ = [
     "block_timesteps",
     "flatten_images",
 ]
-
-#: Step-monitor hook signature.  The monitor is called after every timestep
-#: with the live :class:`MapParallelState`; latching ``spike_disabled``
-#: through :meth:`MapParallelState.disable_spiking` gates spike generation
-#: from the next timestep on, exactly like the sequential ``step_monitor``
-#: hook.  A monitor with a ``commit_batch(spike_disabled)`` method also
-#: receives each row's final ``(batch, n_neurons)`` gate state once the
-#: chunk's latch fix-up has settled (re-simulated passes never count twice).
-StepMonitor = Callable[["MapParallelState"], None]
 
 #: GEMM rows one timestep block aims for: a chunk of ``batch`` samples is
 #: processed in blocks of ``ceil(BLOCK_GEMM_ROWS / batch)`` timesteps, so
@@ -173,10 +164,12 @@ class MapRow:
 
     A *row* pairs a set of weight registers (typically the clean registers
     with one fault map's bit flips applied) with the matching per-neuron
-    operation health and the run-time mitigation hooks.  Several rows that
-    share the same ``registers`` *array object* and ``raster_index`` also
-    share their base current GEMM inside :class:`MapParallelEngine`, so
-    planners should reuse array instances for identical register contents.
+    operation health and the mitigation it runs under: a weight rule and a
+    protection trigger, the only way a mitigation reaches the engine.
+    Several rows that share the same ``registers`` *array object* and
+    ``raster_index`` also share their base current GEMM inside
+    :class:`MapParallelEngine`, so planners should reuse array instances
+    for identical register contents.
 
     Attributes
     ----------
@@ -193,9 +186,10 @@ class MapRow:
         registers and the adder chain (Eq. 1 of the paper).
     protection_trigger_cycles:
         When set, neuron protection gates off spike generation once a
-        neuron's comparator stays asserted this many consecutive cycles —
-        exactly the :class:`~repro.core.bound_and_protect.NeuronProtection`
-        step-monitor semantics.
+        neuron's comparator stays asserted this many consecutive cycles
+        (the paper's hardware rule, checked inside the timestep loop) —
+        the spikes the sequential oracle yields with a
+        :class:`~repro.core.bound_and_protect.NeuronProtection` monitor.
     """
 
     raster_index: int
@@ -294,15 +288,6 @@ class MapParallelState:
     def n_neurons(self) -> int:
         """Population size."""
         return int(self.v.shape[-1])
-
-    def disable_spiking(self, neuron_mask: np.ndarray) -> None:
-        """Latch off spike generation for the masked neurons.
-
-        The mask broadcasts against the state: ``(n_neurons,)`` gates the
-        neurons in every row and sample, a full-shape mask gates individual
-        (row, sample, neuron) triples.
-        """
-        self.spike_disabled |= np.asarray(neuron_mask, dtype=bool)
 
     def row(self, m: int) -> "MapParallelState":
         """Views of row *m*: every array becomes ``(batch, n_neurons)``."""
@@ -625,7 +610,6 @@ class MapParallelEngine:
         initial_reset_latch: Optional[np.ndarray] = None,
         collect_output_spikes: bool = False,
         carry_reset_latch: bool = True,
-        step_monitor: Optional[StepMonitor] = None,
     ) -> MapParallelResult:
         """Run one chunk of pre-encoded rasters through every row.
 
@@ -653,11 +637,6 @@ class MapParallelEngine:
             where unrelated requests coalesced into one micro-batch must
             not influence each other; the result then equals running each
             sample alone, and ``final_reset_latch`` is the entry latch.
-        step_monitor:
-            Optional :data:`StepMonitor` called with the live state after
-            every timestep (see there); the campaign, ``BnPTechnique``
-            evaluation and protected serving paths protect through the
-            rows' inline ``protection_trigger_cycles`` instead.
         """
         rasters = [np.asarray(raster) for raster in rasters]
         if len(rasters) < self.n_groups:
@@ -716,25 +695,14 @@ class MapParallelEngine:
             self.params, self.theta, n_unique, batch, self.n_neurons, latch
         )
         self._simulate(
-            state,
-            accumulators,
-            output,
-            slice(0, n_unique),
-            0,
-            self._workspace,
-            step_monitor,
+            state, accumulators, output, slice(0, n_unique), 0, self._workspace
         )
         passes = 1
 
         if carry_reset_latch and self._row_has_reset_fault.any():
             for m in np.flatnonzero(self._row_has_reset_fault):
-                passes += self._fixup_row(
-                    int(m), latch, state, accumulators, output, step_monitor
-                )
+                passes += self._fixup_row(int(m), latch, state, accumulators, output)
 
-        if step_monitor is not None and hasattr(step_monitor, "commit_batch"):
-            for m in range(n_unique):
-                step_monitor.commit_batch(state.spike_disabled[m])
         if _obs.enabled():
             _ENGINE_BATCHES.labels(engine=_ENGINE).inc()
             _ENGINE_BATCH_SIZE.labels(engine=_ENGINE).observe(batch)
@@ -877,7 +845,6 @@ class MapParallelEngine:
         state: MapParallelState,
         accumulators: _Accumulators,
         output: np.ndarray,
-        step_monitor: Optional[StepMonitor],
     ) -> int:
         """Resolve row *m*'s cross-sample faulty-reset coupling.
 
@@ -918,7 +885,6 @@ class MapParallelEngine:
                 slice(m, m + 1),
                 offset,
                 self._fixup_workspace,
-                step_monitor,
             )
             state.assign(m, offset, sub_state)
             extra_passes += 1
@@ -934,7 +900,6 @@ class MapParallelEngine:
         row_slice: slice,
         offset: int,
         workspace: KernelWorkspace,
-        step_monitor: Optional[StepMonitor],
     ) -> None:
         """One parallel pass over all timesteps for the rows in *row_slice*.
 
@@ -945,14 +910,7 @@ class MapParallelEngine:
         (:func:`repro.snn.kernels.advance_timesteps`) with the engine's
         per-row operation masks and protection triggers.  The model's
         dynamics are built once for the pass and carried across blocks.
-        The kernel advances the state arrays strictly in place, so a
-        ``step_monitor`` observes — and may gate, via
-        :meth:`MapParallelState.disable_spiking` — the live state after
-        every timestep, exactly like the sequential hook.
         """
-        hook = None
-        if step_monitor is not None:
-            hook = lambda: step_monitor(state)  # noqa: E731 - local adapter
         model = self._model
         dynamics = model.dynamics(self._step_config, self._threshold, state.v)
         masks = self._masks.rows(row_slice)
@@ -975,7 +933,6 @@ class MapParallelEngine:
                 self._step_config,
                 workspace,
                 triggers=triggers,
-                step_hook=hook,
                 dynamics=dynamics,
             )
         dynamics.finish(state.v)
@@ -1056,7 +1013,6 @@ class BatchedInferenceEngine:
         images: np.ndarray,
         rng: RNGLike = None,
         effective_weights: Optional[BoundedWeightRule] = None,
-        step_monitor: Optional[StepMonitor] = None,
         initial_reset_latch: Optional[np.ndarray] = None,
         carry_reset_latch: bool = True,
     ) -> BatchResult:
@@ -1074,7 +1030,6 @@ class BatchedInferenceEngine:
         return self.run_encoded(
             rasters,
             effective_weights=effective_weights,
-            step_monitor=step_monitor,
             initial_reset_latch=initial_reset_latch,
             carry_reset_latch=carry_reset_latch,
         )
@@ -1083,15 +1038,14 @@ class BatchedInferenceEngine:
         self,
         rasters: np.ndarray,
         effective_weights: Optional[BoundedWeightRule] = None,
-        step_monitor: Optional[StepMonitor] = None,
         initial_reset_latch: Optional[np.ndarray] = None,
         carry_reset_latch: bool = True,
     ) -> BatchResult:
         """Run pre-encoded rasters of shape ``(batch, timesteps, n_inputs)``.
 
         ``initial_reset_latch`` defaults to the network's current latches;
-        see :meth:`MapParallelEngine.run_encoded` for ``step_monitor`` and
-        ``carry_reset_latch`` and :meth:`MapParallelEngine.for_network` for
+        see :meth:`MapParallelEngine.run_encoded` for ``carry_reset_latch``
+        and :meth:`MapParallelEngine.for_network` for
         ``effective_weights``.
         """
         if initial_reset_latch is None:
@@ -1106,7 +1060,6 @@ class BatchedInferenceEngine:
             ],
             collect_output_spikes=True,
             carry_reset_latch=carry_reset_latch,
-            step_monitor=step_monitor,
         )
         return BatchResult(
             output_spikes=result.output_spikes[0],

@@ -5,8 +5,8 @@ The inference engine presents test images to a network built from a
 into class votes through the neuron labels, and reports accuracy.  All
 SoftSNN experiments run through this engine: fault injection only changes
 the network the engine is given (corrupted registers and/or neuron operation
-status), and mitigation only changes the two hooks the engine forwards on —
-an ``effective_weights`` override and a ``step_monitor``.
+status), and mitigation only changes what the engine row runs under — an
+``effective_weights`` bounding rule and a neuron ``protection`` trigger.
 
 Datasets are classified in configurable chunks through the one inference
 engine, :class:`~repro.snn.engine.MapParallelEngine` (a single network is
@@ -27,7 +27,6 @@ from repro.snn.engine import (
     DEFAULT_BATCH_SIZE,
     MapParallelEngine,
     MapRow,
-    StepMonitor,
     flatten_images,
 )
 from repro.snn.network import DiehlCookNetwork
@@ -184,22 +183,6 @@ class InferenceEngine:
                 votes[cls] = spike_counts[mask].sum()
         return int(np.argmax(votes))
 
-    def classify_sample(
-        self,
-        image: np.ndarray,
-        rng: RNGLike = None,
-        effective_weights: Optional[BoundedWeightRule] = None,
-        step_monitor: Optional[StepMonitor] = None,
-    ) -> tuple:
-        """Classify a single image; returns ``(prediction, SampleResult)``."""
-        result = self.network.present(
-            image,
-            rng=rng,
-            effective_weights=effective_weights,
-            step_monitor=step_monitor,
-        )
-        return self.classify_counts(result.spike_counts), result
-
     def classify_batch(self, spike_counts: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`classify_counts` for ``(n_samples, n_neurons)``.
 
@@ -221,7 +204,6 @@ class InferenceEngine:
         dataset: Dataset,
         rng: RNGLike = None,
         effective_weights: Optional[BoundedWeightRule] = None,
-        step_monitor: Optional[StepMonitor] = None,
         batch_size: Optional[int] = None,
         raster: Optional[np.ndarray] = None,
         protection: Optional[object] = None,
@@ -236,15 +218,13 @@ class InferenceEngine:
         (:func:`repro.snn.oracle.evaluate_sequential`) would leave it in.
 
         ``effective_weights`` (a
-        :class:`~repro.snn.synapse.BoundedWeightRule`) and ``step_monitor``
-        are the Bound-and-Protect hooks, forwarded to the engine.
-        ``protection`` (a
-        :class:`~repro.core.bound_and_protect.NeuronProtection`) is the
-        inline form of a protection monitor: the engine row gates at its
-        ``trigger_cycles`` inside the timestep loop, and its
-        ``commit_batch`` records each settled chunk's gates — the same
-        spikes and statistics as passing it as ``step_monitor``, without a
-        Python call per timestep.
+        :class:`~repro.snn.synapse.BoundedWeightRule`) and ``protection``
+        (a :class:`~repro.core.bound_and_protect.NeuronProtection`) are the
+        Bound-and-Protect mitigations.  The engine row bounds with the
+        rule and gates at the protection's ``trigger_cycles`` inside the
+        timestep loop; the protection's ``commit_batch`` records each
+        settled chunk's gates — the spikes and statistics of the
+        sequential oracle run with the same protection as its monitor.
 
         When *raster* is given it must be the externally Poisson-encoded
         presentation tensor ``(n_samples, timesteps, n_inputs)`` for the
@@ -293,9 +273,7 @@ class InferenceEngine:
                 )
             else:
                 chunk = raster[start:stop]
-            result = engine.run_encoded(
-                [chunk], initial_reset_latch=latch, step_monitor=step_monitor
-            )
+            result = engine.run_encoded([chunk], initial_reset_latch=latch)
             latch = result.final_reset_latch
             if protection is not None:
                 protection.commit_batch(result.final_state.spike_disabled[0])

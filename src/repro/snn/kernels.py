@@ -48,9 +48,8 @@ The three primitives
     explicit destination; a non-negative drive times the 0/1 integrate
     mask is ``where(mask, drive, 0.0)``; the integer counter and
     refractory updates are exact).
-    State arrays are mutated strictly in place — never swapped — so live
-    step hooks (e.g. :class:`repro.core.bound_and_protect.NeuronProtection`)
-    observe and mutate the same arrays the kernel advances.
+    State arrays are mutated strictly in place — never swapped — so the
+    caller's arrays always hold the advanced state.
 
 ``plan_bounding_correction`` / ``bounding_correction_terms`` /
 ``apply_bounding_correction``
@@ -77,14 +76,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -476,8 +468,8 @@ class NeuronDynamics:
     :func:`advance_timesteps` owns every statement the models share —
     integrate gating, the ``v_min`` clamp, the comparator and protection
     counter, spike gating, reset / refractory entry, the faulty-reset
-    latch, lateral inhibition, latch pinning, the output write, the
-    protection triggers and the step hook.  A dynamics object supplies
+    latch, lateral inhibition, latch pinning, the output write and the
+    protection triggers.  A dynamics object supplies
     only what differs between models:
 
     * the domain constants ``v_reset``, ``v_min``, ``inhibition`` and
@@ -639,7 +631,6 @@ def advance_timesteps(
     refractory_period: int,
     workspace: KernelWorkspace,
     triggers: Optional[np.ndarray] = None,
-    step_hook: Optional[Callable[[], None]] = None,
 ) -> None:
     """Advance ``(rows, batch, neurons)`` neuron state over a block of timesteps.
 
@@ -648,11 +639,11 @@ def advance_timesteps(
     leak, (1) integration of the model's drive with the ``v_min`` clamp,
     (4) threshold comparator + consecutive-above-threshold counter + spike
     gating, (3) reset / refractory entry with faulty-reset latching,
-    lateral inhibition, latched-membrane pinning, optional
-    neuron-protection trigger gating and the optional ``step_hook`` —
-    exactly the operation sequence of the sequential
-    :meth:`repro.snn.neuron.LIFNeuronGroup.step` plus the post-step
-    protection semantics of the sequential step monitor.
+    lateral inhibition, latched-membrane pinning and optional
+    neuron-protection trigger gating — exactly the operation sequence of
+    the sequential :meth:`repro.snn.neuron.LIFNeuronGroup.step` plus the
+    post-step gate of the oracle's
+    :class:`~repro.core.bound_and_protect.NeuronProtection` monitor.
 
     A pass may feed its timesteps in consecutive blocks, one call each,
     with the same *dynamics* and state arrays: the loop keeps no state of
@@ -679,8 +670,8 @@ def advance_timesteps(
         block; each timestep's spikes are computed directly into it.
     v / refractory / counter / disabled / latched:
         The live state arrays ``(rows, batch, n)``, advanced strictly in
-        place (never reassigned or swapped) so step hooks observing them —
-        and mutating ``disabled`` — always see the current values.
+        place (never reassigned or swapped), so the caller's arrays hold
+        the state after the block's last timestep.
     comparator / spikes:
         Caller-owned result buffers ``(rows, batch, n)``: ``comparator`` is
         written every timestep; after the call both hold the block's final
@@ -695,9 +686,6 @@ def advance_timesteps(
         Optional per-row protection triggers ``(rows,)`` int64
         (:data:`NO_PROTECTION_TRIGGER` keeps a row ungated); ``None``
         skips protection entirely.
-    step_hook:
-        Optional callable invoked after every timestep (the engine's
-        step-monitor adapter); it observes the live state between steps.
 
     Every statement is a bitwise-identical reformulation of the sequential
     expressions: in-place ufunc chains evaluate the same IEEE operations
@@ -802,13 +790,10 @@ def advance_timesteps(
 
         # Neuron protection: gate off spike generation once the comparator
         # has stayed asserted for the row's trigger count (applied
-        # post-step, like the sequential step-monitor hook).
+        # post-step, like the oracle's protection monitor).
         if trig is not None:
             np.greater_equal(counter, trig, out=boolbuf)
             np.logical_or(disabled, boolbuf, out=disabled)
-
-        if step_hook is not None:
-            step_hook()
 
     if timesteps:
         np.copyto(spikes, output[timesteps - 1])

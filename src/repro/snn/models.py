@@ -47,7 +47,7 @@ default to ``lif``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 import numpy as np
 
@@ -124,7 +124,6 @@ class NeuronModel:
         config: LIFStepConfig,
         workspace: KernelWorkspace,
         triggers: Optional[np.ndarray] = None,
-        step_hook: Optional[Callable[[], None]] = None,
         dynamics: Optional[NeuronDynamics] = None,
     ) -> None:
         """Advance ``(rows, batch, n)`` state over *currents*' timesteps in place.
@@ -160,7 +159,6 @@ class NeuronModel:
             config.refractory_period,
             workspace,
             triggers=triggers,
-            step_hook=step_hook,
         )
         if pass_owner:
             dynamics.finish(v)

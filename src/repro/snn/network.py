@@ -2,24 +2,21 @@
 
 :class:`DiehlCookNetwork` wires together the pieces of the substrate —
 Poisson input encoding, the synapse crossbar, and the LIF excitatory layer
-with direct lateral inhibition — into the network of Fig. 1(a).  The network
-exposes two run-time hooks that the SoftSNN methodology plugs into without
-the network knowing anything about mitigation:
-
-* ``effective_weights`` — a :class:`~repro.snn.synapse.BoundedWeightRule`
-  applied during current accumulation (this is where Bound-and-Protect
-  weight bounding acts: the bounding logic sits between the weight register
-  and the adder, so the stored/faulty registers are untouched but the value
-  entering the adder is bounded);
-* ``step_monitor`` — a callable invoked after every timestep with the neuron
-  group, used by the neuron-protection logic to watch the ``Vmem >= Vth``
-  comparator and latch off spike generation for neurons with a faulty reset.
+with direct lateral inhibition — into the network of Fig. 1(a).
+:meth:`DiehlCookNetwork.present` accepts one run-time hook without knowing
+anything about mitigation: ``effective_weights``, a
+:class:`~repro.snn.synapse.BoundedWeightRule` applied during current
+accumulation (this is where Bound-and-Protect weight bounding acts: the
+bounding logic sits between the weight register and the adder, so the
+stored/faulty registers are untouched but the value entering the adder is
+bounded).  Neuron protection is a row property of the inference engine
+(:attr:`~repro.snn.engine.MapRow.protection_trigger_cycles`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -259,7 +256,6 @@ class DiehlCookNetwork:
         image: np.ndarray,
         rng: RNGLike = None,
         effective_weights: Optional[BoundedWeightRule] = None,
-        step_monitor: Optional[Callable] = None,
     ) -> SampleResult:
         """Present one image for inference for ``config.timesteps`` steps.
 
@@ -279,11 +275,6 @@ class DiehlCookNetwork:
             Optional :class:`~repro.snn.synapse.BoundedWeightRule` applied
             between the registers and the adder chain (the Bound-and-Protect
             weight-bounding hook).
-        step_monitor:
-            Optional callable invoked after each timestep (hook used by
-            neuron protection).  It receives the engine's
-            :class:`~repro.snn.engine.MapParallelState` (one row, batch of
-            one).
         """
         image = np.asarray(image, dtype=np.float64)
         if image.size != self.n_inputs:
@@ -294,7 +285,6 @@ class DiehlCookNetwork:
             image.reshape(1, -1),
             rng=rng,
             effective_weights=effective_weights,
-            step_monitor=step_monitor,
         )
         self.sync_neuron_state(result.final_state, result.final_reset_latch)
         return SampleResult(

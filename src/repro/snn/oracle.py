@@ -4,8 +4,13 @@ These per-image, per-timestep loops are the original simulation of the
 paper's network — one :meth:`~repro.snn.neuron.LIFNeuronGroup.step` per
 timestep.  They are far slower than :mod:`repro.snn.engine` and
 :mod:`repro.snn.train_engine` and exist only so the parity suites and
-benches can check the engines spike for spike and weight for weight; no
-production path imports this module, and it records no telemetry.
+benches can check the engines spike for spike and weight for weight (the
+serving smoke check, ``python -m repro.server smoke``, uses the inference
+oracle as its reference too); no production path imports this module, and
+it records no telemetry.  They are also the only place a per-timestep
+monitor exists: ``step_monitor`` (a
+:class:`~repro.core.bound_and_protect.NeuronProtection`) is the reference
+the engine's inline protection trigger is verified against.
 
 * :func:`present_sequential` / :func:`evaluate_sequential` — inference,
   with currents from the crossbar's current operator.  Unlike the engine,

@@ -1,13 +1,11 @@
-"""Docstring coverage of the public snn/, serve/ and eval/ API surfaces.
+"""Docstring coverage of the whole ``repro`` package.
 
-CI runs ``ruff check --select D`` over ``src/repro/snn``,
-``src/repro/serve`` and ``src/repro/eval`` (see
+CI runs ``ruff check --select D`` over ``src/repro`` (see
 ``.github/workflows/ci.yml`` and the ``[tool.ruff.lint]`` configuration
-in ``pyproject.toml``); this test is the
-dependency-free local backstop for the part of that contract that matters
-most — every public module, class, function and method in those packages
-carries a docstring — so a missing docstring fails ``pytest`` on machines
-without ruff installed.
+in ``pyproject.toml``); this test is the dependency-free local backstop
+for the part of that contract that matters most — every public module,
+class, function and method of the package carries a docstring — so a
+missing docstring fails ``pytest`` on machines without ruff installed.
 """
 
 from __future__ import annotations
@@ -18,18 +16,17 @@ from pathlib import Path
 
 import pytest
 
-import repro.eval
-import repro.serve
-import repro.snn
+import repro
 
-PACKAGES = [repro.snn, repro.serve, repro.eval]
+PACKAGES = [repro]
 
 
 def _module_paths():
     for package in PACKAGES:
         root = Path(inspect.getfile(package)).parent
-        for path in sorted(root.glob("*.py")):
-            yield pytest.param(path, id=f"{package.__name__}.{path.stem}")
+        for path in sorted(root.rglob("*.py")):
+            dotted = ".".join(path.relative_to(root).with_suffix("").parts)
+            yield pytest.param(path, id=f"{package.__name__}.{dotted}")
 
 
 def _is_public(name: str) -> bool:
@@ -66,6 +63,6 @@ def test_public_api_is_documented(path: Path):
     missing = list(_missing_docstrings(path))
     assert not missing, (
         f"{path.name}: public definitions without docstrings: {missing} "
-        "(the serving/training/evaluation layers are documented API "
-        "surface — see docs/ and the ruff D lint in CI)"
+        "(the whole package is documented API surface — see docs/ and "
+        "the ruff D lint in CI)"
     )

@@ -10,9 +10,10 @@ model (whose dynamics are built once per pass and carried across blocks),
 with latch fix-up suffixes crossing block boundaries, and at batch 1.
 
 It also pins the inline neuron protection of ``BnPTechnique.evaluate`` and
-protected serving sessions to the per-timestep ``step_monitor`` hook it
-replaced, and bounds the traced memory of one N400 chunk and of encoding
-64 images (deterministic allocation sizes, not timings).
+protected serving sessions to the sequential oracle run with a
+:class:`~repro.core.bound_and_protect.NeuronProtection` monitor, and bounds
+the traced memory of one N400 chunk and of encoding 64 images
+(deterministic allocation sizes, not timings).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from repro.snn.encoding import PoissonEncoder
 from repro.snn.engine import MapParallelEngine, MapRow, block_timesteps
 from repro.snn.inference import InferenceEngine
 from repro.snn.network import NetworkConfig
+from repro.snn.oracle import evaluate_sequential, present_sequential
 from repro.snn.neuron import NeuronOperationStatus
 from repro.snn.synapse import BoundedWeightRule
 from repro.snn.training import TrainedModel
@@ -126,11 +128,7 @@ def _rasters(batch: int, timesteps: int = TIMESTEPS):
 
 def _run(monkeypatch, engine, rasters, rows_per_block, **kwargs):
     monkeypatch.setattr(engine_module, "BLOCK_GEMM_ROWS", rows_per_block)
-    monitor = NeuronProtection(trigger_cycles=3)
-    result = engine.run_encoded(
-        rasters, collect_output_spikes=True, step_monitor=monitor, **kwargs
-    )
-    return result, monitor.statistics()
+    return engine.run_encoded(rasters, collect_output_spikes=True, **kwargs)
 
 
 def _assert_byte_identical(result, reference):
@@ -159,14 +157,15 @@ class TestBlockBoundaryParity:
             )
             for name, rows in BLOCKINGS.items()
         }
-        reference, reference_stats = runs.pop("whole")
+        reference = runs.pop("whole")
         # The fix-up re-simulated suffixes (crossing every block boundary
-        # of the shorter blockings) and the model actually spiked.
+        # of the shorter blockings), the model actually spiked and the
+        # protected row gated inline.
         assert reference.simulation_passes > 1
         assert reference.spike_counts.sum() > 0
-        for name, (result, stats) in runs.items():
+        assert reference.final_state.spike_disabled.any()
+        for result in runs.values():
             _assert_byte_identical(result, reference)
-            assert stats == reference_stats, name
 
     @pytest.mark.parametrize("model", MODELS)
     def test_batch_of_one(self, monkeypatch, model):
@@ -176,11 +175,10 @@ class TestBlockBoundaryParity:
             name: _run(monkeypatch, engine, rasters, rows(1))
             for name, rows in BLOCKINGS.items()
         }
-        reference, reference_stats = runs.pop("whole")
+        reference = runs.pop("whole")
         assert reference.spike_counts.sum() > 0
-        for name, (result, stats) in runs.items():
+        for result in runs.values():
             _assert_byte_identical(result, reference)
-            assert stats == reference_stats, name
 
     def test_serving_micro_batches_run_as_one_block(self):
         assert block_timesteps(1, 100) == 100
@@ -227,18 +225,18 @@ class TestInlineProtection:
             trained, dataset, rng=17, fault_map=fault_map, batch_size=5
         )
 
-        # The hook path on the identically built faulty network.
+        # The sequential oracle on the identically built faulty network.
         generator = resolve_rng(17)
         network, _ = technique._build_faulty_network(
             trained, None, generator, fault_map
         )
         monitor = NeuronProtection(trigger_cycles=technique.protection_trigger_cycles)
-        hooked = InferenceEngine(network, trained.neuron_labels).evaluate(
+        hooked = evaluate_sequential(
+            InferenceEngine(network, trained.neuron_labels),
             dataset,
             rng=generator,
             effective_weights=technique.bounding_for(trained).as_weight_rule(),
             step_monitor=monitor,
-            batch_size=5,
         )
         assert np.array_equal(inline.predictions, hooked.predictions)
         assert np.array_equal(inline.spike_counts, hooked.spike_counts)
@@ -261,19 +259,22 @@ class TestInlineProtection:
         seeds = [11, 12, 13]
         _, result = session.classify_batch(images, seeds)
 
-        reference = build_session(trained, mode)
+        # Stateless serving: each request is the oracle's presentation on
+        # a freshly built session, all observed by one monitor.
         monitor = NeuronProtection(trigger_cycles=mode.protection_trigger_cycles)
-        hooked = MapParallelEngine.for_network(
-            reference.network, reference.effective_weights
-        ).run_encoded(
-            [np.stack([reference.encode(i, s) for i, s in zip(images, seeds)])],
-            initial_reset_latch=reference.network.neurons.reset_fault_latched[
-                np.newaxis
-            ],
-            carry_reset_latch=False,
-            step_monitor=monitor,
-        )
-        assert np.array_equal(result.spike_counts, hooked.spike_counts)
+        hooked = []
+        for image, seed in zip(images, seeds):
+            reference = build_session(trained, mode)
+            hooked.append(
+                present_sequential(
+                    reference.network,
+                    image,
+                    rng=seed,
+                    effective_weights=reference.effective_weights,
+                    step_monitor=monitor,
+                ).spike_counts
+            )
+        assert np.array_equal(result.spike_counts[0], np.stack(hooked))
         assert session.protection.activation_count > 0
         assert session.protection.protected_neurons == monitor.protected_neurons
         assert session.protection.activation_count == monitor.activation_count

@@ -276,7 +276,7 @@ class TestProtectionParity:
         batched = InferenceEngine(bat_net, labels).evaluate(
             parity_dataset,
             rng=np.random.default_rng(7),
-            step_monitor=bat_protection,
+            protection=bat_protection,
             batch_size=4,
         )
         assert_results_identical(sequential, batched)

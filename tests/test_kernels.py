@@ -461,16 +461,22 @@ class TestKernelWorkspace:
                 workspace.countbuf,
             )
             state = _fresh_state(shape, CONFIG, rng=np.random.default_rng(50))
+            threshold = np.full(n, 1.0)
+            dynamics = get_model(model).dynamics(CONFIG, threshold, state["v"])
+            drive = dynamics.drive
             seen = []
 
-            def hook():
+            def observed_drive(current, out, drive=drive):
+                # Called once per timestep, inside the loop.
                 assert workspace.vbuf is frozen[0], model
                 assert workspace.fbuf is frozen[1], model
                 assert workspace.active is frozen[2], model
                 assert workspace.boolbuf is frozen[3], model
                 assert workspace.countbuf is frozen[4], model
                 seen.append(True)
+                return drive(current, out)
 
+            dynamics.drive = observed_drive
             get_model(model).advance(
                 currents,
                 np.zeros(currents.shape, dtype=bool),
@@ -482,12 +488,13 @@ class TestKernelWorkspace:
                 np.empty(shape, dtype=bool),
                 np.empty(shape, dtype=bool),
                 masks,
-                np.full(n, 1.0),
+                threshold,
                 CONFIG,
                 workspace,
                 triggers=np.array([4], dtype=np.int64),
-                step_hook=hook,
+                dynamics=dynamics,
             )
+            dynamics.finish(state["v"])
             assert len(seen) == 20, model
 
 

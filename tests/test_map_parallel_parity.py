@@ -3,14 +3,14 @@
 The load-bearing contract of :class:`repro.snn.engine.MapParallelEngine` is
 bitwise identity: evaluating N fault maps (and techniques) stacked into one
 fused pass must produce, per row, exactly the spikes, predictions and spike
-counts the row's own network yields through the per-network
-:class:`repro.snn.engine.BatchedInferenceEngine` front end (one row, with
-the bounding rule and a :class:`NeuronProtection` step monitor as hooks)
-over the same rasters — across clean, faulty and protected modes, for any
-map count (including the single-map degenerate case) and any chunking.  On
-top of the engine parity, the campaign-level tests pin that grouped
-map-parallel cell execution writes byte-identical result-store records to
-cell-at-a-time execution.
+counts the row's own network yields through a one-row engine
+(:meth:`repro.snn.engine.MapParallelEngine.for_network` with the row's
+bounding rule and protection trigger) over the same rasters — across
+clean, faulty and protected modes, for any map count (including the
+single-map degenerate case) and any chunking.  On top of the engine
+parity, the campaign-level tests pin that grouped map-parallel cell
+execution writes byte-identical result-store records to cell-at-a-time
+execution.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.bound_and_protect import BnPVariant, NeuronProtection, WeightBounding
+from repro.core.bound_and_protect import BnPVariant, WeightBounding
 from repro.core.mitigation import (
     BnPTechnique,
     MitigationTechnique,
@@ -40,48 +40,45 @@ from repro.eval.campaign import (
     run_campaign,
 )
 from repro.eval.store import ResultStore
+from repro.eval.sweep import FaultRateSweep
 from repro.eval.experiment import ExperimentConfig, ExperimentRunner
 from repro.faults.fault_map import FaultMap, FaultMapGenerator
 from repro.faults.models import ComputeEngineFaultConfig, NeuronFaultType
 from repro.hardware.enhancements import MitigationKind
-from repro.snn.engine import BatchedInferenceEngine, MapRow
+from repro.snn.engine import MapParallelEngine, MapRow
 from repro.snn.inference import class_indicator, evaluate_rows
 from repro.snn.network import NetworkConfig
 from repro.snn.training import TrainedModel
 
 
 # --------------------------------------------------------------------- #
-# reference path: one row at a time through the batched engine
+# reference path: one row at a time through a one-row engine
 # --------------------------------------------------------------------- #
 def reference_row(model, row: MapRow, raster: np.ndarray, batch_size: int):
-    """Evaluate one row alone via the per-map batched engine.
+    """Evaluate one row alone through its own one-row engine.
 
-    Returns ``(spike_counts, predictions)`` computed exactly like the
-    pre-map-parallel path: a fresh network carrying the row's registers and
-    operation status, chunked ``run_encoded`` calls with the faulty-reset
-    latch carried across chunks, the bounding rule as ``effective_weights``
-    and a :class:`NeuronProtection` monitor when the row is protected.
+    Returns ``(spike_counts, predictions)``: a fresh network carrying the
+    row's registers and operation status, run through
+    :meth:`MapParallelEngine.for_network` with the row's bounding rule and
+    protection trigger, in chunked ``run_encoded`` calls with the
+    faulty-reset latch carried across chunks.
     """
     network = model.build_network(rng=0)
     network.synapses.set_registers(np.asarray(row.registers))
     network.neurons.set_operation_status(row.operation_status)
-    monitor = (
-        NeuronProtection(trigger_cycles=row.protection_trigger_cycles)
-        if row.protection_trigger_cycles is not None
-        else None
+    engine = MapParallelEngine.for_network(
+        network,
+        row.weight_rule,
+        protection_trigger_cycles=row.protection_trigger_cycles,
     )
-    engine = BatchedInferenceEngine(network)
-    latch = network.neurons.reset_fault_latched.copy()
+    latch = network.neurons.reset_fault_latched[np.newaxis].copy()
     counts = []
     for start in range(0, raster.shape[0], batch_size):
         chunk = engine.run_encoded(
-            raster[start : start + batch_size],
-            effective_weights=row.weight_rule,
-            step_monitor=monitor,
-            initial_reset_latch=latch,
+            [raster[start : start + batch_size]], initial_reset_latch=latch
         )
         latch = chunk.final_reset_latch
-        counts.append(chunk.spike_counts)
+        counts.append(chunk.spike_counts[0])
     spike_counts = np.concatenate(counts)
     votes = spike_counts.astype(np.float64) @ class_indicator(model.neuron_labels)
     return spike_counts, np.argmax(votes, axis=1).astype(np.int64)
@@ -420,49 +417,37 @@ class TestCampaignGrouping:
 class _EvaluateOnlyTechnique(MitigationTechnique):
     """A user-style technique implementing only the evaluate() interface."""
 
-    kind = MitigationKind.RE_EXECUTION  # any identity distinct in the list
+    kind = MitigationKind.RE_EXECUTION
 
     def evaluate(
         self, model, dataset, fault_config=None, rng=None, fault_map=None,
         batch_size=None,
     ):
-        """Classify through the unmitigated engine (stand-alone path)."""
-        from repro.snn.inference import InferenceEngine
-        from repro.utils.rng import resolve_rng
-
-        generator = resolve_rng(rng)
-        network, _ = self._build_faulty_network(
-            model, fault_config, generator, fault_map
-        )
-        engine = InferenceEngine(network, model.neuron_labels)
-        return engine.evaluate(dataset, rng=generator, batch_size=batch_size)
+        """Never reached: the class cannot be instantiated."""
+        raise AssertionError("unreachable")
 
 
-class TestEvaluateOnlyFallback:
-    def test_plan_less_techniques_run_via_standalone_evaluate(
+class TestRowProtocolContract:
+    def test_technique_without_plan_rows_cannot_be_instantiated(self):
+        """``plan_rows`` is abstract: every technique runs as engine rows."""
+        with pytest.raises(TypeError, match="plan_rows"):
+            _EvaluateOnlyTechnique()
+
+    def test_fault_rate_sweep_rejects_duplicate_kinds(
         self, trained_model, small_split
     ):
-        """Techniques without plan_rows still work in (grouped) campaigns.
-
-        The fused pass must skip them and run their stand-alone
-        ``evaluate`` per map, with grouped and cell-at-a-time execution
-        agreeing bit for bit.
-        """
+        """Results are keyed by kind: a second BNP3 must not overwrite the first."""
         _, test_set = small_split
-        techniques = [NoMitigation(), _EvaluateOnlyTechnique()]
-        cells = build_experiment_cells(
-            "exp", [1e-2], 2, root_seed=8, batch_size=8, include_clean=False
+        sweep = FaultRateSweep(
+            trained_model,
+            test_set,
+            [
+                BnPTechnique(BnPVariant.BNP3, protection_trigger_cycles=1),
+                BnPTechnique(BnPVariant.BNP3, protection_trigger_cycles=50),
+            ],
         )
-        grouped = execute_cell_group(cells, trained_model, test_set, techniques)
-        for cell, grouped_result in zip(cells, grouped):
-            single = execute_cell_group([cell], trained_model, test_set, techniques)[0]
-            assert single.accuracies == grouped_result.accuracies
-        assert set(grouped[0].accuracies) == {"no_mitigation", "re_execution"}
-
-        # The clean cell evaluates the fallback technique too.
-        clean = build_experiment_cells("exp", [1e-2], 1, root_seed=8, batch_size=8)[0]
-        record = execute_cell_group([clean], trained_model, test_set, techniques)[0]
-        assert set(record.accuracies) == {"no_mitigation", "re_execution", "clean"}
+        with pytest.raises(ValueError, match="distinct kinds"):
+            sweep.run([0.3], rng=1)
 
 
 # --------------------------------------------------------------------- #

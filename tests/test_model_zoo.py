@@ -37,7 +37,7 @@ from repro.snn.encoding import (
     get_encoder,
     register_encoder,
 )
-from repro.snn.engine import BatchedInferenceEngine, MapRow
+from repro.snn.engine import MapParallelEngine, MapRow
 from repro.snn.oracle import evaluate_sequential, train_sequential
 from repro.snn.inference import InferenceEngine, class_indicator, evaluate_rows
 from repro.snn.kernels import (
@@ -435,7 +435,7 @@ class TestDynamicsOnlyModel:
             InferenceEngine(network, labels).evaluate(
                 zoo_dataset,
                 rng=np.random.default_rng(7),
-                step_monitor=monitor,
+                protection=monitor,
                 batch_size=batch_size,
             )
             for network, monitor, batch_size in zip(networks, monitors, (1, 4))
@@ -453,7 +453,7 @@ class TestDynamicsOnlyModel:
         ).evaluate(
             zoo_dataset,
             rng=np.random.default_rng(7),
-            step_monitor=NeuronProtection(trigger_cycles=2),
+            protection=NeuronProtection(trigger_cycles=2),
             batch_size=4,
         )
         assert not np.array_equal(lif.spike_counts, outcomes[0].spike_counts)
@@ -507,7 +507,7 @@ class TestPerModelEngineParity:
             InferenceEngine(build_network(config, faulty_status()), labels).evaluate(
                 zoo_dataset,
                 rng=np.random.default_rng(7),
-                step_monitor=monitor,
+                protection=monitor,
                 batch_size=batch_size,
             )
             for monitor, batch_size in zip(monitors, (1, 5))
@@ -533,7 +533,7 @@ class TestPerModelEngineParity:
 
     @pytest.mark.parametrize("model", MODELS)
     def test_map_parallel_matches_batched_engine(self, model):
-        """Fused rows equal per-row batched runs for every model."""
+        """Fused rows equal one-row engine runs for every model."""
         trained = handmade_model(model)
         network = trained.build_network(rng=0)
         encoder = trained.network_config.make_encoder()
@@ -580,23 +580,19 @@ class TestPerModelEngineParity:
             reference = trained.build_network(rng=0)
             reference.synapses.set_registers(np.asarray(row.registers))
             reference.neurons.set_operation_status(row.operation_status)
-            monitor = (
-                NeuronProtection(trigger_cycles=row.protection_trigger_cycles)
-                if row.protection_trigger_cycles is not None
-                else None
+            engine = MapParallelEngine.for_network(
+                reference,
+                row.weight_rule,
+                protection_trigger_cycles=row.protection_trigger_cycles,
             )
-            engine = BatchedInferenceEngine(reference)
-            latch = reference.neurons.reset_fault_latched.copy()
+            latch = reference.neurons.reset_fault_latched[np.newaxis].copy()
             counts = []
             for start in range(0, raster.shape[0], 2):
                 chunk = engine.run_encoded(
-                    raster[start : start + 2],
-                    effective_weights=row.weight_rule,
-                    step_monitor=monitor,
-                    initial_reset_latch=latch,
+                    [raster[start : start + 2]], initial_reset_latch=latch
                 )
                 latch = chunk.final_reset_latch
-                counts.append(chunk.spike_counts)
+                counts.append(chunk.spike_counts[0])
             spike_counts = np.concatenate(counts)
             votes = spike_counts.astype(np.float64) @ class_indicator(
                 trained.neuron_labels

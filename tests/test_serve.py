@@ -33,6 +33,7 @@ from repro.serve.service import (
     ServiceServer,
     SoftSNNService,
 )
+from repro.snn.oracle import evaluate_sequential
 from repro.snn.training import TrainedModel
 
 
@@ -73,7 +74,7 @@ def _test_images(small_split, count: int):
 
 
 def _direct_predictions(model, mode, images, seeds):
-    """Reference: per-sample InferenceEngine.evaluate on a fresh session."""
+    """Reference: the sequential oracle per sample on a fresh session."""
     predictions = []
     for image, seed in zip(images, seeds):
         session = build_session(model, mode)
@@ -81,7 +82,8 @@ def _direct_predictions(model, mode, images, seeds):
             images=np.asarray(image).reshape(1, 28, 28),
             labels=np.zeros(1, dtype=np.int64),
         )
-        result = session.inference.evaluate(
+        result = evaluate_sequential(
+            session.inference,
             sample_set,
             rng=int(seed),
             effective_weights=session.effective_weights,

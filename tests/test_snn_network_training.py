@@ -107,16 +107,6 @@ class TestDiehlCookNetwork:
         )
         assert silent.total_output_spikes == 0
 
-    def test_step_monitor_called_every_timestep(self):
-        network = self._network(timesteps=25)
-        calls = []
-        network.present(
-            SyntheticMNIST().render(1, rng=0),
-            rng=1,
-            step_monitor=lambda neurons: calls.append(neurons.n_neurons),
-        )
-        assert len(calls) == 25
-
     def test_normalize_weights_sets_column_sums(self):
         network = self._network()
         network.normalize_weights(2.5)
