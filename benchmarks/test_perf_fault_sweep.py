@@ -5,9 +5,12 @@ the paper's fault rates) three ways:
 
 * **legacy per-cell loop** — the pre-map-parallel execution shape: for
   every ``(rate, trial)`` cell, draw the fault map and run each technique
-  through its stand-alone :meth:`MitigationTechnique.evaluate` call (one
-  full engine pass per (cell, technique), re-encoding the test set each
-  time).  This is the baseline the speedup is measured against.
+  through its stand-alone :meth:`MitigationTechnique.evaluate` call.  Each
+  call is a one-cell, one-technique map-route pass: it re-encodes the
+  test set and runs its own engine pass, so a cell costs n_techniques
+  encodings and passes with no GEMM shared between techniques
+  (re-execution's executions share one raster and one clean row within
+  its call).  This is the baseline the speedup is measured against.
 * **cell-at-a-time map-parallel** — :func:`execute_cell_group` on a
   one-cell unit per cell: one fused engine pass per cell covering all
   techniques.
@@ -25,14 +28,13 @@ from __future__ import annotations
 import numpy as np
 
 from _harness import assert_at_least, time_sides, write_record
-from repro.core.mitigation import build_technique
+from repro.core.mitigation import build_technique, fault_map_generator
 from repro.eval.campaign import (
     build_experiment_cells,
     execute_cell_group,
     group_cells,
 )
 from repro.eval.sweep import PAPER_FAULT_RATES
-from repro.faults.fault_map import FaultMapGenerator
 from repro.faults.models import ComputeEngineFaultConfig
 from repro.hardware.enhancements import MitigationKind
 
@@ -54,14 +56,11 @@ def _legacy_cell_loop(cells, model, dataset, techniques):
     """The pre-map-parallel per-cell loop, reproduced on the stable API.
 
     One fault map per cell, replayed across the techniques through their
-    stand-alone ``evaluate`` calls — n_techniques full engine passes (and
-    re-encodings) per cell, which is exactly the cost structure the
-    map-parallel engine removes.
+    stand-alone ``evaluate`` calls — n_techniques engine passes (and
+    encodings) per cell, which is exactly the cost structure the fused
+    multi-technique, multi-cell unit removes.
     """
-    map_generator = FaultMapGenerator(
-        crossbar_shape=(model.network_config.n_inputs, model.n_neurons),
-        quantizer=model.network_config.make_quantizer(model.clean_max_weight),
-    )
+    map_generator = fault_map_generator(model)
     records = {}
     for cell in cells:
         generator = np.random.default_rng(cell.seed)

@@ -66,6 +66,10 @@ def main() -> None:
         model, test_set, fault_config, rng=3
     )
     print(f"faulty engine, SoftSNN (BnP3):     {protected.accuracy_percent:5.1f}%")
+    print(
+        f"  BnP3 bounded {protected.bounded_synapses} synapses and gated "
+        f"{len(protected.protected_neurons)} neurons"
+    )
 
     # 6. Hardware cost of the protection --------------------------------------
     methodology = SoftSNNMethodology(model, variant=BnPVariant.BNP3)

@@ -33,6 +33,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.hardware.enhancements import MitigationKind
+from repro.snn.engine import protection_counts
 from repro.snn.synapse import BoundedWeightRule
 from repro.utils.validation import check_non_negative
 
@@ -161,19 +162,20 @@ class NeuronProtection:
     ``trigger_cycles`` consecutive cycles (two in the paper), its spike
     generation is latched off for the rest of the presentation.
 
-    The object has two roles.  On the engine paths —
-    ``InferenceEngine.evaluate(protection=...)`` (``BnPTechnique``),
-    protected serving sessions and campaign rows — the trigger travels as
-    :attr:`~repro.snn.engine.MapRow.protection_trigger_cycles`: the engine
-    applies the ``counter >= trigger_cycles`` gate inline in its timestep
-    loop, and the first two record their statistics through
-    :meth:`commit_batch` once per settled chunk (the engine may
-    re-simulate suffixes of a chunk to resolve cross-sample faulty-reset
-    latches, and only the accepted passes count; campaign rows keep no
-    statistics).  In the sequential oracle (:mod:`repro.snn.oracle`),
-    :meth:`__call__` is the monitor run on the
-    :class:`~repro.snn.neuron.LIFNeuronGroup` after every timestep — the
-    reference the inline gate is verified against.
+    The object has two roles.  On the engine paths the trigger travels as
+    :attr:`~repro.snn.engine.MapRow.protection_trigger_cycles` and the
+    engine applies the ``counter >= trigger_cycles`` gate inline in its
+    timestep loop.  The network front end
+    ``InferenceEngine.evaluate(protection=...)`` and protected serving
+    sessions record their statistics here through :meth:`commit_batch`,
+    once per settled chunk (the engine may re-simulate suffixes of a chunk
+    to resolve cross-sample faulty-reset latches, and only the accepted
+    passes count); technique evaluations and campaign rows report the same
+    counts on their :class:`~repro.snn.inference.InferenceResult` instead.
+    In the sequential oracle (:mod:`repro.snn.oracle`), :meth:`__call__`
+    is the monitor run on the :class:`~repro.snn.neuron.LIFNeuronGroup`
+    after every timestep — the reference the inline gate is verified
+    against.
 
     Parameters
     ----------
@@ -216,12 +218,11 @@ class NeuronProtection:
         one activation, matching the sequential count of newly-protected
         events.
         """
-        spike_disabled = np.asarray(spike_disabled, dtype=bool)
-        if spike_disabled.any():
-            self._activations += int(spike_disabled.sum())
-            self._protected_neurons.update(
-                int(index) for index in np.flatnonzero(spike_disabled.any(axis=0))
-            )
+        activations, protected = protection_counts(
+            np.asarray(spike_disabled, dtype=bool)
+        )
+        self._activations += int(activations)
+        self._protected_neurons.update(np.flatnonzero(protected).tolist())
 
     # ------------------------------------------------------------------ #
     @property

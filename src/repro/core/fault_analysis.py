@@ -21,10 +21,10 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.core.mitigation import NoMitigation
 from repro.data.datasets import Dataset
 from repro.faults.injector import FaultInjector
 from repro.faults.models import ComputeEngineFaultConfig, NeuronFaultType
-from repro.snn.inference import InferenceEngine
 from repro.snn.training import TrainedModel
 from repro.utils.rng import RNGLike, resolve_rng
 
@@ -227,12 +227,9 @@ class FaultToleranceAnalyzer:
         rng: RNGLike = None,
     ) -> float:
         """Accuracy (percent) of the unmitigated network under one scenario."""
-        generator = resolve_rng(rng)
-        network = self.model.build_network(rng=generator)
-        if fault_config is not None and fault_config.fault_rate > 0:
-            FaultInjector(network).inject(fault_config, rng=generator)
-        engine = InferenceEngine(network, self.model.neuron_labels)
-        return engine.evaluate(dataset, rng=generator).accuracy_percent
+        return NoMitigation().evaluate(
+            self.model, dataset, fault_config, rng=rng
+        ).accuracy_percent
 
     # ------------------------------------------------------------------ #
     # safe range derivation

@@ -8,9 +8,9 @@ the paper's comparison partners:
 * :class:`NoMitigation` — the unprotected baseline: the faulty compute
   engine is used as-is.
 * :class:`ReExecutionTMR` — the conventional fault-tolerance baseline:
-  every inference is executed three times (reloading the parameters each
-  time, so each execution sees an independently drawn soft-error pattern)
-  and the predictions are combined by majority vote.
+  every inference is executed three times on the same presented input
+  (the paper's redundant execution), the re-executions on reloaded
+  parameters, and the predictions are combined by majority vote.
 * :class:`BnPTechnique` — SoftSNN's Bound-and-Protect in its three variants
   (BnP1 / BnP2 / BnP3): weight bounding on the values read from the
   (possibly corrupted) registers plus neuron protection against faulty
@@ -20,36 +20,37 @@ The fault map can be drawn inside ``evaluate`` or passed in explicitly; the
 experiment harness passes the same map to every technique so comparisons at
 a given fault rate are paired.
 
-Besides the one-at-a-time :meth:`MitigationTechnique.evaluate` interface,
-every technique participates in *map-parallel* evaluation: given many fault
-maps, it plans its per-map compute-engine rows — stacked faulty or bounded
-registers, per-map operation status, protection triggers — via the
-abstract :meth:`MitigationTechnique.plan_rows`, and
+A technique reaches the engine only through *map-parallel* evaluation:
+given many fault maps, it plans its per-map compute-engine rows — stacked
+faulty or bounded registers, per-map operation status, protection
+triggers — via the abstract :meth:`MitigationTechnique.plan_rows`, and
 :func:`evaluate_techniques_mapped` advances all rows of all techniques
 through the :class:`~repro.snn.engine.MapParallelEngine` in one fused pass.
 A :class:`~repro.snn.engine.MapRow` (weight rule plus protection trigger)
-is the only way a mitigation reaches the engine.  Per (technique, map)
-pair the result is bit-identical to a stand-alone evaluation of that pair
-over the same rasters.
+is the only way a mitigation reaches the engine, and
+:meth:`MitigationTechnique.evaluate` is the one-cell, one-technique case
+of that pass: every execution of a cell — re-executions included — sees
+the cell's one encoded presentation.  Per (technique, map) pair the result
+is bit-identical to a stand-alone evaluation of that pair over the same
+rasters.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.bound_and_protect import BnPVariant, NeuronProtection, WeightBounding
+from repro.core.bound_and_protect import BnPVariant, WeightBounding
 from repro.data.datasets import Dataset
 from repro.faults.fault_map import FaultMap, FaultMapGenerator
-from repro.faults.injector import FaultInjector
 from repro.faults.models import ComputeEngineFaultConfig
 from repro.faults.neuron_faults import NeuronFaultInjector
 from repro.hardware.enhancements import MitigationKind
-from repro.snn.engine import MapRow
-from repro.snn.inference import InferenceEngine, InferenceResult, evaluate_rows
+from repro.snn.engine import MapRow, flatten_images
+from repro.snn.inference import InferenceResult, evaluate_rows
 from repro.snn.neuron import NeuronOperationStatus
 from repro.snn.synapse import SynapseMatrix
 from repro.snn.training import TrainedModel
@@ -65,6 +66,7 @@ __all__ = [
     "TechniqueRowPlan",
     "prepare_map_assets",
     "evaluate_techniques_mapped",
+    "fault_map_generator",
     "build_technique",
 ]
 
@@ -90,6 +92,14 @@ class MapAssets:
     status: NeuronOperationStatus
     healthy_status: NeuronOperationStatus
 
+    def faulty_row(self) -> MapRow:
+        """The row of the corrupted engine, unmitigated."""
+        return MapRow(
+            raster_index=self.raster_index,
+            registers=self.faulty_registers,
+            operation_status=self.status,
+        )
+
 
 @dataclass
 class TechniqueRowPlan:
@@ -109,6 +119,14 @@ class TechniqueRowPlan:
     def n_cells(self) -> int:
         """Number of fault maps (sweep cells) the plan covers."""
         return len(self.rows) // self.rows_per_cell
+
+
+def fault_map_generator(model: TrainedModel) -> FaultMapGenerator:
+    """Fault-map generator over *model*'s deployed crossbar registers."""
+    return FaultMapGenerator(
+        crossbar_shape=(model.network_config.n_inputs, model.n_neurons),
+        quantizer=model.network_config.make_quantizer(model.clean_max_weight),
+    )
 
 
 def _corrupt_registers(
@@ -187,6 +205,32 @@ def prepare_map_assets(
     return assets
 
 
+class _StreamedRaster:
+    """One cell's raster group, Poisson-encoded one sample chunk at a time.
+
+    :func:`~repro.snn.inference.evaluate_rows` reads a raster group chunk
+    by chunk, in sample order; this group encodes each chunk on that first
+    read, from the evaluation generator, so only one chunk's spike raster
+    exists at a time.  The encoder draws sample-major, so the chunks equal
+    the slices of a one-shot encode of the whole test set.
+    """
+
+    def __init__(self, encoder, images: np.ndarray, generator: np.random.Generator):
+        self._encoder = encoder
+        self._images = images[:, np.newaxis, :]
+        self._generator = generator
+        self._encoded = 0
+
+    def __len__(self) -> int:
+        return len(self._images)
+
+    def __getitem__(self, chunk: slice) -> np.ndarray:
+        if chunk.start != self._encoded:
+            raise ValueError("a streamed raster is read once, in sample order")
+        self._encoded = chunk.stop
+        return self._encoder.encode_batch(self._images[chunk], rng=self._generator)
+
+
 def evaluate_techniques_mapped(
     model: TrainedModel,
     dataset: Dataset,
@@ -194,7 +238,7 @@ def evaluate_techniques_mapped(
     fault_config: Optional[ComputeEngineFaultConfig],
     fault_maps: Optional[Sequence[FaultMap]],
     generators: Sequence[np.random.Generator],
-    rasters: Sequence[np.ndarray],
+    rasters: Sequence,
     batch_size: Optional[int] = None,
 ) -> Dict[MitigationKind, List[InferenceResult]]:
     """Evaluate every technique against every fault map in one fused pass.
@@ -226,9 +270,12 @@ def evaluate_techniques_mapped(
         techniques that draw additional randomness (re-execution with a
         nonzero ``reexposure_fraction``).
     rasters:
-        One pre-encoded spike raster ``(n_samples, T, n_inputs)`` per cell
-        — every technique presents the *same* encoded test set of its cell,
-        the paired-presentation protocol of the campaign layer.
+        One raster group per cell (see
+        :func:`~repro.snn.inference.evaluate_rows`): a pre-encoded spike
+        raster ``(n_samples, T, n_inputs)``, or the chunk-wise encoder of
+        :meth:`MitigationTechnique.evaluate` — every technique presents
+        the *same* encoded test set of its cell, the paired-presentation
+        protocol of the campaign layer.
     batch_size:
         Sample chunk size of the fused engine pass.
     """
@@ -281,7 +328,6 @@ class MitigationTechnique(abc.ABC):
         return self.kind.value
 
     # ------------------------------------------------------------------ #
-    @abc.abstractmethod
     def evaluate(
         self,
         model: TrainedModel,
@@ -292,6 +338,12 @@ class MitigationTechnique(abc.ABC):
         batch_size: Optional[int] = None,
     ) -> InferenceResult:
         """Classify *dataset* under the given soft-error scenario.
+
+        The one-cell, one-technique case of
+        :func:`evaluate_techniques_mapped`: one generator serves the whole
+        cell — the fault map (unless one is passed), this technique's extra
+        draws (:meth:`plan_rows`), then the Poisson encoding, streamed one
+        engine chunk at a time.
 
         Parameters
         ----------
@@ -311,6 +363,34 @@ class MitigationTechnique(abc.ABC):
             Number of samples the inference engine advances
             together; ``None`` uses the engine default.
         """
+        generator = resolve_rng(rng)
+        n_inputs = model.network_config.n_inputs
+        # Discarded initial-weight draw: TrainedModel.build_network draws
+        # random weights (SynapseMatrix.random) that the trained ones
+        # overwrite; consuming the same doubles keeps the stream, and so
+        # every result, equal to evaluating such a network.
+        generator.random(n_inputs * model.n_neurons)
+        if (
+            fault_map is None
+            and fault_config is not None
+            and fault_config.fault_rate > 0
+        ):
+            fault_map = fault_map_generator(model).generate(fault_config, rng=generator)
+        raster = _StreamedRaster(
+            model.network_config.make_encoder(),
+            flatten_images(dataset.images, n_inputs),
+            generator,
+        )
+        return evaluate_techniques_mapped(
+            model,
+            dataset,
+            [self],
+            fault_config,
+            None if fault_map is None else [fault_map],
+            [generator],
+            [raster],
+            batch_size,
+        )[self.kind][0]
 
     # ------------------------------------------------------------------ #
     # map-parallel protocol
@@ -348,27 +428,6 @@ class MitigationTechnique(abc.ABC):
             )
         return list(row_results)
 
-    # ------------------------------------------------------------------ #
-    # shared helpers
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _build_faulty_network(
-        model: TrainedModel,
-        fault_config: Optional[ComputeEngineFaultConfig],
-        generator: np.random.Generator,
-        fault_map: Optional[FaultMap],
-    ):
-        """Build a fresh network from *model* and corrupt it per the scenario."""
-        network = model.build_network(rng=generator)
-        if fault_map is None and (fault_config is None or fault_config.fault_rate == 0):
-            return network, None
-        injector = FaultInjector(network)
-        if fault_map is not None:
-            report = injector.apply_fault_map(fault_map)
-        else:
-            report = injector.inject(fault_config, rng=generator)
-        return network, report
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(kind={self.kind.value})"
 
@@ -378,26 +437,6 @@ class NoMitigation(MitigationTechnique):
 
     kind = MitigationKind.NO_MITIGATION
 
-    def evaluate(
-        self,
-        model: TrainedModel,
-        dataset: Dataset,
-        fault_config: Optional[ComputeEngineFaultConfig] = None,
-        rng: RNGLike = None,
-        fault_map: Optional[FaultMap] = None,
-        batch_size: Optional[int] = None,
-    ) -> InferenceResult:
-        """Classify *dataset* on the faulty network, unmitigated.
-
-        See :meth:`MitigationTechnique.evaluate` for the parameters.
-        """
-        generator = resolve_rng(rng)
-        network, _ = self._build_faulty_network(
-            model, fault_config, generator, fault_map
-        )
-        engine = InferenceEngine(network, model.neuron_labels)
-        return engine.evaluate(dataset, rng=generator, batch_size=batch_size)
-
     def plan_rows(
         self,
         model: TrainedModel,
@@ -406,14 +445,7 @@ class NoMitigation(MitigationTechnique):
         generators: Sequence[np.random.Generator],
     ) -> TechniqueRowPlan:
         """One row per map: the corrupted engine, used as-is."""
-        rows = [
-            MapRow(
-                raster_index=asset.raster_index,
-                registers=asset.faulty_registers,
-                operation_status=asset.status,
-            )
-            for asset in assets
-        ]
+        rows = [asset.faulty_row() for asset in assets]
         return TechniqueRowPlan(kind=self.kind, rows=rows, rows_per_cell=1)
 
 
@@ -422,7 +454,9 @@ class ReExecutionTMR(MitigationTechnique):
 
     Every input is classified ``n_executions`` times and the predictions are
     combined by majority vote (ties resolve to the first execution's
-    prediction).
+    prediction).  All executions of a cell see the same presented input —
+    the cell's one encoded raster — as in the paper's redundant execution
+    of one inference; they differ only in the compute-engine state.
 
     The fault model follows the paper's Section 2.2 persistence rules: bit
     flips persist *until the register is overwritten* and faulty neuron
@@ -464,68 +498,6 @@ class ReExecutionTMR(MitigationTechnique):
         self.n_executions = int(n_executions)
         self.reexposure_fraction = float(reexposure_fraction)
 
-    def evaluate(
-        self,
-        model: TrainedModel,
-        dataset: Dataset,
-        fault_config: Optional[ComputeEngineFaultConfig] = None,
-        rng: RNGLike = None,
-        fault_map: Optional[FaultMap] = None,
-        batch_size: Optional[int] = None,
-    ) -> InferenceResult:
-        """Classify *dataset* ``n_executions`` times and majority-vote.
-
-        The first execution carries the fault scenario; the re-executions
-        run on reloaded parameters.  See :meth:`MitigationTechnique.evaluate`
-        for the parameters.
-        """
-        generator = resolve_rng(rng)
-        runs = []
-        for execution in range(self.n_executions):
-            if execution == 0:
-                # First execution: the accumulated soft errors are present.
-                execution_config = fault_config
-                execution_map = fault_map
-            else:
-                # Re-executions reload the parameters, clearing accumulated
-                # errors; optionally expose them to a scaled-down fault rate.
-                execution_map = None
-                if (
-                    fault_config is not None
-                    and self.reexposure_fraction > 0.0
-                    and fault_config.fault_rate > 0.0
-                ):
-                    execution_config = ComputeEngineFaultConfig(
-                        fault_rate=fault_config.fault_rate * self.reexposure_fraction,
-                        inject_synapses=fault_config.inject_synapses,
-                        inject_neurons=fault_config.inject_neurons,
-                        restrict_neuron_fault_type=(
-                            fault_config.restrict_neuron_fault_type
-                        ),
-                    )
-                else:
-                    execution_config = None
-            network, _ = self._build_faulty_network(
-                model, execution_config, generator, execution_map
-            )
-            engine = InferenceEngine(network, model.neuron_labels)
-            runs.append(
-                engine.evaluate(dataset, rng=generator, batch_size=batch_size)
-            )
-
-        predictions = self._majority_vote([run.predictions for run in runs])
-        # Spike counts and activity of the report come from the first run;
-        # energy/latency accounting multiplies by the execution count in the
-        # hardware model, not here.
-        first = runs[0]
-        return InferenceResult(
-            predictions=predictions,
-            labels=first.labels.copy(),
-            spike_counts=first.spike_counts.copy(),
-            total_input_spikes=sum(run.total_input_spikes for run in runs),
-            per_sample_output_spikes=list(first.per_sample_output_spikes),
-        )
-
     def plan_rows(
         self,
         model: TrainedModel,
@@ -540,73 +512,51 @@ class ReExecutionTMR(MitigationTechnique):
         all ``n_executions - 1`` re-executions share one clean row (the
         combine step replicates its predictions into the vote).  A nonzero
         reexposure draws one scaled-down fault map per re-execution from
-        the cell's generator, exactly as :meth:`evaluate` would.
+        the cell's generator.
         """
-        rows: List[MapRow] = []
         reexposed = (
             self.reexposure_fraction > 0.0
             and fault_config is not None
             and fault_config.fault_rate > 0.0
             and self.n_executions > 1
         )
-        if not reexposed:
-            for asset in assets:
-                rows.append(
-                    MapRow(
-                        raster_index=asset.raster_index,
-                        registers=asset.faulty_registers,
-                        operation_status=asset.status,
-                    )
-                )
-                if self.n_executions > 1:
+        if reexposed:
+            scaled = replace(
+                fault_config,
+                fault_rate=fault_config.fault_rate * self.reexposure_fraction,
+            )
+            quantizer = model.network_config.make_quantizer(model.clean_max_weight)
+            map_generator = fault_map_generator(model)
+            injector = NeuronFaultInjector(n_neurons=model.n_neurons)
+        rows: List[MapRow] = []
+        for index, asset in enumerate(assets):
+            rows.append(asset.faulty_row())
+            if reexposed:
+                for _ in range(self.n_executions - 1):
+                    re_map = map_generator.generate(scaled, rng=generators[index])
                     rows.append(
                         MapRow(
                             raster_index=asset.raster_index,
-                            registers=asset.clean_registers,
-                            operation_status=asset.healthy_status,
+                            registers=_corrupt_registers(
+                                asset.clean_registers, re_map, quantizer
+                            ),
+                            operation_status=injector.outcome_from_faults(
+                                re_map.neuron_faults
+                            ).status,
                         )
                     )
-            return TechniqueRowPlan(
-                kind=self.kind,
-                rows=rows,
-                rows_per_cell=1 if self.n_executions == 1 else 2,
-            )
-
-        scaled = ComputeEngineFaultConfig(
-            fault_rate=fault_config.fault_rate * self.reexposure_fraction,
-            inject_synapses=fault_config.inject_synapses,
-            inject_neurons=fault_config.inject_neurons,
-            restrict_neuron_fault_type=fault_config.restrict_neuron_fault_type,
-        )
-        quantizer = model.network_config.make_quantizer(model.clean_max_weight)
-        map_generator = FaultMapGenerator(
-            crossbar_shape=(model.network_config.n_inputs, model.n_neurons),
-            quantizer=quantizer,
-        )
-        injector = NeuronFaultInjector(n_neurons=model.n_neurons)
-        for index, asset in enumerate(assets):
-            rows.append(
-                MapRow(
-                    raster_index=asset.raster_index,
-                    registers=asset.faulty_registers,
-                    operation_status=asset.status,
-                )
-            )
-            for _ in range(self.n_executions - 1):
-                re_map = map_generator.generate(scaled, rng=generators[index])
+            elif self.n_executions > 1:
                 rows.append(
                     MapRow(
                         raster_index=asset.raster_index,
-                        registers=_corrupt_registers(
-                            asset.clean_registers, re_map, quantizer
-                        ),
-                        operation_status=injector.outcome_from_faults(
-                            re_map.neuron_faults
-                        ).status,
+                        registers=asset.clean_registers,
+                        operation_status=asset.healthy_status,
                     )
                 )
         return TechniqueRowPlan(
-            kind=self.kind, rows=rows, rows_per_cell=self.n_executions
+            kind=self.kind,
+            rows=rows,
+            rows_per_cell=self.n_executions if reexposed else min(self.n_executions, 2),
         )
 
     def combine_row_results(
@@ -685,8 +635,6 @@ class BnPTechnique(MitigationTechnique):
         self.protection_trigger_cycles = int(protection_trigger_cycles)
         if self.protection_trigger_cycles < 1:
             raise ValueError("protection_trigger_cycles must be at least 1")
-        self.last_protection: Optional[NeuronProtection] = None
-        self.last_bounded_count: int = 0
 
     # ------------------------------------------------------------------ #
     def bounding_for(self, model: TrainedModel) -> WeightBounding:
@@ -695,42 +643,6 @@ class BnPTechnique(MitigationTechnique):
             self.variant,
             clean_max_weight=model.clean_max_weight,
             most_probable_weight=model.clean_most_probable_weight,
-        )
-
-    def evaluate(
-        self,
-        model: TrainedModel,
-        dataset: Dataset,
-        fault_config: Optional[ComputeEngineFaultConfig] = None,
-        rng: RNGLike = None,
-        fault_map: Optional[FaultMap] = None,
-        batch_size: Optional[int] = None,
-    ) -> InferenceResult:
-        """Classify *dataset* on the faulty network with bounding and protection.
-
-        Records :attr:`last_bounded_count` and :attr:`last_protection`.
-        See :meth:`MitigationTechnique.evaluate` for the parameters.
-        """
-        generator = resolve_rng(rng)
-        network, _ = self._build_faulty_network(
-            model, fault_config, generator, fault_map
-        )
-        bounding = self.bounding_for(model)
-        self.last_bounded_count = bounding.count_bounded(network.synapses.weights)
-        # The symbolic rule lets the crossbar evaluate bounded currents
-        # through exact integer-code arithmetic (batch-shape independent).
-        effective_weights = bounding.as_weight_rule()
-
-        protection = NeuronProtection(trigger_cycles=self.protection_trigger_cycles)
-        self.last_protection = protection
-
-        engine = InferenceEngine(network, model.neuron_labels)
-        return engine.evaluate(
-            dataset,
-            rng=generator,
-            effective_weights=effective_weights,
-            protection=protection,
-            batch_size=batch_size,
         )
 
     def plan_rows(
@@ -744,9 +656,9 @@ class BnPTechnique(MitigationTechnique):
 
         Every row reads its map's corrupted registers through the Eq. 1
         bounding rule and gates faulty-reset neurons at the configured
-        trigger count.  The per-run statistics of :meth:`evaluate`
-        (``last_protection``, ``last_bounded_count``) are not tracked on
-        the map-parallel path.
+        trigger count.  Each row's result reports what the mechanisms did
+        (:attr:`~repro.snn.inference.InferenceResult.bounded_synapses`,
+        ``protected_neurons``, ``protection_activations``).
         """
         rule = self.bounding_for(model).as_weight_rule()
         rows = [

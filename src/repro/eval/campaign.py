@@ -55,6 +55,7 @@ from repro.core.mitigation import (
     MitigationTechnique,
     build_technique,
     evaluate_techniques_mapped,
+    fault_map_generator,
 )
 from repro.data.datasets import Dataset
 from repro.eval.experiment import (
@@ -63,7 +64,7 @@ from repro.eval.experiment import (
 )
 from repro.eval.store import ResultStore
 from repro.eval.sweep import SweepResult, TechniqueAccuracy
-from repro.faults.fault_map import FaultMap, FaultMapGenerator
+from repro.faults.fault_map import FaultMap
 from repro.faults.models import ComputeEngineFaultConfig
 from repro.hardware.enhancements import MitigationKind
 from repro.obs import metrics as _obs
@@ -399,10 +400,7 @@ def prepare_unit_inputs(
     if config is None:
         fault_maps = None
     else:
-        map_generator = FaultMapGenerator(
-            crossbar_shape=(model.network_config.n_inputs, model.n_neurons),
-            quantizer=model.network_config.make_quantizer(model.clean_max_weight),
-        )
+        map_generator = fault_map_generator(model)
         fault_maps = [
             map_generator.generate(config, rng=generator)
             for generator in generators

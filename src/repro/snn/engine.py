@@ -56,10 +56,11 @@ accumulated over samples ``0..i-1``.  The engine therefore runs an
 optimistic parallel pass assuming the latch state at chunk entry; for every
 row that latched a new neuron it accepts the samples up to and including
 the first one that did (their assumed latch state was correct) and
-re-simulates only the remainder with the updated latches.  Each iteration
-permanently accepts at least one sample and the latch set is bounded by the
-number of faulty-reset neurons, so the fix-up converges in at most
-``min(batch, faulty_reset_neurons + 1)`` passes per row; fault-free rows
+re-simulates only the remainder with the updated latches.  The rows still
+pending re-simulate together, in one pass per iteration.  Each iteration
+permanently accepts at least one sample per pending row and the latch set
+is bounded by the number of faulty-reset neurons, so the fix-up converges
+in at most ``min(batch, faulty_reset_neurons + 1)`` passes; fault-free rows
 take exactly one pass with no bookkeeping.
 """
 
@@ -104,6 +105,7 @@ __all__ = [
     "MapParallelEngine",
     "block_timesteps",
     "flatten_images",
+    "protection_counts",
 ]
 
 #: GEMM rows one timestep block aims for: a chunk of ``batch`` samples is
@@ -295,10 +297,14 @@ class MapParallelState:
             *(getattr(self, field.name)[m] for field in fields(self))
         )
 
-    def assign(self, m: int, offset: int, source: "MapParallelState") -> None:
-        """Overwrite row *m* from sample *offset* on with one-row *source*."""
-        for field in fields(self):
-            getattr(self, field.name)[m, offset:] = getattr(source, field.name)[0]
+
+def protection_counts(spike_disabled: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Gate-off activations and gated-neuron mask of ``(..., batch, n)`` gates.
+
+    Every gated (sample, neuron) pair of a settled chunk is one activation,
+    matching the sequential count of newly-protected events.
+    """
+    return spike_disabled.sum(axis=(-2, -1)), spike_disabled.any(axis=-2)
 
 
 @dataclass
@@ -321,8 +327,8 @@ class MapParallelResult:
         rows share one simulation; ``engine.row_to_unique`` maps rows onto
         it).  Each sample's state comes from the pass that accepted it.
     simulation_passes:
-        Total simulation passes including per-row latch fix-ups (1 when no
-        row latched a new faulty-reset neuron).
+        Total simulation passes including the latch fix-up's passes (1
+        when no row latched a new faulty-reset neuron).
     output_spikes:
         Boolean output raster per row, shape
         ``(n_rows, batch, timesteps, n_neurons)`` — only materialised when
@@ -486,6 +492,7 @@ class MapParallelEngine:
         self._corrections: Dict[Tuple[int, float], BoundingCorrection] = {}
         self._row_correction: List[Optional[Tuple[int, float]]] = [None] * n_unique
         self._row_substitute = np.zeros(n_unique, dtype=np.float64)
+        row_bounded = np.zeros(n_unique, dtype=np.int64)
         for m, row in enumerate(unique_rows):
             rule = row.weight_rule
             if rule is None:
@@ -497,6 +504,9 @@ class MapParallelEngine:
                 )
             self._row_correction[m] = key
             self._row_substitute[m] = float(rule.substitute)
+            row_bounded[m] = self._corrections[key].n_bounded
+        # Synapses each row's weight rule bounds (0 for rows without one).
+        self.bounded_synapses = row_bounded[self.row_to_unique]
 
         # A base read through exactly one bounding threshold (e.g. a lone
         # BnP network) never needs its unbounded sum: GEMM the kept codes
@@ -520,8 +530,8 @@ class MapParallelEngine:
         self._step_config = self._model.step_config(params)
         self._threshold = params.v_threshold + self.theta
         # Separate scratch workspaces for the full-chunk pass and the
-        # single-row latch fix-ups, so their different block shapes do not
-        # evict each other's buffers between chunks.
+        # latch fix-ups, so their different block shapes do not evict each
+        # other's buffers between chunks.
         self._workspace = KernelWorkspace()
         self._fixup_workspace = KernelWorkspace()
         # Block-sized cast-raster and current buffers, reused across
@@ -672,19 +682,13 @@ class MapParallelEngine:
                     "initial_reset_latch must have shape "
                     f"({n_rows}, {self.n_neurons}), got {full_latch.shape}"
                 )
+            latch = np.zeros((n_unique, self.n_neurons), dtype=bool)
+            latch[mapping] = full_latch
             # Duplicate rows share one simulation, so their carried latches
             # must agree (they do when the caller feeds back what the
             # previous chunk returned).
-            for m in range(n_rows):
-                if not np.array_equal(
-                    full_latch[m], full_latch[np.flatnonzero(mapping == mapping[m])[0]]
-                ):
-                    raise ValueError(
-                        "duplicate rows carry diverging reset latches"
-                    )
-            latch = np.zeros((n_unique, self.n_neurons), dtype=bool)
-            for m in range(n_rows):
-                latch[mapping[m]] = full_latch[m]
+            if not np.array_equal(latch[mapping], full_latch):
+                raise ValueError("duplicate rows carry diverging reset latches")
 
         accumulators = self._accumulate(rasters, batch, timesteps)
 
@@ -695,13 +699,18 @@ class MapParallelEngine:
             self.params, self.theta, n_unique, batch, self.n_neurons, latch
         )
         self._simulate(
-            state, accumulators, output, slice(0, n_unique), 0, self._workspace
+            state, accumulators, output, np.arange(n_unique), 0, self._workspace
         )
         passes = 1
 
         if carry_reset_latch and self._row_has_reset_fault.any():
-            for m in np.flatnonzero(self._row_has_reset_fault):
-                passes += self._fixup_row(int(m), latch, state, accumulators, output)
+            passes += self._fixup_rows(
+                np.flatnonzero(self._row_has_reset_fault),
+                latch,
+                state,
+                accumulators,
+                output,
+            )
 
         if _obs.enabled():
             _ENGINE_BATCHES.labels(engine=_ENGINE).inc()
@@ -795,18 +804,17 @@ class MapParallelEngine:
         accumulators: _Accumulators,
         start: int,
         stop: int,
-        row_slice: slice,
+        rows: np.ndarray,
         offset: int,
     ) -> np.ndarray:
         """Float64 input currents of timesteps ``[start, stop)``.
 
-        Shape ``(stop - start, rows, batch - offset, n)`` for the unique
-        rows in *row_slice* and the samples from *offset* on: each row's
-        base accumulator scaled to weights, plus its bounding correction —
-        fixed elementwise expressions of exact integer sums, so the
-        currents are the same bits in any block.
+        Shape ``(stop - start, len(rows), batch - offset, n)`` for the
+        unique rows indexed by *rows* and the samples from *offset* on: each
+        row's base accumulator scaled to weights, plus its bounding
+        correction — fixed elementwise expressions of exact integer sums, so
+        the currents are the same bits in any block.
         """
-        rows = range(*row_slice.indices(self.n_unique_rows))
         batch = accumulators.bases[0].shape[1] - offset
         currents = self._scratch(
             "currents",
@@ -838,70 +846,86 @@ class MapParallelEngine:
                 )
         return currents
 
-    def _fixup_row(
+    def _fixup_rows(
         self,
-        m: int,
+        rows: np.ndarray,
         latch: np.ndarray,
         state: MapParallelState,
         accumulators: _Accumulators,
         output: np.ndarray,
     ) -> int:
-        """Resolve row *m*'s cross-sample faulty-reset coupling.
+        """Resolve the cross-sample faulty-reset coupling of *rows*.
 
         A row whose pass latched a new neuron keeps its samples up to and
         including the first event and re-simulates the remainder with the
         updated latch state, repeating until a pass latches nothing new.
-        ``latch[m]`` is updated in place to the row's final latch state and
-        the re-simulated samples' outputs and final state overwrite the
-        optimistic pass; returns the number of extra passes performed.
+        The rows still pending re-simulate together, in one pass from the
+        earliest of their restart samples: samples are independent given a
+        row's latch, so each row keeps only the samples from its own restart
+        on, bit-identical to re-simulating it alone.  ``latch`` is updated
+        in place to each row's final latch state and the re-simulated
+        samples' outputs and final state overwrite the optimistic pass;
+        returns the number of extra passes performed.
         """
         batch = output.shape[2]
-        offset = 0
+        offsets = {int(m): 0 for m in rows}
+        simulated = {int(m): state.reset_fault_latched[m] for m in rows}
         extra_passes = 0
-        row_latch = latch[m].copy()
-        simulated_latched = state.reset_fault_latched[m]
         while True:
-            new_events = simulated_latched & ~row_latch
-            event_rows = new_events.any(axis=-1)
-            if not event_rows.any():
-                break
-            first_event = int(np.argmax(event_rows))
-            row_latch |= new_events[first_event]
-            offset += first_event + 1
-            if offset >= batch:
-                break
+            pending = []
+            for m, simulated_latched in simulated.items():
+                new_events = simulated_latched & ~latch[m]
+                event_rows = new_events.any(axis=-1)
+                if not event_rows.any():
+                    continue
+                first_event = int(np.argmax(event_rows))
+                latch[m] |= new_events[first_event]
+                offsets[m] += first_event + 1
+                if offsets[m] < batch:
+                    pending.append(m)
+            if not pending:
+                return extra_passes
+            start = min(offsets[m] for m in pending)
             sub_state = MapParallelState.initial(
                 self.params,
                 self.theta,
-                1,
-                batch - offset,
+                len(pending),
+                batch - start,
                 self.n_neurons,
-                row_latch[np.newaxis, :],
+                latch[pending],
+            )
+            sub_output = np.empty(
+                (output.shape[0], len(pending), batch - start, self.n_neurons), bool
             )
             self._simulate(
                 sub_state,
                 accumulators,
-                output[:, m : m + 1, offset:, :],
-                slice(m, m + 1),
-                offset,
+                sub_output,
+                np.array(pending),
+                start,
                 self._fixup_workspace,
             )
-            state.assign(m, offset, sub_state)
             extra_passes += 1
-            simulated_latched = sub_state.reset_fault_latched[0]
-        latch[m] = row_latch
-        return extra_passes
+            simulated = {}
+            for i, m in enumerate(pending):
+                kept = slice(offsets[m] - start, None)
+                output[:, m, offsets[m] :] = sub_output[:, i, kept]
+                for field in fields(state):
+                    getattr(state, field.name)[m, offsets[m] :] = getattr(
+                        sub_state, field.name
+                    )[i, kept]
+                simulated[m] = sub_state.reset_fault_latched[i, kept]
 
     def _simulate(
         self,
         state: MapParallelState,
         accumulators: _Accumulators,
         output: np.ndarray,
-        row_slice: slice,
+        rows: np.ndarray,
         offset: int,
         workspace: KernelWorkspace,
     ) -> None:
-        """One parallel pass over all timesteps for the rows in *row_slice*.
+        """One parallel pass over all timesteps for the unique *rows*.
 
         Simulates the samples from *offset* on (the latch fix-up's
         suffixes) block by block of timesteps: each block's float64
@@ -913,13 +937,13 @@ class MapParallelEngine:
         """
         model = self._model
         dynamics = model.dynamics(self._step_config, self._threshold, state.v)
-        masks = self._masks.rows(row_slice)
-        triggers = self._triggers[row_slice] if self._has_protection else None
+        masks = self._masks.rows(rows)
+        triggers = self._triggers[rows] if self._has_protection else None
         timesteps = output.shape[0]
         for start in range(0, timesteps, accumulators.block):
             stop = min(start + accumulators.block, timesteps)
             model.advance(
-                self._block_currents(accumulators, start, stop, row_slice, offset),
+                self._block_currents(accumulators, start, stop, rows, offset),
                 output[start:stop],
                 state.v,
                 state.refractory_remaining,

@@ -18,7 +18,7 @@ spike for spike.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import FrozenSet, List, Optional, Sequence
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from repro.snn.engine import (
     MapParallelEngine,
     MapRow,
     flatten_images,
+    protection_counts,
 )
 from repro.snn.network import DiehlCookNetwork
 from repro.snn.neuron import LIFParameters
@@ -46,7 +47,9 @@ __all__ = ["InferenceResult", "InferenceEngine", "class_indicator", "evaluate_ro
 #: bounding-correction term — small when many rows share one pass.  The
 #: float64 currents are never materialised for the whole chunk: the engine
 #: scales one timestep block at a time, and a 16-sample chunk makes that
-#: block 64 timesteps (:data:`repro.snn.engine.BLOCK_GEMM_ROWS`).
+#: block 64 timesteps (:data:`repro.snn.engine.BLOCK_GEMM_ROWS`).  A pass
+#: over one distinct engine keeps the caller's chunk, as
+#: :meth:`InferenceEngine.evaluate` does.
 MAP_PARALLEL_CHUNK_SIZE = 16
 
 
@@ -82,6 +85,11 @@ class InferenceResult:
     total_input_spikes:
         Total number of input spikes delivered across the whole dataset
         (activity statistic consumed by the energy model).
+    bounded_synapses / protected_neurons / protection_activations:
+        What Bound-and-Protect did (filled by :func:`evaluate_rows`):
+        synapses the weight rule bounds, neurons protection gated off, and
+        gated (sample, neuron) pairs — the counts of a
+        :class:`~repro.core.bound_and_protect.NeuronProtection` monitor.
     """
 
     predictions: np.ndarray
@@ -89,6 +97,9 @@ class InferenceResult:
     spike_counts: np.ndarray
     total_input_spikes: int = 0
     per_sample_output_spikes: List[int] = field(default_factory=list)
+    bounded_synapses: int = 0
+    protected_neurons: FrozenSet[int] = frozenset()
+    protection_activations: int = 0
 
     def __post_init__(self) -> None:
         self.predictions = np.asarray(self.predictions, dtype=np.int64)
@@ -205,7 +216,6 @@ class InferenceEngine:
         rng: RNGLike = None,
         effective_weights: Optional[BoundedWeightRule] = None,
         batch_size: Optional[int] = None,
-        raster: Optional[np.ndarray] = None,
         protection: Optional[object] = None,
     ) -> InferenceResult:
         """Classify every sample of *dataset* and aggregate the results.
@@ -226,14 +236,6 @@ class InferenceEngine:
         settled chunk's gates — the spikes and statistics of the
         sequential oracle run with the same protection as its monitor.
 
-        When *raster* is given it must be the externally Poisson-encoded
-        presentation tensor ``(n_samples, timesteps, n_inputs)`` for the
-        whole dataset (for example the one a campaign unit encodes once and
-        replays across techniques); the engine then consumes it directly
-        instead of encoding ``dataset.images``, and *rng* is left
-        untouched.  Passing the raster the engine would have encoded from
-        *rng* yields bit-identical results.
-
         ``batch_size=None`` means :data:`repro.snn.kernels.DEFAULT_BATCH_SIZE`;
         results are bit-identical for any chunking.
         """
@@ -245,14 +247,8 @@ class InferenceEngine:
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
         n_samples = len(dataset)
-        if raster is not None and raster.shape[0] != n_samples:
-            raise ValueError(
-                f"raster covers {raster.shape[0]} samples, dataset has "
-                f"{n_samples}"
-            )
         generator = resolve_rng(rng)
-        if raster is None:
-            images = flatten_images(dataset.images, network.n_inputs)
+        images = flatten_images(dataset.images, network.n_inputs)
         predictions = np.zeros(n_samples, dtype=np.int64)
         spike_counts = np.zeros((n_samples, network.n_neurons), dtype=np.int64)
         total_input_spikes = 0
@@ -267,12 +263,9 @@ class InferenceEngine:
         latch = network.neurons.reset_fault_latched[np.newaxis].copy()
         for start in range(0, n_samples, batch_size):
             stop = min(start + batch_size, n_samples)
-            if raster is None:
-                chunk = network.encoder.encode_batch(
-                    images[start:stop, np.newaxis, :], rng=generator
-                )
-            else:
-                chunk = raster[start:stop]
+            chunk = network.encoder.encode_batch(
+                images[start:stop, np.newaxis, :], rng=generator
+            )
             result = engine.run_encoded([chunk], initial_reset_latch=latch)
             latch = result.final_reset_latch
             if protection is not None:
@@ -295,7 +288,7 @@ class InferenceEngine:
 
 def evaluate_rows(
     rows: Sequence[MapRow],
-    rasters: Sequence[np.ndarray],
+    rasters: Sequence,
     neuron_labels: np.ndarray,
     labels: np.ndarray,
     quantizer: WeightQuantizer,
@@ -304,7 +297,7 @@ def evaluate_rows(
     batch_size: Optional[int] = None,
     model: Optional[object] = None,
 ) -> List[InferenceResult]:
-    """Classify pre-encoded rasters through many compute engines at once.
+    """Classify raster groups through many compute engines at once.
 
     This is the map-parallel counterpart of :meth:`InferenceEngine.evaluate`:
     each :class:`~repro.snn.engine.MapRow` stands for one (possibly
@@ -321,8 +314,11 @@ def evaluate_rows(
         Compute-engine rows to evaluate (see
         :class:`~repro.snn.engine.MapRow`).
     rasters:
-        One boolean spike raster ``(n_samples, timesteps, n_inputs)`` per
-        encoding group referenced by the rows.
+        One raster group per encoding group referenced by the rows: a
+        boolean spike raster ``(n_samples, timesteps, n_inputs)``, or any
+        object with ``len()`` (its sample count) whose ``[start:stop]``
+        slice returns those samples' raster.  Each group is sliced once
+        per chunk, in sample order, so a group may encode on demand.
     neuron_labels:
         Class label of each excitatory neuron (shared by all rows — they
         all simulate the same trained model).
@@ -333,7 +329,8 @@ def evaluate_rows(
         shared by all rows.
     batch_size:
         Upper bound on the samples advanced per chunk; ``None`` uses the
-        engine default.  The effective chunk is additionally capped at
+        engine default.  When the rows hold more than one distinct engine
+        the effective chunk is additionally capped at
         :data:`MAP_PARALLEL_CHUNK_SIZE` — a pure performance choice, the
         results are bit-identical for any chunking.
     model:
@@ -343,12 +340,11 @@ def evaluate_rows(
     """
     if not rows:
         raise ValueError("at least one row is required")
-    rasters = [np.asarray(raster) for raster in rasters]
     if not rasters:
         raise ValueError("at least one raster group is required")
-    n_samples = int(rasters[0].shape[0])
+    n_samples = len(rasters[0])
     for raster in rasters:
-        if raster.shape[0] != n_samples:
+        if len(raster) != n_samples:
             raise ValueError("all raster groups must cover the same samples")
     if n_samples == 0:
         raise ValueError("evaluation rasters must not be empty")
@@ -356,7 +352,6 @@ def evaluate_rows(
         batch_size = DEFAULT_BATCH_SIZE
     if batch_size <= 0:
         raise ValueError(f"batch_size must be positive, got {batch_size}")
-    batch_size = min(batch_size, MAP_PARALLEL_CHUNK_SIZE)
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (n_samples,):
         raise ValueError(
@@ -366,6 +361,8 @@ def evaluate_rows(
     engine = MapParallelEngine(
         rows, quantizer=quantizer, params=params, theta=theta, model=model
     )
+    if engine.n_unique_rows > 1:
+        batch_size = min(batch_size, MAP_PARALLEL_CHUNK_SIZE)
     n_rows = engine.n_rows
     n_neurons = engine.n_neurons
     indicator = class_indicator(neuron_labels)
@@ -373,6 +370,10 @@ def evaluate_rows(
     predictions = np.zeros((n_rows, n_samples), dtype=np.int64)
     spike_counts = np.zeros((n_rows, n_samples, n_neurons), dtype=np.int64)
     group_input_counts = np.zeros((len(rasters), n_samples), dtype=np.int64)
+    # Neuron-protection statistics per distinct row, accumulated from each
+    # chunk's spike gates.
+    activations = np.zeros(engine.n_unique_rows, dtype=np.int64)
+    protected = np.zeros((engine.n_unique_rows, n_neurons), dtype=bool)
 
     latch = np.zeros((n_rows, n_neurons), dtype=bool)
     for start in range(0, n_samples, batch_size):
@@ -386,9 +387,13 @@ def evaluate_rows(
         votes = chunk.spike_counts.astype(np.float64) @ indicator
         predictions[:, start:stop] = np.argmax(votes, axis=-1).astype(np.int64)
         group_input_counts[:, start:stop] = chunk.input_spike_counts
+        gated, gated_neurons = protection_counts(chunk.final_state.spike_disabled)
+        activations += gated
+        protected |= gated_neurons
 
     results: List[InferenceResult] = []
     for m, row in enumerate(rows):
+        unique = engine.row_to_unique[m]
         results.append(
             InferenceResult(
                 predictions=predictions[m],
@@ -398,6 +403,11 @@ def evaluate_rows(
                 per_sample_output_spikes=[
                     int(count) for count in spike_counts[m].sum(axis=1)
                 ],
+                bounded_synapses=int(engine.bounded_synapses[m]),
+                protected_neurons=frozenset(
+                    np.flatnonzero(protected[unique]).tolist()
+                ),
+                protection_activations=int(activations[unique]),
             )
         )
     return results

@@ -231,12 +231,14 @@ class BoundingCorrection:
     all zero).  ``is_empty`` marks thresholds no stored weight reaches.
     ``masked_codes`` is ``None`` when the base GEMM already runs on the kept
     codes (no row reads the unbounded sum), leaving only the ``hits`` term.
+    ``n_bounded`` counts the bounded synapses.
     """
 
     columns: Optional[np.ndarray]
     masked_codes: Optional[np.ndarray]
     mask_codes: np.ndarray
     is_empty: bool = False
+    n_bounded: int = 0
 
 
 def plan_bounding_correction(
@@ -254,6 +256,7 @@ def plan_bounding_correction(
     gemm_dtype = exact_gemm_dtype(n_inputs, quantizer.max_code)
     weights = quantizer.dequantize(registers)
     mask = weights >= threshold
+    n_bounded = int(np.count_nonzero(mask))
     columns = np.flatnonzero(mask.any(axis=1))
     if columns.size == 0:
         return BoundingCorrection(
@@ -272,9 +275,13 @@ def plan_bounding_correction(
             columns=columns,
             masked_codes=np.ascontiguousarray(masked_codes[columns]),
             mask_codes=np.ascontiguousarray(mask_codes[columns]),
+            n_bounded=n_bounded,
         )
     return BoundingCorrection(
-        columns=None, masked_codes=masked_codes, mask_codes=mask_codes
+        columns=None,
+        masked_codes=masked_codes,
+        mask_codes=mask_codes,
+        n_bounded=n_bounded,
     )
 
 
@@ -416,13 +423,13 @@ class OperationMasks:
         ones = np.ones((1, n_neurons), dtype=bool)
         return cls(ones, ones, ones, ones)
 
-    def rows(self, row_slice: slice) -> "OperationMasks":
-        """Masks of a contiguous row subset (views; flags recomputed)."""
+    def rows(self, rows: np.ndarray) -> "OperationMasks":
+        """Masks of the rows indexed by *rows* (flags recomputed)."""
         return OperationMasks(
-            self.leak_ok[row_slice],
-            self.increase_ok[row_slice],
-            self.reset_ok[row_slice],
-            self.spike_ok[row_slice],
+            self.leak_ok[rows],
+            self.increase_ok[rows],
+            self.reset_ok[rows],
+            self.spike_ok[rows],
         )
 
 

@@ -14,8 +14,11 @@ from repro.core.mitigation import (
     build_technique,
 )
 from repro.faults.fault_map import FaultMapGenerator
+from repro.faults.injector import FaultInjector
 from repro.faults.models import ComputeEngineFaultConfig, NeuronFaultType
 from repro.hardware.enhancements import MitigationKind
+from repro.snn.encoding import PoissonEncoder
+from repro.snn.inference import MAP_PARALLEL_CHUNK_SIZE, InferenceEngine
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +64,66 @@ class TestNoMitigation:
             fault_map=catastrophic_fault_map,
         )
         assert faulty.accuracy_percent < clean.accuracy_percent - 15.0
+
+    @pytest.mark.parametrize("fault_rate", [0.0, 1e-2, 0.1])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_stream_matches_network_route(
+        self, trained_model, small_split, fault_rate, seed
+    ):
+        """The map route consumes the stream a built-and-injected network does."""
+        _, test_set = small_split
+        config = ComputeEngineFaultConfig.full_compute_engine(fault_rate)
+        mapped_generator = np.random.default_rng(seed)
+        mapped = NoMitigation().evaluate(
+            trained_model, test_set, config, rng=mapped_generator
+        )
+
+        generator = np.random.default_rng(seed)
+        network = trained_model.build_network(rng=generator)
+        if fault_rate > 0:
+            FaultInjector(network).inject(config, rng=generator)
+        reference = InferenceEngine(network, trained_model.neuron_labels).evaluate(
+            test_set, rng=generator
+        )
+        assert np.array_equal(mapped.predictions, reference.predictions)
+        assert np.array_equal(mapped.spike_counts, reference.spike_counts)
+        assert mapped.total_input_spikes == reference.total_input_spikes
+        # Both routes consumed the same number of draws.
+        assert mapped_generator.random() == generator.random()
+
+    @pytest.mark.parametrize(
+        "technique, batch_size, chunks",
+        [
+            # A lone engine keeps the caller's chunk (default 64)...
+            (NoMitigation(), None, [45]),
+            (NoMitigation(), 4, [4] * 11 + [1]),
+            (NoMitigation(), 32, [32, 13]),
+            # ...several distinct engines are capped at the map-parallel chunk.
+            (ReExecutionTMR(), 32, [MAP_PARALLEL_CHUNK_SIZE] * 2 + [13]),
+        ],
+    )
+    def test_encoding_is_streamed_one_chunk_at_a_time(
+        self, monkeypatch, trained_model, small_split, technique, batch_size, chunks
+    ):
+        train_set, _ = small_split
+        assert len(train_set) == 45
+        encoded = []
+        encode_batch = PoissonEncoder.encode_batch
+
+        def recording(self, images, rng=None):
+            encoded.append(len(images))
+            return encode_batch(self, images, rng=rng)
+
+        monkeypatch.setattr(PoissonEncoder, "encode_batch", recording)
+        technique.evaluate(
+            trained_model,
+            train_set,
+            ComputeEngineFaultConfig.full_compute_engine(1e-2),
+            rng=9,
+            batch_size=batch_size,
+        )
+        # One encode per engine chunk, in order, covering every sample once.
+        assert encoded == chunks
 
     def test_model_is_not_mutated(self, trained_model, small_split):
         _, test_set = small_split
@@ -129,8 +192,9 @@ class TestBnPTechniques:
         # gap — each misclassified sample costs 6.7 points).
         assert protected.accuracy_percent >= clean.accuracy_percent - 27.0
         # The neuron protection must actually have fired for the stuck neurons.
-        assert technique.last_protection is not None
-        assert technique.last_protection.n_protected > 0
+        assert len(protected.protected_neurons) > 0
+        activations = protected.protection_activations
+        assert activations >= len(protected.protected_neurons)
 
     def test_bounding_rule_derivation(self, trained_model):
         technique = BnPTechnique(BnPVariant.BNP3)
@@ -141,14 +205,27 @@ class TestBnPTechniques:
     def test_bounded_count_tracked(self, trained_model, small_split, catastrophic_fault_map):
         _, test_set = small_split
         technique = BnPTechnique(BnPVariant.BNP1)
-        technique.evaluate(
+        result = technique.evaluate(
             trained_model,
             test_set.subset(np.arange(3)),
             ComputeEngineFaultConfig.synapses_only(0.1),
             rng=5,
             fault_map=catastrophic_fault_map,
         )
-        assert technique.last_bounded_count > 0
+        # The count is the bounding rule applied to the faulty network's
+        # stored weights.
+        network = trained_model.build_network(rng=5)
+        FaultInjector(network).apply_fault_map(catastrophic_fault_map)
+        expected = technique.bounding_for(trained_model).count_bounded(
+            network.synapses.weights
+        )
+        assert result.bounded_synapses == expected > 0
+        assert NoMitigation().evaluate(
+            trained_model,
+            test_set.subset(np.arange(3)),
+            rng=5,
+            fault_map=catastrophic_fault_map,
+        ).bounded_synapses == 0
 
     def test_clean_inference_is_barely_affected(self, trained_model, small_split):
         """With no faults, BnP must not hurt accuracy much (safe weights pass through)."""

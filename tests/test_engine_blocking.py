@@ -8,6 +8,8 @@ block length — one timestep, an odd seven, the whole presentation — yields
 byte-identical spikes, final state and latches, for every shipped neuron
 model (whose dynamics are built once per pass and carried across blocks),
 with latch fix-up suffixes crossing block boundaries, and at batch 1.
+Rows whose latch fix-ups re-simulate together in one pass equal each row
+run alone.
 
 It also pins the inline neuron protection of ``BnPTechnique.evaluate`` and
 protected serving sessions to the sequential oracle run with a
@@ -19,7 +21,7 @@ the traced memory of one N400 chunk and of encoding 64 images
 from __future__ import annotations
 
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from repro.core.bound_and_protect import BnPVariant, NeuronProtection, WeightBou
 from repro.core.mitigation import BnPTechnique
 from repro.data.synthetic_mnist import SyntheticMNIST
 from repro.faults.fault_map import FaultMap
+from repro.faults.injector import FaultInjector
 from repro.faults.models import NeuronFaultType
 from repro.serve.modes import ServingMode, build_session
 from repro.snn.encoding import PoissonEncoder
@@ -196,6 +199,66 @@ class TestBlockBoundaryParity:
         assert np.array_equal(result.input_spike_counts, expected)
 
 
+class TestJointLatchFixup:
+    @pytest.mark.parametrize("model", MODELS)
+    def test_rows_fixed_up_together_equal_each_row_alone(self, model):
+        """Rows with faulty resets re-simulate in shared passes, bit-exactly.
+
+        Each pending row keeps only the samples from its own restart on, so
+        the fused chunk equals every row run through a one-row engine —
+        spikes, latches and final state — while needing fewer extra passes
+        than the rows need one at a time.
+        """
+        # Weak weights keep the outputs below saturation, so a sample run
+        # under the wrong latch shows in its spikes.  Silent first
+        # presentations on the second raster group make its row latch
+        # later, so the rows restart at different samples.
+        trained = _trained(model)
+        engine = _engine(replace(trained, weights=trained.weights * 0.05))
+        rasters = _rasters(12)
+        rasters[1][:5] = False
+        result = engine.run_encoded(rasters, collect_output_spikes=True)
+        alone_extra_passes = 0
+        for m, row in enumerate(engine.rows):
+            alone = MapParallelEngine(
+                [replace(row, raster_index=0)],
+                quantizer=engine.quantizer,
+                params=engine.params,
+                theta=engine.theta,
+                model=model,
+            ).run_encoded([rasters[row.raster_index]], collect_output_spikes=True)
+            alone_extra_passes += alone.simulation_passes - 1
+            assert np.array_equal(result.output_spikes[m], alone.output_spikes[0])
+            assert np.array_equal(
+                result.final_reset_latch[m], alone.final_reset_latch[0]
+            )
+            unique = engine.row_to_unique[m]
+            for field in fields(alone.final_state):
+                got = getattr(result.final_state, field.name)[unique]
+                want = getattr(alone.final_state, field.name)[0]
+                assert got.tobytes() == want.tobytes(), field.name
+        assert 1 < result.simulation_passes < 1 + alone_extra_passes
+
+    def test_duplicate_rows_must_carry_one_latch(self):
+        engine = _engine(_trained("lif"))
+        row = engine.rows[1]
+        twins = MapParallelEngine(
+            [row, row],
+            quantizer=engine.quantizer,
+            params=engine.params,
+            theta=engine.theta,
+        )
+        assert twins.n_unique_rows == 1
+        rasters = _rasters(2)[:1]
+        latch = np.zeros((2, N_NEURONS), dtype=bool)
+        latch[:, 12] = True
+        result = twins.run_encoded(rasters, initial_reset_latch=latch)
+        assert result.final_reset_latch[:, 12].all()
+        latch[1, 1] = True
+        with pytest.raises(ValueError, match="diverging reset latches"):
+            twins.run_encoded(rasters, initial_reset_latch=latch)
+
+
 # ---------------------------------------------------------------------- #
 # inline protection on the evaluate and serving paths
 # ---------------------------------------------------------------------- #
@@ -227,9 +290,8 @@ class TestInlineProtection:
 
         # The sequential oracle on the identically built faulty network.
         generator = resolve_rng(17)
-        network, _ = technique._build_faulty_network(
-            trained, None, generator, fault_map
-        )
+        network = trained.build_network(rng=generator)
+        FaultInjector(network).apply_fault_map(fault_map)
         monitor = NeuronProtection(trigger_cycles=technique.protection_trigger_cycles)
         hooked = evaluate_sequential(
             InferenceEngine(network, trained.neuron_labels),
@@ -240,10 +302,9 @@ class TestInlineProtection:
         )
         assert np.array_equal(inline.predictions, hooked.predictions)
         assert np.array_equal(inline.spike_counts, hooked.spike_counts)
-        protection = technique.last_protection
-        assert protection.activation_count > 0
-        assert protection.protected_neurons == monitor.protected_neurons
-        assert protection.activation_count == monitor.activation_count
+        assert inline.protection_activations > 0
+        assert inline.protected_neurons == monitor.protected_neurons
+        assert inline.protection_activations == monitor.activation_count
 
     def test_protected_session_matches_step_monitor_hook(self):
         trained = _trained("lif")

@@ -253,6 +253,34 @@ class TestNeuronFaultParity:
             ~seq_net.neurons.reset_fault_latched
         ].any()
 
+    def test_latch_fixup_iterates_until_no_new_latch(self, parity_config, labels):
+        # Half the neurons have faulty resets; one of them first latches a
+        # sample after the others, so the fix-up needs a second
+        # re-simulation with the grown latch set.
+        renderer = SyntheticMNIST()
+        images = np.stack(
+            [np.zeros((28, 28))]
+            + [renderer.render(d, rng=d) for d in (3, 8, 1, 5, 0, 7, 2, 6)]
+        )
+        from repro.data.datasets import Dataset
+
+        dataset = Dataset(images=images, labels=np.zeros(9, dtype=np.int64))
+        status = NeuronOperationStatus.healthy(N_NEURONS)
+        status.vmem_reset_ok[::2] = False
+
+        seq_net = build_network(parity_config, status)
+        sequential = evaluate_sequential(
+            InferenceEngine(seq_net, labels), dataset, rng=np.random.default_rng(13)
+        )
+        result = BatchedInferenceEngine(build_network(parity_config, status)).run(
+            dataset.images, rng=np.random.default_rng(13)
+        )
+        assert result.simulation_passes >= 3
+        assert np.array_equal(sequential.spike_counts, result.spike_counts)
+        assert np.array_equal(
+            seq_net.neurons.reset_fault_latched, result.final_reset_latch
+        )
+
 
 class TestProtectionParity:
     def _status(self):
