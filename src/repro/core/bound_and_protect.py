@@ -166,12 +166,13 @@ class NeuronProtection:
     :attr:`~repro.snn.engine.MapRow.protection_trigger_cycles` and the
     engine applies the ``counter >= trigger_cycles`` gate inline in its
     timestep loop.  The network front end
-    ``InferenceEngine.evaluate(protection=...)`` and protected serving
-    sessions record their statistics here through :meth:`commit_batch`,
-    once per settled chunk (the engine may re-simulate suffixes of a chunk
-    to resolve cross-sample faulty-reset latches, and only the accepted
-    passes count); technique evaluations and campaign rows report the same
-    counts on their :class:`~repro.snn.inference.InferenceResult` instead.
+    ``InferenceEngine.evaluate(protection=...)`` records its statistics
+    here through :meth:`commit_batch`, once per settled chunk (the engine
+    may re-simulate suffixes of a chunk to resolve cross-sample
+    faulty-reset latches, and only the accepted passes count); technique
+    evaluations and campaign rows report the same counts on their
+    :class:`~repro.snn.inference.InferenceResult` instead, and serving
+    sessions return each micro-batch's gates on its engine result.
     In the sequential oracle (:mod:`repro.snn.oracle`), :meth:`__call__`
     is the monitor run on the :class:`~repro.snn.neuron.LIFNeuronGroup`
     after every timestep — the reference the inline gate is verified

@@ -215,23 +215,12 @@ def prepare_datasets(
 
 @dataclass
 class PreparedExperiment:
-    """A trained model plus the datasets it was trained and evaluated on.
-
-    ``clean_accuracy`` starts out ``None`` and is filled in by
-    :meth:`ExperimentRunner.clean_accuracy` the first time the fault-free
-    reference accuracy is measured.
-    """
+    """A trained model plus the datasets it was trained and evaluated on."""
 
     config: ExperimentConfig
     model: TrainedModel
     train_set: Dataset
     test_set: Dataset
-    clean_accuracy: Optional[float] = None
-
-    @property
-    def clean_accuracy_hint(self) -> Optional[float]:
-        """Clean accuracy if it has been measured and attached by the runner."""
-        return self.clean_accuracy
 
 
 class ExperimentRunner:
@@ -278,31 +267,6 @@ class ExperimentRunner:
         )
         self._cache[key] = prepared
         return prepared
-
-    def clean_accuracy(self, prepared: PreparedExperiment) -> float:
-        """Batched clean-network accuracy (percent) on the test set (cached).
-
-        Classification runs through the inference engine in chunks
-        of ``config.eval_batch_size``; the result is attached to the
-        prepared experiment so repeated figure benches reuse it.
-        """
-        cached = prepared.clean_accuracy_hint
-        if cached is not None:
-            return cached
-        from repro.snn.inference import InferenceEngine
-
-        config = prepared.config
-        network = prepared.model.build_network(
-            rng=self.seeds.rng_for(f"clean-eval/{config.label()}/{config.seed}")
-        )
-        engine = InferenceEngine(network, prepared.model.neuron_labels)
-        result = engine.evaluate(
-            prepared.test_set,
-            rng=self.seeds.rng_for(f"clean-eval-enc/{config.label()}/{config.seed}"),
-            batch_size=config.eval_batch_size,
-        )
-        prepared.clean_accuracy = result.accuracy_percent
-        return result.accuracy_percent
 
     def clear_cache(self) -> None:
         """Drop all cached prepared experiments."""

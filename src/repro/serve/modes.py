@@ -7,45 +7,48 @@ that contrast observable from a single running service — every registered
 model can be queried in three modes:
 
 ``clean``
-    The trained network exactly as deployed; no faults, no mitigation.
+    The trained model's registers exactly as deployed; no faults, no
+    mitigation.
 ``faulty``
     A fault map drawn at a configurable rate (reusing the
     :mod:`repro.faults` model, weight-register bit flips and/or faulty
-    neuron operations) is injected into the serving network.  The map is
-    drawn from a fixed seed so the served "damaged accelerator" is a
-    reproducible object, exactly like a campaign trial.
+    neuron operations) strikes the deployed registers and neuron
+    operations.  The map is drawn from a fixed seed so the served "damaged
+    accelerator" is a reproducible object, exactly like a campaign trial.
 ``protected``
-    The same fault injection, but served through SoftSNN's mitigation: BnP
-    weight bounding as the crossbar's effective-weight rule plus neuron
-    protection gating faulty-reset bursts inside the engine's timestep
-    loop, its statistics kept by the session's
-    :class:`~repro.core.bound_and_protect.NeuronProtection`
-    (:mod:`repro.core.bound_and_protect`).
+    The same fault map, served through SoftSNN's mitigation: the BnP
+    weight bounding of Eq. 1 on the registers read, plus neuron protection
+    gating faulty-reset bursts inside the engine's timestep loop — the row
+    :class:`~repro.core.mitigation.BnPTechnique` plans for a campaign cell.
 
 A :class:`ServingSession` is the executable form of one ``(model, mode)``
-pair: the fault-injected network, its engine, and the mitigation
-hooks.  Serving is **stateless per request**: every request is classified as
-if presented to the freshly loaded accelerator (the faulty-reset latch is
-cleared between requests, and requests coalesced into one micro-batch are
-simulated independently via ``carry_reset_latch=False``), and every request
-carries its own Poisson-encoding seed.  Both properties together make the
-served prediction a pure function of ``(model, mode, image, seed)`` — the
-contract the scheduler-parity tests pin down.
+pair: the one :class:`~repro.snn.engine.MapRow` its technique plans for the
+mode's fault map, in a one-row engine.  Serving is **stateless per
+request**: every request is classified as if presented to the freshly
+loaded accelerator (requests coalesced into one micro-batch are simulated
+independently via ``carry_reset_latch=False``, all from the healthy entry
+latch), and every request carries its own encoding seed.  Both properties
+together make the served prediction a pure function of ``(model, mode,
+image, seed)`` — the contract the scheduler-parity tests pin down.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.bound_and_protect import BnPVariant, NeuronProtection, WeightBounding
-from repro.faults.injector import FaultInjectionReport, FaultInjector
+from repro.core.bound_and_protect import BnPVariant
+from repro.core.mitigation import (
+    BnPTechnique,
+    NoMitigation,
+    fault_map_generator,
+    prepare_map_assets,
+)
 from repro.faults.models import ComputeEngineFaultConfig
 from repro.snn.engine import MapParallelEngine, MapParallelResult
-from repro.snn.inference import InferenceEngine
-from repro.snn.network import DiehlCookNetwork
+from repro.snn.inference import class_indicator
 from repro.snn.training import TrainedModel
 from repro.utils.validation import check_probability
 
@@ -77,8 +80,6 @@ class ServingMode:
     protection_trigger_cycles:
         Consecutive above-threshold cycles that flag a faulty reset (2 in
         the paper).
-    build_seed:
-        Seed of the network construction RNG.
     """
 
     kind: str
@@ -88,7 +89,6 @@ class ServingMode:
     inject_neurons: bool = True
     variant: BnPVariant = BnPVariant.BNP3
     protection_trigger_cycles: int = 2
-    build_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.kind not in MODE_KINDS:
@@ -184,13 +184,16 @@ class ServingMode:
             )
         for key in ("inject_synapses", "inject_neurons"):
             if key in payload:
-                kwargs[key] = bool(payload.pop(key))
+                flag = payload.pop(key)
+                if not isinstance(flag, bool):
+                    raise ValueError(
+                        f"{key} must be a boolean, got {type(flag).__name__}"
+                    )
+                kwargs[key] = flag
         if "protection_trigger_cycles" in payload:
             kwargs["protection_trigger_cycles"] = int(
                 payload.pop("protection_trigger_cycles")
             )
-        if "build_seed" in payload:
-            kwargs["build_seed"] = int(payload.pop("build_seed"))
         if payload:
             raise ValueError(f"unknown mode fields: {sorted(payload)}")
         return cls(**kwargs)
@@ -207,7 +210,6 @@ class ServingMode:
             self.inject_neurons,
             self.variant.value,
             self.protection_trigger_cycles,
-            self.build_seed,
         )
 
     def to_dict(self) -> Dict[str, Any]:
@@ -240,57 +242,39 @@ class ServingSession:
 
     Sessions are built by :func:`build_session`, cached warm by the model
     registry, and driven by exactly one scheduler worker thread — the
-    session itself performs no locking.  The underlying network is never
-    mutated after construction (the engine keeps all per-run state in
-    :class:`~repro.snn.engine.MapParallelState`), so the session builds its
-    one-row :class:`~repro.snn.engine.MapParallelEngine` once, and
-    rebuilding a session from the same model and mode reproduces it
-    exactly.
+    session itself performs no locking.  The session is the mode's one
+    :class:`~repro.snn.engine.MapRow` in its
+    :class:`~repro.snn.engine.MapParallelEngine`, the model's encoder and
+    its class-indicator votes; the engine keeps all per-run state in
+    :class:`~repro.snn.engine.MapParallelState`, so nothing is mutated
+    after construction, and rebuilding a session from the same model and
+    mode reproduces it exactly.
     """
 
     model: TrainedModel
     mode: ServingMode
-    network: DiehlCookNetwork
-    inference: InferenceEngine
     engine: MapParallelEngine
-    effective_weights: Optional[object] = None
-    protection: Optional[NeuronProtection] = None
-    fault_report: Optional[FaultInjectionReport] = None
-    _entry_latch: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        # Serving is stateless: every request enters at the freshly loaded
-        # accelerator state, so the entry latch is pinned at session build.
-        self._entry_latch = np.asarray(
-            self.network.neurons.reset_fault_latched, dtype=bool
-        )[np.newaxis].copy()
+    encoder: Any
+    votes: np.ndarray
 
     # ------------------------------------------------------------------ #
     @property
     def n_inputs(self) -> int:
-        """Flattened input dimension of the served network."""
-        return self.network.n_inputs
-
-    def encode(self, image: np.ndarray, seed: int) -> np.ndarray:
-        """Poisson-encode one request's image from its own seed.
-
-        Per-request generators (rather than one shared stream) are what
-        make the prediction independent of how requests are batched: the
-        raster of request *i* is the same whether it is flushed alone or
-        coalesced with thirty-one strangers.
-        """
-        return self.network.encoder.encode(
-            np.asarray(image, dtype=np.float64).reshape(-1), rng=int(seed)
-        )
+        """Flattened input dimension of the served model."""
+        return self.engine.n_inputs
 
     def classify_batch(
         self, images: Sequence[np.ndarray], seeds: Sequence[int]
     ) -> Tuple[np.ndarray, MapParallelResult]:
         """Classify one micro-batch of independent requests.
 
-        Each ``(image, seed)`` pair is encoded from its own generator, the
-        rasters are stacked and advanced together through the engine in
-        stateless mode (``carry_reset_latch=False``), and the spike counts
+        Each ``(image, seed)`` pair is encoded from its own generator — what
+        makes a prediction independent of how requests are batched: the
+        raster of request *i* is the same whether it is flushed alone or
+        coalesced with thirty-one strangers.  The rasters are stacked and
+        advanced together through the engine in stateless mode
+        (``carry_reset_latch=False``, every request entering with the
+        healthy latch of a freshly loaded accelerator), and the spike counts
         are turned into class votes.  Returns ``(predictions, result)``.
         """
         if len(images) != len(seeds):
@@ -298,78 +282,55 @@ class ServingSession:
         if not images:
             raise ValueError("micro-batch must not be empty")
         rasters = np.stack(
-            [self.encode(image, seed) for image, seed in zip(images, seeds)]
+            [
+                self.encoder.encode(
+                    np.asarray(image, dtype=np.float64).reshape(-1), rng=int(seed)
+                )
+                for image, seed in zip(images, seeds)
+            ]
         )
-        result = self.engine.run_encoded(
-            [rasters],
-            initial_reset_latch=self._entry_latch,
-            carry_reset_latch=False,
-        )
-        if self.protection is not None:
-            # The engine row gates inline (protection_trigger_cycles);
-            # the statistics record the settled micro-batch once.
-            self.protection.commit_batch(result.final_state.spike_disabled[0])
-        predictions = self.inference.classify_batch(result.spike_counts[0])
-        return predictions, result
-
-    def classify_one(self, image: np.ndarray, seed: int) -> int:
-        """Classify a single request (a micro-batch of one)."""
-        predictions, _ = self.classify_batch([image], [seed])
-        return int(predictions[0])
-
-    def describe(self) -> Dict[str, Any]:
-        """JSON-friendly session summary for ``GET /models``."""
-        info: Dict[str, Any] = {
-            "mode": self.mode.to_dict(),
-            "n_neurons": self.network.n_neurons,
-        }
-        if self.fault_report is not None:
-            info["n_synapse_faults"] = self.fault_report.n_synapse_faults
-            info["n_neuron_faults"] = self.fault_report.n_neuron_faults
-        if self.protection is not None:
-            info["protection"] = self.protection.statistics()
-        return info
+        result = self.engine.run_encoded([rasters], carry_reset_latch=False)
+        votes = result.spike_counts[0].astype(np.float64) @ self.votes
+        return np.argmax(votes, axis=1).astype(np.int64), result
 
 
 def build_session(model: TrainedModel, mode: ServingMode) -> ServingSession:
-    """Materialise the serving network and hooks for ``(model, mode)``.
+    """Plan the one engine row of ``(model, mode)``, as a campaign cell does.
 
-    Construction is deterministic: the network build and the fault-map draw
-    are seeded from the mode, so two sessions built from the same arguments
-    serve bit-identical predictions — the property the parity tests and the
-    CI smoke check rely on.
+    The fault map is drawn from ``mode.fault_seed`` over the model's
+    deployed registers, turned into the map's corrupted registers and
+    operation status, and planned into one row by
+    :class:`~repro.core.mitigation.NoMitigation` (clean, faulty) or
+    :class:`~repro.core.mitigation.BnPTechnique` (protected: the Eq. 1
+    bounding rule plus the protection trigger).  Construction is
+    deterministic, so two sessions built from the same arguments serve
+    bit-identical predictions — the property the parity tests and the CI
+    smoke check rely on.
     """
-    network = model.build_network(rng=mode.build_seed)
-    fault_report: Optional[FaultInjectionReport] = None
     config = mode.fault_config()
+    fault_maps = None
     if config is not None:
-        injector = FaultInjector(network)
-        fault_report = injector.inject(config, rng=mode.fault_seed)
-
-    effective_weights = None
-    protection: Optional[NeuronProtection] = None
-    if mode.kind == "protected":
-        bounding = WeightBounding.for_variant(
-            mode.variant,
-            clean_max_weight=model.clean_max_weight,
-            most_probable_weight=model.clean_most_probable_weight,
-        )
-        effective_weights = bounding.as_weight_rule()
-        protection = NeuronProtection(trigger_cycles=mode.protection_trigger_cycles)
-
+        fault_maps = [
+            fault_map_generator(model).generate(config, rng=mode.fault_seed)
+        ]
+    technique = (
+        BnPTechnique(mode.variant, mode.protection_trigger_cycles)
+        if mode.kind == "protected"
+        else NoMitigation()
+    )
+    assets = prepare_map_assets(model, fault_maps, 1)
+    network_config = model.network_config
+    engine = MapParallelEngine(
+        technique.plan_rows(model, assets, config, []).rows,
+        quantizer=network_config.make_quantizer(model.clean_max_weight),
+        params=network_config.neuron_params,
+        theta=model.theta,
+        model=network_config.neuron_model,
+    )
     return ServingSession(
         model=model,
         mode=mode,
-        network=network,
-        inference=InferenceEngine(network, model.neuron_labels),
-        engine=MapParallelEngine.for_network(
-            network,
-            effective_weights,
-            protection_trigger_cycles=(
-                None if protection is None else protection.trigger_cycles
-            ),
-        ),
-        effective_weights=effective_weights,
-        protection=protection,
-        fault_report=fault_report,
+        engine=engine,
+        encoder=network_config.make_encoder(),
+        votes=class_indicator(model.neuron_labels),
     )

@@ -15,9 +15,9 @@ offline loaders do not:
   re-verified on every cold load, so a torn or tampered snapshot is refused
   with :class:`SnapshotIntegrityError` instead of silently serving garbage;
 * **warmth** — loaded models and built
-  :class:`~repro.serve.modes.ServingSession` instances (network + batched
-  inference engine + mitigation hooks) are kept in bounded LRU caches, so
-  the steady-state request path never touches the filesystem or re-injects
+  :class:`~repro.serve.modes.ServingSession` instances (the mode's planned
+  engine row, encoder and class votes) are kept in bounded LRU caches, so
+  the steady-state request path never touches the filesystem or re-draws
   fault maps.
 
 All public methods are thread-safe; HTTP handler threads and scheduler
@@ -136,9 +136,9 @@ class ModelRegistry:
         Maximum number of decoded :class:`TrainedModel` objects kept in
         memory (LRU-evicted beyond that).
     max_warm_sessions:
-        Maximum number of built serving sessions — fault-injected network
-        plus warm :class:`~repro.snn.engine.MapParallelEngine` — kept
-        across all ``(model, mode)`` pairs.
+        Maximum number of built serving sessions — each a warm one-row
+        :class:`~repro.snn.engine.MapParallelEngine` — kept across all
+        ``(model, mode)`` pairs.
     """
 
     def __init__(
@@ -458,8 +458,8 @@ class ModelRegistry:
     def session(self, name: str, mode: ServingMode) -> ServingSession:
         """Warm serving session for ``(name, mode)`` (built on first use).
 
-        Like :meth:`load`, session construction (fault injection, engine
-        build) runs outside the lock; a racing build adopts the session
+        Like :meth:`load`, session construction (fault-map draw, row
+        planning, engine build) runs outside the lock; a racing build adopts the session
         another thread inserted first, so callers can rely on object
         identity to detect that a session was rebuilt.
         """

@@ -63,6 +63,17 @@ __all__ = [
 _LOGGER = get_logger("serve.service")
 
 
+def _request_seed(seed: Any) -> int:
+    """Validate one client-supplied encoding seed (a non-negative integer).
+
+    Checked before anything is submitted, so a bad seed fails only its own
+    classify call, never the micro-batch it would have been coalesced into.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seeds must be non-negative integers, got {seed!r}")
+    return int(seed)
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
     """Tunables of one service instance.
@@ -307,7 +318,7 @@ class SoftSNNService:
                 self._pipelines[key] = scheduler_entry = (session, scheduler)
                 # Bound the pipeline cache like the registry's session LRU,
                 # so (model, mode) pairs served once long ago do not pin
-                # their network + engine in memory forever.
+                # their engine in memory forever.
                 while len(self._pipelines) > self.config.max_warm_sessions:
                     _, (_, evicted) = self._pipelines.popitem(last=False)
                     if evicted is not scheduler:
@@ -346,9 +357,10 @@ class SoftSNNService:
         *images* may be a single image (1-D of ``n_inputs`` pixels or 2-D
         ``height x width``) or a batch (list/array of such images).  Each
         sample becomes one independent scheduler request, so a multi-image
-        call simply pre-fills the micro-batch.  Per-sample *seeds* make the
-        predictions reproducible; omitted seeds are derived from the
-        service's request counter.
+        call simply pre-fills the micro-batch.  Per-sample *seeds*
+        (non-negative integers, validated before any sample is submitted)
+        make the predictions reproducible; omitted seeds are derived from
+        the service's request counter.
         """
         try:
             entry = self.registry.resolve(
@@ -367,7 +379,7 @@ class SoftSNNService:
         if seeds is None:
             request_seeds = self._derive_seeds(entry.name, len(flats))
         else:
-            request_seeds = [int(seed) for seed in seeds]
+            request_seeds = [_request_seed(seed) for seed in seeds]
             if len(request_seeds) != len(flats):
                 raise ValueError(
                     f"got {len(request_seeds)} seeds for {len(flats)} images"

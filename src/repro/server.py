@@ -15,9 +15,9 @@ Two subcommands cover the deployment and verification paths:
     registers it, starts the service on an ephemeral port, classifies a
     handful of samples over HTTP in all three serving modes (``clean``,
     ``faulty``, ``protected``), and asserts the served predictions are
-    identical to direct :class:`~repro.snn.inference.InferenceEngine`
-    evaluation of the same ``(image, seed)`` pairs.  Exit code 0 means the
-    serving path preserved the engine's exactness guarantee.
+    identical to the sequential oracle's, on a freshly built fault-injected
+    network per ``(image, seed)`` pair.  Exit code 0 means the serving path
+    preserved the engine's exactness guarantee.
 
 Usage::
 
@@ -38,8 +38,11 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 import repro
+from repro.core.bound_and_protect import NeuronProtection
+from repro.core.mitigation import BnPTechnique
 from repro.data.datasets import Dataset, load_workload, train_test_split
-from repro.serve.modes import ServingMode, build_session
+from repro.faults.injector import FaultInjector
+from repro.serve.modes import ServingMode
 from repro.serve.registry import ModelRegistry
 from repro.serve.service import (
     ServiceClient,
@@ -47,7 +50,9 @@ from repro.serve.service import (
     ServiceServer,
     SoftSNNService,
 )
+from repro.snn.inference import InferenceEngine
 from repro.snn.network import NetworkConfig
+from repro.snn.oracle import evaluate_sequential
 from repro.snn.training import TrainedModel, TrainingConfig, TrainingRunner
 from repro.utils.logging import configure_logging, get_logger
 
@@ -210,27 +215,33 @@ def _reference_predictions(
 ) -> List[int]:
     """Direct (scheduler-free) evaluation of the same ``(image, seed)`` pairs.
 
-    Each sample is evaluated through a freshly built session — the
-    stateless per-request semantics of the serving layer — by the
-    sequential oracle (:func:`repro.snn.oracle.evaluate_sequential`), with
-    the session's protection as its per-timestep monitor: an independent
-    path, not the engine the service itself runs.
+    Each sample is presented by the sequential oracle
+    (:func:`repro.snn.oracle.evaluate_sequential`) to its own freshly built
+    network struck by the mode's fault map — the stateless per-request
+    semantics of the serving layer — in protected mode through BnP's
+    bounding rule and a :class:`~repro.core.bound_and_protect.NeuronProtection`
+    monitor: an independent path, sharing no session or engine with the
+    service it checks.
     """
-    from repro.snn.oracle import evaluate_sequential
-
+    config = mode.fault_config()
+    protected = mode.kind == "protected"
+    rule = BnPTechnique(mode.variant).bounding_for(model).as_weight_rule()
     reference: List[int] = []
     for image, seed in zip(images, seeds):
-        session = build_session(model, mode)
-        sample_set = Dataset(
-            images=np.asarray(image, dtype=np.float64).reshape(1, 28, 28),
-            labels=np.zeros(1, dtype=np.int64),
-        )
+        network = model.build_network()
+        if config is not None:
+            FaultInjector(network).inject(config, rng=mode.fault_seed)
         result = evaluate_sequential(
-            session.inference,
-            sample_set,
+            InferenceEngine(network, model.neuron_labels),
+            Dataset(
+                images=np.asarray(image, dtype=np.float64).reshape(1, 28, 28),
+                labels=np.zeros(1, dtype=np.int64),
+            ),
             rng=int(seed),
-            effective_weights=session.effective_weights,
-            step_monitor=session.protection,
+            effective_weights=rule if protected else None,
+            step_monitor=(
+                NeuronProtection(mode.protection_trigger_cycles) if protected else None
+            ),
         )
         reference.append(int(result.predictions[0]))
     return reference
@@ -284,7 +295,7 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
             if served != expected:
                 failures += 1
             print(
-                f"  mode={spec:9s} served={served} direct={expected} [{status}]"
+                f"  mode={spec:9s} served={served} oracle={expected} [{status}]"
             )
 
         metrics = client.metrics()
@@ -297,11 +308,11 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
     if failures:
         print(
             f"softsnn-serve smoke: FAILED ({failures} mode(s) diverged from "
-            "direct evaluation)",
+            "the sequential oracle)",
             file=sys.stderr,
         )
         return 1
-    print("softsnn-serve smoke: all modes parity-exact with direct evaluation")
+    print("softsnn-serve smoke: all modes parity-exact with the sequential oracle")
     return 0
 
 

@@ -35,7 +35,12 @@ from repro.faults.injector import FaultInjector
 from repro.faults.models import NeuronFaultType
 from repro.serve.modes import ServingMode, build_session
 from repro.snn.encoding import PoissonEncoder
-from repro.snn.engine import MapParallelEngine, MapRow, block_timesteps
+from repro.snn.engine import (
+    MapParallelEngine,
+    MapRow,
+    block_timesteps,
+    protection_counts,
+)
 from repro.snn.inference import InferenceEngine
 from repro.snn.network import NetworkConfig
 from repro.snn.oracle import evaluate_sequential, present_sequential
@@ -321,24 +326,28 @@ class TestInlineProtection:
         _, result = session.classify_batch(images, seeds)
 
         # Stateless serving: each request is the oracle's presentation on
-        # a freshly built session, all observed by one monitor.
+        # a freshly built, fault-injected network, all observed by one
+        # monitor.
         monitor = NeuronProtection(trigger_cycles=mode.protection_trigger_cycles)
+        rule = BnPTechnique(mode.variant).bounding_for(trained).as_weight_rule()
         hooked = []
         for image, seed in zip(images, seeds):
-            reference = build_session(trained, mode)
+            network = trained.build_network()
+            FaultInjector(network).inject(mode.fault_config(), rng=mode.fault_seed)
             hooked.append(
                 present_sequential(
-                    reference.network,
+                    network,
                     image,
                     rng=seed,
-                    effective_weights=reference.effective_weights,
+                    effective_weights=rule,
                     step_monitor=monitor,
                 ).spike_counts
             )
         assert np.array_equal(result.spike_counts[0], np.stack(hooked))
-        assert session.protection.activation_count > 0
-        assert session.protection.protected_neurons == monitor.protected_neurons
-        assert session.protection.activation_count == monitor.activation_count
+        activations, gated = protection_counts(result.final_state.spike_disabled[0])
+        assert activations > 0
+        assert set(np.flatnonzero(gated).tolist()) == monitor.protected_neurons
+        assert activations == monitor.activation_count
 
 
 # ---------------------------------------------------------------------- #

@@ -77,22 +77,6 @@ class TestExperimentRunner:
         model_b = ExperimentRunner(root_seed=5).prepare(config).model
         assert np.array_equal(model_a.weights, model_b.weights)
 
-    def test_clean_accuracy_batched_and_cached(self):
-        config = ExperimentConfig(
-            n_neurons=10, n_train=24, n_test=8, timesteps=40, eval_batch_size=3
-        )
-        runner = ExperimentRunner(root_seed=5)
-        prepared = runner.prepare(config)
-        assert prepared.clean_accuracy is None
-        assert prepared.clean_accuracy_hint is None
-        accuracy = runner.clean_accuracy(prepared)
-        assert 0.0 <= accuracy <= 100.0
-        # The measurement lands in the declared dataclass field (the hint
-        # property is the backwards-compatible read path).
-        assert prepared.clean_accuracy == accuracy
-        assert prepared.clean_accuracy_hint == accuracy
-        assert runner.clean_accuracy(prepared) == accuracy
-
     def test_eval_batch_size_validation(self):
         with pytest.raises(ValueError):
             ExperimentConfig(eval_batch_size=0)

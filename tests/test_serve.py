@@ -2,10 +2,12 @@
 
 The load-bearing assertion is the scheduler parity suite: a prediction
 served through the adaptive micro-batching path must be bit-identical to
-direct :meth:`repro.snn.inference.InferenceEngine.evaluate` of the same
-``(image, seed)`` pair on an identically built network, in all three
-serving modes — so the online service inherits the engine's spike-exactness
-guarantee instead of trading it for throughput.
+the sequential oracle (:func:`repro.snn.oracle.evaluate_sequential`) run on
+a freshly built, fault-injected network for the same ``(image, seed)``
+pair, in all three serving modes — an independent route that shares no
+session, row or engine with the service — so the online service inherits
+the engine's spike-exactness guarantee instead of trading it for
+throughput.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.data.datasets import Dataset
+from repro.core.mitigation import BnPTechnique
+from repro.faults.injector import FaultInjector
 from repro.serve.loadgen import run_closed_loop
 from repro.serve.modes import ServingMode, build_session
 from repro.serve.registry import (
@@ -33,7 +36,9 @@ from repro.serve.service import (
     ServiceServer,
     SoftSNNService,
 )
-from repro.snn.oracle import evaluate_sequential
+from repro.server import _reference_predictions
+from repro.snn.engine import BatchedInferenceEngine
+from repro.snn.network import NetworkConfig
 from repro.snn.training import TrainedModel
 
 
@@ -73,24 +78,21 @@ def _test_images(small_split, count: int):
     return [test_set.images[index].reshape(-1) for index in range(count)]
 
 
-def _direct_predictions(model, mode, images, seeds):
-    """Reference: the sequential oracle per sample on a fresh session."""
-    predictions = []
-    for image, seed in zip(images, seeds):
-        session = build_session(model, mode)
-        sample_set = Dataset(
-            images=np.asarray(image).reshape(1, 28, 28),
-            labels=np.zeros(1, dtype=np.int64),
-        )
-        result = evaluate_sequential(
-            session.inference,
-            sample_set,
-            rng=int(seed),
-            effective_weights=session.effective_weights,
-            step_monitor=session.protection,
-        )
-        predictions.append(int(result.predictions[0]))
-    return predictions
+def _network_route(model, mode):
+    """The mode's fault-injected network, built independently of sessions."""
+    network = model.build_network()
+    config = mode.fault_config()
+    if config is not None:
+        FaultInjector(network).inject(config, rng=mode.fault_seed)
+    return network
+
+
+_STATUS_FIELDS = (
+    "vmem_increase_ok",
+    "vmem_leak_ok",
+    "vmem_reset_ok",
+    "spike_generation_ok",
+)
 
 
 # --------------------------------------------------------------------- #
@@ -132,17 +134,88 @@ class TestServingMode:
         assert a.cache_key != b.cache_key
         assert a.cache_key == ServingMode.faulty(0.1, fault_seed=1).cache_key
 
-    def test_build_session_is_deterministic(self, serve_model):
-        mode = ServingMode.faulty(0.3, fault_seed=11)
-        first = build_session(serve_model, mode)
-        second = build_session(serve_model, mode)
-        assert np.array_equal(
-            first.network.synapses.registers, second.network.synapses.registers
+    def test_from_request_rejects_non_boolean_inject_flags(self):
+        for key in ("inject_synapses", "inject_neurons"):
+            for value in ("false", 0, 1, None):
+                with pytest.raises(ValueError, match=key):
+                    ServingMode.from_request(
+                        {"kind": "faulty", "fault_rate": 0.1, key: value}
+                    )
+        mode = ServingMode.from_request(
+            {"kind": "faulty", "fault_rate": 0.1, "inject_neurons": False}
         )
-        status_a = first.network.neurons.operation_status
-        status_b = second.network.neurons.operation_status
-        assert np.array_equal(status_a.vmem_reset_ok, status_b.vmem_reset_ok)
-        assert first.fault_report.n_synapse_faults > 0
+        assert mode.inject_neurons is False and mode.inject_synapses is True
+
+    def test_build_session_is_deterministic(self, serve_model):
+        """Each mode's row is the independent network route's engine."""
+        for mode in (
+            ServingMode.clean(),
+            ServingMode.faulty(0.3, fault_seed=11),
+            ServingMode.protected(0.3, fault_seed=11),
+        ):
+            rows = [build_session(serve_model, mode).engine.rows for _ in range(2)]
+            assert [len(pair) for pair in rows] == [1, 1]
+            network = _network_route(serve_model, mode)
+            status = network.neurons.operation_status
+            for (row,) in rows:
+                assert np.array_equal(row.registers, network.synapses.registers)
+                for name in _STATUS_FIELDS:
+                    assert np.array_equal(
+                        getattr(row.operation_status, name), getattr(status, name)
+                    )
+                if mode.kind == "protected":
+                    technique = BnPTechnique(mode.variant)
+                    assert row.weight_rule == (
+                        technique.bounding_for(serve_model).as_weight_rule()
+                    )
+                    assert row.protection_trigger_cycles == (
+                        mode.protection_trigger_cycles
+                    )
+                else:
+                    assert row.weight_rule is None
+                    assert row.protection_trigger_cycles is None
+            clean_registers = _network_route(
+                serve_model, ServingMode.clean()
+            ).synapses.registers
+            faulted = not np.array_equal(rows[0][0].registers, clean_registers)
+            assert faulted == (mode.kind != "clean")
+
+    @pytest.mark.parametrize(
+        "neuron_model, encoding",
+        [("cuba_lif", "ttfs"), ("fixed_point_lif", "poisson")],
+    )
+    def test_faulty_session_serves_the_model_zoo(self, neuron_model, encoding):
+        """Non-LIF, non-Poisson sessions equal the per-request network route."""
+        rng = np.random.default_rng(5)
+        n_neurons = 12
+        model = TrainedModel(
+            network_config=NetworkConfig(
+                n_inputs=784,
+                n_neurons=n_neurons,
+                timesteps=24,
+                neuron_model=neuron_model,
+                encoding=encoding,
+            ),
+            weights=rng.random((784, n_neurons)),
+            theta=rng.random(n_neurons) * 0.05,
+            neuron_labels=np.arange(n_neurons, dtype=np.int64) % 4,
+            clean_max_weight=1.0,
+            clean_most_probable_weight=0.6,
+        )
+        mode = ServingMode.faulty(0.2, fault_seed=13)
+        session = build_session(model, mode)
+        images = [rng.random(784) for _ in range(4)]
+        seeds = [21, 22, 23, 24]
+        _, result = session.classify_batch(images, seeds)
+        assert result.spike_counts[0].sum() > 0
+        for index, (image, seed) in enumerate(zip(images, seeds)):
+            network = _network_route(model, mode)
+            reference = BatchedInferenceEngine(network).run(
+                image[np.newaxis], rng=seed
+            )
+            assert np.array_equal(
+                result.spike_counts[0][index], reference.spike_counts[0]
+            )
 
 
 # --------------------------------------------------------------------- #
@@ -488,7 +561,7 @@ class TestSchedulerParity:
             images, model="tiny-mnist", mode=mode_spec, seeds=seeds
         )
         mode = service.resolve_mode(mode_spec)
-        expected = _direct_predictions(serve_model, mode, images, seeds)
+        expected = _reference_predictions(serve_model, mode, images, seeds)
         assert served.predictions == expected
         # The requests really were micro-batched, not trivially size-1.
         stats = service.metrics_snapshot()
@@ -678,6 +751,60 @@ class TestServiceHTTP:
                 client._request("/classify", {"model": "tiny-mnist"})
             with pytest.raises(RuntimeError, match="HTTP 404"):
                 client._request("/nowhere")
+
+    def test_bad_seed_fails_only_its_own_request(
+        self, registry, serve_model, small_split
+    ):
+        """A rejected seed never fails the micro-batch it would have joined."""
+        image = _test_images(small_split, 1)[0]
+        # Two requests fill a batch; the deadline only flushes a lone one.
+        config = ServiceConfig(
+            models_dir=registry.root,
+            max_batch_size=2,
+            max_delay_ms=500.0,
+            idle_grace_ms=500.0,
+        )
+        outcomes = {}
+
+        def call(label, seed):
+            try:
+                outcomes[label] = svc.classify(
+                    [image], model="tiny-mnist", seeds=[seed]
+                ).predictions
+            except Exception as exc:  # noqa: BLE001 - recorded for asserts
+                outcomes[label] = exc
+
+        with SoftSNNService(config, registry=registry) as svc:
+            registry.session("tiny-mnist", ServingMode.clean())
+            threads = [
+                threading.Thread(target=call, args=args)
+                for args in (("valid", 3), ("invalid", -1))
+            ]
+            for thread in threads:
+                thread.start()
+                time.sleep(0.05)
+            for thread in threads:
+                thread.join(timeout=30)
+            assert isinstance(outcomes["invalid"], ValueError)
+            expected, _ = build_session(
+                serve_model, ServingMode.clean()
+            ).classify_batch([image], [3])
+            assert outcomes["valid"] == expected.tolist()
+            for seed in (-1, 2.5, "7", True):
+                with pytest.raises(ValueError, match="non-negative integers"):
+                    svc.classify([image], model="tiny-mnist", seeds=[seed])
+            with ServiceServer(svc, port=0) as server:
+                client = ServiceClient(server.url)
+                for seed in (-1, 2.5):
+                    with pytest.raises(RuntimeError, match="HTTP 400"):
+                        client._request(
+                            "/classify",
+                            {
+                                "images": [image.tolist()],
+                                "model": "tiny-mnist",
+                                "seeds": [seed],
+                            },
+                        )
 
     def test_workload_resolution_over_http(self, service, small_split):
         image = _test_images(small_split, 1)[0]
