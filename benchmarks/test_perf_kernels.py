@@ -9,8 +9,10 @@ end-to-end engine benches: ``N<size>_gemm_gops`` is GEMM throughput in
 effective billion MACs/s and ``N<size>_advance_ns_per_neuron_step`` the
 advance cost per neuron-timestep.  A second sweep times every shipped
 neuron model's advance at N400 into the ``perf_kernels_models`` record, so
-the zoo's dynamics are tracked alongside the default LIF.  Each series is
-the median of the bench harness's rotated repetitions.
+the zoo's dynamics are tracked alongside the default LIF, plus one LIF side
+under faulty operation masks (``lif_faulty``), so the fault-gated path the
+engines run under a fault map is tracked too.  Each series is the median of
+the bench harness's rotated repetitions.
 """
 
 from __future__ import annotations
@@ -37,6 +39,10 @@ SIZES = [400, 1600]
 MODEL_NAMES = ("lif", "cuba_lif", "fixed_point_lif")
 TIMESTEPS = 100
 BATCH = 64
+#: Faulty neurons per operation (leak, increase, reset, spike generation)
+#: of the ``lif_faulty`` side: the counts of infer-n400's rate-0.1 fault
+#: map at N400.
+FAULTY_NEURONS = (34, 36, 41, 27)
 
 CONFIG = LIFStepConfig(
     v_rest=-65.0,
@@ -57,11 +63,23 @@ def _random_operands(n_neurons, n_rows, rng):
     return codes, rng.random((n_rows, N_INPUTS)) < 0.05
 
 
+def _faulty_masks(n_neurons):
+    """Single-row masks with :data:`FAULTY_NEURONS` faulty neurons per operation."""
+    rng = np.random.default_rng(0)
+    masks = []
+    for count in FAULTY_NEURONS:
+        ok = np.ones((1, n_neurons), dtype=bool)
+        ok[0, rng.choice(n_neurons, size=count, replace=False)] = False
+        masks.append(ok)
+    return OperationMasks(*masks)
+
+
 def _kernel_calls(n_neurons):
     """The GEMM call and a per-model advance call at one network size.
 
     Every advance call starts from fresh neuron state (the seven arrays a
-    model advances in place), allocated inside the timed call.
+    model advances in place), allocated inside the timed call; the masks
+    are healthy unless the call is given others.
     """
     codes, raster = _random_operands(
         n_neurons, BATCH * TIMESTEPS, np.random.default_rng(n_neurons)
@@ -72,10 +90,10 @@ def _kernel_calls(n_neurons):
     )
     output = np.zeros((TIMESTEPS,) + shape, dtype=bool)
     threshold = np.full(n_neurons, 20.0)
-    masks = OperationMasks.healthy(n_neurons)
+    healthy = OperationMasks.healthy(n_neurons)
     workspace = KernelWorkspace()
 
-    def advance(name):
+    def advance(name, masks=healthy):
         model = get_model(name)
         return lambda: model.advance(
             currents,
@@ -136,29 +154,36 @@ def test_model_advance_costs():
     Runs each registered model's :meth:`~repro.snn.models.NeuronModel.
     advance` — the exact dispatch path the engines take — over the same
     N400 geometry the kernel sweep uses, and records the normalized
-    ns/neuron-timestep per model.  No floor is asserted — the zoo's extra
-    state (CUBA current, fixed-point quantization) legitimately costs more
-    than the plain LIF pipeline; the series is a tracking artifact.
+    ns/neuron-timestep per model, and for LIF under faulty masks.  No floor
+    is asserted — the zoo's extra state (CUBA current, fixed-point
+    quantization) legitimately costs more than the plain LIF pipeline; the
+    series is a tracking artifact.
     """
     n_neurons = 400
     _, advance = _kernel_calls(n_neurons)
     sides = {name: advance(name) for name in MODEL_NAMES}
+    sides["lif_faulty"] = advance("lif", _faulty_masks(n_neurons))
     timing = time_sides(sides)
 
     neuron_steps = TIMESTEPS * BATCH * n_neurons
     record = write_record(
         "perf_kernels_models",
-        {"n_neurons": n_neurons, "timesteps": TIMESTEPS, "batch": BATCH},
+        {
+            "n_neurons": n_neurons,
+            "timesteps": TIMESTEPS,
+            "batch": BATCH,
+            "faulty_neurons": list(FAULTY_NEURONS),
+        },
         {
             f"{name}_advance_ns_per_neuron_step": [
                 1e9 * s / neuron_steps for s in timing.seconds[name]
             ]
-            for name in MODEL_NAMES
+            for name in sides
         },
     )
 
     print()
-    for name in MODEL_NAMES:
+    for name in sides:
         cost = record["median"][f"{name}_advance_ns_per_neuron_step"]
         print(f"BENCH perf_kernels: models [{name}] advance {cost:.2f} ns/neuron-step")
         assert cost > 0.0

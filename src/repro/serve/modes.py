@@ -34,6 +34,7 @@ image, seed)`` — the contract the scheduler-parity tests pin down.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Tuple
 
@@ -56,6 +57,22 @@ __all__ = ["MODE_KINDS", "ServingMode", "ServingSession", "build_session"]
 
 #: The three serving modes, in degraded-vs-mitigated story order.
 MODE_KINDS = ("clean", "faulty", "protected")
+
+
+def _real_field(key: str, value: Any) -> float:
+    """A request's numeric field: a JSON number, never a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer_field(key: str, value: Any) -> int:
+    """A request's integer field: an integral JSON number (``3`` or ``3.0``)."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Integral):
+        return int(value)
+    if not _real_field(key, value).is_integer():
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -168,10 +185,12 @@ class ServingMode:
         kind = str(payload.pop("kind", "clean")).strip().lower()
         kwargs: Dict[str, Any] = {"kind": kind}
         if kind != "clean":
-            kwargs["fault_rate"] = float(
-                payload.pop("fault_rate", default_fault_rate)
+            kwargs["fault_rate"] = _real_field(
+                "fault_rate", payload.pop("fault_rate", default_fault_rate)
             )
-            kwargs["fault_seed"] = int(payload.pop("fault_seed", default_fault_seed))
+            kwargs["fault_seed"] = _integer_field(
+                "fault_seed", payload.pop("fault_seed", default_fault_seed)
+            )
         else:
             payload.pop("fault_rate", None)
             payload.pop("fault_seed", None)
@@ -191,8 +210,8 @@ class ServingMode:
                     )
                 kwargs[key] = flag
         if "protection_trigger_cycles" in payload:
-            kwargs["protection_trigger_cycles"] = int(
-                payload.pop("protection_trigger_cycles")
+            kwargs["protection_trigger_cycles"] = _integer_field(
+                "protection_trigger_cycles", payload.pop("protection_trigger_cycles")
             )
         if payload:
             raise ValueError(f"unknown mode fields: {sorted(payload)}")

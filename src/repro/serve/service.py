@@ -806,7 +806,12 @@ class ServiceClient:
         if mode is not None:
             payload["mode"] = mode.to_dict() if isinstance(mode, ServingMode) else mode
         if seeds is not None:
-            payload["seeds"] = [int(seed) for seed in seeds]
+            # Sent as given (numpy scalars as their Python values): the
+            # server's seed check, not the client, rejects a bad seed.
+            payload["seeds"] = [
+                seed.item() if isinstance(seed, np.generic) else seed
+                for seed in seeds
+            ]
         return self._request("/classify", payload)
 
 

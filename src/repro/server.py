@@ -166,7 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     smoke.add_argument(
         "--models-dir",
         type=Path,
-        help="register the smoke model here (default: a temp directory)",
+        help="register the smoke model here (default: a temporary directory, "
+        "removed afterwards)",
     )
     smoke.add_argument("--quiet", action="store_true", help="warnings only")
     return parser
@@ -250,13 +251,18 @@ def _reference_predictions(
 def _cmd_smoke(args: argparse.Namespace) -> int:
     import tempfile
 
+    if args.models_dir is not None:
+        return _smoke(args, args.models_dir)
+    # Without --models-dir the demo model lives in a scratch directory
+    # that is removed on every exit path.
+    with tempfile.TemporaryDirectory(prefix="softsnn-serve-smoke-") as models_dir:
+        return _smoke(args, Path(models_dir))
+
+
+def _smoke(args: argparse.Namespace, models_dir: Path) -> int:
+    """Train the demo model into *models_dir* and check parity over HTTP."""
     print("softsnn-serve smoke: training demo model…")
     model, test_set = train_demo_model()
-    models_dir = (
-        args.models_dir
-        if args.models_dir is not None
-        else Path(tempfile.mkdtemp(prefix="softsnn-serve-smoke-"))
-    )
     registry = ModelRegistry(models_dir)
     registry.register(model, DEMO_MODEL_NAME, workload="mnist")
 

@@ -937,7 +937,11 @@ class MapParallelEngine:
         """
         model = self._model
         dynamics = model.dynamics(self._step_config, self._threshold, state.v)
-        masks = self._masks.rows(rows)
+        # The full pass keeps the engine's own masks, so their per-batch
+        # fault indices are built once per engine, not once per chunk.
+        masks = (
+            self._masks if len(rows) == self.n_unique_rows else self._masks.rows(rows)
+        )
         triggers = self._triggers[rows] if self._has_protection else None
         timesteps = output.shape[0]
         for start in range(0, timesteps, accumulators.block):

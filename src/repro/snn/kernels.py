@@ -40,14 +40,19 @@ The three primitives
     scratch lives in a caller-owned :class:`KernelWorkspace` allocated
     once per run and reused across timesteps, blocks and chunks — the hot
     loop performs no per-timestep array allocation, and writes spikes
-    straight into the output raster.  Every statement is a
-    bitwise-identical reformulation of the sequential
+    straight into the output raster.  The fault gates touch only what is
+    faulty: the leak runs over every membrane and the few leak-faulty
+    ones are written back, the latch pin is one dense ``maximum`` against
+    a floor that is ``-inf`` off the latched neurons, and the refractory
+    counter is a last-reset timestep read by one compare.  Every
+    statement is a bitwise-identical reformulation of the sequential
     :meth:`repro.snn.neuron.LIFNeuronGroup.step` expressions (IEEE
     elementwise operations are independent of broadcast shape;
-    ``copyto``/``maximum`` with ``where=`` are ``np.where`` with an
-    explicit destination; a non-negative drive times the 0/1 integrate
-    mask is ``where(mask, drive, 0.0)``; the integer counter and
-    refractory updates are exact).
+    ``copyto`` with ``where=`` is ``np.where`` with an explicit
+    destination; a non-negative drive times the 0/1 integrate mask is
+    ``where(mask, drive, 0.0)``; the integer counter, refractory and
+    spike-count updates are exact; :func:`advance_timesteps` lists each
+    equivalence).
     State arrays are mutated strictly in place — never swapped — so the
     caller's arrays always hold the advanced state.
 
@@ -360,7 +365,9 @@ class OperationMasks:
     Arrays have shape ``(n_rows, n_neurons)``; the ``all_*`` flags let the
     kernels specialise away a fault switch when every neuron is healthy
     for that operation (a pure boolean identity, so the arithmetic is
-    unchanged).
+    unchanged).  :meth:`leak_faults` lists the leak-faulty entries of a
+    state block as flat indices, built once per batch size and kept, so
+    the loop gates the leak on the faulty neurons only.
     """
 
     __slots__ = (
@@ -372,6 +379,7 @@ class OperationMasks:
         "all_increase",
         "all_reset",
         "all_spike",
+        "_leak_faults",
     )
 
     def __init__(
@@ -389,6 +397,7 @@ class OperationMasks:
         self.all_increase = bool(increase_ok.all())
         self.all_reset = bool(reset_ok.all())
         self.all_spike = bool(spike_ok.all())
+        self._leak_faults: Dict[int, np.ndarray] = {}
 
     @property
     def n_rows(self) -> int:
@@ -423,6 +432,23 @@ class OperationMasks:
         ones = np.ones((1, n_neurons), dtype=bool)
         return cls(ones, ones, ones, ones)
 
+    def leak_faults(self, batch: int) -> np.ndarray:
+        """Flat indices of the leak-faulty entries of a ``(rows, batch, n)`` block.
+
+        Every sample of a row shares the row's faulty neurons; the indices
+        are in ascending order and computed once per *batch*.
+        """
+        index = self._leak_faults.get(batch)
+        if index is None:
+            n_rows, n_neurons = self.leak_ok.shape
+            index = np.flatnonzero(
+                np.broadcast_to(
+                    ~self.leak_ok[:, np.newaxis, :], (n_rows, batch, n_neurons)
+                )
+            )
+            self._leak_faults[batch] = index
+        return index
+
     def rows(self, rows: np.ndarray) -> "OperationMasks":
         """Masks of the rows indexed by *rows* (flags recomputed)."""
         return OperationMasks(
@@ -441,12 +467,27 @@ class KernelWorkspace:
     ``(rows, batch, neurons)`` block shape actually changes, so steady-state
     simulation performs no per-timestep — and between equal-shaped chunks
     no per-chunk — array allocation.  The buffer set matches what one
-    timestep needs: two float64 scratch blocks, two boolean scratch blocks
-    and the ``(rows, batch, 1)`` float64 spike-count accumulator of the
-    lateral inhibition term.
+    timestep needs: two float64 scratch blocks, two boolean scratch blocks,
+    the last-reset timestep of every neuron, the latch pin's floor, an
+    int16 copy of the protection counter, the lateral inhibition's
+    ``(rows, batch, 1)`` spike count and its per-neuron integer
+    difference, and the membranes of the leak-faulty neurons
+    (:meth:`kept`, sized by the masks).
     """
 
-    __slots__ = ("shape", "vbuf", "fbuf", "active", "boolbuf", "countbuf")
+    __slots__ = (
+        "shape",
+        "vbuf",
+        "fbuf",
+        "active",
+        "boolbuf",
+        "last_reset",
+        "pin_floor",
+        "counter16",
+        "countbuf",
+        "diffbuf",
+        "_kept",
+    )
 
     def __init__(self) -> None:
         self.shape: Optional[Tuple[int, int, int]] = None
@@ -454,19 +495,39 @@ class KernelWorkspace:
         self.fbuf: Optional[np.ndarray] = None
         self.active: Optional[np.ndarray] = None
         self.boolbuf: Optional[np.ndarray] = None
+        self.last_reset: Optional[np.ndarray] = None
+        self.pin_floor: Optional[np.ndarray] = None
+        self.counter16: Optional[np.ndarray] = None
         self.countbuf: Optional[np.ndarray] = None
+        self.diffbuf: Optional[np.ndarray] = None
+        self._kept = np.empty(0, dtype=np.float64)
 
     def ensure(self, shape: Tuple[int, int, int]) -> "KernelWorkspace":
-        """Size the buffers for one ``(rows, batch, neurons)`` block shape."""
+        """Size the buffers for one ``(rows, batch, neurons)`` block shape.
+
+        The spike count is int16 whenever a row of neurons fits it, which
+        is what makes the inhibition's integer passes cheap.
+        """
         shape = tuple(int(extent) for extent in shape)
         if self.shape != shape:
+            count_dtype = np.int16 if shape[2] <= np.iinfo(np.int16).max else np.int64
             self.shape = shape
             self.vbuf = np.empty(shape, dtype=np.float64)
             self.fbuf = np.empty(shape, dtype=np.float64)
             self.active = np.empty(shape, dtype=bool)
             self.boolbuf = np.empty(shape, dtype=bool)
-            self.countbuf = np.empty(shape[:2] + (1,), dtype=np.float64)
+            self.last_reset = np.empty(shape, dtype=np.int64)
+            self.pin_floor = np.empty(shape, dtype=np.float64)
+            self.counter16 = np.empty(shape, dtype=np.int16)
+            self.countbuf = np.empty(shape[:2] + (1,), dtype=count_dtype)
+            self.diffbuf = np.empty(shape, dtype=count_dtype)
         return self
+
+    def kept(self, size: int) -> np.ndarray:
+        """The float64 buffer of *size* the faulty leak gate gathers into."""
+        if self._kept.size != size:
+            self._kept = np.empty(size, dtype=np.float64)
+        return self._kept
 
 
 class NeuronDynamics:
@@ -595,8 +656,9 @@ class FixedPointDynamics(NeuronDynamics):
     ) -> None:
         scale = float(1 << int(weight_exp))
         self._scale = scale
-        self._decay_unit = float(1 << int(decay_bits))
-        self._decay = float(int(round(config.membrane_decay * self._decay_unit)))
+        decay_unit = float(1 << int(decay_bits))
+        self._decay_step = 1.0 / decay_unit
+        self._decay = float(int(round(config.membrane_decay * decay_unit)))
         self._v_rest = float(np.floor(config.v_rest * scale))
         self.v_reset = float(np.floor(config.v_reset * scale))
         self.v_min = float(np.floor(config.v_min * scale))
@@ -609,7 +671,11 @@ class FixedPointDynamics(NeuronDynamics):
         """``v_rest + ((v - v_rest) * d) >> decay_bits``, ``d`` quantised."""
         np.subtract(v, self._v_rest, out=out)
         np.multiply(out, self._decay, out=out)
-        np.floor_divide(out, self._decay_unit, out=out)
+        # Exactly floor_divide by 2**decay_bits: the product is an integer
+        # mantissa, so scaling it by a power of two is exact (signed zeros
+        # included) and the floor is the arithmetic shift.
+        np.multiply(out, self._decay_step, out=out)
+        np.floor(out, out=out)
         np.add(out, self._v_rest, out=out)
 
     def drive(self, current: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -678,7 +744,9 @@ def advance_timesteps(
     v / refractory / counter / disabled / latched:
         The live state arrays ``(rows, batch, n)``, advanced strictly in
         place (never reassigned or swapped), so the caller's arrays hold
-        the state after the block's last timestep.
+        the state after the block's last timestep.  ``v`` must be
+        C-contiguous when a neuron's leak is faulty (the leak gate writes
+        through a flat view of it).
     comparator / spikes:
         Caller-owned result buffers ``(rows, batch, n)``: ``comparator`` is
         written every timestep; after the call both hold the block's final
@@ -695,15 +763,39 @@ def advance_timesteps(
         skips protection entirely.
 
     Every statement is a bitwise-identical reformulation of the sequential
-    expressions: in-place ufunc chains evaluate the same IEEE operations
-    element by element, ``copyto(..., where=...)`` and
-    ``maximum(..., where=...)`` are ``np.where`` with an explicit
-    destination, ``comparator > disabled`` is ``comparator & ~disabled``
-    on booleans, the inhibition's float spike count holds the same small
-    integers as an integer count, and the integer counter / refractory
-    updates are exact.  The loop touches only the caller's arrays, the
-    workspace buffers and the dynamics' own per-pass state — nothing is
-    allocated per timestep.
+    expressions:
+
+    * in-place ufunc chains evaluate the same IEEE operations element by
+      element, whatever the broadcast shape;
+    * the leak runs over every membrane in place, and the leak-faulty
+      entries (:meth:`OperationMasks.leak_faults`) are gathered before it
+      and written back after it — ``where(leak_ok, leaked, v)`` entry by
+      entry;
+    * ``copyto(..., where=...)`` is ``np.where`` with an explicit
+      destination;
+    * the latch pin ``where(latched, maximum(v, threshold), v)`` is
+      ``maximum(v, floor)`` with a floor of ``threshold`` on latched
+      neurons and ``-inf`` elsewhere, where ``maximum(v, -inf)`` is ``v``
+      bit for bit; the floor changes only when a neuron newly latches;
+    * ``comparator > disabled`` is ``comparator & ~disabled`` on booleans,
+      and is skipped when no neuron can be disabled during the call (no
+      triggers, none disabled on entry);
+    * the refractory counter is kept as each neuron's last-reset timestep
+      ``L``: a neuron entering with ``refractory = r`` starts at
+      ``L = r - refractory_period - 1``, integrates at step ``t`` iff
+      ``L < t - refractory_period`` (``refractory <= 0`` in the
+      counter's terms), and leaves with
+      ``refractory = max(L + refractory_period + 1 - timesteps, 0)`` —
+      exact integer arithmetic;
+    * the inhibition's spike count and ``count - spike`` are the same
+      small integers in int16 as in float64, and int16 to float64 is
+      exact, so ``strength * (count - spike)`` is unchanged;
+    * the protection counter update is exact integer arithmetic, run in
+      int16 when every count the call can reach fits it and in int64
+      otherwise.
+
+    The loop touches only the caller's arrays, the workspace buffers and
+    the dynamics' own per-pass state — nothing is allocated per timestep.
     """
     start_ns = time.perf_counter_ns()
     ws = workspace.ensure(v.shape)
@@ -711,7 +803,10 @@ def advance_timesteps(
     fbuf = ws.fbuf
     active = ws.active
     boolbuf = ws.boolbuf
+    last_reset = ws.last_reset
+    pin_floor = ws.pin_floor
     countbuf = ws.countbuf
+    diffbuf = ws.diffbuf
 
     leak = dynamics.leak
     drive = dynamics.drive
@@ -720,35 +815,67 @@ def advance_timesteps(
     strength = dynamics.inhibition
     threshold = dynamics.threshold
 
-    leak_ok = masks.leak_ok[:, np.newaxis, :]
     increase_ok = masks.increase_ok[:, np.newaxis, :]
     reset_ok = masks.reset_ok[:, np.newaxis, :]
     spike_ok = masks.spike_ok[:, np.newaxis, :]
-    all_leak = masks.all_leak
     all_increase = masks.all_increase
     all_reset = masks.all_reset
     all_spike = masks.all_spike
     reset_bad = None if all_reset else ~reset_ok
+    if masks.all_leak:
+        leak_faults = kept = v_flat = None
+    else:
+        if not v.flags.c_contiguous:
+            raise ValueError("a leak-faulty advance needs a C-contiguous v")
+        leak_faults = masks.leak_faults(v.shape[1])
+        kept = ws.kept(leak_faults.size)
+        v_flat = v.reshape(-1)
     trig = (
         None
         if triggers is None
         else np.asarray(triggers, dtype=np.int64).reshape(-1, 1, 1)
     )
+    # Without triggers nothing disables a neuron during the call, so a
+    # gate that is all-open on entry stays open.
+    gate_disabled = trig is not None or bool(disabled.any())
 
     timesteps = currents.shape[0]
+    # The protection counter grows by at most one per timestep.  When every
+    # value it can reach in this call fits int16, it runs in the
+    # workspace's int16 copy (and triggers beyond that range are clipped
+    # to its edges, which no count reaches); otherwise in place.
+    count = counter
+    if counter.size:
+        low, high = np.iinfo(np.int16).min, np.iinfo(np.int16).max
+        if int(counter.min()) >= low and int(counter.max()) + timesteps < high:
+            count = ws.counter16
+            np.copyto(count, counter, casting="unsafe")
+            if trig is not None:
+                trig = np.clip(trig, low, high).astype(np.int16)
+    if timesteps:
+        np.subtract(refractory, refractory_period + 1, out=last_reset)
+    # The latch pin is max(v, pin_floor): the threshold on latched
+    # neurons, -inf (an exact no-op) elsewhere.
+    any_latched = False
+    if timesteps and not all_reset:
+        np.copyto(pin_floor, -np.inf)
+        any_latched = bool(latched.any())
+        if any_latched:
+            np.copyto(pin_floor, threshold, where=latched)
     for t in range(timesteps):
         spikes_t = output[t]
 
-        # (2) Vmem leak, gated per neuron.
-        if all_leak:
+        # (2) Vmem leak, undone on the leak-faulty neurons.
+        if leak_faults is None:
             leak(v, v)
         else:
-            leak(v, vbuf)
-            np.copyto(v, vbuf, where=leak_ok)
+            v_flat.take(leak_faults, out=kept, mode="clip")
+            leak(v, v)
+            v_flat[leak_faults] = kept
 
         # (1) Vmem increase: v += drive * integrate (non-negative drive,
         # so exactly v += where(integrate, drive, 0.0)), then clamp.
-        np.less_equal(refractory, 0, out=active)
+        np.less(last_reset, t - refractory_period, out=active)
         if all_increase:
             integrate = active
         else:
@@ -761,11 +888,16 @@ def advance_timesteps(
         # (4) Spike generation: comparator and protection counter.
         np.greater_equal(v, threshold, out=comparator)
         np.logical_and(comparator, active, out=comparator)
-        np.add(counter, 1, out=counter)
-        np.multiply(counter, comparator, out=counter)
-        np.greater(comparator, disabled, out=spikes_t)
-        if not all_spike:
-            np.logical_and(spikes_t, spike_ok, out=spikes_t)
+        np.add(count, 1, out=count)
+        np.multiply(count, comparator, out=count)
+        if gate_disabled:
+            np.greater(comparator, disabled, out=spikes_t)
+            if not all_spike:
+                np.logical_and(spikes_t, spike_ok, out=spikes_t)
+        elif all_spike:
+            np.copyto(spikes_t, comparator)
+        else:
+            np.logical_and(comparator, spike_ok, out=spikes_t)
 
         # (3) Vmem reset and refractory entry; faulty resets latch.
         if all_reset:
@@ -774,36 +906,45 @@ def advance_timesteps(
             np.logical_and(comparator, reset_ok, out=boolbuf)
             reset_now = boolbuf
         np.copyto(v, v_reset, where=reset_now)
-        np.subtract(refractory, 1, out=refractory)
-        np.maximum(refractory, 0, out=refractory)
-        np.copyto(refractory, refractory_period, where=reset_now)
+        np.copyto(last_reset, t, where=reset_now)
         if not all_reset:
             np.logical_and(comparator, reset_bad, out=boolbuf)
-            np.logical_or(latched, boolbuf, out=latched)
+            np.greater(boolbuf, latched, out=boolbuf)
+            if boolbuf.any():
+                np.logical_or(latched, boolbuf, out=latched)
+                np.copyto(pin_floor, threshold, where=boolbuf)
+                any_latched = True
 
         # Direct lateral inhibition, per (row, sample).  Blocks without
         # spikes receive an exactly-zero inhibition, which is a no-op
         # because v_min <= v_reset guarantees v >= v_min here.
         if strength > 0 and spikes_t.any():
-            np.sum(spikes_t, axis=-1, keepdims=True, out=countbuf)
-            np.subtract(countbuf, spikes_t, out=fbuf)
-            np.multiply(fbuf, strength, out=fbuf)
+            spike_bytes = spikes_t.view(np.uint8)
+            np.add.reduce(
+                spike_bytes, axis=-1, dtype=countbuf.dtype, keepdims=True, out=countbuf
+            )
+            np.subtract(countbuf, spike_bytes, out=diffbuf)
+            np.multiply(diffbuf, strength, out=fbuf)
             np.subtract(v, fbuf, out=v)
             np.maximum(v, v_min, out=v)
 
         # Keep latched faulty-reset membranes pinned at the threshold.
-        if not all_reset and latched.any():
-            np.maximum(v, threshold, out=v, where=latched)
+        if any_latched:
+            np.maximum(v, pin_floor, out=v)
 
         # Neuron protection: gate off spike generation once the comparator
         # has stayed asserted for the row's trigger count (applied
         # post-step, like the oracle's protection monitor).
         if trig is not None:
-            np.greater_equal(counter, trig, out=boolbuf)
+            np.greater_equal(count, trig, out=boolbuf)
             np.logical_or(disabled, boolbuf, out=disabled)
 
     if timesteps:
+        np.add(last_reset, refractory_period + 1 - timesteps, out=refractory)
+        np.maximum(refractory, 0, out=refractory)
         np.copyto(spikes, output[timesteps - 1])
+    if count is not counter:
+        np.copyto(counter, count)
 
     if _obs.enabled():
         _record_kernel(dynamics.kernel, time.perf_counter_ns() - start_ns)

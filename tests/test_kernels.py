@@ -32,7 +32,8 @@ from repro.snn.kernels import (
     register_gemm,
 )
 from repro.snn.models import available_models, get_model
-from repro.snn.neuron import LIFParameters, NeuronOperationStatus
+from repro.core.bound_and_protect import NeuronProtection
+from repro.snn.neuron import LIFNeuronGroup, LIFParameters, NeuronOperationStatus
 from repro.snn.quantization import WeightQuantizer
 from repro.snn.synapse import BoundedWeightRule, SynapseMatrix
 
@@ -396,23 +397,217 @@ class TestLIFAdvance:
         _run_both(currents, masks, np.full(1, 1.0), CONFIG, advance)
 
 
+class TestAdvanceMatchesSequentialOracle:
+    """The loop against the sequential oracle, byte for byte.
+
+    Every ``(row, sample)`` of a block is replayed through
+    :meth:`repro.snn.neuron.LIFNeuronGroup.step` with the row's operation
+    status (plus the protection monitor's post-step gate when the row has
+    a trigger), and every state array the loop leaves behind — ``v`` by
+    its bytes, so signed zeros count — must equal the oracle's.  The cases
+    aim at the loop's fault gates: rows whose faulty neurons differ for
+    every operation, refractory and protection counters (and latches)
+    entering a call split over several blocks, protection counters that
+    outgrow int16, neurons disabled on entry without triggers, and the
+    degenerate ``refractory_period=0`` / ``inhibition_strength=0`` /
+    spike-free timesteps.
+    """
+
+    N = 12
+    BATCH = 3
+    TIMESTEPS = 24
+
+    def _masks(self, rng, n_rows):
+        statuses = []
+        for _ in range(n_rows):
+            status = NeuronOperationStatus.healthy(self.N)
+            for mask in (
+                status.vmem_leak_ok,
+                status.vmem_increase_ok,
+                status.vmem_reset_ok,
+                status.spike_generation_ok,
+            ):
+                mask[rng.choice(self.N, size=rng.integers(1, 4), replace=False)] = False
+            statuses.append(status)
+        return statuses
+
+    def _run(self, params, seed, n_rows=3, blocks=(TIMESTEPS,), entering=False,
+             disabled_on_entry=False, triggers=None, silent_steps=(),
+             counter_start=0):
+        rng = np.random.default_rng(seed)
+        statuses = self._masks(rng, n_rows)
+        shape = (n_rows, self.BATCH, self.N)
+        theta = rng.random(self.N) * 0.2
+        threshold = params.v_threshold + theta
+        currents = rng.random((self.TIMESTEPS,) + shape) * 0.9
+        currents[list(silent_steps)] = 0.0
+        state = {
+            "v": rng.random(shape) * 0.8 - 0.3,
+            "refractory": np.zeros(shape, dtype=np.int64),
+            "counter": np.full(shape, counter_start, dtype=np.int64),
+            "disabled": np.zeros(shape, dtype=bool),
+            "latched": np.zeros(shape, dtype=bool),
+        }
+        if counter_start:
+            # Every comparator asserts at the first timestep.
+            state["v"] += 2.0
+        if entering:
+            state["refractory"] = rng.integers(
+                0, params.refractory_period + 1, size=shape
+            )
+            state["counter"] = rng.integers(0, 4, size=shape)
+            reset_bad = ~np.stack([status.vmem_reset_ok for status in statuses])
+            state["latched"] = reset_bad[:, np.newaxis, :] & (rng.random(shape) < 0.5)
+        if disabled_on_entry:
+            # Only the first row's gates are shut, so a gate check that
+            # misses one row or sample cannot hide behind the others.
+            state["disabled"][0, 0] = rng.random(self.N) < 0.5
+
+        config = LIFStepConfig.from_params(params)
+        model = get_model("lif")
+        kernel = {key: value.copy() for key, value in state.items()}
+        output = np.zeros(currents.shape, dtype=bool)
+        comparator = np.empty(shape, dtype=bool)
+        spikes = np.empty(shape, dtype=bool)
+        workspace = KernelWorkspace()
+        dynamics = model.dynamics(config, threshold, kernel["v"])
+        assert sum(blocks) == self.TIMESTEPS
+        stops = np.cumsum(blocks)
+        for start, stop in zip(stops - np.asarray(blocks), stops):
+            model.advance(
+                currents[start:stop],
+                output[start:stop],
+                kernel["v"],
+                kernel["refractory"],
+                kernel["counter"],
+                kernel["disabled"],
+                kernel["latched"],
+                comparator,
+                spikes,
+                OperationMasks.stack(statuses),
+                threshold,
+                config,
+                workspace,
+                triggers=triggers,
+                dynamics=dynamics,
+            )
+        dynamics.finish(kernel["v"])
+
+        for r in range(n_rows):
+            monitor = None if triggers is None else NeuronProtection(int(triggers[r]))
+            for b in range(self.BATCH):
+                group = LIFNeuronGroup(self.N, params, statuses[r])
+                group.theta = theta.copy()
+                group.v = state["v"][r, b].copy()
+                group.refractory_remaining = state["refractory"][r, b].copy()
+                group.consecutive_above_threshold = state["counter"][r, b].copy()
+                group.spike_disabled = state["disabled"][r, b].copy()
+                group.reset_fault_latched = state["latched"][r, b].copy()
+                for t in range(self.TIMESTEPS):
+                    emitted = group.step(currents[t, r, b])
+                    if monitor is not None:
+                        monitor(group)
+                    assert np.array_equal(output[t, r, b], emitted), (t, r, b)
+                where = (r, b)
+                assert kernel["v"][where].tobytes() == group.v.tobytes(), where
+                assert np.array_equal(
+                    kernel["refractory"][where], group.refractory_remaining
+                ), where
+                assert np.array_equal(
+                    kernel["counter"][where], group.consecutive_above_threshold
+                ), where
+                assert np.array_equal(kernel["disabled"][where], group.spike_disabled)
+                assert np.array_equal(
+                    kernel["latched"][where], group.reset_fault_latched
+                ), where
+                assert np.array_equal(comparator[where], group.comparator_output)
+                assert np.array_equal(spikes[where], group.last_spikes), where
+        return output, kernel
+
+    def test_rows_with_different_faulty_neurons(self):
+        output, kernel = self._run(LIFParameters(v_reset=-0.2), seed=60)
+        assert output.any() and kernel["latched"].any()
+
+    def test_state_entering_blocked_calls(self):
+        params = LIFParameters(v_reset=-0.2, refractory_period=4)
+        output, kernel = self._run(
+            params,
+            seed=61,
+            blocks=(5, 1, 7, 11),
+            entering=True,
+            triggers=np.array([2, NO_PROTECTION_TRIGGER, 3], dtype=np.int64),
+        )
+        assert kernel["disabled"].any() and kernel["refractory"].any()
+
+    def test_disabled_on_entry_without_triggers(self):
+        output, kernel = self._run(
+            LIFParameters(v_reset=-0.2), seed=62, blocks=(10, 14),
+            disabled_on_entry=True,
+        )
+        assert output.any()
+        assert not output[:, 0, 0][:, kernel["disabled"][0, 0]].any()
+
+    def test_counter_beyond_int16(self):
+        # Faulty-reset neurons assert their comparator at every timestep,
+        # so counters entering near the int16 limit leave the call above it.
+        limit = int(np.iinfo(np.int16).max)
+        triggers = np.array([limit + 5, NO_PROTECTION_TRIGGER, 2], dtype=np.int64)
+        _, kernel = self._run(
+            LIFParameters(v_reset=-0.2), seed=64, blocks=(12, 12),
+            triggers=triggers, counter_start=limit - 10,
+        )
+        assert kernel["counter"].max() > limit
+        assert kernel["disabled"][0].any() and not kernel["disabled"][1].any()
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            LIFParameters(v_reset=-0.2, refractory_period=0),
+            LIFParameters(v_reset=-0.2, inhibition_strength=0.0),
+        ],
+        ids=["refractory_period=0", "inhibition_strength=0"],
+    )
+    def test_degenerate_parameters_and_silent_steps(self, params):
+        # Membranes enter below threshold, so the first, input-free
+        # timesteps emit no spike (nor does any later one with no input
+        # and no latched neuron).
+        output, _ = self._run(
+            params, seed=63, blocks=(4, 20), entering=True,
+            silent_steps=(0, 1, 2, 9, 10, 17),
+        )
+        assert output.any()
+        assert not output[:3].any()
+
+
+#: Every per-shape buffer a :class:`KernelWorkspace` holds.
+WORKSPACE_BUFFERS = (
+    "vbuf",
+    "fbuf",
+    "active",
+    "boolbuf",
+    "last_reset",
+    "pin_floor",
+    "counter16",
+    "countbuf",
+    "diffbuf",
+)
+
+
+def _workspace_buffers(workspace):
+    """The workspace's buffers, the leak gate's gather buffer included."""
+    return tuple(getattr(workspace, name) for name in WORKSPACE_BUFFERS) + (
+        workspace._kept,
+    )
+
+
 class TestKernelWorkspace:
     def test_ensure_reuses_buffers_for_same_shape(self):
         workspace = KernelWorkspace()
         workspace.ensure((2, 8, 16))
-        buffers = (
-            workspace.vbuf,
-            workspace.fbuf,
-            workspace.active,
-            workspace.boolbuf,
-            workspace.countbuf,
-        )
+        buffers = _workspace_buffers(workspace)
         workspace.ensure((2, 8, 16))
-        assert workspace.vbuf is buffers[0]
-        assert workspace.fbuf is buffers[1]
-        assert workspace.active is buffers[2]
-        assert workspace.boolbuf is buffers[3]
-        assert workspace.countbuf is buffers[4]
+        for name, old, new in zip(WORKSPACE_BUFFERS, buffers, _workspace_buffers(workspace)):
+            assert new is old, name
 
     def test_ensure_reallocates_on_shape_change(self):
         workspace = KernelWorkspace()
@@ -422,6 +617,37 @@ class TestKernelWorkspace:
         assert workspace.vbuf is not old
         assert workspace.vbuf.shape == (1, 5, 16)
         assert workspace.countbuf.shape == (1, 5, 1)
+
+    def test_leak_gate_rejects_a_strided_membrane(self):
+        masks = _masks_variant("leak", 1, 6, np.random.default_rng(46))
+        state = _fresh_state((1, 4, 6), CONFIG)
+        strided = np.zeros((1, 4, 12))[..., ::2]
+        with pytest.raises(ValueError, match="C-contiguous"):
+            get_model("lif").advance(
+                np.zeros((3, 1, 4, 6)),
+                np.zeros((3, 1, 4, 6), dtype=bool),
+                strided,
+                state["refractory"],
+                state["counter"],
+                state["disabled"],
+                state["latched"],
+                np.empty((1, 4, 6), dtype=bool),
+                np.empty((1, 4, 6), dtype=bool),
+                masks,
+                np.full(6, 1.0),
+                CONFIG,
+                KernelWorkspace(),
+            )
+
+    def test_leak_fault_indices_are_built_once_per_batch(self):
+        masks = _masks_variant("leak", 2, 6, np.random.default_rng(47))
+        for batch in (1, 3):
+            index = masks.leak_faults(batch)
+            assert masks.leak_faults(batch) is index
+            expected = np.flatnonzero(
+                np.broadcast_to(~masks.leak_ok[:, np.newaxis, :], (2, batch, 6))
+            )
+            assert np.array_equal(index, expected)
 
     def test_reuse_across_batch_sizes_is_exact(self):
         # One workspace shared by consecutive runs of different batch
@@ -443,7 +669,7 @@ class TestKernelWorkspace:
         # suites register are skipped).
         n = 6
         shape = (1, 4, n)
-        masks = _masks_variant("reset", 1, n, np.random.default_rng(49))
+        masks = _masks_variant("mixed", 1, n, np.random.default_rng(49))
         currents = np.random.default_rng(51).random((20,) + shape) * 2
         shipped = [
             name
@@ -453,13 +679,8 @@ class TestKernelWorkspace:
         assert len(shipped) >= 3
         for model in shipped:
             workspace = KernelWorkspace().ensure(shape)
-            frozen = (
-                workspace.vbuf,
-                workspace.fbuf,
-                workspace.active,
-                workspace.boolbuf,
-                workspace.countbuf,
-            )
+            workspace.kept(masks.leak_faults(shape[1]).size)
+            frozen = _workspace_buffers(workspace)
             state = _fresh_state(shape, CONFIG, rng=np.random.default_rng(50))
             threshold = np.full(n, 1.0)
             dynamics = get_model(model).dynamics(CONFIG, threshold, state["v"])
@@ -468,11 +689,8 @@ class TestKernelWorkspace:
 
             def observed_drive(current, out, drive=drive):
                 # Called once per timestep, inside the loop.
-                assert workspace.vbuf is frozen[0], model
-                assert workspace.fbuf is frozen[1], model
-                assert workspace.active is frozen[2], model
-                assert workspace.boolbuf is frozen[3], model
-                assert workspace.countbuf is frozen[4], model
+                for old, new in zip(frozen, _workspace_buffers(workspace)):
+                    assert new is old, model
                 seen.append(True)
                 return drive(current, out)
 

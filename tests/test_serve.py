@@ -13,6 +13,7 @@ throughput.
 from __future__ import annotations
 
 import dataclasses
+import tempfile
 import threading
 import time
 
@@ -36,6 +37,7 @@ from repro.serve.service import (
     ServiceServer,
     SoftSNNService,
 )
+from repro import server
 from repro.server import _reference_predictions
 from repro.snn.engine import BatchedInferenceEngine
 from repro.snn.network import NetworkConfig
@@ -145,6 +147,38 @@ class TestServingMode:
             {"kind": "faulty", "fault_rate": 0.1, "inject_neurons": False}
         )
         assert mode.inject_neurons is False and mode.inject_synapses is True
+
+    @pytest.mark.parametrize("value", [2.7, True, "2", None])
+    def test_from_request_rejects_non_integer_fault_seed(self, value):
+        with pytest.raises(ValueError, match="fault_seed"):
+            ServingMode.from_request(
+                {"kind": "faulty", "fault_rate": 0.1, "fault_seed": value}
+            )
+        mode = ServingMode.from_request(
+            {"kind": "faulty", "fault_rate": 0.1, "fault_seed": 2.0}
+        )
+        assert mode.fault_seed == 2 and isinstance(mode.fault_seed, int)
+
+    @pytest.mark.parametrize("value", [2.5, False, "3", None])
+    def test_from_request_rejects_non_integer_trigger(self, value):
+        with pytest.raises(ValueError, match="protection_trigger_cycles"):
+            ServingMode.from_request(
+                {
+                    "kind": "protected",
+                    "fault_rate": 0.1,
+                    "protection_trigger_cycles": value,
+                }
+            )
+        mode = ServingMode.from_request(
+            {"kind": "protected", "fault_rate": 0.1, "protection_trigger_cycles": 3}
+        )
+        assert mode.protection_trigger_cycles == 3
+
+    @pytest.mark.parametrize("value", ["0.1", True, None])
+    def test_from_request_rejects_non_numeric_fault_rate(self, value):
+        with pytest.raises(ValueError, match="fault_rate"):
+            ServingMode.from_request({"kind": "faulty", "fault_rate": value})
+        assert ServingMode.from_request({"kind": "faulty", "fault_rate": 1}).fault_rate == 1.0
 
     def test_build_session_is_deterministic(self, serve_model):
         """Each mode's row is the independent network route's engine."""
@@ -704,6 +738,28 @@ class TestServeTracing:
 
 
 # --------------------------------------------------------------------- #
+# the smoke command
+# --------------------------------------------------------------------- #
+class TestSmokeCommand:
+    """``python -m repro.server smoke`` leaves no scratch models behind."""
+
+    def test_temp_models_dir_is_removed(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        assert server.main(["smoke", "--n-samples", "2", "--quiet"]) == 0
+        assert list(tmp_path.iterdir()) == []
+
+    def test_temp_models_dir_is_removed_on_failure(self, tmp_path, monkeypatch):
+        def oracle_down(*args, **kwargs):
+            raise RuntimeError("oracle down")
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(server, "_reference_predictions", oracle_down)
+        with pytest.raises(RuntimeError, match="oracle down"):
+            server.main(["smoke", "--n-samples", "2", "--quiet"])
+        assert list(tmp_path.iterdir()) == []
+
+
+# --------------------------------------------------------------------- #
 # service + HTTP front end
 # --------------------------------------------------------------------- #
 class TestServiceHTTP:
@@ -795,16 +851,15 @@ class TestServiceHTTP:
                     svc.classify([image], model="tiny-mnist", seeds=[seed])
             with ServiceServer(svc, port=0) as server:
                 client = ServiceClient(server.url)
-                for seed in (-1, 2.5):
+                for seed in (-1, 2.5, np.float64(3.5), "7"):
                     with pytest.raises(RuntimeError, match="HTTP 400"):
-                        client._request(
-                            "/classify",
-                            {
-                                "images": [image.tolist()],
-                                "model": "tiny-mnist",
-                                "seeds": [seed],
-                            },
+                        client.classify(
+                            [image], model="tiny-mnist", seeds=[seed]
                         )
+                served = client.classify(
+                    [image], model="tiny-mnist", seeds=[np.int64(3)]
+                )
+                assert served["predictions"] == expected.tolist()
 
     def test_workload_resolution_over_http(self, service, small_split):
         image = _test_images(small_split, 1)[0]
