@@ -33,7 +33,6 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.hardware.enhancements import MitigationKind
-from repro.snn.engine import protection_counts
 from repro.snn.synapse import BoundedWeightRule
 from repro.utils.validation import check_non_negative
 
@@ -162,21 +161,17 @@ class NeuronProtection:
     ``trigger_cycles`` consecutive cycles (two in the paper), its spike
     generation is latched off for the rest of the presentation.
 
-    The object has two roles.  On the engine paths the trigger travels as
-    :attr:`~repro.snn.engine.MapRow.protection_trigger_cycles` and the
-    engine applies the ``counter >= trigger_cycles`` gate inline in its
-    timestep loop.  The network front end
-    ``InferenceEngine.evaluate(protection=...)`` records its statistics
-    here through :meth:`commit_batch`, once per settled chunk (the engine
-    may re-simulate suffixes of a chunk to resolve cross-sample
-    faulty-reset latches, and only the accepted passes count); technique
-    evaluations and campaign rows report the same counts on their
-    :class:`~repro.snn.inference.InferenceResult` instead, and serving
-    sessions return each micro-batch's gates on its engine result.
-    In the sequential oracle (:mod:`repro.snn.oracle`), :meth:`__call__`
-    is the monitor run on the :class:`~repro.snn.neuron.LIFNeuronGroup`
-    after every timestep — the reference the inline gate is verified
-    against.
+    On every engine path the trigger travels as
+    :attr:`~repro.snn.engine.MapRow.protection_trigger_cycles` (planned by
+    :meth:`~repro.core.mitigation.BnPTechnique.plan_rows`): the engine
+    applies the ``counter >= trigger_cycles`` gate inline in its timestep
+    loop, and :func:`~repro.snn.inference.evaluate_rows` counts the gates
+    into each row's :class:`~repro.snn.inference.InferenceResult`
+    (``protected_neurons``, ``protection_activations``).  This object is
+    the sequential oracle's step monitor (:mod:`repro.snn.oracle`):
+    :meth:`__call__` runs on the :class:`~repro.snn.neuron.LIFNeuronGroup`
+    after every timestep and counts what it gates — the reference the
+    inline gate is verified against.
 
     Parameters
     ----------
@@ -210,20 +205,6 @@ class NeuronProtection:
             )
             self._activations += int(newly_protected.sum())
         neurons.disable_spiking(stuck)
-
-    def commit_batch(self, spike_disabled: np.ndarray) -> None:
-        """Record the protection statistics of one settled engine chunk.
-
-        *spike_disabled* is the final ``(batch, n_neurons)`` spike-gate
-        state of the chunk's samples; every gated (sample, neuron) pair is
-        one activation, matching the sequential count of newly-protected
-        events.
-        """
-        activations, protected = protection_counts(
-            np.asarray(spike_disabled, dtype=bool)
-        )
-        self._activations += int(activations)
-        self._protected_neurons.update(np.flatnonzero(protected).tolist())
 
     # ------------------------------------------------------------------ #
     @property

@@ -551,7 +551,8 @@ def collect_sweep_result(
             f"{len(missing)} cell(s), first {missing[0]!r}"
         )
 
-    clean_record = records[f"{key}::clean"]
+    # Clean cell first, then the trials rate by rate.
+    clean_record, *trial_records = [records[cell.cell_id] for cell in cells]
     # Per-technique clean baselines; legacy records (written before the
     # clean cell evaluated every technique) only carry the shared entry.
     clean_accuracies = {
@@ -572,19 +573,9 @@ def collect_sweep_result(
         clean_accuracies=clean_accuracies,
     )
     for rate_index, fault_rate in enumerate(fault_rates):
-        per_kind_trials: Dict[MitigationKind, List[float]] = {
-            kind: [] for kind in technique_kinds
-        }
-        for trial_index in range(n_trials):
-            cell_id = (
-                f"{key}::rate[{rate_index}]={float(fault_rate):g}"
-                f"::trial[{trial_index}]"
-            )
-            record = records[cell_id]
-            for kind in technique_kinds:
-                per_kind_trials[kind].append(record.accuracies[kind.value])
+        rate_records = trial_records[rate_index * n_trials : (rate_index + 1) * n_trials]
         for kind in technique_kinds:
-            trials = per_kind_trials[kind]
+            trials = [record.accuracies[kind.value] for record in rate_records]
             series = result.techniques[kind]
             series.fault_rates.append(float(fault_rate))
             series.per_trial.append(trials)

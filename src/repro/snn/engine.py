@@ -556,36 +556,21 @@ class MapParallelEngine:
     def for_network(
         cls,
         network: "DiehlCookNetwork",
-        effective_weights: Optional[BoundedWeightRule] = None,
         model: Optional[object] = None,
-        protection_trigger_cycles: Optional[int] = None,
     ) -> "MapParallelEngine":
         """The one-row engine simulating *network* as it is right now.
 
         Snapshots the network's registers, operation status, LIF parameters
-        and adaptive thresholds.  ``effective_weights`` is the
-        Bound-and-Protect bounding hook; only the symbolic
-        :class:`~repro.snn.synapse.BoundedWeightRule` form is simulated (a
-        dense substitute matrix has no exact register-code decomposition —
-        the sequential oracle in :mod:`repro.snn.oracle` still accepts one).
-        ``model`` defaults to the network configuration's ``neuron_model``.
-        ``protection_trigger_cycles`` is the row's inline neuron protection
-        (:attr:`MapRow.protection_trigger_cycles`).
+        and adaptive thresholds into an unmitigated row; a mitigation
+        reaches the engine only as a planned :class:`MapRow` (weight rule
+        and protection trigger).  ``model`` defaults to the network
+        configuration's ``neuron_model``.
         """
-        if effective_weights is not None and not isinstance(
-            effective_weights, BoundedWeightRule
-        ):
-            raise TypeError(
-                "effective_weights must be a BoundedWeightRule (or None); "
-                f"got {type(effective_weights).__name__}"
-            )
         neurons = network.neurons
         row = MapRow(
             raster_index=0,
             registers=network.synapses.registers,
             operation_status=neurons.operation_status,
-            weight_rule=effective_weights,
-            protection_trigger_cycles=protection_trigger_cycles,
         )
         if model is None:
             model = getattr(network.config, "neuron_model", None)
@@ -984,8 +969,9 @@ class BatchResult:
         the energy model).
     final_reset_latch:
         Faulty-reset latch state ``(n_neurons,)`` after the *last* sample of
-        the batch, accounting for the sequential sample order; feed it as
-        ``initial_reset_latch`` of the next batch.
+        the batch, accounting for the sequential sample order; syncing it
+        back into the network (:meth:`DiehlCookNetwork.sync_neuron_state`)
+        makes the next batch start from it.
     final_state:
         Per-sample final neuron state, ``(batch, n_neurons)`` arrays.
     simulation_passes:
@@ -1036,58 +1022,31 @@ class BatchedInferenceEngine:
             model = getattr(network.config, "neuron_model", None)
         self.model: NeuronModel = resolve_model(model)
 
-    def run(
-        self,
-        images: np.ndarray,
-        rng: RNGLike = None,
-        effective_weights: Optional[BoundedWeightRule] = None,
-        initial_reset_latch: Optional[np.ndarray] = None,
-        carry_reset_latch: bool = True,
-    ) -> BatchResult:
+    def run(self, images: np.ndarray, rng: RNGLike = None) -> BatchResult:
         """Encode and classify a batch of images.
 
         ``images`` is ``(batch, height, width)``, ``(batch, n_inputs)`` or
         a single 2-D image; ``rng`` seeds the encoding, which consumes the
         generator's stream exactly as the sequential per-sample loop would.
-        The other parameters are those of :meth:`run_encoded`.
         """
         flat = flatten_images(images, self.network.n_inputs)
         rasters = self.network.encoder.encode_batch(
             flat[:, np.newaxis, :], rng=resolve_rng(rng)
         )
-        return self.run_encoded(
-            rasters,
-            effective_weights=effective_weights,
-            initial_reset_latch=initial_reset_latch,
-            carry_reset_latch=carry_reset_latch,
-        )
+        return self.run_encoded(rasters)
 
-    def run_encoded(
-        self,
-        rasters: np.ndarray,
-        effective_weights: Optional[BoundedWeightRule] = None,
-        initial_reset_latch: Optional[np.ndarray] = None,
-        carry_reset_latch: bool = True,
-    ) -> BatchResult:
+    def run_encoded(self, rasters: np.ndarray) -> BatchResult:
         """Run pre-encoded rasters of shape ``(batch, timesteps, n_inputs)``.
 
-        ``initial_reset_latch`` defaults to the network's current latches;
-        see :meth:`MapParallelEngine.run_encoded` for ``carry_reset_latch``
-        and :meth:`MapParallelEngine.for_network` for
-        ``effective_weights``.
+        The batch starts from the network's current faulty-reset latches
+        and presents its samples in order, so a latch fired by one sample
+        carries into the next (see :meth:`MapParallelEngine.run_encoded`).
         """
-        if initial_reset_latch is None:
-            initial_reset_latch = self.network.neurons.reset_fault_latched
-        engine = MapParallelEngine.for_network(
-            self.network, effective_weights, self.model
-        )
+        engine = MapParallelEngine.for_network(self.network, self.model)
         result = engine.run_encoded(
             [rasters],
-            initial_reset_latch=np.asarray(initial_reset_latch, dtype=bool)[
-                np.newaxis
-            ],
+            initial_reset_latch=self.network.neurons.reset_fault_latched[np.newaxis],
             collect_output_spikes=True,
-            carry_reset_latch=carry_reset_latch,
         )
         return BatchResult(
             output_spikes=result.output_spikes[0],

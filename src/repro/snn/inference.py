@@ -5,8 +5,9 @@ The inference engine presents test images to a network built from a
 into class votes through the neuron labels, and reports accuracy.  All
 SoftSNN experiments run through this engine: fault injection only changes
 the network the engine is given (corrupted registers and/or neuron operation
-status), and mitigation only changes what the engine row runs under — an
-``effective_weights`` bounding rule and a neuron ``protection`` trigger.
+status), and a mitigation only changes what an engine row runs under — a
+:class:`~repro.snn.engine.MapRow`'s weight rule and protection trigger,
+evaluated through :func:`evaluate_rows`.
 
 Datasets are classified in configurable chunks through the one inference
 engine, :class:`~repro.snn.engine.MapParallelEngine` (a single network is
@@ -32,7 +33,6 @@ from repro.snn.engine import (
 )
 from repro.snn.network import DiehlCookNetwork
 from repro.snn.neuron import LIFParameters
-from repro.snn.synapse import BoundedWeightRule
 from repro.snn.quantization import WeightQuantizer
 from repro.utils.rng import RNGLike, resolve_rng
 
@@ -214,9 +214,7 @@ class InferenceEngine:
         self,
         dataset: Dataset,
         rng: RNGLike = None,
-        effective_weights: Optional[BoundedWeightRule] = None,
         batch_size: Optional[int] = None,
-        protection: Optional[object] = None,
     ) -> InferenceResult:
         """Classify every sample of *dataset* and aggregate the results.
 
@@ -227,14 +225,10 @@ class InferenceEngine:
         group is left in the same final state the per-image reference loop
         (:func:`repro.snn.oracle.evaluate_sequential`) would leave it in.
 
-        ``effective_weights`` (a
-        :class:`~repro.snn.synapse.BoundedWeightRule`) and ``protection``
-        (a :class:`~repro.core.bound_and_protect.NeuronProtection`) are the
-        Bound-and-Protect mitigations.  The engine row bounds with the
-        rule and gates at the protection's ``trigger_cycles`` inside the
-        timestep loop; the protection's ``commit_batch`` records each
-        settled chunk's gates — the spikes and statistics of the
-        sequential oracle run with the same protection as its monitor.
+        The network runs as it is, unmitigated: Bound-and-Protect reaches
+        the engine only as a planned row
+        (:meth:`~repro.core.mitigation.BnPTechnique.plan_rows`,
+        :func:`evaluate_rows`).
 
         ``batch_size=None`` means :data:`repro.snn.kernels.DEFAULT_BATCH_SIZE`;
         results are bit-identical for any chunking.
@@ -253,13 +247,7 @@ class InferenceEngine:
         spike_counts = np.zeros((n_samples, network.n_neurons), dtype=np.int64)
         total_input_spikes = 0
 
-        engine = MapParallelEngine.for_network(
-            network,
-            effective_weights,
-            protection_trigger_cycles=(
-                None if protection is None else protection.trigger_cycles
-            ),
-        )
+        engine = MapParallelEngine.for_network(network)
         latch = network.neurons.reset_fault_latched[np.newaxis].copy()
         for start in range(0, n_samples, batch_size):
             stop = min(start + batch_size, n_samples)
@@ -268,8 +256,6 @@ class InferenceEngine:
             )
             result = engine.run_encoded([chunk], initial_reset_latch=latch)
             latch = result.final_reset_latch
-            if protection is not None:
-                protection.commit_batch(result.final_state.spike_disabled[0])
             predictions[start:stop] = self.classify_batch(result.spike_counts[0])
             spike_counts[start:stop] = result.spike_counts[0]
             total_input_spikes += int(result.input_spike_counts.sum())

@@ -3,14 +3,12 @@
 :class:`DiehlCookNetwork` wires together the pieces of the substrate —
 Poisson input encoding, the synapse crossbar, and the LIF excitatory layer
 with direct lateral inhibition — into the network of Fig. 1(a).
-:meth:`DiehlCookNetwork.present` accepts one run-time hook without knowing
-anything about mitigation: ``effective_weights``, a
-:class:`~repro.snn.synapse.BoundedWeightRule` applied during current
-accumulation (this is where Bound-and-Protect weight bounding acts: the
-bounding logic sits between the weight register and the adder, so the
-stored/faulty registers are untouched but the value entering the adder is
-bounded).  Neuron protection is a row property of the inference engine
-(:attr:`~repro.snn.engine.MapRow.protection_trigger_cycles`).
+:meth:`DiehlCookNetwork.present` simulates the network as it is and knows
+nothing of mitigation: Bound-and-Protect's weight bounding (a
+:class:`~repro.snn.synapse.BoundedWeightRule` between the weight register
+and the adder) and neuron protection are row properties of the inference
+engine (:class:`~repro.snn.engine.MapRow`), planned by the mitigation
+technique.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from repro.snn.models import DEFAULT_NEURON_MODEL, get_model
 from repro.snn.neuron import LIFNeuronGroup, LIFParameters, NeuronOperationStatus
 from repro.snn.quantization import WeightQuantizer
 from repro.snn.stdp import STDPConfig
-from repro.snn.synapse import BoundedWeightRule, SynapseMatrix
+from repro.snn.synapse import SynapseMatrix
 from repro.utils.rng import RNGLike, resolve_rng
 
 __all__ = ["NetworkConfig", "DiehlCookNetwork", "SampleResult"]
@@ -251,12 +249,7 @@ class DiehlCookNetwork:
     # ------------------------------------------------------------------ #
     # simulation
     # ------------------------------------------------------------------ #
-    def present(
-        self,
-        image: np.ndarray,
-        rng: RNGLike = None,
-        effective_weights: Optional[BoundedWeightRule] = None,
-    ) -> SampleResult:
+    def present(self, image: np.ndarray, rng: RNGLike = None) -> SampleResult:
         """Present one image for inference for ``config.timesteps`` steps.
 
         The image runs as a batch of one through the inference engine
@@ -271,21 +264,13 @@ class DiehlCookNetwork:
             Grayscale image whose flattened size equals ``n_inputs``.
         rng:
             Seed or generator for the Poisson input encoding.
-        effective_weights:
-            Optional :class:`~repro.snn.synapse.BoundedWeightRule` applied
-            between the registers and the adder chain (the Bound-and-Protect
-            weight-bounding hook).
         """
         image = np.asarray(image, dtype=np.float64)
         if image.size != self.n_inputs:
             raise ValueError(
                 f"image has {image.size} pixels but the network expects {self.n_inputs}"
             )
-        result = BatchedInferenceEngine(self).run(
-            image.reshape(1, -1),
-            rng=rng,
-            effective_weights=effective_weights,
-        )
+        result = BatchedInferenceEngine(self).run(image.reshape(1, -1), rng=rng)
         self.sync_neuron_state(result.final_state, result.final_reset_latch)
         return SampleResult(
             spike_counts=result.spike_counts[0],

@@ -2,8 +2,9 @@
 
 The inference engine (:mod:`repro.snn.engine`), driven through
 ``InferenceEngine.evaluate`` and the per-network ``BatchedInferenceEngine``
-front end, must be indistinguishable — spike raster for spike raster,
-prediction for prediction — from the per-timestep reference loop
+front end, and — for Bound-and-Protect — through a planned one-row
+``evaluate_rows`` call, must be indistinguishable — spike raster for spike
+raster, prediction for prediction — from the per-timestep reference loop
 (:mod:`repro.snn.oracle`), under a fixed RNG, for
 every fault scenario of the paper: the clean network, synapse-register bit
 flips, and faulty neuron operations, including the faulty-``Vmem reset``
@@ -20,8 +21,8 @@ from repro.core.mitigation import BnPTechnique, NoMitigation
 from repro.data.synthetic_mnist import SyntheticMNIST
 from repro.faults.injector import FaultInjector
 from repro.faults.models import ComputeEngineFaultConfig
-from repro.snn.engine import BatchedInferenceEngine
-from repro.snn.inference import InferenceEngine
+from repro.snn.engine import BatchedInferenceEngine, MapRow
+from repro.snn.inference import InferenceEngine, evaluate_rows
 from repro.snn.network import DiehlCookNetwork, NetworkConfig
 from repro.snn.neuron import NeuronOperationStatus
 from repro.snn.oracle import evaluate_sequential, present_sequential
@@ -53,6 +54,28 @@ def build_network(config, status=None):
     if status is not None:
         network.set_neuron_fault_status(status.copy())
     return network
+
+
+def evaluate_as_row(network, labels, dataset, rng, batch_size, **mitigation):
+    """Evaluate *network* as one planned row, the route Bound-and-Protect takes.
+
+    ``mitigation`` holds the row's ``weight_rule`` and/or
+    ``protection_trigger_cycles``.
+    """
+    row = MapRow(
+        0, network.synapses.registers, network.neurons.operation_status, **mitigation
+    )
+    [result] = evaluate_rows(
+        [row],
+        [network.encoder.encode_batch(dataset.images, rng=rng)],
+        labels,
+        dataset.labels,
+        quantizer=network.synapses.quantizer,
+        params=network.neurons.params,
+        theta=network.neurons.theta,
+        batch_size=batch_size,
+    )
+    return result
 
 
 def assert_results_identical(sequential, batched):
@@ -182,15 +205,16 @@ class TestSynapseFaultParity:
             rng=np.random.default_rng(7),
             effective_weights=bounded,
         )
-        batched = InferenceEngine(
-            self._faulted_network(parity_config, 1e-1), labels
-        ).evaluate(
+        batched = evaluate_as_row(
+            self._faulted_network(parity_config, 1e-1),
+            labels,
             parity_dataset,
             rng=np.random.default_rng(7),
-            effective_weights=bounded,
             batch_size=6,
+            weight_rule=bounded,
         )
         assert_results_identical(sequential, batched)
+        assert batched.bounded_synapses > 0
 
 
 class TestNeuronFaultParity:
@@ -292,24 +316,25 @@ class TestProtectionParity:
         self, parity_dataset, parity_config, labels
     ):
         seq_net = build_network(parity_config, self._status())
-        bat_net = build_network(parity_config, self._status())
-        seq_protection = NeuronProtection(trigger_cycles=2)
-        bat_protection = NeuronProtection(trigger_cycles=2)
+        protection = NeuronProtection(trigger_cycles=2)
         sequential = evaluate_sequential(
             InferenceEngine(seq_net, labels),
             parity_dataset,
             rng=np.random.default_rng(7),
-            step_monitor=seq_protection,
+            step_monitor=protection,
         )
-        batched = InferenceEngine(bat_net, labels).evaluate(
+        batched = evaluate_as_row(
+            build_network(parity_config, self._status()),
+            labels,
             parity_dataset,
             rng=np.random.default_rng(7),
-            protection=bat_protection,
             batch_size=4,
+            protection_trigger_cycles=2,
         )
         assert_results_identical(sequential, batched)
-        assert seq_protection.statistics() == bat_protection.statistics()
-        assert bat_protection.n_protected > 0
+        assert batched.protected_neurons == protection.protected_neurons
+        assert batched.protection_activations == protection.activation_count
+        assert protection.n_protected > 0
 
     def test_bnp_technique_batch_size_invariance(self, trained_model, small_split):
         _, test_set = small_split

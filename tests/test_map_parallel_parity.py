@@ -3,10 +3,8 @@
 The load-bearing contract of :class:`repro.snn.engine.MapParallelEngine` is
 bitwise identity: evaluating N fault maps (and techniques) stacked into one
 fused pass must produce, per row, exactly the spikes, predictions and spike
-counts the row's own network yields through a one-row engine
-(:meth:`repro.snn.engine.MapParallelEngine.for_network` with the row's
-bounding rule and protection trigger) over the same rasters — across
-clean, faulty and protected modes, for any map count (including the
+counts the row yields alone in a one-row engine over the same rasters —
+across clean, faulty and protected modes, for any map count (including the
 single-map degenerate case) and any chunking.  On top of the engine
 parity, the campaign-level tests pin that grouped map-parallel cell
 execution writes byte-identical result-store records to cell-at-a-time
@@ -16,6 +14,7 @@ execution.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -57,21 +56,19 @@ from repro.snn.training import TrainedModel
 def reference_row(model, row: MapRow, raster: np.ndarray, batch_size: int):
     """Evaluate one row alone through its own one-row engine.
 
-    Returns ``(spike_counts, predictions)``: a fresh network carrying the
-    row's registers and operation status, run through
-    :meth:`MapParallelEngine.for_network` with the row's bounding rule and
-    protection trigger, in chunked ``run_encoded`` calls with the
-    faulty-reset latch carried across chunks.
+    Returns ``(spike_counts, predictions)``: the row (its registers,
+    operation status, bounding rule and protection trigger) in a
+    :class:`MapParallelEngine` of its own, run in chunked ``run_encoded``
+    calls with the faulty-reset latch carried across chunks.
     """
-    network = model.build_network(rng=0)
-    network.synapses.set_registers(np.asarray(row.registers))
-    network.neurons.set_operation_status(row.operation_status)
-    engine = MapParallelEngine.for_network(
-        network,
-        row.weight_rule,
-        protection_trigger_cycles=row.protection_trigger_cycles,
+    engine = MapParallelEngine(
+        [replace(row, raster_index=0)],
+        quantizer=model.network_config.make_quantizer(model.clean_max_weight),
+        params=model.network_config.neuron_params,
+        theta=model.theta,
+        model=model.network_config.neuron_model,
     )
-    latch = network.neurons.reset_fault_latched[np.newaxis].copy()
+    latch = None
     counts = []
     for start in range(0, raster.shape[0], batch_size):
         chunk = engine.run_encoded(

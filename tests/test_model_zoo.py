@@ -23,7 +23,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core.bound_and_protect import BnPVariant, NeuronProtection, WeightBounding
+from repro.core.bound_and_protect import BnPVariant, WeightBounding
 from repro.eval.campaign import CampaignSpec, TechniqueSpec
 from repro.eval.experiment import ExperimentConfig
 from repro.data.synthetic_mnist import SyntheticMNIST
@@ -37,7 +37,7 @@ from repro.snn.encoding import (
     get_encoder,
     register_encoder,
 )
-from repro.snn.engine import MapParallelEngine, MapRow
+from repro.snn.engine import MapParallelEngine, MapRow, protection_counts
 from repro.snn.oracle import evaluate_sequential, train_sequential
 from repro.snn.inference import InferenceEngine, class_indicator, evaluate_rows
 from repro.snn.kernels import (
@@ -118,6 +118,50 @@ def handmade_model(model_name, encoding=DEFAULT_ENCODING):
         clean_max_weight=1.0,
         clean_most_probable_weight=0.6,
     )
+
+
+def row_engine(network, protection_trigger_cycles=None):
+    """A one-row engine of *network*'s registers, health and neuron model."""
+    row = MapRow(
+        0,
+        network.synapses.registers,
+        network.neurons.operation_status,
+        protection_trigger_cycles=protection_trigger_cycles,
+    )
+    return MapParallelEngine(
+        [row],
+        quantizer=network.synapses.quantizer,
+        params=network.neurons.params,
+        theta=network.neurons.theta,
+        model=network.config.neuron_model,
+    )
+
+
+def run_chunked(engine, raster, batch_size):
+    """Chunked ``run_encoded`` calls of a one-row engine, latch carried.
+
+    Returns the spike counts, the final faulty-reset latch, the protection
+    activations and the mask of protected neurons.
+    """
+    latch = None
+    counts = []
+    activations = 0
+    protected = np.zeros(engine.n_neurons, dtype=bool)
+    for start in range(0, raster.shape[0], batch_size):
+        chunk = engine.run_encoded(
+            [raster[start : start + batch_size]], initial_reset_latch=latch
+        )
+        latch = chunk.final_reset_latch
+        counts.append(chunk.spike_counts[0])
+        gated, gated_neurons = protection_counts(chunk.final_state.spike_disabled[0])
+        activations += int(gated)
+        protected |= gated_neurons
+    return np.concatenate(counts), latch[0], activations, protected
+
+
+def assert_outcomes_equal(first, second):
+    for ours, theirs in zip(first, second):
+        assert np.array_equal(ours, theirs)
 
 
 # --------------------------------------------------------------------- #
@@ -423,40 +467,21 @@ class _SlowLeakModel(NeuronModel):
 class TestDynamicsOnlyModel:
     """The shared timestep loop supplies everything but the dynamics."""
 
-    def test_registered_toy_model_is_chunk_size_invariant(
-        self, zoo_dataset, labels
-    ):
+    def test_registered_toy_model_is_chunk_size_invariant(self, zoo_dataset):
         model = register_model(_SlowLeakModel(), replace=True)
         assert "advance" not in vars(type(model))
-        config = zoo_config(model.name)
-        monitors = [NeuronProtection(trigger_cycles=2) for _ in range(2)]
-        networks = [build_network(config, faulty_status()) for _ in range(2)]
-        outcomes = [
-            InferenceEngine(network, labels).evaluate(
-                zoo_dataset,
-                rng=np.random.default_rng(7),
-                protection=monitor,
-                batch_size=batch_size,
-            )
-            for network, monitor, batch_size in zip(networks, monitors, (1, 4))
-        ]
-        assert outcomes[0].spike_counts.sum() > 0
-        assert np.array_equal(outcomes[0].predictions, outcomes[1].predictions)
-        assert np.array_equal(outcomes[0].spike_counts, outcomes[1].spike_counts)
-        assert monitors[0].statistics() == monitors[1].statistics()
-        assert np.array_equal(
-            networks[0].neurons.reset_fault_latched,
-            networks[1].neurons.reset_fault_latched,
+        network = build_network(zoo_config(model.name), faulty_status())
+        raster = network.encoder.encode_batch(
+            zoo_dataset.images, rng=np.random.default_rng(7)
         )
-        lif = InferenceEngine(
-            build_network(zoo_config(), faulty_status()), labels
-        ).evaluate(
-            zoo_dataset,
-            rng=np.random.default_rng(7),
-            protection=NeuronProtection(trigger_cycles=2),
-            batch_size=4,
+        engine = row_engine(network, protection_trigger_cycles=2)
+        outcomes = [run_chunked(engine, raster, batch_size) for batch_size in (1, 4)]
+        assert outcomes[0][0].sum() > 0
+        assert_outcomes_equal(*outcomes)
+        lif = row_engine(
+            build_network(zoo_config(), faulty_status()), protection_trigger_cycles=2
         )
-        assert not np.array_equal(lif.spike_counts, outcomes[0].spike_counts)
+        assert not np.array_equal(run_chunked(lif, raster, 4)[0], outcomes[0][0])
 
 
 # --------------------------------------------------------------------- #
@@ -500,20 +525,15 @@ class TestPerModelEngineParity:
         )
 
     @pytest.mark.parametrize("model", MODELS)
-    def test_chunk_size_invariance_protected(self, zoo_dataset, labels, model):
-        config = zoo_config(model)
-        monitors = [NeuronProtection(trigger_cycles=2) for _ in range(2)]
-        outcomes = [
-            InferenceEngine(build_network(config, faulty_status()), labels).evaluate(
-                zoo_dataset,
-                rng=np.random.default_rng(7),
-                protection=monitor,
-                batch_size=batch_size,
-            )
-            for monitor, batch_size in zip(monitors, (1, 5))
-        ]
-        assert np.array_equal(outcomes[0].predictions, outcomes[1].predictions)
-        assert monitors[0].statistics() == monitors[1].statistics()
+    def test_chunk_size_invariance_protected(self, zoo_dataset, model):
+        network = build_network(zoo_config(model), faulty_status())
+        raster = network.encoder.encode_batch(
+            zoo_dataset.images, rng=np.random.default_rng(7)
+        )
+        engine = row_engine(network, protection_trigger_cycles=2)
+        outcomes = [run_chunked(engine, raster, batch_size) for batch_size in (1, 5)]
+        assert outcomes[0][2] > 0
+        assert_outcomes_equal(*outcomes)
 
     def test_lif_model_still_matches_sequential_reference(
         self, zoo_dataset, labels
@@ -577,23 +597,16 @@ class TestPerModelEngineParity:
             model=model,
         )
         for row, result in zip(rows, results):
-            reference = trained.build_network(rng=0)
-            reference.synapses.set_registers(np.asarray(row.registers))
-            reference.neurons.set_operation_status(row.operation_status)
-            engine = MapParallelEngine.for_network(
-                reference,
-                row.weight_rule,
-                protection_trigger_cycles=row.protection_trigger_cycles,
+            engine = MapParallelEngine(
+                [row],
+                quantizer=trained.network_config.make_quantizer(
+                    trained.clean_max_weight
+                ),
+                params=trained.network_config.neuron_params,
+                theta=trained.theta,
+                model=model,
             )
-            latch = reference.neurons.reset_fault_latched[np.newaxis].copy()
-            counts = []
-            for start in range(0, raster.shape[0], 2):
-                chunk = engine.run_encoded(
-                    [raster[start : start + 2]], initial_reset_latch=latch
-                )
-                latch = chunk.final_reset_latch
-                counts.append(chunk.spike_counts[0])
-            spike_counts = np.concatenate(counts)
+            spike_counts = run_chunked(engine, raster, 2)[0]
             votes = spike_counts.astype(np.float64) @ class_indicator(
                 trained.neuron_labels
             )

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.data.synthetic_mnist import SyntheticMNIST
+from repro.snn.engine import MapParallelEngine, MapRow
 from repro.snn.inference import InferenceEngine, InferenceResult
 from repro.snn.network import DiehlCookNetwork, NetworkConfig
 from repro.snn.neuron import LIFParameters
@@ -101,11 +102,23 @@ class TestDiehlCookNetwork:
     def test_effective_weights_override(self):
         network = self._network()
         image = SyntheticMNIST().render(5, rng=1)
-        # A zero threshold bounds every synapse; a zero substitute silences it.
-        silent = network.present(
-            image, rng=3, effective_weights=BoundedWeightRule(0.0, 0.0)
+        # The bounding rule reaches the engine on a row: a zero threshold
+        # bounds every synapse, a zero substitute silences it.
+        row = MapRow(
+            0,
+            network.synapses.registers,
+            network.neurons.operation_status,
+            weight_rule=BoundedWeightRule(0.0, 0.0),
         )
-        assert silent.total_output_spikes == 0
+        engine = MapParallelEngine(
+            [row],
+            quantizer=network.synapses.quantizer,
+            params=network.neurons.params,
+            theta=network.neurons.theta,
+        )
+        silent = engine.run_encoded([network.encoder.encode_batch(image, rng=3)])
+        assert silent.spike_counts.sum() == 0
+        assert network.present(image, rng=3).total_output_spikes > 0
 
     def test_normalize_weights_sets_column_sums(self):
         network = self._network()
