@@ -38,7 +38,7 @@ rasters.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -235,9 +235,7 @@ def evaluate_techniques_mapped(
     model: TrainedModel,
     dataset: Dataset,
     techniques: Sequence["MitigationTechnique"],
-    fault_config: Optional[ComputeEngineFaultConfig],
     fault_maps: Optional[Sequence[FaultMap]],
-    generators: Sequence[np.random.Generator],
     rasters: Sequence,
     batch_size: Optional[int] = None,
 ) -> Dict[MitigationKind, List[InferenceResult]]:
@@ -260,15 +258,8 @@ def evaluate_techniques_mapped(
     techniques:
         Techniques to compare, of distinct kinds (results are keyed by
         :attr:`MitigationTechnique.kind`).
-    fault_config:
-        Injection configuration shared by the maps (``None`` for the
-        fault-free reference measurement).
     fault_maps:
         One pre-drawn fault map per cell, or ``None`` for clean cells.
-    generators:
-        One per-cell generator, consumed — in technique order — only by
-        techniques that draw additional randomness (re-execution with a
-        nonzero ``reexposure_fraction``).
     rasters:
         One raster group per cell (see
         :func:`~repro.snn.inference.evaluate_rows`): a pre-encoded spike
@@ -290,10 +281,7 @@ def evaluate_techniques_mapped(
     if not rasters:
         raise ValueError("at least one raster group (cell) is required")
     assets = prepare_map_assets(model, fault_maps, len(rasters))
-    plans = [
-        technique.plan_rows(model, assets, fault_config, generators)
-        for technique in techniques
-    ]
+    plans = [technique.plan_rows(model, assets) for technique in techniques]
     rows = [row for plan in plans for row in plan.rows]
     quantizer = model.network_config.make_quantizer(model.clean_max_weight)
     row_results = evaluate_rows(
@@ -341,9 +329,9 @@ class MitigationTechnique(abc.ABC):
 
         The one-cell, one-technique case of
         :func:`evaluate_techniques_mapped`: one generator serves the whole
-        cell — the fault map (unless one is passed), this technique's extra
-        draws (:meth:`plan_rows`), then the Poisson encoding, streamed one
-        engine chunk at a time.
+        cell — a discarded initial-weight draw, the fault map (unless one
+        is passed), then the Poisson encoding, streamed one engine chunk at
+        a time.
 
         Parameters
         ----------
@@ -385,9 +373,7 @@ class MitigationTechnique(abc.ABC):
             model,
             dataset,
             [self],
-            fault_config,
             None if fault_map is None else [fault_map],
-            [generator],
             [raster],
             batch_size,
         )[self.kind][0]
@@ -400,17 +386,14 @@ class MitigationTechnique(abc.ABC):
         self,
         model: TrainedModel,
         assets: Sequence[MapAssets],
-        fault_config: Optional[ComputeEngineFaultConfig],
-        generators: Sequence[np.random.Generator],
     ) -> TechniqueRowPlan:
         """Contribute this technique's per-map rows to a fused unit.
 
         A technique participates in fused map-parallel execution by
         translating each fault map's :class:`MapAssets` into one or more
         :class:`~repro.snn.engine.MapRow` configurations (stacked
-        registers, bounding rule, protection trigger).  ``generators`` are
-        the per-cell generators, to be consumed only when the technique
-        needs additional random draws.
+        registers, bounding rule, protection trigger).  Planning draws no
+        randomness: the rows follow from the model and the maps alone.
         """
 
     def combine_row_results(
@@ -441,8 +424,6 @@ class NoMitigation(MitigationTechnique):
         self,
         model: TrainedModel,
         assets: Sequence[MapAssets],
-        fault_config: Optional[ComputeEngineFaultConfig],
-        generators: Sequence[np.random.Generator],
     ) -> TechniqueRowPlan:
         """One row per map: the corrupted engine, used as-is."""
         rows = [asset.faulty_row() for asset in assets]
@@ -453,10 +434,10 @@ class ReExecutionTMR(MitigationTechnique):
     """Re-execution baseline: triple modular redundancy in time.
 
     Every input is classified ``n_executions`` times and the predictions are
-    combined by majority vote (ties resolve to the first execution's
-    prediction).  All executions of a cell see the same presented input —
-    the cell's one encoded raster — as in the paper's redundant execution
-    of one inference; they differ only in the compute-engine state.
+    combined by majority vote.  All executions of a cell see the same
+    presented input — the cell's one encoded raster — as in the paper's
+    redundant execution of one inference; they differ only in the
+    compute-engine state.
 
     The fault model follows the paper's Section 2.2 persistence rules: bit
     flips persist *until the register is overwritten* and faulty neuron
@@ -467,85 +448,39 @@ class ReExecutionTMR(MitigationTechnique):
     much longer mission times, the probability that a fresh particle strike
     lands during a re-execution is negligible.  The first execution
     therefore carries the accumulated fault map and the re-executions run
-    (essentially) clean — which is exactly why the paper observes that
-    re-execution restores near-clean accuracy at three times the latency and
-    energy.  The optional ``reexposure_fraction`` re-injects a scaled-down
-    fault rate into the re-executions for users who want to model longer
-    exposure windows.
+    clean — which is exactly why the paper observes that re-execution
+    restores near-clean accuracy at three times the latency and energy.
 
     Parameters
     ----------
     n_executions:
         Number of redundant executions (3 in the paper's TMR mode).
-    reexposure_fraction:
-        Fraction of the original fault rate that each re-execution is
-        exposed to after its parameter reload (0 by default).
     """
 
     kind = MitigationKind.RE_EXECUTION
 
-    def __init__(
-        self, n_executions: int = 3, reexposure_fraction: float = 0.0
-    ) -> None:
+    def __init__(self, n_executions: int = 3) -> None:
         if n_executions < 1 or n_executions % 2 == 0:
             raise ValueError(
                 f"n_executions must be a positive odd number, got {n_executions}"
             )
-        if not 0.0 <= reexposure_fraction <= 1.0:
-            raise ValueError(
-                f"reexposure_fraction must lie in [0, 1], got {reexposure_fraction}"
-            )
         self.n_executions = int(n_executions)
-        self.reexposure_fraction = float(reexposure_fraction)
 
     def plan_rows(
         self,
         model: TrainedModel,
         assets: Sequence[MapAssets],
-        fault_config: Optional[ComputeEngineFaultConfig],
-        generators: Sequence[np.random.Generator],
     ) -> TechniqueRowPlan:
         """First execution carries the map; re-executions run reloaded.
 
-        With the default ``reexposure_fraction = 0`` the parameter reload
-        makes every re-execution deterministic on the presented rasters, so
-        all ``n_executions - 1`` re-executions share one clean row (the
-        combine step replicates its predictions into the vote).  A nonzero
-        reexposure draws one scaled-down fault map per re-execution from
-        the cell's generator.
+        The parameter reload makes every re-execution deterministic on the
+        presented rasters, so all ``n_executions - 1`` re-executions share
+        one clean row.
         """
-        reexposed = (
-            self.reexposure_fraction > 0.0
-            and fault_config is not None
-            and fault_config.fault_rate > 0.0
-            and self.n_executions > 1
-        )
-        if reexposed:
-            scaled = replace(
-                fault_config,
-                fault_rate=fault_config.fault_rate * self.reexposure_fraction,
-            )
-            quantizer = model.network_config.make_quantizer(model.clean_max_weight)
-            map_generator = fault_map_generator(model)
-            injector = NeuronFaultInjector(n_neurons=model.n_neurons)
         rows: List[MapRow] = []
-        for index, asset in enumerate(assets):
+        for asset in assets:
             rows.append(asset.faulty_row())
-            if reexposed:
-                for _ in range(self.n_executions - 1):
-                    re_map = map_generator.generate(scaled, rng=generators[index])
-                    rows.append(
-                        MapRow(
-                            raster_index=asset.raster_index,
-                            registers=_corrupt_registers(
-                                asset.clean_registers, re_map, quantizer
-                            ),
-                            operation_status=injector.outcome_from_faults(
-                                re_map.neuron_faults
-                            ).status,
-                        )
-                    )
-            elif self.n_executions > 1:
+            if self.n_executions > 1:
                 rows.append(
                     MapRow(
                         raster_index=asset.raster_index,
@@ -554,53 +489,36 @@ class ReExecutionTMR(MitigationTechnique):
                     )
                 )
         return TechniqueRowPlan(
-            kind=self.kind,
-            rows=rows,
-            rows_per_cell=self.n_executions if reexposed else min(self.n_executions, 2),
+            kind=self.kind, rows=rows, rows_per_cell=min(self.n_executions, 2)
         )
 
     def combine_row_results(
         self, row_results: List[InferenceResult], plan: TechniqueRowPlan
     ) -> List[InferenceResult]:
-        """Majority-vote each map's executions (shared clean row expanded)."""
+        """Elect each map's per-sample majority prediction.
+
+        The shared clean row casts ``n_executions - 1`` identical votes
+        against the faulty row's one, so the majority is the clean row's
+        prediction whenever there are re-executions and the faulty row's
+        otherwise: each map's last row.  Spike counts are the first (faulty)
+        execution's; input spikes are summed over all ``n_executions``.
+        """
         per_cell = plan.rows_per_cell
         results: List[InferenceResult] = []
         for start in range(0, len(row_results), per_cell):
-            group = row_results[start : start + per_cell]
-            if per_cell == 2 and self.n_executions > 2:
-                runs = [group[0]] + [group[1]] * (self.n_executions - 1)
-            else:
-                runs = list(group)
-            predictions = self._majority_vote([run.predictions for run in runs])
-            first = runs[0]
+            faulty = row_results[start]
+            elected = row_results[start + per_cell - 1]
             results.append(
                 InferenceResult(
-                    predictions=predictions,
-                    labels=first.labels.copy(),
-                    spike_counts=first.spike_counts.copy(),
-                    total_input_spikes=sum(
-                        run.total_input_spikes for run in runs
-                    ),
-                    per_sample_output_spikes=list(first.per_sample_output_spikes),
+                    predictions=elected.predictions.copy(),
+                    labels=faulty.labels.copy(),
+                    spike_counts=faulty.spike_counts.copy(),
+                    total_input_spikes=faulty.total_input_spikes
+                    + (self.n_executions - 1) * elected.total_input_spikes,
+                    per_sample_output_spikes=list(faulty.per_sample_output_spikes),
                 )
             )
         return results
-
-    @staticmethod
-    def _majority_vote(prediction_sets) -> np.ndarray:
-        """Per-sample majority vote across executions (ties -> first run)."""
-        stacked = np.stack(prediction_sets, axis=0)
-        n_runs, n_samples = stacked.shape
-        voted = np.empty(n_samples, dtype=np.int64)
-        for index in range(n_samples):
-            values, counts = np.unique(stacked[:, index], return_counts=True)
-            best = counts.max()
-            winners = values[counts == best]
-            if winners.size == 1:
-                voted[index] = winners[0]
-            else:
-                voted[index] = stacked[0, index]
-        return voted
 
 
 class BnPTechnique(MitigationTechnique):
@@ -649,8 +567,6 @@ class BnPTechnique(MitigationTechnique):
         self,
         model: TrainedModel,
         assets: Sequence[MapAssets],
-        fault_config: Optional[ComputeEngineFaultConfig],
-        generators: Sequence[np.random.Generator],
     ) -> TechniqueRowPlan:
         """One bounded-and-protected row per map.
 

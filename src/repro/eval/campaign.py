@@ -69,6 +69,7 @@ from repro.faults.models import ComputeEngineFaultConfig
 from repro.hardware.enhancements import MitigationKind
 from repro.obs import metrics as _obs
 from repro.obs.trace import span
+from repro.snn.engine import flatten_images
 from repro.snn.training import TrainedModel
 from repro.utils.logging import get_logger
 from repro.utils.rng import derive_cell_seed, derive_clean_seed
@@ -328,17 +329,14 @@ class UnitInputs:
 
     Everything :func:`execute_cell_group` derives from the cell seeds
     before the engine pass: the drawn fault maps (``None`` for the clean
-    unit), one pre-encoded presentation raster per cell, and the per-cell
-    generators advanced past map drawing and encoding (techniques that
-    draw extra randomness consume them next).  Warm pool workers prepare
-    them in a separate, timed stage before the engine pass — the records
-    are bit-identical either way because the same streams are consumed in
-    the same order.
+    unit) and one pre-encoded presentation raster per cell.  Warm pool
+    workers prepare them in a separate, timed stage before the engine
+    pass — the records are bit-identical either way because the same
+    streams are consumed in the same order.
     """
 
     fault_maps: Optional[List["FaultMap"]]
     rasters: List[np.ndarray]
-    generators: List[np.random.Generator]
 
 
 def _validate_unit(
@@ -388,9 +386,7 @@ def prepare_unit_inputs(
     drawn first, then the test set is Poisson-encoded once, and every
     technique later evaluates against that same fault map *and* the same
     encoded presentations — the paired-comparison protocol of the paper
-    applied to presentations as well as maps.  The returned generators are
-    left exactly where techniques that draw extra randomness (re-execution
-    with ``reexposure_fraction > 0``) expect to resume them.
+    applied to presentations as well as maps.
     """
     cells = list(cells)
     _validate_unit(cells, techniques=None)
@@ -407,12 +403,12 @@ def prepare_unit_inputs(
         ]
 
     encoder = model.network_config.make_encoder()
-    flat = np.asarray(dataset.images, dtype=np.float64).reshape(len(dataset), -1)
+    flat = flatten_images(dataset.images, model.network_config.n_inputs)
     rasters = [
         encoder.encode_batch(flat[:, np.newaxis, :], rng=generator)
         for generator in generators
     ]
-    return UnitInputs(fault_maps=fault_maps, rasters=rasters, generators=generators)
+    return UnitInputs(fault_maps=fault_maps, rasters=rasters)
 
 
 def execute_cell_group(
@@ -458,7 +454,6 @@ def execute_cell_group(
     started = time.perf_counter()
     if inputs is None:
         inputs = prepare_unit_inputs(cells, model, dataset)
-    config = _unit_fault_config(cells[0])
     fault_maps = inputs.fault_maps
 
     with span(
@@ -471,9 +466,7 @@ def execute_cell_group(
             model,
             dataset,
             techniques,
-            fault_config=config,
             fault_maps=fault_maps,
-            generators=inputs.generators,
             rasters=inputs.rasters,
             batch_size=cells[0].batch_size,
         )

@@ -22,9 +22,12 @@ Workers (long-lived child processes)
     Cell seeds are pure functions of grid coordinates, so the records are
     bit-identical to serial execution.
 
-Scheduling is group-aware: units are assigned largest-first (LPT, by cell
-count and then fault rate) and routed with affinity to a worker that already holds the unit's experiment
-assets, unless that worker is overloaded relative to the least-loaded one.
+Scheduling deals units from one orchestrator-side queue, largest first (by
+cell count, then fault rate).  Every live worker holds at most two units;
+the first deal is round-robin, so the two heaviest units start on different
+workers, and every finished unit frees its worker's slot for the next one.
+A worker loads an experiment's snapshot the first time one of its units
+names it, which costs milliseconds, so units go wherever a slot is free.
 Results stream back over a single queue, so the caller's ``on_result``
 callback (and therefore ``ResultStore`` append/fsync and resume
 fingerprints) behaves exactly as in serial execution.
@@ -34,11 +37,12 @@ block (sentinel, then ``terminate``), so neither an error nor a
 ``KeyboardInterrupt`` leaves child processes behind.  A worker that dies
 mid-unit is detected by liveness polling; its in-flight unit is named
 (experiment key plus cell ids) and re-executed serially once, and its
-queued units are redistributed to the surviving workers.
+other unit goes back to the front of the queue for the surviving workers.
 """
 
 from __future__ import annotations
 
+import collections
 import ctypes
 import logging
 import os
@@ -73,7 +77,8 @@ _LOGGER = get_logger("eval.pool")
 
 # Pool telemetry (docs/observability.md): orchestrator-observed unit wall
 # times, worker-measured stage times, live busy/queue gauges for the
-# progress line, and the crash/retry/scheduling counters that used to be invisible log lines at best.
+# progress line, and the crash/retry counters that used to be invisible log
+# lines at best.
 _POOL_UNIT_SECONDS = _obs.get_registry().histogram(
     "softsnn_campaign_unit_seconds",
     "Per-unit wall time, start-to-done as observed by the orchestrator.",
@@ -99,15 +104,10 @@ _POOL_RETRIES = _obs.get_registry().counter(
     "softsnn_campaign_unit_retries_total",
     "Units re-executed serially in the orchestrator after a worker crash.",
 )
-_POOL_SCHED = _obs.get_registry().counter(
-    "softsnn_campaign_sched_decisions_total",
-    "LPT unit-routing decisions by policy.",
-    labels=("policy",),
-)
 
 # Units a worker may have queued or running at once.  Two hides the
-# done-to-next-unit round trip while leaving the rest of the backlog with
-# the orchestrator, free to move if a worker crashes.
+# done-to-next-unit round trip while leaving the rest of the queue with
+# the orchestrator, free to go to any worker.
 _MAX_IN_FLIGHT = 2
 
 # OpenBLAS thread (setter, getter) symbols: numpy's bundled scipy-openblas
@@ -160,7 +160,6 @@ class _WorkerState:
 
     process: mp.process.BaseProcess
     task_queue: "mp.queues.Queue"
-    backlog: List[int] = field(default_factory=list)
     in_flight: List[int] = field(default_factory=list)
     started_unit: Optional[int] = None
     alive: bool = True
@@ -335,54 +334,6 @@ def _describe_unit(unit: Sequence[SweepCell]) -> str:
     return f"experiment {unit[0].experiment_key}: [{cell_ids}]"
 
 
-def _assign_units(
-    units: Sequence[Sequence[SweepCell]],
-    n_workers: int,
-    decisions: Optional[Dict[str, int]] = None,
-) -> List[List[int]]:
-    """Largest-first (LPT) assignment with experiment affinity.
-
-    Returns per-worker lists of unit indices.  Each unit goes to the
-    least-loaded worker, except that a worker already holding the unit's
-    experiment assets is preferred as long as its load stays within one
-    unit-cost of the minimum — re-using a loaded model beats perfect
-    balance for anything but large imbalances.  When *decisions* is given,
-    per-policy routing counts are accumulated into it (the same tallies
-    feed the ``softsnn_campaign_sched_decisions_total`` counter).
-
-    Units are placed largest first: by cell count, then by fault rate.  At
-    equal cell counts a higher fault rate is the costlier unit (fewer
-    rows deduplicate, more synapses are bounded, more faulty resets force
-    latch re-simulations), so placing those first keeps the heavy units of
-    a sweep from piling up on one worker.
-    """
-    order = sorted(
-        range(len(units)),
-        key=lambda i: (-len(units[i]), -(units[i][0].fault_rate or 0.0)),
-    )
-    loads = [0] * n_workers
-    keys: List[set] = [set() for _ in range(n_workers)]
-    backlog: List[List[int]] = [[] for _ in range(n_workers)]
-    for index in order:
-        unit = units[index]
-        cost = len(unit)
-        best = min(range(n_workers), key=lambda w: loads[w])
-        with_key = [w for w in range(n_workers) if unit[0].experiment_key in keys[w]]
-        policy = "least_loaded"
-        if with_key:
-            preferred = min(with_key, key=lambda w: loads[w])
-            if loads[preferred] <= loads[best] + cost:
-                best = preferred
-                policy = "affinity"
-        _POOL_SCHED.labels(policy=policy).inc()
-        if decisions is not None:
-            decisions[policy] = decisions.get(policy, 0) + 1
-        backlog[best].append(index)
-        loads[best] += cost
-        keys[best].add(unit[0].experiment_key)
-    return backlog
-
-
 def execute_units_pooled(
     units: Sequence[Sequence[SweepCell]],
     assets: Dict[str, Tuple[TrainedModel, Dataset, List[object]]],
@@ -396,8 +347,7 @@ def execute_units_pooled(
     Returns a pool-statistics dict (``None`` for an empty unit list):
     worker count, wall seconds, per-worker busy time / utilization / unit
     counts / worker-measured prepare and execute seconds / OpenBLAS
-    threads, crash and serial-retry totals, and per-policy scheduling
-    decisions.  The campaign embeds it in
+    threads, and crash and serial-retry totals.  The campaign embeds it in
     :meth:`repro.eval.campaign.CampaignResult.run_report`.
 
     Parameters
@@ -437,7 +387,6 @@ def execute_units_pooled(
         "n_workers": n_workers,
         "crashes": 0,
         "serial_retries": 0,
-        "sched_decisions": {"affinity": 0, "least_loaded": 0},
     }
 
     specs = tuple(spec.to_dict() for spec in technique_specs)
@@ -454,32 +403,33 @@ def execute_units_pooled(
     result_queue = ctx.Queue()
     workers: List[_WorkerState] = []
     done: set = set()
+    # Largest first: by cell count, then by fault rate.  At equal cell
+    # counts a higher fault rate is the costlier unit (fewer rows
+    # deduplicate, more synapses are bounded, more faulty resets force
+    # latch re-simulations), so starting those first keeps the heavy units
+    # of a sweep off the tail of the run.
+    pending = collections.deque(
+        sorted(
+            range(len(units)),
+            key=lambda i: (-len(units[i]), -(units[i][0].fault_rate or 0.0)),
+        )
+    )
 
     try:
-        for backlog in _assign_units(
-            units, n_workers, stats["sched_decisions"]
-        ):
+        for worker_id in range(n_workers):
             task_queue = ctx.Queue()
             process = ctx.Process(
                 target=_worker_main,
-                args=(len(workers), contexts, task_queue, result_queue),
+                args=(worker_id, contexts, task_queue, result_queue),
                 daemon=True,
             )
             process.start()
-            workers.append(
-                _WorkerState(
-                    process=process, task_queue=task_queue, backlog=backlog
-                )
-            )
+            workers.append(_WorkerState(process=process, task_queue=task_queue))
 
         def update_gauges() -> None:
             """Refresh the live busy/queue gauges (progress line reads them)."""
             _POOL_QUEUE_DEPTH.set(
-                sum(
-                    len(w.backlog) + len(w.in_flight)
-                    for w in workers
-                    if w.alive
-                )
+                len(pending) + sum(len(w.in_flight) for w in workers if w.alive)
             )
             _POOL_WORKERS_BUSY.set(
                 sum(
@@ -489,18 +439,26 @@ def execute_units_pooled(
                 )
             )
 
-        def dispatch(worker: _WorkerState) -> None:
-            """Top the worker's queue up to ``_MAX_IN_FLIGHT`` units."""
-            while worker.backlog and len(worker.in_flight) < _MAX_IN_FLIGHT:
-                index = worker.backlog.pop(0)
-                unit = units[index]
-                task = _UnitTask(
-                    unit_id=index,
-                    experiment_key=unit[0].experiment_key,
-                    cells=tuple(cell.to_dict() for cell in unit),
-                )
-                worker.task_queue.put(task)
-                worker.in_flight.append(index)
+        def dispatch() -> None:
+            """Deal pending units round-robin, ``_MAX_IN_FLIGHT`` per worker."""
+            while pending:
+                open_workers = [
+                    w
+                    for w in workers
+                    if w.alive and len(w.in_flight) < _MAX_IN_FLIGHT
+                ]
+                if not open_workers:
+                    return
+                for worker in open_workers[: len(pending)]:
+                    index = pending.popleft()
+                    unit = units[index]
+                    task = _UnitTask(
+                        unit_id=index,
+                        experiment_key=unit[0].experiment_key,
+                        cells=tuple(cell.to_dict() for cell in unit),
+                    )
+                    worker.task_queue.put(task)
+                    worker.in_flight.append(index)
 
         def run_serially(index: int, reason: str) -> None:
             """Serial (orchestrator-side) execution of one unit."""
@@ -525,41 +483,32 @@ def execute_units_pooled(
             done.add(index)
 
         def handle_dead_worker(worker: _WorkerState) -> None:
-            """Recover a crashed worker's in-flight and queued units."""
+            """Recover a crashed worker's started and queued units."""
             worker.alive = False
             stats["crashes"] += 1
             _POOL_CRASHES.inc()
             crashed = worker.started_unit
-            survivors = [w for w in workers if w.alive]
-            for index in worker.in_flight:
-                if index in done:
-                    continue
-                if index == crashed:
-                    # The unit the worker was executing when it died gets
-                    # one serial retry, as promised in the module docs.
-                    run_serially(
-                        index,
-                        f"worker {workers.index(worker)} died mid-unit "
-                        f"(exit code {worker.process.exitcode})",
-                    )
-                elif survivors:
-                    survivors[0].backlog.insert(0, index)
-                else:
-                    run_serially(index, "no surviving workers")
+            requeued = [
+                index
+                for index in worker.in_flight
+                if index not in done and index != crashed
+            ]
+            pending.extendleft(reversed(requeued))
             worker.in_flight = []
-            remaining = worker.backlog
-            worker.backlog = []
-            if survivors:
-                for position, index in enumerate(remaining):
-                    survivors[position % len(survivors)].backlog.append(index)
-                for survivor in survivors:
-                    dispatch(survivor)
-            else:
-                for index in remaining:
-                    run_serially(index, "no surviving workers")
+            dispatch()
+            if crashed is not None and crashed not in done:
+                # The unit the worker was executing when it died gets one
+                # serial retry, as promised in the module docs.
+                run_serially(
+                    crashed,
+                    f"worker {workers.index(worker)} died mid-unit "
+                    f"(exit code {worker.process.exitcode})",
+                )
+            if not any(w.alive for w in workers):
+                while pending:
+                    run_serially(pending.popleft(), "no surviving workers")
 
-        for worker in workers:
-            dispatch(worker)
+        dispatch()
         update_gauges()
 
         while len(done) < len(units):
@@ -614,7 +563,7 @@ def execute_units_pooled(
                     worker.busy_seconds += elapsed
                     _POOL_UNIT_SECONDS.observe(elapsed)
             worker.units_done += 1
-            dispatch(worker)
+            dispatch()
             update_gauges()
     finally:
         for worker in workers:

@@ -340,7 +340,7 @@ def build_session(model: TrainedModel, mode: ServingMode) -> ServingSession:
     assets = prepare_map_assets(model, fault_maps, 1)
     network_config = model.network_config
     engine = MapParallelEngine(
-        technique.plan_rows(model, assets, config, []).rows,
+        technique.plan_rows(model, assets).rows,
         quantizer=network_config.make_quantizer(model.clean_max_weight),
         params=network_config.neuron_params,
         theta=model.theta,

@@ -405,16 +405,6 @@ class OperationMasks:
         return int(self.leak_ok.shape[0])
 
     @classmethod
-    def from_status(cls, status: "NeuronOperationStatus") -> "OperationMasks":
-        """Single-row masks of one :class:`NeuronOperationStatus` (views)."""
-        return cls(
-            np.atleast_2d(status.vmem_leak_ok),
-            np.atleast_2d(status.vmem_increase_ok),
-            np.atleast_2d(status.vmem_reset_ok),
-            np.atleast_2d(status.spike_generation_ok),
-        )
-
-    @classmethod
     def stack(
         cls, statuses: Sequence["NeuronOperationStatus"]
     ) -> "OperationMasks":

@@ -56,12 +56,6 @@ class BoundedWeightRule:
 EffectiveWeights = Union[None, np.ndarray, BoundedWeightRule]
 
 
-# Historical homes of the exact-GEMM helpers; the canonical definitions
-# now live in repro.snn.kernels and are shared by every engine.
-_exact_gemm_dtype = exact_gemm_dtype
-_exact_scale = exact_scale
-
-
 class _LatticeCurrentOperator:
     """Exact current accumulation for register-backed (lattice) weights.
 
@@ -69,9 +63,10 @@ class _LatticeCurrentOperator:
     the crossbar sum factorises as ``(spikes @ codes) * scale``.  The inner
     matmul only ever adds integers (bounded by ``n_inputs * max_code``),
     which every summation order computes exactly — the result is bitwise
-    identical for any batch shape, dtype (see :func:`_exact_gemm_dtype`)
-    and BLAS kernel, which is what makes the inference engine spike-exact
-    against the sequential loop.
+    identical for any batch shape, dtype (see
+    :func:`repro.snn.kernels.exact_gemm_dtype`) and BLAS kernel, which is
+    what makes the inference engine spike-exact against the sequential
+    loop.
     """
 
     def __init__(self, codes: np.ndarray, scale: float) -> None:

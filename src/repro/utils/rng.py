@@ -20,7 +20,7 @@ large experiment sweeps.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Union
+from typing import List, Union
 
 import numpy as np
 
@@ -175,11 +175,6 @@ class SeedSequenceFactory:
         """Return a deterministic generator for *purpose*."""
         return np.random.default_rng(self.seed_for(purpose))
 
-    def iter_rngs(self, purposes: List[str]) -> Iterator[np.random.Generator]:
-        """Yield one deterministic generator per purpose string."""
-        for purpose in purposes:
-            yield self.rng_for(purpose)
-
     def child(self, namespace: str) -> "SeedSequenceFactory":
         """Return a factory whose seeds are namespaced under *namespace*."""
         return SeedSequenceFactory(root_seed=self.seed_for(namespace))
@@ -187,10 +182,3 @@ class SeedSequenceFactory:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SeedSequenceFactory(root_seed={self._root_seed})"
 
-
-def _check_optional_generator(rng: Optional[np.random.Generator]) -> None:
-    """Internal guard used by modules that require an already-resolved rng."""
-    if rng is not None and not isinstance(rng, np.random.Generator):
-        raise TypeError(
-            f"expected numpy.random.Generator or None, got {type(rng).__name__}"
-        )

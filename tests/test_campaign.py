@@ -11,7 +11,6 @@ half-completed campaign must resume from the store without recomputing
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest

@@ -151,20 +151,34 @@ class TestReExecutionTMR:
         )
         assert tmr.accuracy_percent > unmitigated.accuracy_percent
 
-    def test_majority_vote_logic(self):
-        votes = ReExecutionTMR._majority_vote(
-            [np.array([1, 2, 3]), np.array([1, 4, 3]), np.array([5, 4, 0])]
+    @pytest.mark.parametrize("n_executions", [1, 5])
+    def test_vote_elects_clean_row_once_re_executed(
+        self, trained_model, small_split, catastrophic_fault_map, n_executions
+    ):
+        """One execution returns the faulty row; re-executions outvote it.
+
+        With an explicit fault map no map is drawn, so a clean
+        ``NoMitigation`` evaluation on the same seed presents the same
+        encoded inputs as the re-executions.
+        """
+        _, test_set = small_split
+        config = ComputeEngineFaultConfig.full_compute_engine(0.1)
+        faulty = NoMitigation().evaluate(
+            trained_model, test_set, config, rng=3, fault_map=catastrophic_fault_map
         )
-        # Sample 0: majority 1; sample 1: majority 4; sample 2: tie -> first run (3).
-        assert votes.tolist() == [1, 4, 3]
+        clean = NoMitigation().evaluate(trained_model, test_set, rng=3)
+        assert not np.array_equal(faulty.predictions, clean.predictions)
+        tmr = ReExecutionTMR(n_executions=n_executions).evaluate(
+            trained_model, test_set, config, rng=3, fault_map=catastrophic_fault_map
+        )
+        elected = faulty if n_executions == 1 else clean
+        assert np.array_equal(tmr.predictions, elected.predictions)
+        assert np.array_equal(tmr.spike_counts, faulty.spike_counts)
+        assert tmr.total_input_spikes == n_executions * faulty.total_input_spikes
 
     def test_even_execution_count_rejected(self):
         with pytest.raises(ValueError):
             ReExecutionTMR(n_executions=2)
-
-    def test_reexposure_fraction_validation(self):
-        with pytest.raises(ValueError):
-            ReExecutionTMR(reexposure_fraction=1.5)
 
     def test_kind_is_re_execution(self):
         assert ReExecutionTMR().kind == MitigationKind.RE_EXECUTION

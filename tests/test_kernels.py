@@ -34,7 +34,6 @@ from repro.snn.kernels import (
 from repro.snn.models import available_models, get_model
 from repro.core.bound_and_protect import NeuronProtection
 from repro.snn.neuron import LIFNeuronGroup, LIFParameters, NeuronOperationStatus
-from repro.snn.quantization import WeightQuantizer
 from repro.snn.synapse import BoundedWeightRule, SynapseMatrix
 
 #: Implementations the parity matrices run, by id: the numpy kernels (the

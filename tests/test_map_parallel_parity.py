@@ -41,8 +41,8 @@ from repro.eval.campaign import (
 from repro.eval.store import ResultStore
 from repro.eval.sweep import FaultRateSweep
 from repro.eval.experiment import ExperimentConfig, ExperimentRunner
-from repro.faults.fault_map import FaultMap, FaultMapGenerator
-from repro.faults.models import ComputeEngineFaultConfig, NeuronFaultType
+from repro.faults.fault_map import FaultMap
+from repro.faults.models import NeuronFaultType
 from repro.hardware.enhancements import MitigationKind
 from repro.snn.engine import MapParallelEngine, MapRow
 from repro.snn.inference import class_indicator, evaluate_rows
@@ -252,25 +252,21 @@ class TestEngineParity:
     ):
         """The fused technique evaluation equals per-row references.
 
-        Covers the combine step too: re-execution's majority vote over its
-        shared clean row must equal voting over explicitly repeated runs.
+        Covers the combine step too: re-execution's result must equal a
+        per-sample majority vote over explicitly repeated runs.
         """
         _, test_set = small_split
         maps = crafted_fault_maps(trained_model)
-        config = ComputeEngineFaultConfig(fault_rate=1e-2)
         techniques = [
             NoMitigation(),
             ReExecutionTMR(),
             BnPTechnique(BnPVariant.BNP3),
         ]
-        generators = [np.random.default_rng(seed) for seed in (1, 2, 3)]
         outcomes = evaluate_techniques_mapped(
             trained_model,
             test_set,
             techniques,
-            fault_config=config,
             fault_maps=maps,
-            generators=generators,
             rasters=parity_rasters,
             batch_size=8,
         )
@@ -295,8 +291,14 @@ class TestEngineParity:
                 raster,
                 batch_size=8,
             )
-            voted = ReExecutionTMR._majority_vote(
-                [predictions, clean_predictions, clean_predictions]
+            # Two agreeing runs out of three carry the sample; with three
+            # distinct predictions the first run's stands.
+            runs = np.stack([predictions, clean_predictions, clean_predictions])
+            voted = np.array(
+                [
+                    np.bincount(votes).argmax() if len(set(votes)) < 3 else votes[0]
+                    for votes in runs.T
+                ]
             )
             tmr = outcomes[MitigationKind.RE_EXECUTION][index]
             assert np.array_equal(tmr.predictions, voted)

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.core.bound_and_protect import BnPVariant, WeightBounding
-from repro.eval.campaign import CampaignSpec, TechniqueSpec
+from repro.eval.campaign import CampaignSpec
 from repro.eval.experiment import ExperimentConfig
 from repro.data.synthetic_mnist import SyntheticMNIST
 from repro.hardware.enhancements import MitigationKind

@@ -9,7 +9,6 @@ from repro.data.synthetic_mnist import SyntheticMNIST
 from repro.snn.engine import MapParallelEngine, MapRow
 from repro.snn.inference import InferenceEngine, InferenceResult
 from repro.snn.network import DiehlCookNetwork, NetworkConfig
-from repro.snn.neuron import LIFParameters
 from repro.snn.oracle import train_sequential
 from repro.snn.stdp import STDPConfig
 from repro.snn.synapse import BoundedWeightRule
