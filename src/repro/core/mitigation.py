@@ -50,7 +50,7 @@ from repro.faults.models import ComputeEngineFaultConfig
 from repro.faults.neuron_faults import NeuronFaultInjector
 from repro.hardware.enhancements import MitigationKind
 from repro.snn.engine import MapRow, flatten_images
-from repro.snn.inference import InferenceResult, evaluate_rows
+from repro.snn.inference import InferenceResult, StreamedRaster, evaluate_rows
 from repro.snn.neuron import NeuronOperationStatus
 from repro.snn.synapse import SynapseMatrix
 from repro.snn.training import TrainedModel
@@ -205,32 +205,6 @@ def prepare_map_assets(
     return assets
 
 
-class _StreamedRaster:
-    """One cell's raster group, Poisson-encoded one sample chunk at a time.
-
-    :func:`~repro.snn.inference.evaluate_rows` reads a raster group chunk
-    by chunk, in sample order; this group encodes each chunk on that first
-    read, from the evaluation generator, so only one chunk's spike raster
-    exists at a time.  The encoder draws sample-major, so the chunks equal
-    the slices of a one-shot encode of the whole test set.
-    """
-
-    def __init__(self, encoder, images: np.ndarray, generator: np.random.Generator):
-        self._encoder = encoder
-        self._images = images[:, np.newaxis, :]
-        self._generator = generator
-        self._encoded = 0
-
-    def __len__(self) -> int:
-        return len(self._images)
-
-    def __getitem__(self, chunk: slice) -> np.ndarray:
-        if chunk.start != self._encoded:
-            raise ValueError("a streamed raster is read once, in sample order")
-        self._encoded = chunk.stop
-        return self._encoder.encode_batch(self._images[chunk], rng=self._generator)
-
-
 def evaluate_techniques_mapped(
     model: TrainedModel,
     dataset: Dataset,
@@ -244,7 +218,7 @@ def evaluate_techniques_mapped(
     This is the campaign hot path: each technique plans its per-map rows
     (stacked faulty/bounded registers plus protection triggers), all rows
     advance together through the map-parallel engine over the shared
-    pre-encoded rasters, and each technique folds its rows back into one
+    encoded rasters, and each technique folds its rows back into one
     result per map.  Per (technique, map) pair the outcome is bit-identical
     to evaluating that pair alone (parity suite), so grouping cells is a
     pure execution-strategy choice.
@@ -263,8 +237,10 @@ def evaluate_techniques_mapped(
     rasters:
         One raster group per cell (see
         :func:`~repro.snn.inference.evaluate_rows`): a pre-encoded spike
-        raster ``(n_samples, T, n_inputs)``, or the chunk-wise encoder of
-        :meth:`MitigationTechnique.evaluate` — every technique presents
+        raster ``(n_samples, T, n_inputs)``, or a chunk-wise
+        :class:`~repro.snn.inference.StreamedRaster` (what
+        :meth:`MitigationTechnique.evaluate` and campaign units pass) —
+        every technique presents
         the *same* encoded test set of its cell, the paired-presentation
         protocol of the campaign layer.
     batch_size:
@@ -364,7 +340,7 @@ class MitigationTechnique(abc.ABC):
             and fault_config.fault_rate > 0
         ):
             fault_map = fault_map_generator(model).generate(fault_config, rng=generator)
-        raster = _StreamedRaster(
+        raster = StreamedRaster(
             model.network_config.make_encoder(),
             flatten_images(dataset.images, n_inputs),
             generator,

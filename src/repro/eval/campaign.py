@@ -70,6 +70,7 @@ from repro.hardware.enhancements import MitigationKind
 from repro.obs import metrics as _obs
 from repro.obs.trace import span
 from repro.snn.engine import flatten_images
+from repro.snn.inference import StreamedRaster
 from repro.snn.training import TrainedModel
 from repro.utils.logging import get_logger
 from repro.utils.rng import derive_cell_seed, derive_clean_seed
@@ -325,18 +326,21 @@ def _clean_reference_key(techniques: Sequence[MitigationTechnique]) -> str:
 
 @dataclass
 class UnitInputs:
-    """Precomputed per-cell randomness of one execution unit.
+    """Per-cell randomness of one execution unit, ready for the engine pass.
 
-    Everything :func:`execute_cell_group` derives from the cell seeds
-    before the engine pass: the drawn fault maps (``None`` for the clean
-    unit) and one pre-encoded presentation raster per cell.  Warm pool
-    workers prepare them in a separate, timed stage before the engine
-    pass — the records are bit-identical either way because the same
-    streams are consumed in the same order.
+    The drawn fault maps (``None`` for the clean unit) and one raster
+    group per cell (see :func:`~repro.snn.inference.evaluate_rows`).
+    :func:`prepare_unit_inputs` makes each group a
+    :class:`~repro.snn.inference.StreamedRaster` that encodes one engine
+    chunk at a time inside the pass, from the cell's generator right after
+    its map draw; pre-encoded ``(n_samples, T, n_inputs)`` rasters drawn
+    from the same generators give the same records.  Streamed groups are
+    read once, so a :class:`UnitInputs` serves one execution: running it
+    again raises ``ValueError``.
     """
 
     fault_maps: Optional[List["FaultMap"]]
-    rasters: List[np.ndarray]
+    rasters: List[Union[StreamedRaster, np.ndarray]]
 
 
 def _validate_unit(
@@ -380,13 +384,17 @@ def prepare_unit_inputs(
     model: TrainedModel,
     dataset: Dataset,
 ) -> UnitInputs:
-    """Draw one unit's fault maps and encode its presentations.
+    """Draw one unit's fault maps and set up its streamed presentations.
 
     Per-cell randomness protocol (all from ``cell.seed``): the fault map is
     drawn first, then the test set is Poisson-encoded once, and every
     technique later evaluates against that same fault map *and* the same
     encoded presentations — the paired-comparison protocol of the paper
-    applied to presentations as well as maps.
+    applied to presentations as well as maps.  Only the maps are drawn
+    here; each cell's encoding is a
+    :class:`~repro.snn.inference.StreamedRaster` that the engine pass of
+    :func:`execute_cell_group` reads one chunk at a time, so no cell's
+    whole-test-set raster is ever held.
     """
     cells = list(cells)
     _validate_unit(cells, techniques=None)
@@ -404,10 +412,7 @@ def prepare_unit_inputs(
 
     encoder = model.network_config.make_encoder()
     flat = flatten_images(dataset.images, model.network_config.n_inputs)
-    rasters = [
-        encoder.encode_batch(flat[:, np.newaxis, :], rng=generator)
-        for generator in generators
-    ]
+    rasters = [StreamedRaster(encoder, flat, generator) for generator in generators]
     return UnitInputs(fault_maps=fault_maps, rasters=rasters)
 
 
@@ -442,11 +447,11 @@ def execute_cell_group(
     cells / model / dataset / techniques:
         The unit and the assets it evaluates against.
     inputs:
-        Optional pre-drawn :class:`UnitInputs` — the warm-pool path, where
-        the worker prepares maps and presentations as a separately timed
-        stage.  ``None`` (the serial path) prepares them here from the cell
-        seeds; the streams consumed are identical, so the records match bit
-        for bit.
+        Optional prepared :class:`UnitInputs` — the warm-pool path, where
+        the worker draws the maps as a separately timed stage (encoding
+        streams inside the engine pass either way).  ``None`` (the serial
+        path) prepares them here from the cell seeds; the streams consumed
+        are identical, so the records match bit for bit.
     """
     cells = list(cells)
     _validate_unit(cells, techniques)

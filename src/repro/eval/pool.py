@@ -15,12 +15,12 @@ Orchestrator (this process)
 Workers (long-lived child processes)
     Pin OpenBLAS to one thread, load the ``TrainedModel`` snapshot once per
     experiment key, rebuild techniques from their specs, then per unit
-    draw the fault maps
-    and encode the presentations
-    (:func:`repro.eval.campaign.prepare_unit_inputs`) and run
-    :func:`repro.eval.campaign.execute_cell_group`, timing both stages.
-    Cell seeds are pure functions of grid coordinates, so the records are
-    bit-identical to serial execution.
+    draw the fault maps (:func:`repro.eval.campaign.prepare_unit_inputs`)
+    and run :func:`repro.eval.campaign.execute_cell_group`, which encodes
+    the presentations one engine chunk at a time inside the pass, timing
+    both stages and reporting their own peak resident set.  Cell seeds are
+    pure functions of grid coordinates, so the records are bit-identical
+    to serial execution.
 
 Scheduling deals units from one orchestrator-side queue, largest first (by
 cell count, then fault rate).  Every live worker holds at most two units;
@@ -47,6 +47,7 @@ import ctypes
 import logging
 import os
 import queue as queue_module
+import resource
 import signal
 import time
 import traceback
@@ -85,7 +86,7 @@ _POOL_UNIT_SECONDS = _obs.get_registry().histogram(
 )
 _POOL_UNIT_STAGE_SECONDS = _obs.get_registry().histogram(
     "softsnn_campaign_unit_stage_seconds",
-    "Per-unit input preparation and engine pass time, measured in the worker.",
+    "Per-unit fault-map preparation and engine pass time, measured in the worker.",
     labels=("stage",),
 )
 _POOL_WORKERS_BUSY = _obs.get_registry().gauge(
@@ -173,6 +174,8 @@ class _WorkerState:
     execute_seconds: float = 0.0
     #: OpenBLAS threads the worker runs with (``None``: no setter found).
     blas_threads: Optional[int] = None
+    #: The worker's own peak resident set in MB, as of its last unit.
+    peak_rss_mb: Optional[float] = None
 
 
 class _QueueLogHandler(logging.Handler):
@@ -319,8 +322,10 @@ def _worker_main(
             )
             records = [result.to_dict() for result in results]
             stage_seconds = (prepared - began, time.perf_counter() - prepared)
+            # ru_maxrss is in KiB on Linux.
+            peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
             result_queue.put(
-                ("done", worker_id, task.unit_id, records, *stage_seconds)
+                ("done", worker_id, task.unit_id, records, *stage_seconds, peak_rss_mb)
             )
         except Exception:  # noqa: BLE001 - forwarded to the orchestrator
             result_queue.put(
@@ -347,7 +352,8 @@ def execute_units_pooled(
     Returns a pool-statistics dict (``None`` for an empty unit list):
     worker count, wall seconds, per-worker busy time / utilization / unit
     counts / worker-measured prepare and execute seconds / OpenBLAS
-    threads, and crash and serial-retry totals.  The campaign embeds it in
+    threads / peak resident set, and crash and serial-retry totals.  The
+    campaign embeds it in
     :meth:`repro.eval.campaign.CampaignResult.run_report`.
 
     Parameters
@@ -551,6 +557,7 @@ def execute_units_pooled(
             done.add(index)
             worker.prepare_seconds += message[4]
             worker.execute_seconds += message[5]
+            worker.peak_rss_mb = message[6]
             _POOL_UNIT_STAGE_SECONDS.labels(stage="prepare").observe(message[4])
             _POOL_UNIT_STAGE_SECONDS.labels(stage="execute").observe(message[5])
             if index in worker.in_flight:
@@ -597,6 +604,9 @@ def execute_units_pooled(
             "prepare_s": round(worker.prepare_seconds, 6),
             "execute_s": round(worker.execute_seconds, 6),
             "blas_threads": worker.blas_threads,
+            "peak_rss_mb": (
+                None if worker.peak_rss_mb is None else round(worker.peak_rss_mb, 1)
+            ),
         }
         for worker in workers
     ]

@@ -38,11 +38,6 @@ __all__ = [
 #: Name of the encoding every pre-existing configuration resolves to.
 DEFAULT_ENCODING = "poisson"
 
-#: Samples per float64 draw in :meth:`PoissonEncoder.encode_batch`: large
-#: enough to amortise the generator call, small enough that the draw
-#: buffer (``16 * timesteps * n_pixels`` doubles) stays a few megabytes.
-DRAW_CHUNK_SAMPLES = 16
-
 
 class PoissonEncoder:
     """Convert grayscale images into Bernoulli/Poisson spike trains.
@@ -129,15 +124,17 @@ class PoissonEncoder:
             (encoded as a batch of one).  Pass a flattened batch as
             ``(n, 1, n_pixels)``.
         rng:
-            Seed or generator.  The batch is drawn in chunks of
-            :data:`DRAW_CHUNK_SAMPLES` samples through one reused float64
-            buffer (``generator.random(out=...)``) and compared straight
-            into a preallocated boolean raster.  Consecutive draws consume
+            Seed or generator.  The batch is drawn one sample at a time
+            into one reused float64 ``(timesteps, n_pixels)`` buffer
+            (``generator.random(out=...)``), and each sample is compared
+            straight into its slice of a preallocated boolean raster while
+            its draws are still in cache.  Consecutive draws consume
             exactly the same stream values, in the same order, as one
             ``generator.random((n, timesteps, n_pixels))`` call or ``n``
             successive :meth:`encode` calls — so batched and sequential
             presentations of the same samples see bitwise identical
-            rasters, while the float64 draws held at once stay bounded.
+            rasters, while the float64 draws held at once stay one
+            sample's worth.
 
         Returns
         -------
@@ -152,19 +149,14 @@ class PoissonEncoder:
             raise ValueError(
                 f"images must have shape (n, height, width), got {images.shape}"
             )
-        probabilities = np.stack(
-            [self.spike_probabilities(image) for image in images]
-        )[:, np.newaxis, :]
-        n_samples, _, n_pixels = probabilities.shape
-        raster = np.empty((n_samples, self.timesteps, n_pixels), dtype=bool)
-        draws = np.empty(
-            (min(n_samples, DRAW_CHUNK_SAMPLES), self.timesteps, n_pixels)
-        )
-        for start in range(0, n_samples, DRAW_CHUNK_SAMPLES):
-            stop = min(start + DRAW_CHUNK_SAMPLES, n_samples)
-            chunk = draws[: stop - start]
-            generator.random(out=chunk)
-            np.less(chunk, probabilities[start:stop], out=raster[start:stop])
+        # Every image is validated before the first draw.
+        probabilities = [self.spike_probabilities(image) for image in images]
+        n_pixels = int(np.prod(images.shape[1:]))
+        raster = np.empty((len(images), self.timesteps, n_pixels), dtype=bool)
+        draws = np.empty((self.timesteps, n_pixels))
+        for probability, sample in zip(probabilities, raster):
+            generator.random(out=draws)
+            np.less(draws, probability, out=sample)
         return raster
 
     def expected_spike_counts(self, image: np.ndarray) -> np.ndarray:

@@ -36,7 +36,13 @@ from repro.snn.neuron import LIFParameters
 from repro.snn.quantization import WeightQuantizer
 from repro.utils.rng import RNGLike, resolve_rng
 
-__all__ = ["InferenceResult", "InferenceEngine", "class_indicator", "evaluate_rows"]
+__all__ = [
+    "InferenceResult",
+    "InferenceEngine",
+    "StreamedRaster",
+    "class_indicator",
+    "evaluate_rows",
+]
 
 #: Sample-chunk cap of the map-parallel evaluation path.  Results are
 #: bit-identical for any chunking (the faulty-reset latch carry reproduces
@@ -272,6 +278,43 @@ class InferenceEngine:
         )
 
 
+class StreamedRaster:
+    """One cell's raster group, Poisson-encoded one sample chunk at a time.
+
+    :func:`evaluate_rows` reads a raster group chunk by chunk, in sample
+    order; this group encodes each chunk on that first read, from the
+    cell's generator, so only one chunk's spike raster exists at a time.
+    The encoder draws sample-major, so the chunks equal the slices of a
+    one-shot encode of the whole test set.  A group is read once: reading
+    it again (say, executing the same unit twice) raises ``ValueError``
+    instead of encoding a different stream.
+
+    Parameters
+    ----------
+    encoder:
+        The model's spike encoder (``encode_batch``).
+    images:
+        Flattened test images ``(n_samples, n_inputs)``.
+    generator:
+        The cell's generator, positioned where the encoding starts.
+    """
+
+    def __init__(self, encoder, images: np.ndarray, generator: np.random.Generator):
+        self._encoder = encoder
+        self._images = images[:, np.newaxis, :]
+        self._generator = generator
+        self._encoded = 0
+
+    def __len__(self) -> int:
+        return len(self._images)
+
+    def __getitem__(self, chunk: slice) -> np.ndarray:
+        if chunk.start != self._encoded:
+            raise ValueError("a streamed raster is read once, in sample order")
+        self._encoded = chunk.stop
+        return self._encoder.encode_batch(self._images[chunk], rng=self._generator)
+
+
 def evaluate_rows(
     rows: Sequence[MapRow],
     rasters: Sequence,
@@ -304,7 +347,8 @@ def evaluate_rows(
         boolean spike raster ``(n_samples, timesteps, n_inputs)``, or any
         object with ``len()`` (its sample count) whose ``[start:stop]``
         slice returns those samples' raster.  Each group is sliced once
-        per chunk, in sample order, so a group may encode on demand.
+        per chunk, in sample order, so a group may encode on demand
+        (:class:`StreamedRaster`).
     neuron_labels:
         Class label of each excitatory neuron (shared by all rows — they
         all simulate the same trained model).

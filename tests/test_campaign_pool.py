@@ -19,15 +19,19 @@ import json
 import logging
 import multiprocessing as mp
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro.eval.pool as pool_module
 from repro.campaign import _parse_workers
+from repro.core.mitigation import fault_map_generator
 from repro.eval.campaign import (
     CampaignSpec,
     TechniqueSpec,
+    UnitInputs,
     execute_cell_group,
     group_cells,
     prepare_unit_inputs,
@@ -36,7 +40,9 @@ from repro.eval.campaign import (
 )
 from repro.eval.experiment import ExperimentConfig, ExperimentRunner
 from repro.eval.pool import execute_units_pooled
+from repro.faults.models import ComputeEngineFaultConfig
 from repro.hardware.enhancements import MitigationKind
+from repro.snn.engine import flatten_images
 
 TINY_CONFIG = ExperimentConfig(
     workload="mnist", n_neurons=10, n_train=24, n_test=8, timesteps=40, epochs=1
@@ -142,6 +148,66 @@ class TestPreparedInputs:
                 assert a.accuracies == b.accuracies
                 assert a.n_faults == b.n_faults
 
+    def test_streamed_unit_matches_eagerly_encoded_unit(self):
+        """Streamed rasters give the records of whole-test-set encodes.
+
+        The eager inputs consume each cell's generator in the documented
+        order — fault map first, then the whole test set in one encode.
+        A 3-sample chunk makes the streamed encodes cross chunk boundaries.
+        """
+        runner = ExperimentRunner(root_seed=RUNNER_SEED)
+        prepared = runner.prepare(TINY_CONFIG)
+        model, test_set = prepared.model, prepared.test_set
+        techniques = [tspec.build() for tspec in tiny_spec().techniques]
+        encoder = model.network_config.make_encoder()
+        flat = flatten_images(test_set.images, model.network_config.n_inputs)
+        for unit in group_cells(tiny_spec().expand()):
+            unit = [replace(cell, batch_size=3) for cell in unit]
+            generators = [np.random.default_rng(cell.seed) for cell in unit]
+            fault_maps = None
+            if not unit[0].is_clean:
+                config = ComputeEngineFaultConfig(
+                    fault_rate=unit[0].fault_rate,
+                    inject_synapses=unit[0].inject_synapses,
+                    inject_neurons=unit[0].inject_neurons,
+                )
+                fault_maps = [
+                    fault_map_generator(model).generate(config, rng=generator)
+                    for generator in generators
+                ]
+            eager = UnitInputs(
+                fault_maps=fault_maps,
+                rasters=[
+                    encoder.encode_batch(flat[:, np.newaxis, :], rng=generator)
+                    for generator in generators
+                ],
+            )
+            streamed = prepare_unit_inputs(unit, model, test_set)
+            assert all(isinstance(r, np.ndarray) for r in eager.rasters)
+            assert not any(isinstance(r, np.ndarray) for r in streamed.rasters)
+            records = [
+                [
+                    {**result.to_dict(), "duration_seconds": 0.0}
+                    for result in execute_cell_group(
+                        unit, model, test_set, techniques, inputs=inputs
+                    )
+                ]
+                for inputs in (eager, streamed)
+            ]
+            assert records[0] == records[1]
+
+    def test_streamed_inputs_serve_one_execution(self):
+        """Executing a streamed unit twice raises instead of re-encoding."""
+        runner = ExperimentRunner(root_seed=RUNNER_SEED)
+        prepared = runner.prepare(TINY_CONFIG)
+        techniques = [tspec.build() for tspec in tiny_spec().techniques]
+        unit = group_cells(tiny_spec().expand())[1]
+        args = (unit, prepared.model, prepared.test_set, techniques)
+        inputs = prepare_unit_inputs(*args[:3])
+        execute_cell_group(*args, inputs=inputs)
+        with pytest.raises(ValueError, match="read once"):
+            execute_cell_group(*args, inputs=inputs)
+
 
 class TestPoolBitIdentity:
     def test_store_records_byte_identical(self, tmp_path):
@@ -223,6 +289,16 @@ class TestCrashRecovery:
         # configure_logging(), which stops repro.* records propagating to
         # the root logger caplog listens on; restore propagation here.
         monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+        # Streamed inputs are read once, so the serial retry must prepare
+        # its own (``inputs=None``) instead of reusing the worker's.
+        retried_inputs = []
+        execute = pool_module.execute_cell_group
+
+        def recording(*args, inputs=None, **kwargs):
+            retried_inputs.append(inputs)
+            return execute(*args, inputs=inputs, **kwargs)
+
+        monkeypatch.setattr(pool_module, "execute_cell_group", recording)
         with caplog.at_level(logging.WARNING, logger="repro.eval.pool"):
             pooled = run_campaign(spec, store_path=pool_store, n_workers=2)
         assert "died mid-unit" in caplog.text
@@ -232,6 +308,8 @@ class TestCrashRecovery:
         # worker's other units go to the survivor.
         assert pooled.pool_stats["crashes"] == 1
         assert pooled.pool_stats["serial_retries"] == 1
+        # Recorded in this process only: the one orchestrator-side retry.
+        assert retried_inputs == [None]
 
 
 class TestProcessHygiene:
@@ -309,6 +387,8 @@ class TestPoolObservability:
             assert 0.0 <= worker["utilization"] <= 1.0
             # Stage seconds as the worker measured them.
             assert worker["prepare_s"] > 0 and worker["execute_s"] > 0
+            # The worker's own peak resident set, read after its last unit.
+            assert worker["peak_rss_mb"] > 0
         assert result.run_report()["pool"]["workers"] == stats["workers"]
         assert sum(worker["units"] for worker in stats["workers"]) == len(
             group_cells(tiny_spec().expand())

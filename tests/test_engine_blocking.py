@@ -14,8 +14,8 @@ run alone.
 It also pins the inline neuron protection of ``BnPTechnique.evaluate`` and
 protected serving sessions to the sequential oracle run with a
 :class:`~repro.core.bound_and_protect.NeuronProtection` monitor, and bounds
-the traced memory of one N400 chunk and of encoding 64 images
-(deterministic allocation sizes, not timings).
+the traced memory of one N400 chunk, of encoding 64 images and of one
+4-cell campaign unit (deterministic allocation sizes, not timings).
 """
 
 from __future__ import annotations
@@ -29,10 +29,17 @@ import pytest
 import repro.snn.engine as engine_module
 from repro.core.bound_and_protect import BnPVariant, NeuronProtection, WeightBounding
 from repro.core.mitigation import BnPTechnique
+from repro.data.datasets import Dataset
 from repro.data.synthetic_mnist import SyntheticMNIST
+from repro.eval.campaign import (
+    TechniqueSpec,
+    build_experiment_cells,
+    execute_cell_group,
+)
 from repro.faults.fault_map import FaultMap
 from repro.faults.injector import FaultInjector
 from repro.faults.models import NeuronFaultType
+from repro.hardware.enhancements import MitigationKind
 from repro.serve.modes import ServingMode, build_session
 from repro.snn.encoding import PoissonEncoder
 from repro.snn.engine import (
@@ -386,3 +393,23 @@ class TestMemoryBounds:
         # The raster itself is 5 MB; one whole-batch float64 draw (40 MB)
         # made this trace 46 MB.
         assert peak <= 16.0, f"encoding 64 images traced {peak:.1f} MB"
+
+    def test_4_cell_n48_campaign_unit_stays_under_45_mb(self):
+        # The Fig. 13 unit shape: four trials of one fault rate, N48, T100,
+        # 200 test images, all five techniques.
+        trained = _trained("lif", n_neurons=48, timesteps=100)
+        images = np.stack(
+            [SyntheticMNIST().render(i % 10, rng=i) for i in range(200)]
+        )
+        dataset = Dataset(images=images, labels=np.arange(200) % 10)
+        cells = build_experiment_cells("mem", [0.1], 4, root_seed=11,
+                                       include_clean=False)
+        techniques = [TechniqueSpec(kind).build()
+                      for kind in MitigationKind.all_kinds()]
+        peak = _traced_peak_mb(
+            lambda: execute_cell_group(cells, trained, dataset, techniques)
+        )
+        # Streamed one engine chunk at a time this unit traces 32 MB; the
+        # bound leaves 40% over it.  Encoding each cell's whole test set up
+        # front (4 x 200 x 100 x 784 booleans, 63 MB) made it trace 90 MB.
+        assert peak <= 45.0, f"one 4-cell N48 x T100 unit traced {peak:.1f} MB"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.snn.encoding import DRAW_CHUNK_SAMPLES, PoissonEncoder
+from repro.snn.encoding import PoissonEncoder
 from repro.snn.quantization import WeightQuantizer
 from repro.snn.stdp import STDPConfig, STDPRule
 from repro.snn.synapse import SynapseMatrix
@@ -74,9 +74,8 @@ class TestPoissonEncoder:
         assert np.array_equal(reference, encoder.encode_batch(images, rng=5))
 
     def test_chunked_draws_cross_chunk_boundaries_exactly(self):
-        # 37 samples: two full draw chunks and a partial tail.  The batch
-        # must consume exactly the stream the per-sample calls consume.
-        assert 37 > 2 * DRAW_CHUNK_SAMPLES
+        # 37 samples drawn through one reused buffer.  The batch must
+        # consume exactly the stream the per-sample calls consume.
         encoder = PoissonEncoder(timesteps=6)
         images = np.random.default_rng(0).random((37, 3, 3))
         sequential_rng = np.random.default_rng(5)
