@@ -21,9 +21,14 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.mitigation import NoMitigation
+from repro.core.mitigation import (
+    NoMitigation,
+    discard_initial_weight_draw,
+    fault_map_generator,
+    prepare_map_assets,
+)
 from repro.data.datasets import Dataset
-from repro.faults.injector import FaultInjector
+from repro.faults.bitflip import WeightBitFlipModel
 from repro.faults.models import ComputeEngineFaultConfig, NeuronFaultType
 from repro.snn.training import TrainedModel
 from repro.utils.rng import RNGLike, resolve_rng
@@ -156,21 +161,31 @@ class FaultToleranceAnalyzer:
         bins: int = 40,
         rng: RNGLike = None,
     ) -> WeightDistributionAnalysis:
-        """Compare the clean and bit-flip-corrupted weight distributions."""
+        """Compare the clean and bit-flip-corrupted weight distributions.
+
+        Reads the deployed registers the engine runs: one synapse-only
+        fault map drawn from *rng* (after the discarded initial-weight
+        draw, as in :meth:`~repro.core.mitigation.MitigationTechnique.evaluate`)
+        and the clean and corrupted registers
+        :func:`~repro.core.mitigation.prepare_map_assets` plans from it.
+        """
         generator = resolve_rng(rng)
-        network = self.model.build_network(rng=generator)
-        clean_weights = network.synapses.weights
+        discard_initial_weight_draw(self.model, generator)
+        map_generator = fault_map_generator(self.model)
+        fault_map = map_generator.generate(
+            ComputeEngineFaultConfig.synapses_only(fault_rate), rng=generator
+        )
+        assets = prepare_map_assets(self.model, [fault_map], 1)[0]
+        quantizer = map_generator.quantizer
+        clean_weights = quantizer.dequantize(assets.clean_registers)
+        faulty_weights = quantizer.dequantize(assets.faulty_registers)
 
-        injector = FaultInjector(network)
-        config = ComputeEngineFaultConfig.synapses_only(fault_rate)
-        report = injector.inject(config, rng=generator)
-        faulty_weights = network.synapses.weights
-
-        full_scale = network.synapses.quantizer.full_scale
-        bin_edges = np.linspace(0.0, full_scale, bins + 1)
+        bin_edges = np.linspace(0.0, quantizer.full_scale, bins + 1)
         clean_counts, _ = np.histogram(clean_weights, bins=bin_edges)
         faulty_counts, _ = np.histogram(faulty_weights, bins=bin_edges)
-        summary = report.weight_change_summary
+        summary = WeightBitFlipModel(quantizer).weight_change_summary(
+            assets.clean_registers, assets.faulty_registers
+        )
 
         return WeightDistributionAnalysis(
             fault_rate=fault_rate,

@@ -67,6 +67,7 @@ __all__ = [
     "prepare_map_assets",
     "evaluate_techniques_mapped",
     "fault_map_generator",
+    "discard_initial_weight_draw",
     "build_technique",
 ]
 
@@ -129,6 +130,19 @@ def fault_map_generator(model: TrainedModel) -> FaultMapGenerator:
     )
 
 
+def discard_initial_weight_draw(
+    model: TrainedModel, generator: np.random.Generator
+) -> None:
+    """Consume the random initial weights a network of *model* would draw.
+
+    :func:`repro.snn.oracle.build_network` builds a network whose random
+    initial weights the trained ones overwrite.  Drawing the same doubles
+    and throwing them away keeps *generator*'s stream — and so every fault
+    map and encoding drawn after it — equal to the network route's.
+    """
+    generator.random(model.network_config.n_inputs * model.n_neurons)
+
+
 def _corrupt_registers(
     clean_registers: np.ndarray, fault_map: FaultMap, quantizer
 ) -> np.ndarray:
@@ -156,11 +170,11 @@ def prepare_map_assets(
     """Build the per-map engine state every technique's rows derive from.
 
     The clean deployed registers are computed once (exactly the registers
-    :meth:`~repro.snn.training.TrainedModel.build_network` would load) and
-    each fault map's bit flips are applied on top, mirroring
-    :meth:`~repro.faults.injector.FaultInjector.apply_fault_map`.  With
-    ``fault_maps=None`` every cell gets the clean engine (the fault-free
-    reference measurement).
+    :func:`repro.snn.oracle.build_network` loads) and each fault map's bit
+    flips are applied on top, mirroring what the oracle's
+    :meth:`~repro.faults.injector.FaultInjector.apply_fault_map` does to a
+    network.  With ``fault_maps=None`` every cell gets the clean engine
+    (the fault-free reference measurement).
     """
     if n_cells <= 0:
         raise ValueError(f"n_cells must be positive, got {n_cells}")
@@ -328,12 +342,7 @@ class MitigationTechnique(abc.ABC):
             together; ``None`` uses the engine default.
         """
         generator = resolve_rng(rng)
-        n_inputs = model.network_config.n_inputs
-        # Discarded initial-weight draw: TrainedModel.build_network draws
-        # random weights (SynapseMatrix.random) that the trained ones
-        # overwrite; consuming the same doubles keeps the stream, and so
-        # every result, equal to evaluating such a network.
-        generator.random(n_inputs * model.n_neurons)
+        discard_initial_weight_draw(model, generator)
         if (
             fault_map is None
             and fault_config is not None
@@ -342,7 +351,7 @@ class MitigationTechnique(abc.ABC):
             fault_map = fault_map_generator(model).generate(fault_config, rng=generator)
         raster = StreamedRaster(
             model.network_config.make_encoder(),
-            flatten_images(dataset.images, n_inputs),
+            flatten_images(dataset.images, model.network_config.n_inputs),
             generator,
         )
         return evaluate_techniques_mapped(

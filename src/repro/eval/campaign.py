@@ -214,7 +214,10 @@ class CellResult:
 
     ``accuracies`` maps technique identity (``MitigationKind.value``) to
     accuracy percent; a clean cell stores a single entry under
-    :data:`CLEAN_KEY`.
+    :data:`CLEAN_KEY`.  ``duration_seconds`` is the unit's engine pass
+    (:func:`execute_cell_group` after its inputs are prepared) split evenly
+    across the unit's cells, on the serial and the pooled path alike; the
+    fault-map draws of :func:`prepare_unit_inputs` are not in it.
     """
 
     cell_id: str
@@ -434,8 +437,8 @@ def execute_cell_group(
     engine arithmetic is bit-identical to stand-alone evaluation, grouping
     is purely an execution-strategy choice: the records equal the ones a
     one-cell unit produces for each cell alone (only the measured
-    ``duration_seconds`` differs — the unit's wall clock is split evenly
-    across its cells).
+    ``duration_seconds`` differs — the unit's engine pass, timed after its
+    inputs are prepared, is split evenly across its cells).
 
     A clean cell (one per experiment) must form its own unit; it evaluates
     every technique against the fault-free engine, so weight-modifying
@@ -456,10 +459,11 @@ def execute_cell_group(
     cells = list(cells)
     _validate_unit(cells, techniques)
 
-    started = time.perf_counter()
     if inputs is None:
         inputs = prepare_unit_inputs(cells, model, dataset)
     fault_maps = inputs.fault_maps
+
+    started = time.perf_counter()
 
     with span(
         "campaign.unit",

@@ -14,9 +14,12 @@ distribution procedure of Fig. 7:
 * **Fault maps** (:mod:`repro.faults.fault_map`): every weight-register cell
   and every neuron operation is a potential fault location; a fault map is a
   random draw of struck locations for a given fault rate.
-* **Injection** (:mod:`repro.faults.injector`): applies a fault map to a
-  concrete network (corrupting its registers and neuron operation status),
-  producing the faulty network that the inference engine then evaluates.
+* **Injection**: production code applies a fault map to the deployed
+  registers and neuron-operation status it plans engine rows from
+  (:func:`repro.core.mitigation.prepare_map_assets`).
+  :class:`~repro.faults.injector.FaultInjector` applies one to a concrete
+  network of the sequential oracle (:func:`repro.snn.oracle.build_network`),
+  the reference that route is checked against.
 """
 
 from repro.faults.bitflip import WeightBitFlipModel

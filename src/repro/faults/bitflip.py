@@ -5,76 +5,47 @@ single weight bit in form of a bit flip.  This faulty bit persists until it
 is overwritten with a new bit value."
 
 The model treats every *bit* of every weight register as a potential fault
-location.  Given a fault rate it draws the set of struck bits and produces
-the flipped register contents; it can also report summary statistics
-(how many weights increased / decreased, by how much) which the fault
-tolerance analysis of Section 3.1 uses.
+location.  Given a fault rate it draws the set of struck bits; it can also
+report summary statistics (how many weights increased / decreased, by how
+much) which the fault tolerance analysis of Section 3.1 uses.  The flips
+themselves are applied to the registers by
+:func:`repro.core.mitigation.prepare_map_assets` (and, in the sequential
+oracle, by :meth:`~repro.snn.synapse.SynapseMatrix.apply_bit_flips`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.snn.quantization import WeightQuantizer
-from repro.utils.bits import flip_bits_in_array
 from repro.utils.rng import RNGLike, resolve_rng
 from repro.utils.validation import check_probability
 
-__all__ = ["WeightBitFlipModel", "BitFlipOutcome"]
-
-
-@dataclass(frozen=True)
-class BitFlipOutcome:
-    """Result of one bit-flip injection pass over a register array.
-
-    Attributes
-    ----------
-    faulty_registers:
-        Register array after the bit flips, same shape as the input.
-    flat_indices:
-        Flat index of the register struck by each fault.
-    bit_positions:
-        Bit position struck by each fault (0 = least-significant bit).
-    n_faults:
-        Number of injected bit flips.
-    """
-
-    faulty_registers: np.ndarray
-    flat_indices: np.ndarray
-    bit_positions: np.ndarray
-
-    @property
-    def n_faults(self) -> int:
-        """Number of injected bit flips."""
-        return int(self.flat_indices.size)
+__all__ = ["WeightBitFlipModel"]
 
 
 class WeightBitFlipModel:
-    """Random single-bit-flip injector for weight registers.
+    """Random single-bit-flip fault locations for weight registers.
+
+    The fault rate is interpreted per *bit*: every bit of every register
+    is an independent potential fault location, matching "each weight
+    memory cell" in Fig. 7 (a memory cell stores one bit).
 
     Parameters
     ----------
     quantizer:
         Register format of the target crossbar (defines the bit width and
         the weight value of every bit position).
-    per_bit:
-        If True (default), the fault rate is interpreted per *bit* — every
-        bit of every register is an independent potential fault location,
-        matching "each weight memory cell" in Fig. 7 (a memory cell stores
-        one bit).  If False, the rate is interpreted per *register* and a
-        struck register gets exactly one uniformly chosen flipped bit.
     """
 
-    def __init__(self, quantizer: WeightQuantizer, per_bit: bool = True) -> None:
+    def __init__(self, quantizer: WeightQuantizer) -> None:
         if not isinstance(quantizer, WeightQuantizer):
             raise TypeError(
                 f"quantizer must be a WeightQuantizer, got {type(quantizer).__name__}"
             )
         self.quantizer = quantizer
-        self.per_bit = bool(per_bit)
 
     # ------------------------------------------------------------------ #
     def draw_fault_locations(
@@ -100,62 +71,8 @@ class WeightBitFlipModel:
             empty = np.array([], dtype=np.int64)
             return empty, empty.copy()
 
-        if self.per_bit:
-            n_locations = n_registers * bits
-            struck = np.flatnonzero(generator.random(n_locations) < fault_rate)
-            flat_indices = struck // bits
-            bit_positions = struck % bits
-        else:
-            struck = np.flatnonzero(generator.random(n_registers) < fault_rate)
-            flat_indices = struck
-            bit_positions = generator.integers(0, bits, size=struck.size)
-        return flat_indices.astype(np.int64), bit_positions.astype(np.int64)
-
-    def inject(
-        self,
-        registers: np.ndarray,
-        fault_rate: float,
-        rng: RNGLike = None,
-        flat_indices: Optional[np.ndarray] = None,
-        bit_positions: Optional[np.ndarray] = None,
-    ) -> BitFlipOutcome:
-        """Flip bits of a copy of *registers* according to the fault rate.
-
-        Either draw fresh fault locations (default) or replay a previously
-        drawn fault map by passing *flat_indices* / *bit_positions*
-        explicitly — that is how the experiment harness keeps the same fault
-        map across mitigation techniques so comparisons are paired.
-
-        ``fault_rate`` is validated on *both* paths: a replayed map carries
-        the rate it was drawn at, and a nonsensical stored rate must not
-        round-trip unchecked just because the locations are explicit.
-        """
-        check_probability(fault_rate, "fault_rate")
-        registers = np.asarray(registers)
-        if not np.issubdtype(registers.dtype, np.integer):
-            raise TypeError("registers must be an integer array")
-        if (flat_indices is None) != (bit_positions is None):
-            raise ValueError(
-                "flat_indices and bit_positions must be provided together"
-            )
-        if flat_indices is None:
-            flat_indices, bit_positions = self.draw_fault_locations(
-                registers.size, fault_rate, rng=rng
-            )
-        flat_indices = np.asarray(flat_indices, dtype=np.int64)
-        bit_positions = np.asarray(bit_positions, dtype=np.int64)
-
-        faulty = flip_bits_in_array(
-            registers.astype(np.int64),
-            flat_indices,
-            bit_positions,
-            bit_width=self.quantizer.bits,
-        ).astype(registers.dtype)
-        return BitFlipOutcome(
-            faulty_registers=faulty,
-            flat_indices=flat_indices,
-            bit_positions=bit_positions,
-        )
+        struck = np.flatnonzero(generator.random(n_registers * bits) < fault_rate)
+        return (struck // bits).astype(np.int64), (struck % bits).astype(np.int64)
 
     # ------------------------------------------------------------------ #
     # analysis helpers (Section 3.1, Fig. 9)

@@ -21,6 +21,7 @@ from repro.faults.models import ComputeEngineFaultConfig, NeuronFaultType
 from repro.faults.neuron_faults import NeuronFaultInjector
 from repro.snn.quantization import WeightQuantizer
 from repro.utils.rng import RNGLike, resolve_rng
+from repro.utils.validation import check_probability
 
 __all__ = ["FaultMap", "FaultMapGenerator"]
 
@@ -76,6 +77,7 @@ class FaultMap:
             raise ValueError(
                 "synapse_flat_indices and synapse_bit_positions must have equal length"
             )
+        check_probability(self.fault_rate, "fault_rate")
         n_registers = self.crossbar_shape[0] * self.crossbar_shape[1]
         if self.synapse_flat_indices.size and (
             self.synapse_flat_indices.min() < 0
@@ -173,20 +175,17 @@ class FaultMapGenerator:
         ``(n_inputs, n_neurons)`` of the modelled synapse crossbar.
     quantizer:
         Register format of the crossbar (bit width of each register).
-    synapse_faults_per_bit:
-        Interpretation of the fault rate for the synapse part; see
-        :class:`~repro.faults.bitflip.WeightBitFlipModel`.
-    neuron_faults_per_operation:
-        Interpretation of the fault rate for the neuron part; see
-        :class:`~repro.faults.neuron_faults.NeuronFaultInjector`.
+
+    Every bit of every weight register and every operation of every neuron
+    is one potential fault location, struck independently with the fault
+    rate (see :class:`~repro.faults.bitflip.WeightBitFlipModel` and
+    :class:`~repro.faults.neuron_faults.NeuronFaultInjector`).
     """
 
     def __init__(
         self,
         crossbar_shape: Tuple[int, int],
         quantizer: Optional[WeightQuantizer] = None,
-        synapse_faults_per_bit: bool = True,
-        neuron_faults_per_operation: bool = True,
     ) -> None:
         if len(crossbar_shape) != 2 or any(s <= 0 for s in crossbar_shape):
             raise ValueError(
@@ -194,13 +193,8 @@ class FaultMapGenerator:
             )
         self.crossbar_shape = (int(crossbar_shape[0]), int(crossbar_shape[1]))
         self.quantizer = quantizer if quantizer is not None else WeightQuantizer()
-        self._bitflip_model = WeightBitFlipModel(
-            self.quantizer, per_bit=synapse_faults_per_bit
-        )
-        self._neuron_injector = NeuronFaultInjector(
-            n_neurons=self.crossbar_shape[1],
-            per_operation=neuron_faults_per_operation,
-        )
+        self._bitflip_model = WeightBitFlipModel(self.quantizer)
+        self._neuron_injector = NeuronFaultInjector(n_neurons=self.crossbar_shape[1])
 
     # ------------------------------------------------------------------ #
     @property
@@ -238,95 +232,3 @@ class FaultMapGenerator:
             fault_rate=config.fault_rate,
             bit_width=self.quantizer.bits,
         )
-
-    def generate_many(
-        self,
-        config: ComputeEngineFaultConfig,
-        count: int,
-        rng: RNGLike = None,
-    ) -> List[FaultMap]:
-        """Draw several independent fault maps (e.g. Fig. 3a's fault maps 1 and 2).
-
-        For the default fault-location model (per-bit synapse strikes,
-        per-operation neuron strikes, no restricted fault type) all maps
-        are drawn from **one** bulk RNG pass: each map's uniforms occupy one
-        contiguous slice of a single ``generator.random(...)`` call, which
-        consumes exactly the same stream values, in the same order, as the
-        per-map draws of sequential :meth:`generate` calls — so the maps
-        are bit-identical to the pre-vectorization loop.  Configurations
-        with data-dependent draw counts fall back to that loop.
-        """
-        if count <= 0:
-            raise ValueError(f"count must be positive, got {count}")
-        generator = resolve_rng(rng)
-        if not self._bulk_drawable(config):
-            return [self.generate(config, rng=generator) for _ in range(count)]
-        return self._generate_many_bulk(config, count, generator)
-
-    # ------------------------------------------------------------------ #
-    # bulk drawing internals
-    # ------------------------------------------------------------------ #
-    def _bulk_drawable(self, config: ComputeEngineFaultConfig) -> bool:
-        """True when every map consumes a fixed, data-independent uniform count."""
-        if config.fault_rate == 0.0:
-            # The scalar models return empty draws without consuming RNG.
-            return False
-        if config.inject_synapses and not self._bitflip_model.per_bit:
-            # Per-register mode draws extra bit positions per struck register.
-            return False
-        if config.inject_neurons and (
-            not self._neuron_injector.per_operation
-            or config.restrict_neuron_fault_type is not None
-        ):
-            # Per-neuron mode draws one fault-type choice per struck neuron.
-            return False
-        return True
-
-    def _generate_many_bulk(
-        self,
-        config: ComputeEngineFaultConfig,
-        count: int,
-        generator: np.random.Generator,
-    ) -> List[FaultMap]:
-        """One-RNG-pass variant of :meth:`generate_many` (fixed draw counts)."""
-        bits = self.quantizer.bits
-        n_neurons = self.crossbar_shape[1]
-        fault_types = NeuronFaultType.all_types()
-        synapse_block = self.n_registers * bits if config.inject_synapses else 0
-        neuron_block = n_neurons * len(fault_types) if config.inject_neurons else 0
-        per_map = synapse_block + neuron_block
-
-        # One bulk draw; row ``i`` holds exactly the uniforms map ``i``'s
-        # sequential generate() call would have consumed, in order.
-        uniforms = generator.random(count * per_map).reshape(count, per_map)
-        rate = config.fault_rate
-
-        maps: List[FaultMap] = []
-        empty = np.array([], dtype=np.int64)
-        for index in range(count):
-            row = uniforms[index]
-            flat_indices, bit_positions = empty, empty
-            if synapse_block:
-                struck = np.flatnonzero(row[:synapse_block] < rate)
-                flat_indices = (struck // bits).astype(np.int64)
-                bit_positions = (struck % bits).astype(np.int64)
-            neuron_faults: List[Tuple[int, NeuronFaultType]] = []
-            if neuron_block:
-                strikes = (
-                    row[synapse_block:].reshape(n_neurons, len(fault_types)) < rate
-                )
-                neuron_faults = [
-                    (int(neuron_index), fault_types[int(operation_index)])
-                    for neuron_index, operation_index in zip(*np.nonzero(strikes))
-                ]
-            maps.append(
-                FaultMap(
-                    crossbar_shape=self.crossbar_shape,
-                    synapse_flat_indices=flat_indices,
-                    synapse_bit_positions=bit_positions,
-                    neuron_faults=neuron_faults,
-                    fault_rate=rate,
-                    bit_width=bits,
-                )
-            )
-        return maps

@@ -1,8 +1,8 @@
-"""Application of fault maps to concrete networks.
+"""Application of fault maps to concrete networks (the oracle route).
 
 The :class:`FaultInjector` is the bridge between the abstract fault model
-and the simulator substrate: given a trained network (built from a
-:class:`~repro.snn.training.TrainedModel`) and a :class:`FaultMap`, it
+and the sequential oracle's network: given a trained network (built by
+:func:`repro.snn.oracle.build_network`) and a :class:`FaultMap`, it
 corrupts the network's weight registers and installs the faulty neuron
 operation status, returning a report of what was done.  The corrupted
 network is then evaluated exactly like a healthy one — which is the point:

@@ -65,23 +65,17 @@ class NeuronFaultOutcome:
 class NeuronFaultInjector:
     """Random injector of faulty neuron operations.
 
-    Two interpretations of the fault rate are supported, selected by
-    *per_operation*:
-
-    * ``per_operation=True`` (default, matching Fig. 7 where every neuron
-      *operation* is a potential fault location): each of the four
-      operations of each neuron is struck independently with probability
-      equal to the fault rate.
-    * ``per_operation=False``: each *neuron* is struck with probability
-      equal to the fault rate, and a struck neuron gets one faulty
-      operation chosen uniformly at random (or the restricted type).
+    Every neuron *operation* is a potential fault location (Fig. 7): each
+    of the four operations of each neuron is struck independently with
+    probability equal to the fault rate.  When the fault type is
+    restricted (the Fig. 10a per-type sweeps), each *neuron* is struck with
+    that probability instead and gets the restricted faulty operation.
     """
 
-    def __init__(self, n_neurons: int, per_operation: bool = True) -> None:
+    def __init__(self, n_neurons: int) -> None:
         if n_neurons <= 0:
             raise ValueError(f"n_neurons must be positive, got {n_neurons}")
         self.n_neurons = int(n_neurons)
-        self.per_operation = bool(per_operation)
 
     # ------------------------------------------------------------------ #
     def inject(
@@ -118,7 +112,7 @@ class NeuronFaultInjector:
                 f"{type(restrict_type).__name__}"
             )
 
-        if self.per_operation and restrict_type is None:
+        if restrict_type is None:
             # Every (neuron, operation) pair is an independent location.
             fault_types = NeuronFaultType.all_types()
             strikes = generator.random((self.n_neurons, len(fault_types))) < fault_rate
@@ -127,16 +121,12 @@ class NeuronFaultInjector:
                 self._apply(status, int(neuron_index), fault_type)
                 faults.append((int(neuron_index), fault_type))
         else:
-            # Per-neuron interpretation (also used whenever the fault type is
-            # restricted, e.g. the Fig. 10a per-type sweeps).
+            # Per-neuron strikes of the one restricted type (the Fig. 10a
+            # per-type sweeps).
             struck = np.flatnonzero(generator.random(self.n_neurons) < fault_rate)
             for neuron_index in struck:
-                if restrict_type is not None:
-                    fault_type = restrict_type
-                else:
-                    fault_type = generator.choice(NeuronFaultType.all_types())
-                self._apply(status, int(neuron_index), fault_type)
-                faults.append((int(neuron_index), fault_type))
+                self._apply(status, int(neuron_index), restrict_type)
+                faults.append((int(neuron_index), restrict_type))
 
         return NeuronFaultOutcome(status=status, faults=faults)
 

@@ -52,7 +52,7 @@ from repro.serve.service import (
 )
 from repro.snn.inference import InferenceEngine
 from repro.snn.network import NetworkConfig
-from repro.snn.oracle import evaluate_sequential
+from repro.snn.oracle import build_network, evaluate_sequential
 from repro.snn.training import TrainedModel, TrainingConfig, TrainingRunner
 from repro.utils.logging import configure_logging, get_logger
 
@@ -229,7 +229,7 @@ def _reference_predictions(
     rule = BnPTechnique(mode.variant).bounding_for(model).as_weight_rule()
     reference: List[int] = []
     for image, seed in zip(images, seeds):
-        network = model.build_network()
+        network = build_network(model)
         if config is not None:
             FaultInjector(network).inject(config, rng=mode.fault_seed)
         result = evaluate_sequential(

@@ -1,17 +1,25 @@
 """Sequential references: the oracles the engines are verified against.
 
-These per-image, per-timestep loops are the original simulation of the
-paper's network — one :meth:`~repro.snn.neuron.LIFNeuronGroup.step` per
-timestep.  They are far slower than :mod:`repro.snn.engine` and
-:mod:`repro.snn.train_engine` and exist only so the parity suites and
-benches can check the engines spike for spike and weight for weight (the
-serving smoke check, ``python -m repro.server smoke``, uses the inference
-oracle as its reference too); no production path imports this module, and
-it records no telemetry.  They are also the only place a per-timestep
+Production code runs the network as a spec — a
+:class:`~repro.snn.network.NetworkConfig` plus weight registers and
+neuron-operation status — through :mod:`repro.snn.engine` and
+:mod:`repro.snn.train_engine`.  This module holds the other side of that
+split: the network object family
+(:class:`~repro.snn.network.DiehlCookNetwork`, built here) and the
+per-image, per-timestep loops that simulate it, one
+:meth:`~repro.snn.neuron.LIFNeuronGroup.step` per timestep.  They are far
+slower than the engines and exist so the parity suites and benches can
+check the engines spike for spike and weight for weight; the serving smoke
+check (``python -m repro.server smoke``) is their one caller outside the
+tests and benches, using the inference oracle as its reference.  They
+record no telemetry.  They are also the only place a per-timestep
 monitor exists: ``step_monitor`` (a
 :class:`~repro.core.bound_and_protect.NeuronProtection`) is the reference
 the engine's inline protection trigger is verified against.
 
+* :func:`build_network` — a fresh inference network loaded with a trained
+  model's deployed registers (the network the engines' planned rows
+  stand for).
 * :func:`present_sequential` / :func:`evaluate_sequential` — inference,
   with currents from the crossbar's current operator.  Unlike the engine,
   they also accept a dense float ``effective_weights`` matrix (the
@@ -29,7 +37,7 @@ import numpy as np
 
 from repro.data.datasets import Dataset
 from repro.snn.inference import InferenceEngine, InferenceResult
-from repro.snn.network import DiehlCookNetwork, SampleResult
+from repro.snn.network import DiehlCookNetwork, NetworkConfig, SampleResult
 from repro.snn.neuron import LIFNeuronGroup
 from repro.snn.stdp import STDPRule
 from repro.snn.synapse import EffectiveWeights
@@ -41,10 +49,44 @@ from repro.snn.train_engine import (
 from repro.snn.training import TrainedModel, TrainingRunner
 from repro.utils.rng import RNGLike, resolve_rng
 
-__all__ = ["present_sequential", "evaluate_sequential", "train_sequential"]
+__all__ = [
+    "build_network",
+    "present_sequential",
+    "evaluate_sequential",
+    "train_sequential",
+]
 
 #: Sequential step-monitor hook: called with the live neuron group.
 SequentialMonitor = Callable[[LIFNeuronGroup], None]
+
+
+def build_network(model: TrainedModel, rng: RNGLike = None) -> DiehlCookNetwork:
+    """Instantiate a fresh inference network loaded with *model*'s parameters.
+
+    The network uses the deployed 8-bit register format (full scale set to
+    twice the clean maximum weight unless the configuration pins it
+    explicitly), so fault injection acts on exactly the registers
+    :func:`repro.core.mitigation.prepare_map_assets` plans rows from.  Its
+    construction draws random initial weights from *rng* that the trained
+    ones overwrite (the production paths discard the same draw).  Every
+    call returns an independent network.
+    """
+    quantizer = model.network_config.make_quantizer(model.clean_max_weight)
+    network = DiehlCookNetwork(
+        config=model.network_config, rng=rng, quantizer=quantizer
+    )
+    network.synapses.set_weights(np.clip(model.weights, 0.0, quantizer.full_scale))
+    network.neurons.theta = model.theta.copy()
+    return network
+
+
+def _training_network(
+    config: NetworkConfig, generator: np.random.Generator
+) -> DiehlCookNetwork:
+    """Fresh training network in the high-precision learning format."""
+    return DiehlCookNetwork(
+        config=config, rng=generator, quantizer=config.make_training_quantizer()
+    )
 
 
 def present_sequential(
@@ -134,8 +176,8 @@ def train_sequential(
     theta, clean-weight statistics and history are bit-identical to
     :meth:`TrainingRunner.train`'s, and the generator is left in the same
     state.  Input validation, fast label assignment and model assembly are
-    the runner's own; network construction and the epoch order are the
-    engine's.
+    the runner's own, and the epoch order is the engine's; the training
+    network is built here.
     """
     generator = runner._check_inputs(dataset, rng)
     engine = VectorizedTrainingEngine(runner.network_config, runner.training_config)
@@ -160,7 +202,7 @@ def _train_pairwise_stdp(
 ) -> Tuple[np.ndarray, Dict[str, list]]:
     """Per-timestep pair-based STDP (the classical rule)."""
     config = engine.training_config
-    network = engine._build_network(generator)
+    network = _training_network(engine.network_config, generator)
     network.normalize_weights(config.weight_norm_total)
     rule = STDPRule(network.n_inputs, network.n_neurons, network.config.stdp)
 
@@ -219,7 +261,7 @@ def _train_wta(
     network_config = engine.network_config
     n_neurons = network_config.n_neurons
 
-    network = engine._build_network(generator)
+    network = _training_network(engine.network_config, generator)
     network.normalize_weights(config.weight_norm_total)
     weights = network.synapses.weights
     conscience = np.zeros(n_neurons, dtype=np.float64)
@@ -268,7 +310,7 @@ def assign_labels_sequential(
     at any batch size.
     """
     generator = resolve_rng(rng)
-    network = engine._build_network(generator)
+    network = _training_network(engine.network_config, generator)
     network.synapses.set_weights(weights)
     spike_counts = np.stack(
         [network.present(image, rng=generator).spike_counts for image, _ in dataset]

@@ -27,7 +27,23 @@ from repro.snn.kernels import exact_gemm_dtype, exact_scale, register_gemm
 from repro.snn.quantization import WeightQuantizer
 from repro.utils.bits import flip_bits_in_array
 
-__all__ = ["BoundedWeightRule", "SynapseMatrix"]
+__all__ = ["BoundedWeightRule", "SynapseMatrix", "check_weight_range"]
+
+
+def check_weight_range(weights: np.ndarray, quantizer: WeightQuantizer) -> None:
+    """Raise ``ValueError`` unless *weights* lie in ``[0, full_scale]``.
+
+    The range a float weight matrix must fit before it is quantised into
+    *quantizer*'s registers (STDP in this architecture produces excitatory,
+    positive weights).
+    """
+    if weights.min() < 0:
+        raise ValueError("weights must be non-negative")
+    if weights.max() > quantizer.full_scale:
+        raise ValueError(
+            "weights exceed the quantizer full-scale range "
+            f"({weights.max():.4f} > {quantizer.full_scale:.4f})"
+        )
 
 
 @dataclass(frozen=True)
@@ -171,14 +187,8 @@ class SynapseMatrix:
             )
         if weights.size == 0:
             raise ValueError("weights must not be empty")
-        if weights.min() < 0:
-            raise ValueError("weights must be non-negative")
         self.quantizer = quantizer if quantizer is not None else WeightQuantizer()
-        if weights.max() > self.quantizer.full_scale:
-            raise ValueError(
-                "weights exceed the quantizer full-scale range "
-                f"({weights.max():.4f} > {self.quantizer.full_scale:.4f})"
-            )
+        check_weight_range(weights, self.quantizer)
         self._registers = self.quantizer.quantize(weights)
         self._weights = self.quantizer.dequantize(self._registers)
         self._float_codes: Optional[np.ndarray] = None
@@ -283,13 +293,7 @@ class SynapseMatrix:
             raise ValueError(
                 f"weights must have shape {self.shape}, got {weights.shape}"
             )
-        if weights.min() < 0:
-            raise ValueError("weights must be non-negative")
-        if weights.max() > self.quantizer.full_scale:
-            raise ValueError(
-                "weights exceed the quantizer full-scale range "
-                f"({weights.max():.4f} > {self.quantizer.full_scale:.4f})"
-            )
+        check_weight_range(weights, self.quantizer)
         self._registers = self.quantizer.quantize(weights)
         self._weights = self.quantizer.dequantize(self._registers)
         self._float_codes = None

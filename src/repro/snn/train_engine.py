@@ -28,17 +28,22 @@ Vectorization strategy
 
 ``spiking_wta`` / ``fast_wta``
     The per-sample winner-take-all update is already cheap; what the
-    sequential oracle pays for is presenting every sample through a fresh
-    batch-of-one :class:`~repro.snn.engine.BatchedInferenceEngine` run
-    (state allocation, layout transposes, result assembly).  The engine
-    inlines a lean single-sample presentation over the same exact
-    integer-code GEMM and elementwise LIF expressions.
+    sequential oracle pays for is presenting every sample to a network
+    as a fresh batch-of-one engine run (state allocation, layout
+    transposes, result assembly).  The engine inlines a lean single-sample
+    presentation over the same exact integer-code GEMM and elementwise LIF
+    expressions.
 
 Label assignment (``"spiking"`` mode)
     Weights are frozen here, so this *is* an inference workload: the engine
-    presents the labelled training set in true batches through
-    :class:`~repro.snn.engine.BatchedInferenceEngine` instead of one sample
-    at a time.
+    presents the labelled training set in true batches through one healthy
+    :class:`~repro.snn.engine.MapRow` of a
+    :class:`~repro.snn.engine.MapParallelEngine` instead of one sample at a
+    time.
+
+The engine builds no network object: the spec is the
+:class:`~repro.snn.network.NetworkConfig`, and the weights live as plain
+arrays on the training register lattice.
 
 Parity contract
 ---------------
@@ -50,7 +55,10 @@ floating-point operation is either literally the same expression or an
 exactness-preserving restriction of one:
 
 * RNG draws (weight init, epoch shuffles, Poisson encodings) happen in the
-  same order with the same shapes, so both paths consume identical streams.
+  same order with the same shapes, so both paths consume identical streams;
+  :meth:`VectorizedTrainingEngine._initial_weights` draws, round-trips and
+  normalises exactly what the oracle's freshly built training network
+  holds after its first ``normalize_weights``.
 * Sparse STDP updates are exact: a non-spiking column receives
   ``w + lr * (trace * 0.0) = w + 0.0 = w`` in the sequential path (bitwise
   identity for the non-negative weights this architecture produces), so
@@ -85,7 +93,7 @@ import numpy as np
 
 from repro.obs import metrics as _obs
 from repro.obs.trace import span
-from repro.snn.engine import BatchedInferenceEngine
+from repro.snn.engine import MapParallelEngine, MapRow
 from repro.snn.kernels import (
     KernelWorkspace,
     LIFStepConfig,
@@ -96,7 +104,10 @@ from repro.snn.kernels import (
     register_gemm,
 )
 from repro.snn.models import resolve_model
-from repro.snn.network import DiehlCookNetwork, NetworkConfig
+from repro.snn.network import NetworkConfig
+from repro.snn.neuron import NeuronOperationStatus
+from repro.snn.quantization import WeightQuantizer
+from repro.snn.synapse import check_weight_range
 from repro.utils.logging import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -132,7 +143,7 @@ def _record_training_epoch(mode: str, seconds: float) -> None:
         _TRAINING_EPOCHS.labels(mode=mode).inc()
         _TRAINING_EPOCH_SECONDS.labels(mode=mode).observe(seconds)
 
-#: Samples per :class:`~repro.snn.engine.BatchedInferenceEngine` chunk during
+#: Samples per :class:`~repro.snn.engine.MapParallelEngine` chunk during
 #: spiking label assignment.  Any value yields bit-identical labels (the
 #: engine is spike-exact for every batch shape); this is purely a
 #: memory/throughput trade-off.
@@ -192,6 +203,22 @@ def wta_sample_update(
     column_sums = weights.sum(axis=0)
     column_sums[column_sums == 0] = 1.0
     return weights * (config.weight_norm_total / column_sums)
+
+
+def _normalize_columns(
+    weights: np.ndarray, total: float, quantizer: WeightQuantizer
+) -> np.ndarray:
+    """Diehl & Cook column normalisation onto *quantizer*'s register lattice.
+
+    Every neuron's incoming weights are rescaled to sum to *total* (silent
+    columns are left as they are), clipped into the register range and
+    round-tripped through the registers — the expression
+    ``DiehlCookNetwork.normalize_weights`` evaluates, as a new array.
+    """
+    column_sums = weights.sum(axis=0)
+    column_sums[column_sums == 0] = 1.0
+    weights = weights * (total / column_sums)
+    return quantizer.roundtrip(np.clip(weights, 0.0, quantizer.full_scale))
 
 
 def neuron_labels_from_responses(
@@ -279,12 +306,25 @@ class VectorizedTrainingEngine:
             return generator.permutation(n_samples)
         return np.arange(n_samples)
 
-    def _build_network(self, generator: np.random.Generator) -> DiehlCookNetwork:
-        """Fresh training network in the high-precision learning format."""
-        return DiehlCookNetwork(
-            config=self.network_config,
-            rng=generator,
-            quantizer=self.network_config.make_training_quantizer(),
+    def _initial_weights(
+        self, generator: np.random.Generator, quantizer: WeightQuantizer
+    ) -> np.ndarray:
+        """Initial training weights, column-normalised on *quantizer*'s lattice.
+
+        One ``uniform(0, min(0.3 * w_max, full_scale))`` draw per synapse,
+        a quantise round trip, then ``_normalize_columns`` — the weights
+        a freshly built training network holds after its first
+        ``normalize_weights``, drawing the same doubles from *generator*.
+        """
+        config = self.network_config
+        high = min(0.3 * config.stdp.w_max, quantizer.full_scale)
+        weights = generator.uniform(
+            0.0, high, size=(config.n_inputs, config.n_neurons)
+        )
+        return _normalize_columns(
+            quantizer.roundtrip(weights),
+            self.training_config.weight_norm_total,
+            quantizer,
         )
 
     # ------------------------------------------------------------------ #
@@ -310,16 +350,14 @@ class VectorizedTrainingEngine:
             both bit-identical to the sequential trainer's.
         """
         config = self.training_config
-        network = self._build_network(generator)
-        network.normalize_weights(config.weight_norm_total)
-        quantizer = network.synapses.quantizer
-        encoder = network.encoder
+        quantizer = self.network_config.make_training_quantizer()
+        weights = self._initial_weights(generator, quantizer)  # within [0, w_max]
+        encoder = self.network_config.make_encoder()
         stdp = self.network_config.stdp
         params = self.network_config.neuron_params
 
         n_inputs = self.network_config.n_inputs
         n_neurons = self.network_config.n_neurons
-        weights = network.synapses.weights  # float64 copy, within [0, w_max]
 
         # Scalar parameters of the specialised (healthy-network) LIF step.
         step_config = LIFStepConfig.from_params(params)
@@ -426,12 +464,11 @@ class VectorizedTrainingEngine:
                     # round trip) followed by the trainer's per-sample
                     # Diehl & Cook weight normalisation — both full-matrix,
                     # both once per sample rather than once per timestep.
-                    weights = quantizer.dequantize(quantizer.quantize(weights))
-                    column_sums = weights.sum(axis=0)
-                    column_sums[column_sums == 0] = 1.0
-                    weights = weights * (config.weight_norm_total / column_sums)
-                    weights = np.clip(weights, 0.0, quantizer.full_scale)
-                    weights = quantizer.dequantize(quantizer.quantize(weights))
+                    weights = _normalize_columns(
+                        quantizer.roundtrip(weights),
+                        config.weight_norm_total,
+                        quantizer,
+                    )
 
             mean_spikes = float(np.mean(epoch_spikes))
             history["epoch_mean_spikes"].append(mean_spikes)
@@ -478,11 +515,9 @@ class VectorizedTrainingEngine:
         n_inputs = self.network_config.n_inputs
         n_neurons = self.network_config.n_neurons
 
-        network = self._build_network(generator)
-        network.normalize_weights(config.weight_norm_total)
-        quantizer = network.synapses.quantizer
-        encoder = network.encoder
-        weights = network.synapses.weights
+        quantizer = self.network_config.make_training_quantizer()
+        weights = self._initial_weights(generator, quantizer)
+        encoder = self.network_config.make_encoder()
         conscience = np.zeros(n_neurons, dtype=np.float64)
         wins = np.zeros(n_neurons, dtype=np.int64)
 
@@ -543,19 +578,13 @@ class VectorizedTrainingEngine:
 
         Replicates exactly what the sequential winner-take-all step
         observes from ``set_weights`` + ``network.present``: the weights are
-        quantised into register codes (with the same range validation
-        ``set_weights`` performs), the currents come from the identical
-        exact integer-code GEMM, and the LIF state advances through the
-        same elementwise expressions — without building a batch-of-one
-        :class:`~repro.snn.engine.BatchedInferenceEngine` run per sample.
+        quantised into register codes (with the range validation
+        ``set_weights`` performs, :func:`~repro.snn.synapse.check_weight_range`),
+        the currents come from the identical exact integer-code GEMM, and the
+        LIF state advances through the same elementwise expressions —
+        without a batch-of-one engine run per sample.
         """
-        if weights.min() < 0:
-            raise ValueError("weights must be non-negative")
-        if weights.max() > quantizer.full_scale:
-            raise ValueError(
-                "weights exceed the quantizer full-scale range "
-                f"({weights.max():.4f} > {quantizer.full_scale:.4f})"
-            )
+        check_weight_range(weights, quantizer)
         params = self.network_config.neuron_params
         n_neurons = self.network_config.n_neurons
 
@@ -613,10 +642,15 @@ class VectorizedTrainingEngine:
         """Spiking-mode neuron label assignment in true inference batches.
 
         The trained weights are frozen here, so the labelled training set
-        is a plain inference workload: chunks of ``batch_size`` samples run
-        through one warm :class:`~repro.snn.engine.BatchedInferenceEngine`.
-        Any chunking (including odd tails) yields the labels of the
-        sequential per-sample loop bit for bit — the engine is spike-exact
+        is a plain inference workload: one healthy
+        :class:`~repro.snn.engine.MapRow` holds the weights' training-format
+        registers (``theta = 0``, as a fresh training network starts), and
+        chunks of ``batch_size`` samples run through its one
+        :class:`~repro.snn.engine.MapParallelEngine`.  A discarded
+        initial-weight draw first keeps the generator where the sequential
+        reference, which builds a fresh network, leaves it.  Any chunking
+        (including odd tails) yields the labels of the sequential
+        per-sample loop bit for bit — the engine is spike-exact
         for every batch shape, and the per-class response accumulation
         happens in dataset order either way.
 
@@ -639,15 +673,33 @@ class VectorizedTrainingEngine:
         """
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
-        network = self._build_network(generator)
-        network.synapses.set_weights(weights)
-        engine = BatchedInferenceEngine(network)
-
-        flat_images = dataset.flattened_images()
+        config = self.network_config
+        generator.random(config.n_inputs * config.n_neurons)
+        quantizer = config.make_training_quantizer()
+        check_weight_range(weights, quantizer)
+        row = MapRow(
+            raster_index=0,
+            registers=quantizer.quantize(weights),
+            operation_status=NeuronOperationStatus.healthy(config.n_neurons),
+        )
+        engine = MapParallelEngine(
+            [row],
+            quantizer=quantizer,
+            params=config.neuron_params,
+            theta=np.zeros(config.n_neurons),
+            model=self._model,
+        )
+        encoder = config.make_encoder()
+        flat_images = dataset.flattened_images()[:, np.newaxis, :]
         spike_counts = np.concatenate(
             [
-                engine.run(flat_images[start : start + batch_size], rng=generator)
-                .spike_counts
+                engine.run_encoded(
+                    [
+                        encoder.encode_batch(
+                            flat_images[start : start + batch_size], rng=generator
+                        )
+                    ]
+                ).spike_counts[0]
                 for start in range(0, len(dataset), batch_size)
             ]
         )

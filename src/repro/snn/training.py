@@ -51,7 +51,7 @@ import numpy as np
 
 from repro.data.datasets import Dataset
 from repro.snn.models import DEFAULT_NEURON_MODEL
-from repro.snn.network import DiehlCookNetwork, NetworkConfig
+from repro.snn.network import NetworkConfig
 from repro.snn.neuron import LIFParameters
 from repro.snn.stdp import STDPConfig
 from repro.snn.train_engine import (
@@ -147,9 +147,12 @@ class TrainedModel:
     """A trained "clean SNN": weights, homeostasis state and neuron labels.
 
     This object is the handover point between training and every
-    fault-injection experiment: experiments copy its weights into a fresh
-    network, inject faults, and run inference.  It also carries the
-    clean-weight statistics the Bound-and-Protect techniques need.
+    fault-injection experiment: experiments quantise its weights into the
+    deployed registers (:func:`repro.core.mitigation.prepare_map_assets`),
+    apply a fault map to them, and run the engine over the result.  It also
+    carries the clean-weight statistics the Bound-and-Protect techniques
+    need.  The sequential oracle builds a network from it with
+    :func:`repro.snn.oracle.build_network`.
 
     Attributes
     ----------
@@ -218,26 +221,6 @@ class TrainedModel:
     def deployment_full_scale(self) -> float:
         """Full-scale weight value of the deployed 8-bit register format."""
         return self.network_config.make_quantizer(self.clean_max_weight).full_scale
-
-    def build_network(self, rng: RNGLike = None) -> DiehlCookNetwork:
-        """Instantiate a fresh inference network loaded with the trained parameters.
-
-        The network uses the deployed 8-bit register format (full scale set
-        to twice the clean maximum weight unless the configuration pins it
-        explicitly), so every fault-injection experiment operates on exactly
-        the registers the accelerator would hold.  Every call returns an
-        independent network, so trials never contaminate the trained model
-        or each other.
-        """
-        quantizer = self.network_config.make_quantizer(self.clean_max_weight)
-        network = DiehlCookNetwork(
-            config=self.network_config, rng=rng, quantizer=quantizer
-        )
-        network.synapses.set_weights(
-            np.clip(self.weights, 0.0, quantizer.full_scale)
-        )
-        network.neurons.theta = self.theta.copy()
-        return network
 
     def to_dict(self) -> Dict[str, object]:
         """Serialisable summary (weights included) of the trained model."""

@@ -11,10 +11,12 @@ half-completed campaign must resume from the store without recomputing
 from __future__ import annotations
 
 import json
+import time
 
 import numpy as np
 import pytest
 
+import repro.eval.campaign as campaign_module
 from repro.core.bound_and_protect import BnPVariant
 from repro.core.mitigation import BnPTechnique, NoMitigation
 from repro.eval.campaign import (
@@ -167,6 +169,28 @@ class TestSerialParallelParity:
         b = execute_cell_group([cell], prepared.model, prepared.test_set, techniques)[0]
         assert a.accuracies == b.accuracies
         assert a.n_faults == b.n_faults
+
+    def test_serial_duration_excludes_input_preparation(self, monkeypatch):
+        """A serial unit times its engine pass only, as a pooled unit does:
+        a slow fault-map preparation must not show in ``duration_seconds``."""
+        prepared = ExperimentRunner(root_seed=RUNNER_SEED).prepare(TINY_CONFIG)
+        techniques = [NoMitigation(), BnPTechnique(BnPVariant.BNP3)]
+        cell = build_experiment_cells(
+            TINY_CONFIG.label(), RATES, 2, root_seed=CAMPAIGN_SEED
+        )[3]
+        prepare = campaign_module.prepare_unit_inputs
+
+        def slow_prepare(*args, **kwargs):
+            time.sleep(0.5)
+            return prepare(*args, **kwargs)
+
+        monkeypatch.setattr(campaign_module, "prepare_unit_inputs", slow_prepare)
+        began = time.perf_counter()
+        result = execute_cell_group(
+            [cell], prepared.model, prepared.test_set, techniques
+        )[0]
+        assert time.perf_counter() - began >= 0.5  # the slow stage did run
+        assert result.duration_seconds < 0.5
 
 
 class TestResume:

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from repro.core.bound_and_protect import BnPVariant, NeuronProtection, WeightBounding
 from repro.core.fault_analysis import FaultToleranceAnalyzer
-from repro.faults.models import NeuronFaultType
+from repro.faults.injector import FaultInjector
+from repro.faults.models import ComputeEngineFaultConfig, NeuronFaultType
 from repro.hardware.enhancements import MitigationKind
 from repro.snn.neuron import LIFNeuronGroup, LIFParameters, NeuronOperationStatus
+from repro.snn.oracle import build_network
 
 
 class TestWeightBounding:
@@ -140,6 +142,40 @@ class TestFaultToleranceAnalyzer:
             trained_model.clean_max_weight, rel=0.05
         )
         assert "fault_rate" in analysis.summary()
+
+    @pytest.mark.parametrize("seed", [0, 9])
+    def test_weight_distribution_matches_network_route(self, trained_model, seed):
+        """The register route equals the oracle network struck by
+        ``FaultInjector.inject`` on one generator: histograms, summary and
+        the generator's end state."""
+        analysis_rng = np.random.default_rng(seed)
+        analysis = FaultToleranceAnalyzer(trained_model).weight_distribution(
+            fault_rate=0.1, bins=16, rng=analysis_rng
+        )
+
+        network_rng = np.random.default_rng(seed)
+        network = build_network(trained_model, rng=network_rng)
+        clean_weights = network.synapses.weights
+        report = FaultInjector(network).inject(
+            ComputeEngineFaultConfig.synapses_only(0.1), rng=network_rng
+        )
+        edges = np.linspace(0.0, network.synapses.quantizer.full_scale, 17)
+        assert np.array_equal(analysis.bin_edges, edges)
+        assert np.array_equal(
+            analysis.clean_counts, np.histogram(clean_weights, bins=edges)[0]
+        )
+        assert np.array_equal(
+            analysis.faulty_counts,
+            np.histogram(network.synapses.weights, bins=edges)[0],
+        )
+        summary = report.weight_change_summary
+        assert analysis.clean_max_weight == float(clean_weights.max())
+        assert analysis.clean_max_weight == summary["clean_max_weight"]
+        assert analysis.n_weights_above_clean_max == summary["n_above_clean_max"]
+        assert analysis.n_increased == summary["n_increased"]
+        assert analysis.n_decreased == summary["n_decreased"]
+        assert analysis.n_increased + analysis.n_decreased > 0
+        assert analysis_rng.random() == network_rng.random()
 
     def test_derive_safe_range_matches_model_statistics(self, trained_model):
         safe_range = FaultToleranceAnalyzer(trained_model).derive_safe_range()

@@ -19,6 +19,7 @@ from repro.faults.models import ComputeEngineFaultConfig, NeuronFaultType
 from repro.hardware.enhancements import MitigationKind
 from repro.snn.encoding import PoissonEncoder
 from repro.snn.inference import MAP_PARALLEL_CHUNK_SIZE, InferenceEngine
+from repro.snn.oracle import build_network
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +29,7 @@ def catastrophic_fault_map(trained_model):
     This is the scenario the paper's Fig. 13 shows at high fault rates: the
     unmitigated network collapses while BnP recovers most of the accuracy.
     """
-    network = trained_model.build_network(rng=0)
+    network = build_network(trained_model, rng=0)
     generator = FaultMapGenerator(
         network.synapses.shape, quantizer=network.synapses.quantizer
     )
@@ -79,7 +80,7 @@ class TestNoMitigation:
         )
 
         generator = np.random.default_rng(seed)
-        network = trained_model.build_network(rng=generator)
+        network = build_network(trained_model, rng=generator)
         if fault_rate > 0:
             FaultInjector(network).inject(config, rng=generator)
         reference = InferenceEngine(network, trained_model.neuron_labels).evaluate(
@@ -228,7 +229,7 @@ class TestBnPTechniques:
         )
         # The count is the bounding rule applied to the faulty network's
         # stored weights.
-        network = trained_model.build_network(rng=5)
+        network = build_network(trained_model, rng=5)
         FaultInjector(network).apply_fault_map(catastrophic_fault_map)
         expected = technique.bounding_for(trained_model).count_bounded(
             network.synapses.weights

@@ -50,7 +50,7 @@ from repro.snn.engine import (
 )
 from repro.snn.inference import InferenceEngine
 from repro.snn.network import NetworkConfig
-from repro.snn.oracle import evaluate_sequential, present_sequential
+from repro.snn.oracle import build_network, evaluate_sequential, present_sequential
 from repro.snn.neuron import NeuronOperationStatus
 from repro.snn.synapse import BoundedWeightRule
 from repro.snn.training import TrainedModel
@@ -104,7 +104,7 @@ def _engine(trained: TrainedModel) -> MapParallelEngine:
     """
     config = trained.network_config
     quantizer = config.make_quantizer(trained.clean_max_weight)
-    clean = np.asarray(trained.build_network(rng=0).synapses.registers).copy()
+    clean = np.asarray(build_network(trained, rng=0).synapses.registers).copy()
     faulty = clean.copy()
     faulty.flat[[3, 500, 1207, 2000]] = quantizer.max_code
     status = _faulty_status(config.n_neurons)
@@ -302,7 +302,7 @@ class TestInlineProtection:
 
         # The sequential oracle on the identically built faulty network.
         generator = resolve_rng(17)
-        network = trained.build_network(rng=generator)
+        network = build_network(trained, rng=generator)
         FaultInjector(network).apply_fault_map(fault_map)
         monitor = NeuronProtection(trigger_cycles=technique.protection_trigger_cycles)
         hooked = evaluate_sequential(
@@ -339,7 +339,7 @@ class TestInlineProtection:
         rule = BnPTechnique(mode.variant).bounding_for(trained).as_weight_rule()
         hooked = []
         for image, seed in zip(images, seeds):
-            network = trained.build_network()
+            network = build_network(trained)
             FaultInjector(network).inject(mode.fault_config(), rng=mode.fault_seed)
             hooked.append(
                 present_sequential(

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.mitigation import _corrupt_registers
 from repro.faults.bitflip import WeightBitFlipModel
 from repro.faults.fault_map import FaultMap, FaultMapGenerator
 from repro.faults.injector import FaultInjector
 from repro.faults.models import ComputeEngineFaultConfig, NeuronFaultType
 from repro.faults.neuron_faults import NeuronFaultInjector
+from repro.snn.oracle import build_network
 from repro.snn.quantization import WeightQuantizer
 
 
@@ -42,19 +44,15 @@ class TestComputeEngineFaultConfig:
 
 
 class TestWeightBitFlipModel:
-    def _model(self, per_bit=True):
-        return WeightBitFlipModel(WeightQuantizer(bits=8, full_scale=1.0), per_bit=per_bit)
+    def _model(self):
+        return WeightBitFlipModel(WeightQuantizer(bits=8, full_scale=1.0))
 
     def test_zero_rate_produces_no_faults(self):
         indices, bits = self._model().draw_fault_locations(100, 0.0, rng=0)
         assert indices.size == 0 and bits.size == 0
 
-    def test_rate_one_per_register_hits_everything(self):
-        indices, _ = self._model(per_bit=False).draw_fault_locations(50, 1.0, rng=0)
-        assert sorted(indices.tolist()) == list(range(50))
-
     def test_per_bit_rate_one_hits_every_bit(self):
-        indices, bits = self._model(per_bit=True).draw_fault_locations(10, 1.0, rng=0)
+        indices, bits = self._model().draw_fault_locations(10, 1.0, rng=0)
         assert indices.size == 80
         assert set(bits.tolist()) == set(range(8))
 
@@ -64,38 +62,46 @@ class TestWeightBitFlipModel:
         _, bits_high = self._model().draw_fault_locations(n_registers, 0.1, rng=1)
         assert bits_high.size > bits_low.size
 
+    # Registers are corrupted by replaying a FaultMap onto them
+    # (repro.core.mitigation._corrupt_registers); these four check the
+    # injection contracts on that route.
     def test_inject_flips_only_selected(self):
-        model = self._model()
         registers = np.zeros((4, 4), dtype=np.uint8)
-        outcome = model.inject(
-            registers, 0.0, flat_indices=np.array([3]), bit_positions=np.array([2])
+        fault_map = FaultMap(
+            crossbar_shape=(4, 4),
+            synapse_flat_indices=np.array([3]),
+            synapse_bit_positions=np.array([2]),
         )
-        assert outcome.faulty_registers.ravel()[3] == 4
-        assert outcome.n_faults == 1
+        faulty = _corrupt_registers(registers, fault_map, self._model().quantizer)
+        assert faulty.ravel()[3] == 4
+        assert faulty.sum() == 4 and faulty.dtype == registers.dtype
+        assert fault_map.n_synapse_faults == 1
         assert registers.sum() == 0  # original untouched
 
     def test_inject_requires_paired_replay_arguments(self):
-        with pytest.raises(ValueError):
-            self._model().inject(
-                np.zeros(4, dtype=np.uint8), 0.1, flat_indices=np.array([0])
+        with pytest.raises(ValueError, match="equal length"):
+            FaultMap(
+                crossbar_shape=(2, 2),
+                synapse_flat_indices=np.array([0]),
+                synapse_bit_positions=np.array([], dtype=np.int64),
             )
 
     @pytest.mark.parametrize("bad_rate", [-0.1, 1.5])
     def test_inject_validates_rate_on_replay_path(self, bad_rate):
-        # Regression: replaying explicit fault locations used to skip
-        # check_probability entirely, so a nonsensical stored fault rate
-        # round-tripped unvalidated.
+        # A replayed map carries the rate it was drawn at; a nonsensical
+        # stored rate must not round-trip unchecked just because the
+        # locations are explicit.
         with pytest.raises(ValueError, match="fault_rate"):
-            self._model().inject(
-                np.zeros(4, dtype=np.uint8),
-                bad_rate,
-                flat_indices=np.array([0]),
-                bit_positions=np.array([1]),
+            FaultMap(
+                crossbar_shape=(2, 2),
+                synapse_flat_indices=np.array([0]),
+                synapse_bit_positions=np.array([1]),
+                fault_rate=bad_rate,
             )
 
     def test_inject_validates_rate_on_draw_path(self):
         with pytest.raises(ValueError, match="fault_rate"):
-            self._model().inject(np.zeros(4, dtype=np.uint8), 2.0)
+            self._model().draw_fault_locations(4, 2.0)
 
     def test_weight_change_summary(self):
         model = self._model()
@@ -123,7 +129,7 @@ class TestNeuronFaultInjector:
         assert outcome.n_faults == 0
 
     def test_rate_one_per_operation_breaks_every_operation(self):
-        outcome = NeuronFaultInjector(5, per_operation=True).inject(1.0, rng=0)
+        outcome = NeuronFaultInjector(5).inject(1.0, rng=0)
         assert outcome.n_faults == 20
         assert not outcome.status.vmem_reset_ok.any()
         assert not outcome.status.spike_generation_ok.any()
@@ -262,58 +268,10 @@ class TestFaultMapGenerator:
             or a.neuron_faults != b.neuron_faults
         )
 
-    def test_generate_many(self):
-        maps = self._generator().generate_many(
-            ComputeEngineFaultConfig.full_compute_engine(0.1), count=3, rng=0
-        )
-        assert len(maps) == 3
-
-    def test_generate_many_invalid_count(self):
-        with pytest.raises(ValueError):
-            self._generator().generate_many(
-                ComputeEngineFaultConfig.full_compute_engine(0.1), count=0
-            )
-
-    @pytest.mark.parametrize(
-        "config",
-        [
-            ComputeEngineFaultConfig(0.05),
-            ComputeEngineFaultConfig(0.2, inject_neurons=False),
-            ComputeEngineFaultConfig(0.15, inject_synapses=False),
-        ],
-    )
-    def test_generate_many_bulk_matches_sequential_streams(self, config):
-        """The one-RNG-pass bulk draw replays the per-map loop bit for bit."""
-        generator = self._generator()
-        bulk = generator.generate_many(config, count=4, rng=np.random.default_rng(42))
-        sequential_rng = np.random.default_rng(42)
-        for fault_map in bulk:
-            reference = generator.generate(config, rng=sequential_rng)
-            assert np.array_equal(
-                fault_map.synapse_flat_indices, reference.synapse_flat_indices
-            )
-            assert np.array_equal(
-                fault_map.synapse_bit_positions, reference.synapse_bit_positions
-            )
-            assert fault_map.neuron_faults == reference.neuron_faults
-            assert fault_map.bit_width == reference.bit_width
-
-    def test_generate_many_falls_back_for_variable_draws(self):
-        """Restricted fault types use data-dependent draws: loop fallback."""
-        generator = self._generator()
-        config = ComputeEngineFaultConfig(
-            0.3, restrict_neuron_fault_type=NeuronFaultType.VMEM_RESET
-        )
-        bulk = generator.generate_many(config, count=2, rng=9)
-        sequential_rng = np.random.default_rng(9)
-        for fault_map in bulk:
-            reference = generator.generate(config, rng=sequential_rng)
-            assert fault_map.neuron_faults == reference.neuron_faults
-
 
 class TestFaultInjector:
     def test_inject_corrupts_network_state(self, trained_model):
-        network = trained_model.build_network(rng=0)
+        network = build_network(trained_model, rng=0)
         clean_registers = network.synapses.registers
         injector = FaultInjector(network)
         report = injector.inject(
@@ -324,8 +282,8 @@ class TestFaultInjector:
         assert network.neurons.operation_status.any_faulty or report.n_neuron_faults == 0
 
     def test_replaying_map_is_deterministic(self, trained_model):
-        network_a = trained_model.build_network(rng=0)
-        network_b = trained_model.build_network(rng=0)
+        network_a = build_network(trained_model, rng=0)
+        network_b = build_network(trained_model, rng=0)
         injector_a = FaultInjector(network_a)
         fault_map = injector_a.draw_fault_map(
             ComputeEngineFaultConfig.full_compute_engine(0.05), rng=7
@@ -335,13 +293,13 @@ class TestFaultInjector:
         assert np.array_equal(network_a.synapses.registers, network_b.synapses.registers)
 
     def test_mismatched_fault_map_rejected(self, trained_model):
-        network = trained_model.build_network(rng=0)
+        network = build_network(trained_model, rng=0)
         foreign = FaultMap(crossbar_shape=(2, 2))
         with pytest.raises(ValueError):
             FaultInjector(network).apply_fault_map(foreign)
 
     def test_restore_registers(self, trained_model):
-        network = trained_model.build_network(rng=0)
+        network = build_network(trained_model, rng=0)
         clean = network.synapses.registers
         injector = FaultInjector(network)
         injector.inject(ComputeEngineFaultConfig.synapses_only(0.1), rng=3)
@@ -350,7 +308,7 @@ class TestFaultInjector:
 
     def test_weight_increase_statistics_match_fig9_story(self, trained_model):
         """Bit flips must be able to push weights above the clean maximum."""
-        network = trained_model.build_network(rng=0)
+        network = build_network(trained_model, rng=0)
         injector = FaultInjector(network)
         report = injector.inject(ComputeEngineFaultConfig.synapses_only(0.1), rng=5)
         summary = report.weight_change_summary

@@ -18,6 +18,7 @@ from repro.eval.overheads import overhead_tables_for_sizes
 from repro.eval.sweep import FaultRateSweep
 from repro.faults.models import ComputeEngineFaultConfig, NeuronFaultType
 from repro.hardware.enhancements import MitigationKind
+from repro.snn.oracle import build_network
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +100,7 @@ class TestWeightBoundingClaim:
 
     def test_bounded_effective_weights_stay_in_safe_range(self, prepared):
         model = prepared.model
-        network = model.build_network(rng=0)
+        network = build_network(model, rng=0)
         from repro.faults.injector import FaultInjector
 
         FaultInjector(network).inject(

@@ -38,6 +38,7 @@ from repro.snn.encoding import (
     register_encoder,
 )
 from repro.snn.engine import MapParallelEngine, MapRow, protection_counts
+from repro.snn import oracle
 from repro.snn.oracle import evaluate_sequential, train_sequential
 from repro.snn.inference import InferenceEngine, class_indicator, evaluate_rows
 from repro.snn.kernels import (
@@ -555,7 +556,7 @@ class TestPerModelEngineParity:
     def test_map_parallel_matches_batched_engine(self, model):
         """Fused rows equal one-row engine runs for every model."""
         trained = handmade_model(model)
-        network = trained.build_network(rng=0)
+        network = oracle.build_network(trained, rng=0)
         encoder = trained.network_config.make_encoder()
         images = np.stack(
             [SyntheticMNIST().render(digit, rng=digit) for digit in (2, 5, 8, 1, 6)]

@@ -41,6 +41,7 @@ from repro import server
 from repro.server import _reference_predictions
 from repro.snn.engine import BatchedInferenceEngine
 from repro.snn.network import NetworkConfig
+from repro.snn.oracle import build_network
 from repro.snn.training import TrainedModel
 
 
@@ -82,7 +83,7 @@ def _test_images(small_split, count: int):
 
 def _network_route(model, mode):
     """The mode's fault-injected network, built independently of sessions."""
-    network = model.build_network()
+    network = build_network(model)
     config = mode.fault_config()
     if config is not None:
         FaultInjector(network).inject(config, rng=mode.fault_seed)

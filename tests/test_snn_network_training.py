@@ -9,7 +9,7 @@ from repro.data.synthetic_mnist import SyntheticMNIST
 from repro.snn.engine import MapParallelEngine, MapRow
 from repro.snn.inference import InferenceEngine, InferenceResult
 from repro.snn.network import DiehlCookNetwork, NetworkConfig
-from repro.snn.oracle import train_sequential
+from repro.snn.oracle import build_network, train_sequential
 from repro.snn.stdp import STDPConfig
 from repro.snn.synapse import BoundedWeightRule
 from repro.snn.training import (
@@ -220,7 +220,7 @@ class TestSTDPTrainer:
                            label_assignment_mode="fast"),
         )
         model = trainer.train(tiny_data, rng=2)
-        engine = InferenceEngine(model.build_network(rng=3), model.neuron_labels)
+        engine = InferenceEngine(build_network(model, rng=3), model.neuron_labels)
         result = engine.evaluate(tiny_data, rng=4)
         # Four classes -> chance is 25%; the trained network must beat it clearly.
         assert result.accuracy_percent > 40.0
@@ -241,8 +241,8 @@ class TestSTDPTrainer:
 
 class TestTrainedModel:
     def test_build_network_loads_weights_and_is_independent(self, trained_model):
-        net_a = trained_model.build_network(rng=0)
-        net_b = trained_model.build_network(rng=0)
+        net_a = build_network(trained_model, rng=0)
+        net_b = build_network(trained_model, rng=0)
         net_a.synapses.apply_bit_flips(np.array([0]), np.array([7]))
         assert not np.array_equal(net_a.synapses.registers, net_b.synapses.registers)
         # The deployed full scale has the documented 2x headroom.
@@ -276,7 +276,7 @@ class TestInferenceEngine:
     def test_evaluate_returns_consistent_result(self, trained_model, small_split):
         _, test_set = small_split
         engine = InferenceEngine(
-            trained_model.build_network(rng=1), trained_model.neuron_labels
+            build_network(trained_model, rng=1), trained_model.neuron_labels
         )
         result = engine.evaluate(test_set, rng=2)
         assert result.n_samples == len(test_set)
@@ -287,7 +287,7 @@ class TestInferenceEngine:
     def test_confusion_matrix_rows_sum_to_class_counts(self, trained_model, small_split):
         _, test_set = small_split
         engine = InferenceEngine(
-            trained_model.build_network(rng=1), trained_model.neuron_labels
+            build_network(trained_model, rng=1), trained_model.neuron_labels
         )
         result = engine.evaluate(test_set, rng=2)
         matrix = result.confusion_matrix()
@@ -296,7 +296,7 @@ class TestInferenceEngine:
 
     def test_classify_counts_prefers_most_active_label_group(self, trained_model):
         engine = InferenceEngine(
-            trained_model.build_network(rng=1), trained_model.neuron_labels
+            build_network(trained_model, rng=1), trained_model.neuron_labels
         )
         counts = np.zeros(trained_model.n_neurons)
         target_label = int(trained_model.neuron_labels[0])
@@ -305,11 +305,11 @@ class TestInferenceEngine:
 
     def test_label_shape_validation(self, trained_model):
         with pytest.raises(ValueError):
-            InferenceEngine(trained_model.build_network(rng=0), np.zeros(3, dtype=int))
+            InferenceEngine(build_network(trained_model, rng=0), np.zeros(3, dtype=int))
 
     def test_empty_dataset_raises(self, trained_model, small_dataset):
         engine = InferenceEngine(
-            trained_model.build_network(rng=1), trained_model.neuron_labels
+            build_network(trained_model, rng=1), trained_model.neuron_labels
         )
         with pytest.raises(ValueError):
             engine.evaluate(small_dataset.subset(np.array([], dtype=int)))
