@@ -67,9 +67,10 @@ def main() -> None:
         ),
         registry=registry,
     )
-    with ServiceServer(service, port=0) as server:
+    # The client keeps one HTTP/1.1 connection open per calling thread;
+    # leaving the block closes it.
+    with ServiceServer(service, port=0) as server, ServiceClient(server.url) as client:
         print(f"service listening on {server.url}")
-        client = ServiceClient(server.url)
         print(f"healthz: {client.healthz()}")
 
         # 3. Classify the same samples in the three serving modes.  Fixed

@@ -44,12 +44,22 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
 
+from repro.obs import metrics as _obs
 from repro.snn.kernels import DEFAULT_BATCH_SIZE
 from repro.utils.logging import get_logger
 
 __all__ = ["SchedulerStats", "MicroBatchScheduler"]
 
 _LOGGER = get_logger("serve.scheduler")
+
+# Batching wait, the first stage of a served request's latency budget
+# (docs/observability.md).
+_QUEUE_WAIT_MS = _obs.get_registry().histogram(
+    "softsnn_serve_queue_wait_ms",
+    "Per-request wait from enqueue to batch flush in milliseconds, by scheduler.",
+    labels=("scheduler",),
+    buckets=_obs.log_buckets(0.01, 10000.0, 4),
+)
 
 #: Signature of the batch executor: payloads in, one result per payload out.
 BatchRunner = Callable[[List[Any]], Sequence[Any]]
@@ -182,6 +192,7 @@ class MicroBatchScheduler:
         self._wakeup = threading.Condition(self._lock)
         self._closed = False
         self._last_enqueue = time.monotonic()
+        self._queue_wait = _QUEUE_WAIT_MS.labels(scheduler=name)
         self._worker = threading.Thread(
             target=self._loop, name=f"microbatch-{name}", daemon=True
         )
@@ -314,6 +325,7 @@ class MicroBatchScheduler:
                         reason = "full"
                 count = min(len(self._queue), self.max_batch_size)
                 batch = [self._queue.popleft() for _ in range(count)]
+                flushed = time.monotonic()
                 if reason == "full":
                     self.stats.flush_full += 1
                 elif reason == "deadline":
@@ -325,6 +337,9 @@ class MicroBatchScheduler:
                 self.stats.batch_size_histogram[count] = (
                     self.stats.batch_size_histogram.get(count, 0) + 1
                 )
+            if _obs.enabled():
+                for item in batch:
+                    self._queue_wait.observe(1000.0 * (flushed - item.enqueued_at))
             self._execute(batch)
 
     def _execute(self, batch: List[_Pending]) -> None:

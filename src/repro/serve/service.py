@@ -14,7 +14,10 @@ stdlib (:class:`http.server.ThreadingHTTPServer`):
 * ``GET  /metrics``  — request counts, batch-size histogram, latency
   percentiles, live queue depths.
 
-:class:`ServiceClient` speaks that HTTP API over :mod:`urllib`;
+The server speaks HTTP/1.1 keep-alive with Nagle's algorithm off, so a
+client that keeps its connection open pays no per-request connect or
+delayed-ACK cost.  :class:`ServiceClient` speaks that HTTP API over
+:mod:`http.client`, keeping one persistent connection per calling thread;
 :class:`InProcessClient` exposes the same interface directly on a service
 object so tests and the load generator can exercise the scheduler without
 socket overhead.
@@ -27,16 +30,16 @@ how the scheduler happened to batch it — see :mod:`repro.serve.modes`.
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
 import threading
 import time
-import urllib.error
-import urllib.request
 from collections import OrderedDict
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
 import numpy as np
@@ -162,6 +165,9 @@ class _ServiceMetrics:
             "Per-sample classify latency in milliseconds.",
             buckets=_obs.log_buckets(0.01, 10000.0, 4),
         )
+        self._obs_connections = obs_registry.counter(
+            "softsnn_serve_connections_total", "HTTP connections accepted."
+        )
 
     def record(self, mode_kind: str, latencies_ms: Sequence[float]) -> None:
         with self._lock:
@@ -183,6 +189,10 @@ class _ServiceMetrics:
             self.errors_total += 1
         if _obs.enabled():
             self._obs_errors.inc()
+
+    def record_connection(self) -> None:
+        if _obs.enabled():
+            self._obs_connections.inc()
 
     def latency_summary(self) -> Dict[str, float]:
         with self._lock:
@@ -567,6 +577,9 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
     server: "_ServiceHTTPServer"
     protocol_version = "HTTP/1.1"
+    # Headers and body leave in two writes; with Nagle's algorithm on, the
+    # second waits for the client's delayed ACK on a kept-alive connection.
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------ #
     def do_GET(self) -> None:  # noqa: N802 - http.server API
@@ -593,13 +606,23 @@ class _RequestHandler(BaseHTTPRequestHandler):
             self._send_json(404, {"error": f"no such endpoint: {parts.path}"})
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
+        # The body is read before routing: bytes left unread on a kept-alive
+        # connection would be parsed as the next request.
+        try:
+            length = int(self.headers.get("Content-Length", "0"))
+            if length < 0:
+                raise ValueError(length)
+        except ValueError:
+            self.close_connection = True
+            self._send_json(400, {"error": "malformed Content-Length"})
+            return
+        body = self.rfile.read(length)
         if self.path != "/classify":
             self._send_json(404, {"error": f"no such endpoint: {self.path}"})
             return
         service = self.server.service
         try:
-            length = int(self.headers.get("Content-Length", "0"))
-            payload = json.loads(self.rfile.read(length) or b"{}")
+            payload = json.loads(body or b"{}")
             if not isinstance(payload, dict):
                 raise ValueError("request body must be a JSON object")
             images = payload.get("images", payload.get("image"))
@@ -628,18 +651,17 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------------ #
     def _send_json(self, status: int, body: Dict[str, Any]) -> None:
-        encoded = json.dumps(body).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(encoded)))
-        self.end_headers()
-        self.wfile.write(encoded)
+        self._send(status, json.dumps(body).encode("utf-8"), "application/json")
 
     def _send_text(self, status: int, text: str, content_type: str) -> None:
-        encoded = text.encode("utf-8")
+        self._send(status, text.encode("utf-8"), content_type)
+
+    def _send(self, status: int, encoded: bytes, content_type: str) -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(encoded)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(encoded)
 
@@ -648,12 +670,48 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
 
 class _ServiceHTTPServer(ThreadingHTTPServer):
+    """Thread-per-connection server that can end its kept-alive connections."""
+
     daemon_threads = True
     allow_reuse_address = True
 
     def __init__(self, address: Tuple[str, int], service: SoftSNNService) -> None:
         super().__init__(address, _RequestHandler)
         self.service = service
+        self._connections: Set[socket.socket] = set()
+        self._connections_changed = threading.Condition()
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        self.service.metrics.record_connection()
+        with self._connections_changed:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request: Any) -> None:
+        super().shutdown_request(request)
+        with self._connections_changed:
+            self._connections.discard(request)
+            self._connections_changed.notify_all()
+
+    def end_connections(self) -> None:
+        """Stop reading from every open connection and wait for them to close.
+
+        A handler thread waiting for a kept-alive client's next request sees
+        end-of-stream and closes its connection; one mid-request still writes
+        its response first.
+        """
+        with self._connections_changed:
+            for connection in self._connections:
+                try:
+                    connection.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass  # its handler is closing it already
+            if not self._connections_changed.wait_for(
+                lambda: not self._connections, timeout=10.0
+            ):
+                _LOGGER.warning(
+                    "%d connection(s) still open after 10 s", len(self._connections)
+                )
 
 
 class ServiceServer:
@@ -701,9 +759,10 @@ class ServiceServer:
         return self
 
     def stop(self) -> None:
-        """Stop the HTTP loop and drain the service's schedulers."""
+        """Stop the HTTP loop, end open connections, drain the schedulers."""
         self._httpd.shutdown()
         self._httpd.server_close()
+        self._httpd.end_connections()
         if self._thread is not None:
             self._thread.join(timeout=10.0)
             self._thread = None
@@ -716,6 +775,7 @@ class ServiceServer:
             self._httpd.serve_forever()
         finally:
             self._httpd.server_close()
+            self._httpd.end_connections()
             self.service.close()
 
     def __enter__(self) -> "ServiceServer":
@@ -728,35 +788,107 @@ class ServiceServer:
 # ---------------------------------------------------------------------- #
 # clients
 # ---------------------------------------------------------------------- #
+#: Failures that mean the server dropped an idle kept-alive connection.
+_STALE_CONNECTION = (
+    http.client.RemoteDisconnected,
+    ConnectionResetError,
+    BrokenPipeError,
+)
+
+
+class _ThreadConnection(http.client.HTTPConnection):
+    """A client thread's connection; closed when its thread's locals are freed."""
+
+    def __del__(self) -> None:
+        self.close()
+
+
 class ServiceClient:
-    """Minimal HTTP client for the serving API (stdlib ``urllib`` only)."""
+    """HTTP client for the serving API (stdlib :mod:`http.client` only).
+
+    Each calling thread keeps one persistent HTTP/1.1 connection, so threads
+    may share one client; a thread's connection ends with the thread or at
+    :meth:`close`.  A request that fails on a *reused* connection because
+    the server dropped it (``RemoteDisconnected``, ``ConnectionResetError``
+    or ``BrokenPipeError``) is sent once more on a fresh connection; any
+    other failure, and any failure on a fresh connection, is raised.
+    Statuses >= 400 raise :class:`RuntimeError` carrying the server's
+    ``error`` detail.
+    """
 
     def __init__(self, base_url: str, timeout: float = 30.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = float(timeout)
+        parts = urlsplit(self.base_url)
+        if parts.scheme != "http" or not parts.hostname:
+            raise ValueError(f"base_url must be an http:// URL, got {base_url!r}")
+        self._host = parts.hostname
+        self._port = parts.port or 80
+        self._prefix = parts.path
+        self._local = threading.local()
 
-    # ------------------------------------------------------------------ #
-    def _request(
-        self, path: str, payload: Optional[Dict[str, Any]] = None
-    ) -> Dict[str, Any]:
-        url = self.base_url + path
-        data = None
-        headers = {"Accept": "application/json"}
+    def _connection(self) -> _ThreadConnection:
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = _ThreadConnection(
+                self._host, self._port, timeout=self.timeout
+            )
+            self._local.connection = connection
+        return connection
+
+    def _exchange(
+        self,
+        path: str,
+        payload: Optional[Dict[str, Any]] = None,
+        accept: str = "application/json",
+    ) -> bytes:
+        """Send one request on this thread's connection; return the body."""
+        method, body, headers = "GET", None, {"Accept": accept}
         if payload is not None:
-            data = json.dumps(payload).encode("utf-8")
+            method, body = "POST", json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(url, data=data, headers=headers)
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as exc:
+        connection = self._connection()
+        while True:
+            reused = connection.sock is not None
             try:
-                detail = json.loads(exc.read().decode("utf-8")).get("error", "")
+                connection.request(method, self._prefix + path, body, headers)
+                response = connection.getresponse()
+                data = response.read()
+                break
+            except _STALE_CONNECTION:
+                connection.close()
+                if not reused:
+                    raise
+            except BaseException:
+                connection.close()
+                raise
+        if response.status >= 400:
+            try:
+                detail = json.loads(data.decode("utf-8")).get("error", "")
             except Exception:  # noqa: BLE001 - best-effort error detail
                 detail = ""
             raise RuntimeError(
-                f"{url} failed with HTTP {exc.code}: {detail or exc.reason}"
-            ) from exc
+                f"{self.base_url}{path} failed with HTTP {response.status}: "
+                f"{detail or response.reason}"
+            )
+        return data
+
+    def _request(
+        self, path: str, payload: Optional[Dict[str, Any]] = None
+    ) -> Dict[str, Any]:
+        return json.loads(self._exchange(path, payload).decode("utf-8"))
+
+    def close(self) -> None:
+        """Close the calling thread's connection (reopened on next use)."""
+        connection = getattr(self._local, "connection", None)
+        if connection is not None:
+            connection.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     # ------------------------------------------------------------------ #
     def healthz(self) -> Dict[str, Any]:
@@ -773,10 +905,9 @@ class ServiceClient:
 
     def metrics_text(self) -> str:
         """``GET /metrics?format=prometheus`` — the raw exposition text."""
-        url = self.base_url + "/metrics?format=prometheus"
-        request = urllib.request.Request(url, headers={"Accept": "text/plain"})
-        with urllib.request.urlopen(request, timeout=self.timeout) as response:
-            return response.read().decode("utf-8")
+        return self._exchange(
+            "/metrics?format=prometheus", accept="text/plain"
+        ).decode("utf-8")
 
     def classify(
         self,

@@ -280,9 +280,10 @@ def _smoke(args: argparse.Namespace, models_dir: Path) -> int:
     seeds = [9000 + index for index in range(n_samples)]
 
     failures = 0
-    with ServiceServer(service, host=args.host, port=args.port) as server:
+    with ServiceServer(
+        service, host=args.host, port=args.port
+    ) as server, ServiceClient(server.url) as client:
         print(f"softsnn-serve smoke: service on {server.url}")
-        client = ServiceClient(server.url)
         health = client.healthz()
         assert health["status"] == "ok", health
         assert DEMO_MODEL_NAME in health["models"], health

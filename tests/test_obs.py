@@ -427,7 +427,7 @@ class TestGrafanaDashboard:
             assert expected in families
         # Exact, not a floor: a family dropped from (or added to) the
         # catalog must update this count on purpose.
-        assert len(families) == 22
+        assert len(families) == 24
 
     def test_every_cataloged_family_has_a_panel(self):
         dashboard = json.loads(

@@ -13,6 +13,10 @@ throughput.
 from __future__ import annotations
 
 import dataclasses
+import http.client
+import json
+import statistics
+import sys
 import tempfile
 import threading
 import time
@@ -22,6 +26,7 @@ import pytest
 
 from repro.core.mitigation import BnPTechnique
 from repro.faults.injector import FaultInjector
+from repro.obs.metrics import get_registry
 from repro.serve.loadgen import run_closed_loop
 from repro.serve.modes import ServingMode, build_session
 from repro.serve.registry import (
@@ -275,6 +280,23 @@ class TestMicroBatchScheduler:
         # at least one full batch — the coalescing path, not one-by-one.
         assert scheduler.stats.flush_full >= 1
         assert scheduler.stats.mean_batch_size > 1.0
+
+    def test_queue_wait_is_recorded_per_request(self):
+        def run_batch(payloads):
+            return payloads
+
+        # Only the deadline flushes, so each request waits about 20 ms.  A
+        # fresh scheduler name gives a fresh series in the process registry.
+        name = f"queue-wait-probe-{time.monotonic_ns()}"
+        with MicroBatchScheduler(
+            run_batch, max_batch_size=64, max_delay=0.02, idle_grace=1.0, name=name
+        ) as scheduler:
+            futures = [scheduler.submit(i) for i in range(3)]
+            assert [f.result(timeout=5) for f in futures] == [0, 1, 2]
+        series = get_registry().snapshot()["softsnn_serve_queue_wait_ms"]["series"]
+        waits = series[f"scheduler={name}"]
+        assert waits["count"] == 3
+        assert 15.0 <= waits["min"] <= waits["max"] < 1000.0
 
     def test_deadline_flushes_partial_batch(self):
         def run_batch(payloads):
@@ -946,6 +968,162 @@ class TestServiceHTTP:
         assert "softsnn_serve_batches_total{" in text
         assert 'softsnn_serve_registry_entries{tier="models"} 1' in text
         assert "softsnn_serve_latency_ms_bucket{" in text
+
+
+def _connections_total() -> float:
+    # The obs registry is process-wide, so tests compare deltas.
+    return get_registry().value("softsnn_serve_connections_total")
+
+
+class TestPersistentConnections:
+    """Keep-alive: one connection per client thread, no Nagle stall."""
+
+    def test_kept_alive_requests_do_not_stall(self, service):
+        with ServiceServer(service, port=0) as server:
+            connection = http.client.HTTPConnection(server.host, server.port)
+            try:
+                samples_ms = []
+                sockets = set()
+                for _ in range(10):
+                    started = time.perf_counter()
+                    connection.request("GET", "/healthz")
+                    response = connection.getresponse()
+                    body = json.loads(response.read())
+                    samples_ms.append(1000.0 * (time.perf_counter() - started))
+                    assert response.status == 200 and body["status"] == "ok"
+                    sockets.add(id(connection.sock))
+            finally:
+                connection.close()
+        assert len(sockets) == 1, "the server closed the kept-alive connection"
+        # A delayed-ACK stall costs ~40 ms per request; a healthy one < 1 ms.
+        assert statistics.median(samples_ms) < 20.0, samples_ms
+
+    def test_threads_sharing_a_client_keep_one_connection_each(
+        self, service, serve_model, small_split
+    ):
+        images = _test_images(small_split, 4)
+        seeds = list(range(700, 720))
+        served = [None] * len(seeds)
+        errors = []
+        with ServiceServer(service, port=0) as server:
+            client = ServiceClient(server.url)
+
+            def call(indices):
+                try:
+                    for index in indices:
+                        response = client.classify(
+                            [images[index % len(images)]],
+                            model="tiny-mnist",
+                            mode="protected",
+                            seeds=[seeds[index]],
+                        )
+                        served[index] = response["predictions"][0]
+                except Exception as exc:  # noqa: BLE001 - asserted below
+                    errors.append(exc)
+
+            before = _connections_total()
+            threads = [
+                threading.Thread(target=call, args=(range(start, len(seeds), 2),))
+                for start in (0, 1)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            opened = _connections_total() - before
+        assert not errors, errors
+        expected, _ = build_session(
+            serve_model, service.resolve_mode("protected")
+        ).classify_batch(
+            [images[index % len(images)] for index in range(len(seeds))], seeds
+        )
+        assert served == expected.tolist()
+        assert opened == 2
+
+    def test_many_threads_share_a_client_under_fast_switching(self, service):
+        """More client threads than cores, switching every 10 us."""
+        statuses = []
+
+        def call():
+            for _ in range(5):
+                statuses.append(client.healthz()["status"])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ServiceServer(service, port=0) as server:
+                client = ServiceClient(server.url)
+                before = _connections_total()
+                threads = [threading.Thread(target=call) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                opened = _connections_total() - before
+        finally:
+            sys.setswitchinterval(interval)
+        assert statuses == ["ok"] * 40
+        assert opened == 8
+        # Every accepted connection was accounted closed by the stop.
+        assert not server._httpd._connections
+
+    def test_restarted_server_is_reached_through_one_retry(
+        self, registry, service, serve_model, small_split, monkeypatch
+    ):
+        image = _test_images(small_split, 1)[0]
+        first = ServiceServer(service, port=0).start()
+        port = first.port
+        client = ServiceClient(first.url)
+        try:
+            assert client.healthz()["status"] == "ok"
+        finally:
+            first.stop()
+        sent = []
+        original = http.client.HTTPConnection.request
+
+        def counting_request(self, *args, **kwargs):
+            sent.append(args[:2])
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(http.client.HTTPConnection, "request", counting_request)
+        restarted = SoftSNNService(service.config, registry=registry)
+        with client, ServiceServer(restarted, port=port):
+            response = client.classify([image], model="tiny-mnist", seeds=[11])
+        # The stale kept-alive connection failed once, the fresh one answered.
+        assert sent == [("POST", "/classify")] * 2
+        expected, _ = build_session(serve_model, ServingMode.clean()).classify_batch(
+            [image], [11]
+        )
+        assert response["predictions"] == expected.tolist()
+
+    def test_unrouted_post_body_is_consumed(self, service):
+        with ServiceServer(service, port=0) as server:
+            connection = http.client.HTTPConnection(server.host, server.port)
+            try:
+                connection.request(
+                    "POST",
+                    "/nowhere",
+                    body=json.dumps({"images": [[0.0] * 8]}),
+                    headers={"Content-Type": "application/json"},
+                )
+                response = connection.getresponse()
+                assert response.status == 404
+                assert "no such endpoint" in json.loads(response.read())["error"]
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())["status"] == "ok"
+
+                connection.putrequest("POST", "/classify")
+                connection.putheader("Content-Length", "many")
+                connection.endheaders()
+                response = connection.getresponse()
+                assert response.status == 400
+                assert response.getheader("Connection") == "close"
+                response.read()
+            finally:
+                connection.close()
 
 
 # --------------------------------------------------------------------- #
