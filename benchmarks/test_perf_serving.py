@@ -26,7 +26,6 @@ from pathlib import Path
 from _harness import assert_at_least, time_sides, write_record
 from repro.eval.experiment import ExperimentConfig, ExperimentRunner
 from repro.serve.loadgen import run_closed_loop
-from repro.serve.registry import ModelRegistry
 from repro.serve.service import InProcessClient, ServiceConfig, SoftSNNService
 
 N_REQUESTS = 400
@@ -50,16 +49,15 @@ BENCH_CONFIG = ExperimentConfig(
 def _make_service(
     root: Path, model, max_batch_size: int, max_delay_ms: float
 ) -> SoftSNNService:
-    registry = ModelRegistry(root, max_warm_sessions=4)
-    registry.register(model, MODEL_NAME, workload="mnist")
-    return SoftSNNService(
+    service = SoftSNNService(
         ServiceConfig(
             models_dir=root,
             max_batch_size=max_batch_size,
             max_delay_ms=max_delay_ms,
-        ),
-        registry=registry,
+        )
     )
+    service.register_model(model, MODEL_NAME, workload="mnist")
+    return service
 
 
 def test_microbatch_vs_single_request_serving(tmp_path):

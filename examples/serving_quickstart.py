@@ -3,8 +3,8 @@
 
 Demonstrates the ``repro.serve`` subsystem:
 
-1. train a small model and register it (snapshot + checksums) with a
-   :class:`~repro.serve.registry.ModelRegistry`;
+1. train a small model and register it (snapshot + checksums) with the
+   service's :class:`~repro.serve.registry.ModelRegistry`;
 2. start the HTTP classifier service on an ephemeral port;
 3. classify the same samples through :class:`~repro.serve.service.ServiceClient`
    in all three fault-aware serving modes — ``clean``, ``faulty`` (a
@@ -25,7 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.data.datasets import load_workload, train_test_split
-from repro.serve.registry import ModelRegistry
 from repro.serve.service import (
     ServiceClient,
     ServiceConfig,
@@ -53,20 +52,18 @@ def main() -> None:
     model = trainer.train(train_set, rng=9)
 
     models_dir = Path(tempfile.mkdtemp(prefix="softsnn-serving-"))
-    registry = ModelRegistry(models_dir)
-    entry = registry.register(model, "quickstart-mnist", workload="mnist")
-    print(f"registered {entry.name!r} (sha256 {entry.checksums['npz'][:12]}…)")
-
-    # 2. Serve it over HTTP; port 0 asks for an ephemeral port.
     service = SoftSNNService(
         ServiceConfig(
             models_dir=models_dir,
             max_batch_size=8,
             max_delay_ms=4.0,
             default_fault_rate=0.15,
-        ),
-        registry=registry,
+        )
     )
+    entry = service.register_model(model, "quickstart-mnist", workload="mnist")
+    print(f"registered {entry['name']!r} (sha256 {entry['checksums']['npz'][:12]}…)")
+
+    # 2. Serve it over HTTP; port 0 asks for an ephemeral port.
     # The client keeps one HTTP/1.1 connection open per calling thread;
     # leaving the block closes it.
     with ServiceServer(service, port=0) as server, ServiceClient(server.url) as client:

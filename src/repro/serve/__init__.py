@@ -4,12 +4,13 @@ This package turns the offline reproduction into a running classifier
 service (see ``README.md`` → *Serving quickstart*):
 
 * :mod:`repro.serve.registry` — snapshot discovery with checksum
-  validation and LRU-warm models/sessions;
+  validation and LRU-warm decoded models;
 * :mod:`repro.serve.modes` — ``clean`` / ``faulty`` / ``protected``
   serving modes built from the paper's fault and mitigation machinery;
 * :mod:`repro.serve.scheduler` — the adaptive micro-batching scheduler
   (max-batch-size / max-latency-deadline flushing, per-request futures);
-* :mod:`repro.serve.service` — the service object, stdlib HTTP front end
+* :mod:`repro.serve.service` — the service object (one warm session and
+  scheduler per ``(model, mode)`` pair), stdlib HTTP front end
   (``POST /classify``, ``GET /models`` / ``/healthz`` / ``/metrics``) and
   the HTTP / in-process clients;
 * :mod:`repro.serve.loadgen` — closed-loop multi-threaded load

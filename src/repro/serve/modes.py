@@ -53,10 +53,23 @@ from repro.snn.inference import class_indicator
 from repro.snn.training import TrainedModel
 from repro.utils.validation import check_probability
 
-__all__ = ["MODE_KINDS", "ServingMode", "ServingSession", "build_session"]
+__all__ = [
+    "DEFAULT_FAULT_SEED",
+    "DEFAULT_MODE",
+    "MODE_KINDS",
+    "ServingMode",
+    "ServingSession",
+    "build_session",
+]
 
 #: The three serving modes, in degraded-vs-mitigated story order.
 MODE_KINDS = ("clean", "faulty", "protected")
+
+#: Mode of a request that names none.
+DEFAULT_MODE = "clean"
+
+#: Fault-map seed of a ``faulty`` or ``protected`` request that names none.
+DEFAULT_FAULT_SEED = 2022
 
 
 def _real_field(key: str, value: Any) -> float:
@@ -101,7 +114,7 @@ class ServingMode:
 
     kind: str
     fault_rate: float = 0.0
-    fault_seed: int = 2022
+    fault_seed: int = DEFAULT_FAULT_SEED
     inject_synapses: bool = True
     inject_neurons: bool = True
     variant: BnPVariant = BnPVariant.BNP3
@@ -134,7 +147,9 @@ class ServingMode:
         return cls(kind="clean")
 
     @classmethod
-    def faulty(cls, fault_rate: float, fault_seed: int = 2022) -> "ServingMode":
+    def faulty(
+        cls, fault_rate: float, fault_seed: int = DEFAULT_FAULT_SEED
+    ) -> "ServingMode":
         """Fault injection at *fault_rate* with no mitigation."""
         return cls(kind="faulty", fault_rate=fault_rate, fault_seed=fault_seed)
 
@@ -142,7 +157,7 @@ class ServingMode:
     def protected(
         cls,
         fault_rate: float,
-        fault_seed: int = 2022,
+        fault_seed: int = DEFAULT_FAULT_SEED,
         variant: BnPVariant = BnPVariant.BNP3,
     ) -> "ServingMode":
         """Fault injection at *fault_rate* served through BnP mitigation."""
@@ -158,7 +173,6 @@ class ServingMode:
         cls,
         spec: Any,
         default_fault_rate: float = 0.05,
-        default_fault_seed: int = 2022,
     ) -> "ServingMode":
         """Build a mode from a request payload (a kind string or a dict).
 
@@ -167,12 +181,13 @@ class ServingMode:
             "faulty"
             {"kind": "protected", "fault_rate": 0.1, "variant": "bnp1"}
 
-        Missing fault parameters fall back to the service defaults, so a
-        client can simply ask for ``"faulty"`` and get the service's
-        configured damage level.
+        A missing fault rate falls back to *default_fault_rate* and a
+        missing fault seed to :data:`DEFAULT_FAULT_SEED`, so a client can
+        simply ask for ``"faulty"`` and get the service's configured damage
+        level.
         """
         if spec is None:
-            spec = "clean"
+            spec = DEFAULT_MODE
         if isinstance(spec, ServingMode):
             return spec
         if isinstance(spec, str):
@@ -189,7 +204,7 @@ class ServingMode:
                 "fault_rate", payload.pop("fault_rate", default_fault_rate)
             )
             kwargs["fault_seed"] = _integer_field(
-                "fault_seed", payload.pop("fault_seed", default_fault_seed)
+                "fault_seed", payload.pop("fault_seed", DEFAULT_FAULT_SEED)
             )
         else:
             payload.pop("fault_rate", None)
@@ -220,7 +235,7 @@ class ServingMode:
     # ------------------------------------------------------------------ #
     @property
     def cache_key(self) -> Tuple:
-        """Hashable identity used by the registry's warm-session LRU."""
+        """Hashable identity of the mode among a service's warm pipelines."""
         return (
             self.kind,
             self.fault_rate,
@@ -259,10 +274,10 @@ class ServingMode:
 class ServingSession:
     """One ``(model, mode)`` pair, ready to classify micro-batches.
 
-    Sessions are built by :func:`build_session`, cached warm by the model
-    registry, and driven by exactly one scheduler worker thread — the
-    session itself performs no locking.  The session is the mode's one
-    :class:`~repro.snn.engine.MapRow` in its
+    Sessions are built by :func:`build_session`, kept warm in the service's
+    ``(model, mode)`` pipelines, and driven by exactly one scheduler worker
+    thread — the session itself performs no locking.  The session is the
+    mode's one :class:`~repro.snn.engine.MapRow` in its
     :class:`~repro.snn.engine.MapParallelEngine`, the model's encoder and
     its class-indicator votes; the engine keeps all per-run state in
     :class:`~repro.snn.engine.MapParallelState`, so nothing is mutated

@@ -1,4 +1,4 @@
-"""Snapshot discovery, checksum validation, and warm-session caching.
+"""Snapshot discovery, checksum validation, and warm-model caching.
 
 The registry is the serving layer's view onto a directory of
 :class:`~repro.snn.training.TrainedModel` snapshots (the ``.npz`` + ``.json``
@@ -14,14 +14,16 @@ offline loaders do not:
   registration (in a ``.registry.json`` sidecar) or at discovery, and
   re-verified on every cold load, so a torn or tampered snapshot is refused
   with :class:`SnapshotIntegrityError` instead of silently serving garbage;
-* **warmth** — loaded models and built
-  :class:`~repro.serve.modes.ServingSession` instances (the mode's planned
-  engine row, encoder and class votes) are kept in bounded LRU caches, so
-  the steady-state request path never touches the filesystem or re-draws
-  fault maps.
+* **warmth** — decoded models are kept in a bounded LRU cache
+  (:data:`MAX_WARM_MODELS`), so building a serving pipeline for another
+  mode of a served model does not touch the filesystem.
 
-All public methods are thread-safe; HTTP handler threads and scheduler
-workers share one registry.
+Built serving sessions are not cached here: the service keeps one warm
+pipeline (session plus micro-batch scheduler) per ``(model, mode)`` pair,
+checked against :attr:`SnapshotEntry.checksums` on every request.
+
+All public methods are thread-safe; HTTP handler threads share one
+registry.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.serve.modes import ServingMode, ServingSession, build_session
 from repro.snn.encoding import DEFAULT_ENCODING
 from repro.snn.models import DEFAULT_NEURON_MODEL
 from repro.snn.training import TrainedModel, TrainingConfig, TrainingRunner
@@ -52,6 +53,10 @@ _LOGGER = get_logger("serve.registry")
 
 #: Suffix of the registry sidecar carrying workload tags and checksums.
 SIDECAR_SUFFIX = ".registry.json"
+
+#: Decoded models kept in memory; the least recently used beyond that is
+#: dropped (and decoded again, checksums verified, on its next load).
+MAX_WARM_MODELS = 4
 
 
 class RegistryError(RuntimeError):
@@ -126,39 +131,24 @@ class SnapshotEntry:
 
 
 class ModelRegistry:
-    """Directory of trained-model snapshots with warm serving caches.
+    """Directory of trained-model snapshots with a warm-model cache.
 
     Parameters
     ----------
     root:
         Directory holding the snapshots (created if missing).
-    max_warm_models:
-        Maximum number of decoded :class:`TrainedModel` objects kept in
-        memory (LRU-evicted beyond that).
-    max_warm_sessions:
-        Maximum number of built serving sessions — each a warm one-row
-        :class:`~repro.snn.engine.MapParallelEngine` — kept across all
-        ``(model, mode)`` pairs.
+
+    A cached model always belongs to its name's current entry: a
+    re-registration replaces it, and a re-scan that finds new checksums
+    drops it.
     """
 
-    def __init__(
-        self,
-        root: Union[str, Path],
-        max_warm_models: int = 4,
-        max_warm_sessions: int = 8,
-    ) -> None:
-        if max_warm_models < 1 or max_warm_sessions < 1:
-            raise ValueError("warm-cache capacities must be at least 1")
+    def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.max_warm_models = int(max_warm_models)
-        self.max_warm_sessions = int(max_warm_sessions)
         self._lock = threading.RLock()
         self._entries: Dict[str, SnapshotEntry] = {}
         self._models: "OrderedDict[str, TrainedModel]" = OrderedDict()
-        self._sessions: "OrderedDict[Tuple[str, Tuple], ServingSession]" = (
-            OrderedDict()
-        )
         self.refresh()
 
     # ------------------------------------------------------------------ #
@@ -173,8 +163,8 @@ class ModelRegistry:
         (a re-train) is adopted — with a warning when it no longer matches
         the checksums its ``.registry.json`` sidecar recorded at
         registration.  The sidecar contributes the workload tag; bare
-        snapshots dropped in by hand get no tag.  Warm caches of entries
-        whose checksums changed are invalidated.  The service re-scans on
+        snapshots dropped in by hand get no tag.  Warm models of entries
+        whose checksums changed are dropped.  The service re-scans on
         ``GET /models`` and when a requested name is unknown.
         """
         with self._lock:
@@ -186,10 +176,10 @@ class ModelRegistry:
             for name, entry in discovered.items():
                 old = self._entries.get(name)
                 if old is not None and old.checksums != entry.checksums:
-                    self._evict(name)
+                    self._models.pop(name, None)
             for name in list(self._entries):
                 if name not in discovered:
-                    self._evict(name)
+                    self._models.pop(name, None)
             self._entries = discovered
             return sorted(discovered)
 
@@ -282,12 +272,12 @@ class ModelRegistry:
             base.with_name(name + SIDECAR_SUFFIX),
         )
         with self._lock:
-            self._evict(name)
             entry = self._index_snapshot(npz_path)
             assert entry is not None  # we just wrote a well-formed snapshot
             self._entries[name] = entry
             self._models[name] = model
-            self._trim_caches()
+            self._models.move_to_end(name)
+            self._trim_models()
             return entry
 
     def retrain(
@@ -307,8 +297,8 @@ class ModelRegistry:
         what makes in-place retrains cheap enough to do live), and the
         snapshot files are rewritten through the atomic temp-file + rename
         writers.  Concurrent requests keep being served from the warm
-        caches until the re-registration swaps them out; readers never
-        observe a torn snapshot.
+        model (and the service's warm pipelines) until the re-registration
+        swaps it out; readers never observe a torn snapshot.
 
         Parameters
         ----------
@@ -353,20 +343,10 @@ class ModelRegistry:
         )
         return self.register(retrained, name, workload=entry.workload)
 
-    def _evict(self, name: str) -> None:
-        self._models.pop(name, None)
-        for key in [k for k in self._sessions if k[0] == name]:
-            del self._sessions[key]
-
-    def _trim_caches(self) -> None:
-        while len(self._models) > self.max_warm_models:
+    def _trim_models(self) -> None:
+        while len(self._models) > MAX_WARM_MODELS:
             evicted, _ = self._models.popitem(last=False)
             _LOGGER.info("evicting warm model %r (LRU)", evicted)
-        while len(self._sessions) > self.max_warm_sessions:
-            (evicted, mode_key), _ = self._sessions.popitem(last=False)
-            _LOGGER.info(
-                "evicting warm session %r / %s (LRU)", evicted, mode_key[0]
-            )
 
     # ------------------------------------------------------------------ #
     # lookup & loading
@@ -426,59 +406,43 @@ class ModelRegistry:
         return candidates[0]
 
     def load(self, name: str) -> TrainedModel:
-        """Return the decoded model, verifying checksums on a cold load.
+        """Return the decoded model, verifying checksums on a cold load."""
+        return self.load_with_entry(name)[1]
 
-        The expensive work — re-hashing both files and decoding the arrays
-        — happens outside the registry lock, so a cold load never stalls
-        lookups or warm requests for other models.  Two threads racing the
-        same cold load may both decode; the first insert wins and the loser
-        adopts it, keeping the cached object unique per name.
+    def load_with_entry(self, name: str) -> Tuple[SnapshotEntry, TrainedModel]:
+        """The entry registered under *name* and the model decoded from it.
+
+        The pair is consistent: the model is the one whose snapshot carries
+        the entry's checksums, which is what lets a caller key its own
+        caches by ``entry.checksums``.  The expensive work — re-hashing both
+        files and decoding the arrays — happens outside the registry lock,
+        so a cold load never stalls lookups or warm requests for other
+        models.  A cold load that a re-registration overtook is decoded
+        again from the new entry; two threads racing the same cold load may
+        both decode, and the loser adopts the model the winner cached.
         """
-        with self._lock:
-            cached = self._models.get(name)
-            if cached is not None:
+        while True:
+            with self._lock:
+                entry = self._entries.get(name)
+                if entry is None:
+                    raise ModelNotFoundError(
+                        f"no registered model named {name!r}; "
+                        f"available: {sorted(self._entries)}"
+                    )
+                cached = self._models.get(name)
+                if cached is not None:
+                    self._models.move_to_end(name)
+                    return entry, cached
+            entry.verify()
+            model = TrainedModel.load(entry.npz_path)
+            with self._lock:
+                current = self._entries.get(name)
+                if current is None or current.checksums != entry.checksums:
+                    continue
+                model = self._models.setdefault(name, model)
                 self._models.move_to_end(name)
-                return cached
-            entry = self._entries.get(name)
-        if entry is None:
-            raise ModelNotFoundError(
-                f"no registered model named {name!r}; available: {self.names()}"
-            )
-        entry.verify()
-        model = TrainedModel.load(entry.npz_path)
-        with self._lock:
-            existing = self._models.get(name)
-            if existing is not None:
-                self._models.move_to_end(name)
-                return existing
-            self._models[name] = model
-            self._trim_caches()
-            return model
-
-    def session(self, name: str, mode: ServingMode) -> ServingSession:
-        """Warm serving session for ``(name, mode)`` (built on first use).
-
-        Like :meth:`load`, session construction (fault-map draw, row
-        planning, engine build) runs outside the lock; a racing build adopts the session
-        another thread inserted first, so callers can rely on object
-        identity to detect that a session was rebuilt.
-        """
-        key = (name, mode.cache_key)
-        with self._lock:
-            cached = self._sessions.get(key)
-            if cached is not None:
-                self._sessions.move_to_end(key)
-                return cached
-        model = self.load(name)
-        session = build_session(model, mode)
-        with self._lock:
-            existing = self._sessions.get(key)
-            if existing is not None:
-                self._sessions.move_to_end(key)
-                return existing
-            self._sessions[key] = session
-            self._trim_caches()
-            return session
+                self._trim_models()
+                return current, model
 
     # ------------------------------------------------------------------ #
     @property
@@ -487,25 +451,11 @@ class ModelRegistry:
         with self._lock:
             return len(self._models)
 
-    @property
-    def warm_session_count(self) -> int:
-        """Number of built serving sessions currently cached."""
-        with self._lock:
-            return len(self._sessions)
-
     def describe(self) -> List[Dict[str, Any]]:
-        """JSON-friendly listing of all entries (for ``GET /models``)."""
+        """JSON-friendly listing of all entries, each with its ``warm`` flag."""
         with self._lock:
-            warm_models = set(self._models)
-            warm_modes: Dict[str, List[Dict[str, Any]]] = {}
-            for (name, _), session in self._sessions.items():
-                warm_modes.setdefault(name, []).append(session.mode.to_dict())
             return [
-                {
-                    **entry.to_dict(),
-                    "warm": entry.name in warm_models,
-                    "warm_modes": warm_modes.get(entry.name, []),
-                }
+                {**entry.to_dict(), "warm": entry.name in self._models}
                 for entry in sorted(
                     self._entries.values(), key=lambda item: item.name
                 )

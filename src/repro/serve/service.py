@@ -1,15 +1,18 @@
 """The online classifier service: registry + schedulers + HTTP front end.
 
 :class:`SoftSNNService` is the programmatic service object: it resolves a
-request to a registered model, materialises a warm
-:class:`~repro.serve.modes.ServingSession` for the requested fault mode, and
-pushes every sample through that session's
-:class:`~repro.serve.scheduler.MicroBatchScheduler` (one scheduler per warm
-``(model, mode)`` pair, created lazily).  The HTTP layer on top is pure
-stdlib (:class:`http.server.ThreadingHTTPServer`):
+request to a registered model and pushes every sample through the warm
+pipeline of the requested ``(model, mode)`` pair — a
+:class:`~repro.serve.modes.ServingSession` and the
+:class:`~repro.serve.scheduler.MicroBatchScheduler` that drives it, built
+lazily.  The pipelines are the service's only warm-session cache: at most
+:data:`MAX_WARM_PIPELINES` are kept (least recently used retired first),
+and each is reused only while the model's snapshot checksums are the ones
+it was built from.  The HTTP layer on top is pure stdlib
+(:class:`http.server.ThreadingHTTPServer`):
 
 * ``POST /classify`` — classify one or many images, in any mode;
-* ``GET  /models``   — registry listing with warm-cache state;
+* ``GET  /models``   — registry listing with warm models and modes;
 * ``GET  /healthz``  — liveness probe;
 * ``GET  /metrics``  — request counts, batch-size histogram, latency
   percentiles, live queue depths.
@@ -47,8 +50,13 @@ import numpy as np
 from repro.obs import metrics as _obs
 from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE
 from repro.obs.trace import span
-from repro.serve.modes import ServingMode, ServingSession
-from repro.serve.registry import ModelNotFoundError, ModelRegistry, RegistryError
+from repro.serve.modes import ServingMode, ServingSession, build_session
+from repro.serve.registry import (
+    ModelNotFoundError,
+    ModelRegistry,
+    RegistryError,
+    SnapshotEntry,
+)
 from repro.serve.scheduler import MicroBatchScheduler
 from repro.snn.training import TrainedModel
 from repro.utils.logging import get_logger
@@ -65,6 +73,14 @@ __all__ = [
 
 _LOGGER = get_logger("serve.service")
 
+#: Warm ``(model, mode)`` pipelines kept; the least recently used beyond
+#: that is retired (its scheduler drained and stopped).
+MAX_WARM_PIPELINES = 8
+#: Per-sample latencies kept for the ``/metrics`` percentiles.
+LATENCY_WINDOW = 4096
+#: Root of the encoding seeds derived for requests that send none.
+REQUEST_SEED_ROOT = 2022
+
 
 def _request_seed(seed: Any) -> int:
     """Validate one client-supplied encoding seed (a non-negative integer).
@@ -79,35 +95,29 @@ def _request_seed(seed: Any) -> int:
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Tunables of one service instance.
+    """Settings of one service instance (the ``softsnn-serve run`` flags).
 
-    ``max_delay_ms`` is the micro-batching latency budget: a request waits
-    at most this long for co-batched company before its batch is flushed.
-    ``default_fault_rate`` / ``default_fault_seed`` parameterise ``faulty``
-    and ``protected`` requests that do not spell out their own scenario.
+    ``models_dir`` is the snapshot directory the service's registry scans.
     ``max_batch_size`` is the micro-batch ceiling; ``None`` (default)
-    means :data:`repro.snn.kernels.DEFAULT_BATCH_SIZE`.
+    means :data:`repro.snn.kernels.DEFAULT_BATCH_SIZE`.  ``max_delay_ms``
+    is the micro-batching latency budget: a request waits at most this
+    long for co-batched company before its batch is flushed (and a batch
+    whose arrival stream went idle for a quarter of it is flushed early).
+    ``default_fault_rate`` is the fault rate of ``faulty`` and
+    ``protected`` requests that do not spell out their own; their fault
+    seed defaults to :data:`repro.serve.modes.DEFAULT_FAULT_SEED`.
     """
 
     models_dir: Union[str, Path] = "models"
     max_batch_size: Optional[int] = None
     max_delay_ms: float = 5.0
-    idle_grace_ms: Optional[float] = None
-    default_mode: str = "clean"
     default_fault_rate: float = 0.05
-    default_fault_seed: int = 2022
-    max_warm_models: int = 4
-    max_warm_sessions: int = 8
-    latency_window: int = 4096
-    request_seed_root: int = 2022
 
     def __post_init__(self) -> None:
         if self.max_batch_size is not None and self.max_batch_size < 1:
             raise ValueError("max_batch_size must be at least 1")
         if self.max_delay_ms < 0:
             raise ValueError("max_delay_ms must be non-negative")
-        if self.latency_window < 1:
-            raise ValueError("latency_window must be at least 1")
 
 
 @dataclass
@@ -132,7 +142,7 @@ class ClassifyResult:
 
 
 class _ServiceMetrics:
-    """Thread-safe request counters and a bounded latency reservoir.
+    """Thread-safe request counters and the last :data:`LATENCY_WINDOW` latencies.
 
     Counters are mirrored into the shared observability registry
     (:mod:`repro.obs.metrics`) so ``GET /metrics?format=prometheus`` can
@@ -141,17 +151,13 @@ class _ServiceMetrics:
     its keys and values are unchanged from earlier releases.
     """
 
-    def __init__(
-        self, window: int, registry: Optional[_obs.MetricsRegistry] = None
-    ) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._window = int(window)
         self._latencies: List[float] = []
         self.requests_total = 0
         self.errors_total = 0
         self.requests_by_mode: Dict[str, int] = {}
-        obs_registry = registry if registry is not None else _obs.get_registry()
-        self.obs_registry = obs_registry
+        self.obs_registry = obs_registry = _obs.get_registry()
         self._obs_requests = obs_registry.counter(
             "softsnn_serve_requests_total",
             "Classified samples, by serving mode.",
@@ -176,8 +182,8 @@ class _ServiceMetrics:
                 mode_kind, 0
             ) + len(latencies_ms)
             self._latencies.extend(latencies_ms)
-            if len(self._latencies) > self._window:
-                del self._latencies[: len(self._latencies) - self._window]
+            if len(self._latencies) > LATENCY_WINDOW:
+                del self._latencies[: len(self._latencies) - LATENCY_WINDOW]
         if _obs.enabled():
             self._obs_requests.labels(mode=mode_kind).inc(len(latencies_ms))
             child = self._obs_latency.labels()
@@ -205,7 +211,7 @@ class _ServiceMetrics:
                 "p90_ms": 0.0,
                 "p99_ms": 0.0,
                 "max_ms": 0.0,
-                "window_size": self._window,
+                "window_size": LATENCY_WINDOW,
                 "samples": 0,
             }
         # np.percentile matches the load generator's report, so /metrics
@@ -218,9 +224,18 @@ class _ServiceMetrics:
             "p90_ms": round(float(np.percentile(values, 90)), 3),
             "p99_ms": round(float(np.percentile(values, 99)), 3),
             "max_ms": round(float(values.max()), 3),
-            "window_size": self._window,
+            "window_size": LATENCY_WINDOW,
             "samples": len(window),
         }
+
+
+@dataclass(frozen=True)
+class _Pipeline:
+    """A warm ``(model, mode)`` session, its scheduler, and its model's checksums."""
+
+    checksums: Dict[str, str]
+    session: ServingSession
+    scheduler: MicroBatchScheduler
 
 
 class SoftSNNService:
@@ -229,36 +244,19 @@ class SoftSNNService:
     Parameters
     ----------
     config:
-        Service tunables; ``config.models_dir`` is scanned for snapshots.
-    registry:
-        Optional pre-built registry (the config's directory settings are
-        ignored when given) — used by tests to share a registry.
+        Service settings; ``config.models_dir`` is the directory of the
+        service's :class:`~repro.serve.registry.ModelRegistry`.  Register
+        models through :meth:`register_model`.
     """
 
-    def __init__(
-        self,
-        config: Optional[ServiceConfig] = None,
-        registry: Optional[ModelRegistry] = None,
-    ) -> None:
+    def __init__(self, config: Optional[ServiceConfig] = None) -> None:
         self.config = config if config is not None else ServiceConfig()
-        self.registry = (
-            registry
-            if registry is not None
-            else ModelRegistry(
-                self.config.models_dir,
-                max_warm_models=self.config.max_warm_models,
-                max_warm_sessions=self.config.max_warm_sessions,
-            )
-        )
-        self.metrics = _ServiceMetrics(self.config.latency_window)
-        self._pipelines: "OrderedDict[Tuple[str, Tuple], Tuple[ServingSession, MicroBatchScheduler]]" = (
-            OrderedDict()
-        )
+        self.registry = ModelRegistry(self.config.models_dir)
+        self.metrics = _ServiceMetrics()
+        self._pipelines: "OrderedDict[Tuple[str, Tuple], _Pipeline]" = OrderedDict()
         self._pipeline_lock = threading.Lock()
         self._seed_lock = threading.Lock()
-        self._seed_factory = SeedSequenceFactory(
-            root_seed=self.config.request_seed_root
-        )
+        self._seed_factory = SeedSequenceFactory(root_seed=REQUEST_SEED_ROOT)
         self._seed_counter = 0
         self._started_at = time.monotonic()
         self._closed = False
@@ -274,71 +272,70 @@ class SoftSNNService:
 
     def resolve_mode(self, mode: Any) -> ServingMode:
         """Normalise a request's mode spec against the service defaults."""
-        if mode is None:
-            mode = self.config.default_mode
         return ServingMode.from_request(
-            mode,
-            default_fault_rate=self.config.default_fault_rate,
-            default_fault_seed=self.config.default_fault_seed,
+            mode, default_fault_rate=self.config.default_fault_rate
         )
 
-    def _pipeline(
-        self, name: str, mode: ServingMode
-    ) -> Tuple[ServingSession, MicroBatchScheduler]:
-        session = self.registry.session(name, mode)
-        key = (name, mode.cache_key)
+    def _pipeline(self, entry: SnapshotEntry, mode: ServingMode) -> _Pipeline:
+        """The warm pipeline serving *entry*'s model in *mode*.
+
+        A cached pipeline is reused while its checksums are *entry*'s.
+        Otherwise a session is built, outside the lock, from the model the
+        registry decodes together with its entry, so a pipeline never
+        serves a model other than the one whose checksums it records.  A
+        racing build adopts a matching pipeline inserted first; a stale one
+        is retired, and so is the least recently used beyond
+        :data:`MAX_WARM_PIPELINES`.
+        """
+        key = (entry.name, mode.cache_key)
+        with self._pipeline_lock:
+            if self._closed:
+                raise RuntimeError("service is closed")
+            cached = self._pipelines.get(key)
+            if cached is not None and cached.checksums == entry.checksums:
+                self._pipelines.move_to_end(key)
+                return cached
+        source, model = self.registry.load_with_entry(entry.name)
+        session = build_session(model, mode)
         retired: List[MicroBatchScheduler] = []
         try:
             with self._pipeline_lock:
                 if self._closed:
                     raise RuntimeError("service is closed")
-                cached = self._pipelines.get(key)
+                cached = self._pipelines.pop(key, None)
+                if cached is not None and cached.checksums == source.checksums:
+                    self._pipelines[key] = cached
+                    return cached
                 if cached is not None:
-                    cached_session, scheduler = cached
-                    if cached_session is session:
-                        self._pipelines.move_to_end(key)
-                        return session, scheduler
-                    # The registry rebuilt the session (model re-registered
-                    # or cache-evicted): the old scheduler's run_batch is
-                    # bound to the stale session, so retire and replace it.
-                    del self._pipelines[key]
-                    retired.append(scheduler)
+                    retired.append(cached.scheduler)
 
-                def run_batch(
-                    payloads: List[Tuple[np.ndarray, int]],
-                    _session: ServingSession = session,
-                ) -> List[int]:
-                    predictions, _ = _session.classify_batch(
+                def run_batch(payloads: List[Tuple[np.ndarray, int]]) -> List[int]:
+                    predictions, _ = session.classify_batch(
                         [payload[0] for payload in payloads],
                         [payload[1] for payload in payloads],
                     )
                     return [int(value) for value in predictions]
 
-                scheduler = MicroBatchScheduler(
-                    run_batch,
-                    max_batch_size=self.config.max_batch_size,
-                    max_delay=self.config.max_delay_ms / 1000.0,
-                    idle_grace=(
-                        None
-                        if self.config.idle_grace_ms is None
-                        else self.config.idle_grace_ms / 1000.0
+                pipeline = _Pipeline(
+                    checksums=source.checksums,
+                    session=session,
+                    scheduler=MicroBatchScheduler(
+                        run_batch,
+                        max_batch_size=self.config.max_batch_size,
+                        max_delay=self.config.max_delay_ms / 1000.0,
+                        name=f"{entry.name}:{mode.kind}",
                     ),
-                    name=f"{name}:{mode.kind}",
                 )
-                self._pipelines[key] = scheduler_entry = (session, scheduler)
-                # Bound the pipeline cache like the registry's session LRU,
-                # so (model, mode) pairs served once long ago do not pin
-                # their engine in memory forever.
-                while len(self._pipelines) > self.config.max_warm_sessions:
-                    _, (_, evicted) = self._pipelines.popitem(last=False)
-                    if evicted is not scheduler:
-                        retired.append(evicted)
-            return scheduler_entry
+                self._pipelines[key] = pipeline
+                while len(self._pipelines) > MAX_WARM_PIPELINES:
+                    _, evicted = self._pipelines.popitem(last=False)
+                    retired.append(evicted.scheduler)
+            return pipeline
         finally:
             # Draining a retired scheduler can take as long as its queued
             # batches; do it outside the lock so other models keep serving.
-            for old in retired:
-                old.close()
+            for scheduler in retired:
+                scheduler.close()
 
     def _derive_seeds(self, name: str, count: int) -> List[int]:
         with self._seed_lock:
@@ -384,8 +381,8 @@ class SoftSNNService:
                 name=model, workload=workload, n_neurons=n_neurons
             )
         serving_mode = self.resolve_mode(mode)
-        session, scheduler = self._pipeline(entry.name, serving_mode)
-        flats = self._as_flat_images(images, session.n_inputs)
+        pipeline = self._pipeline(entry, serving_mode)
+        flats = self._as_flat_images(images, pipeline.session.n_inputs)
         if seeds is None:
             request_seeds = self._derive_seeds(entry.name, len(flats))
         else:
@@ -404,7 +401,7 @@ class SoftSNNService:
                 n_images=len(flats),
             ):
                 futures = [
-                    scheduler.submit((flat, seed))
+                    pipeline.scheduler.submit((flat, seed))
                     for flat, seed in zip(flats, request_seeds)
                 ]
                 predictions: List[int] = []
@@ -446,15 +443,25 @@ class SoftSNNService:
     # introspection
     # ------------------------------------------------------------------ #
     def models(self) -> List[Dict[str, Any]]:
-        """Registry listing (the body of ``GET /models``).
+        """Registry listing with warm modes (the body of ``GET /models``).
 
         Re-scans the snapshot directory first, so models dropped in (or
         atomically re-trained in place) while the service runs become
-        visible — and their stale warm caches invalidated — without a
-        restart.
+        visible — and their stale warm model dropped — without a restart.
+        ``warm_modes`` lists the modes of the warm pipelines built from each
+        entry's current checksums, least recently used first.
         """
         self.registry.refresh()
-        return self.registry.describe()
+        listing = self.registry.describe()
+        with self._pipeline_lock:
+            pipelines = list(self._pipelines.items())
+        for item in listing:
+            item["warm_modes"] = [
+                pipeline.session.mode.to_dict()
+                for (name, _), pipeline in pipelines
+                if name == item["name"] and pipeline.checksums == item["checksums"]
+            ]
+        return listing
 
     def health(self) -> Dict[str, Any]:
         """Liveness summary (the body of ``GET /healthz``)."""
@@ -466,8 +473,7 @@ class SoftSNNService:
 
     def metrics_snapshot(self) -> Dict[str, Any]:
         """Counters, latency percentiles, batching behaviour, queue depths."""
-        with self._pipeline_lock:
-            schedulers = [scheduler for _, scheduler in self._pipelines.values()]
+        schedulers = self._schedulers()
         scheduler_stats = {
             scheduler.name: scheduler.stats_snapshot().to_dict()
             for scheduler in schedulers
@@ -500,7 +506,7 @@ class SoftSNNService:
             "registry": {
                 "models": len(self.registry),
                 "warm_models": self.registry.warm_model_count,
-                "warm_sessions": self.registry.warm_session_count,
+                "warm_sessions": len(schedulers),
             },
         }
 
@@ -533,8 +539,7 @@ class SoftSNNService:
         uptime = registry.gauge(
             "softsnn_serve_uptime_seconds", "Seconds since service start."
         )
-        with self._pipeline_lock:
-            schedulers = [scheduler for _, scheduler in self._pipelines.values()]
+        schedulers = self._schedulers()
         for scheduler in schedulers:
             stats = scheduler.stats_snapshot()
             for reason, count in (
@@ -547,17 +552,20 @@ class SoftSNNService:
             queue_depth.labels(scheduler=scheduler.name).set(scheduler.queue_depth)
         registry_gauge.labels(tier="models").set(len(self.registry))
         registry_gauge.labels(tier="warm_models").set(self.registry.warm_model_count)
-        registry_gauge.labels(tier="warm_sessions").set(
-            self.registry.warm_session_count
-        )
+        registry_gauge.labels(tier="warm_sessions").set(len(schedulers))
         uptime.set(round(time.monotonic() - self._started_at, 3))
         return registry.render_prometheus()
+
+    def _schedulers(self) -> List[MicroBatchScheduler]:
+        """The warm pipelines' schedulers, least recently used first."""
+        with self._pipeline_lock:
+            return [pipeline.scheduler for pipeline in self._pipelines.values()]
 
     def close(self) -> None:
         """Drain and stop every scheduler; further classifies are refused."""
         with self._pipeline_lock:
             self._closed = True
-            schedulers = [scheduler for _, scheduler in self._pipelines.values()]
+            schedulers = [pipeline.scheduler for pipeline in self._pipelines.values()]
             self._pipelines.clear()
         for scheduler in schedulers:
             scheduler.close()
@@ -759,8 +767,13 @@ class ServiceServer:
         return self
 
     def stop(self) -> None:
-        """Stop the HTTP loop, end open connections, drain the schedulers."""
-        self._httpd.shutdown()
+        """Stop the HTTP loop, end open connections, drain the schedulers.
+
+        A server that was never started has no loop to stop; its socket and
+        service are still closed.
+        """
+        if self._thread is not None:
+            self._httpd.shutdown()
         self._httpd.server_close()
         self._httpd.end_connections()
         if self._thread is not None:

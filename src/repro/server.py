@@ -43,7 +43,6 @@ from repro.core.mitigation import BnPTechnique
 from repro.data.datasets import Dataset, load_workload, train_test_split
 from repro.faults.injector import FaultInjector
 from repro.serve.modes import ServingMode
-from repro.serve.registry import ModelRegistry
 from repro.serve.service import (
     ServiceClient,
     ServiceConfig,
@@ -263,18 +262,15 @@ def _smoke(args: argparse.Namespace, models_dir: Path) -> int:
     """Train the demo model into *models_dir* and check parity over HTTP."""
     print("softsnn-serve smoke: training demo model…")
     model, test_set = train_demo_model()
-    registry = ModelRegistry(models_dir)
-    registry.register(model, DEMO_MODEL_NAME, workload="mnist")
-
     service = SoftSNNService(
         ServiceConfig(
             models_dir=models_dir,
             max_batch_size=4,
             max_delay_ms=3.0,
             default_fault_rate=args.fault_rate,
-        ),
-        registry=registry,
+        )
     )
+    service.register_model(model, DEMO_MODEL_NAME, workload="mnist")
     n_samples = min(args.n_samples, len(test_set))
     images = [test_set.images[index].reshape(-1) for index in range(n_samples)]
     seeds = [9000 + index for index in range(n_samples)]

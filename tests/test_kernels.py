@@ -837,7 +837,9 @@ class TestExplicitKnobWins:
             )
             try:
                 service.register_model(trained, "knob")
-                _, scheduler = service._pipeline("knob", service.resolve_mode(None))
-                assert scheduler.max_batch_size == expected
+                pipeline = service._pipeline(
+                    service.registry.entry("knob"), service.resolve_mode(None)
+                )
+                assert pipeline.scheduler.max_batch_size == expected
             finally:
                 service.close()

@@ -34,8 +34,11 @@ from repro.serve.registry import (
     ModelRegistry,
     SnapshotIntegrityError,
 )
+from repro.serve import service as service_module
 from repro.serve.scheduler import MicroBatchScheduler
 from repro.serve.service import (
+    LATENCY_WINDOW,
+    MAX_WARM_PIPELINES,
     InProcessClient,
     ServiceClient,
     ServiceConfig,
@@ -67,23 +70,46 @@ def registry(tmp_path, serve_model) -> ModelRegistry:
 
 
 @pytest.fixture()
-def service(registry) -> SoftSNNService:
+def service(tmp_path, serve_model) -> SoftSNNService:
     svc = SoftSNNService(
         ServiceConfig(
-            models_dir=registry.root,
+            models_dir=tmp_path / "models",
             max_batch_size=4,
             max_delay_ms=4.0,
             default_fault_rate=0.2,
-        ),
-        registry=registry,
+        )
     )
+    svc.register_model(serve_model, "tiny-mnist", workload="mnist")
     yield svc
     svc.close()
+
+
+@pytest.fixture()
+def builds(monkeypatch):
+    """Records the sessions and schedulers the service builds."""
+    built = {"sessions": 0, "schedulers": []}
+
+    def counting_build_session(model, mode):
+        built["sessions"] += 1
+        return build_session(model, mode)
+
+    class RecordedScheduler(MicroBatchScheduler):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built["schedulers"].append(self)
+
+    monkeypatch.setattr(service_module, "build_session", counting_build_session)
+    monkeypatch.setattr(service_module, "MicroBatchScheduler", RecordedScheduler)
+    return built
 
 
 def _test_images(small_split, count: int):
     _, test_set = small_split
     return [test_set.images[index].reshape(-1) for index in range(count)]
+
+
+def _faulty(fault_seed: int) -> dict:
+    return {"kind": "faulty", "fault_rate": 0.1, "fault_seed": fault_seed}
 
 
 def _network_route(model, mode):
@@ -497,23 +523,33 @@ class TestModelRegistry:
         with pytest.raises(ModelNotFoundError):
             registry.resolve(name="nope")
 
-    def test_warm_session_lru_eviction(self, tmp_path, serve_model):
-        registry = ModelRegistry(tmp_path, max_warm_sessions=2)
-        registry.register(serve_model, "m", workload="mnist")
-        modes = [
-            ServingMode.clean(),
-            ServingMode.faulty(0.1, fault_seed=1),
-            ServingMode.faulty(0.1, fault_seed=2),
-        ]
-        sessions = [registry.session("m", mode) for mode in modes]
-        assert registry.warm_session_count == 2
-        # The oldest session was evicted; re-requesting it rebuilds an
-        # equivalent one (determinism makes eviction behaviour-invisible).
-        rebuilt = registry.session("m", modes[0])
-        assert rebuilt is not sessions[0]
-        assert rebuilt.mode == modes[0]
-        # The most recent survivor is still the same object.
-        assert registry.session("m", modes[2]) is sessions[2]
+    def test_warm_session_lru_eviction(self, service, builds, small_split):
+        """Warm sessions live in the service's pipeline cache, evicted LRU-first.
+
+        The registry caches decoded models only; it reports the pipeline
+        count as ``warm_sessions`` in the metrics snapshot.
+        """
+        image = _test_images(small_split, 1)[0]
+        n_modes = MAX_WARM_PIPELINES + 1
+
+        def classify(fault_seed):
+            return service.classify(
+                [image], model="tiny-mnist", mode=_faulty(fault_seed), seeds=[1]
+            ).predictions
+
+        first_answers = [classify(fault_seed) for fault_seed in range(n_modes)]
+        assert (
+            service.metrics_snapshot()["registry"]["warm_sessions"]
+            == MAX_WARM_PIPELINES
+        )
+        # The most recent pipeline is reused as it is ...
+        assert classify(n_modes - 1) == first_answers[-1]
+        assert builds["sessions"] == n_modes
+        # ... and the evicted oldest one is rebuilt to an equivalent pipeline
+        # (determinism makes eviction invisible to clients).
+        assert classify(0) == first_answers[0]
+        assert builds["sessions"] == n_modes + 1
+        assert len(service._pipelines) == MAX_WARM_PIPELINES
 
     def test_reregister_replaces_warm_model(self, registry, serve_model):
         registry.load("tiny-mnist")  # warm the cache with the original
@@ -649,7 +685,7 @@ class TestSchedulerParity:
         assert first.predictions == second.predictions
 
     def test_reregistered_model_serves_new_weights(
-        self, service, serve_model, small_split
+        self, service, serve_model, builds, small_split
     ):
         """The scheduler pipeline must not stay bound to a stale session."""
         images = _test_images(small_split, 4)
@@ -657,6 +693,7 @@ class TestSchedulerParity:
         before = service.classify(
             images, model="tiny-mnist", mode="clean", seeds=seeds
         ).predictions
+        (stale,) = builds["schedulers"]
         # Re-register in place with visibly different weights (zero out the
         # crossbar: a silent network deterministically predicts class 0).
         silenced = dataclasses.replace(
@@ -670,6 +707,25 @@ class TestSchedulerParity:
         ).predictions
         assert after == [0, 0, 0, 0]
         assert after != before  # the stale session would have repeated these
+        # The stale pipeline was retired: its scheduler is closed, and one
+        # fresh pipeline serves the new weights.
+        with pytest.raises(RuntimeError, match="closed"):
+            stale.submit((images[0], seeds[0]))
+        assert len(builds["schedulers"]) == 2
+        assert service.metrics_snapshot()["registry"]["warm_sessions"] == 1
+
+    def test_reregistering_identical_bytes_keeps_the_pipeline(
+        self, service, serve_model, builds, small_split
+    ):
+        image = _test_images(small_split, 1)[0]
+        first = service.classify([image], model="tiny-mnist", seeds=[8])
+        (pipeline,) = service._pipelines.values()
+        service.register_model(serve_model, "tiny-mnist", workload="mnist")
+        again = service.classify([image], model="tiny-mnist", seeds=[8])
+        assert again.predictions == first.predictions
+        (kept,) = service._pipelines.values()
+        assert kept is pipeline
+        assert builds["sessions"] == 1 and len(builds["schedulers"]) == 1
 
     def test_dropped_in_snapshot_served_without_restart(
         self, service, serve_model, small_split
@@ -696,32 +752,93 @@ class TestSchedulerParity:
         # the registration-time sidecar checksums stale.
         silenced.save(service.registry.root / "tiny-mnist")
         listing = service.models()  # the GET /models body; triggers refresh
-        assert listing[0]["warm"] is False  # stale warm caches invalidated
+        assert listing[0]["warm"] is False  # the stale warm model is dropped
+        assert listing[0]["warm_modes"] == []  # and its pipeline is not listed
         after = service.classify(
             images, model="tiny-mnist", seeds=seeds
         ).predictions
         assert after == [0, 0]  # a silent network always votes class 0
         assert after != before
 
-    def test_pipeline_cache_is_bounded(self, registry, small_split):
-        service = SoftSNNService(
-            ServiceConfig(
-                models_dir=registry.root, max_warm_sessions=2, max_delay_ms=1.0
-            ),
-            registry=registry,
-        )
-        try:
-            image = _test_images(small_split, 1)[0]
-            for fault_seed in range(4):
+    def test_pipeline_cache_is_bounded(self, service, builds, small_split):
+        """More distinct modes than the bound retire the oldest pipelines."""
+        image = _test_images(small_split, 1)[0]
+        n_modes = MAX_WARM_PIPELINES + 2
+        for fault_seed in range(n_modes):
+            service.classify(
+                [image], model="tiny-mnist", mode=_faulty(fault_seed), seeds=[1]
+            )
+        assert len(service._pipelines) == MAX_WARM_PIPELINES
+        assert builds["sessions"] == n_modes
+        schedulers = builds["schedulers"]
+        for retired in schedulers[:2]:
+            with pytest.raises(RuntimeError, match="closed"):
+                retired.submit((image, 1))
+        for warm in schedulers[2:]:
+            assert warm.submit((image, 1)).result(timeout=30) is not None
+
+
+
+class TestPipelineCache:
+    """The service's (model, mode) pipelines are its one warm-session cache."""
+
+    def test_cycling_modes_within_the_bound_builds_each_once(
+        self, service, builds, small_split
+    ):
+        image = _test_images(small_split, 1)[0]
+        fault_seeds = list(range(MAX_WARM_PIPELINES))
+        for round_index in range(10):
+            for fault_seed in fault_seeds:
                 service.classify(
                     [image],
                     model="tiny-mnist",
-                    mode={"kind": "faulty", "fault_rate": 0.1, "fault_seed": fault_seed},
-                    seeds=[1],
+                    mode=_faulty(fault_seed),
+                    seeds=[round_index],
                 )
-            assert len(service._pipelines) <= 2
-        finally:
-            service.close()
+        assert builds["sessions"] == len(fault_seeds)
+        assert len(builds["schedulers"]) == len(fault_seeds)
+        registry = service.metrics_snapshot()["registry"]
+        assert registry["warm_sessions"] == len(fault_seeds)
+        (listing,) = service.models()
+        assert listing["warm"] is True
+        assert [mode["fault_seed"] for mode in listing["warm_modes"]] == fault_seeds
+
+    def test_racing_cold_requests_leave_one_scheduler(
+        self, service, serve_model, builds, small_split
+    ):
+        n_threads = 8
+        images = _test_images(small_split, n_threads)
+        seeds = [800 + index for index in range(n_threads)]
+        barrier = threading.Barrier(n_threads)
+        served = [None] * n_threads
+        errors = []
+
+        def call(index):
+            try:
+                barrier.wait(timeout=30)
+                served[index] = service.classify(
+                    [images[index]],
+                    model="tiny-mnist",
+                    mode="protected",
+                    seeds=[seeds[index]],
+                ).predictions[0]
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=call, args=(index,)) for index in range(n_threads)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not errors, errors
+        assert len(builds["schedulers"]) == 1
+        assert len(service._pipelines) == 1
+        expected, _ = build_session(
+            serve_model, service.resolve_mode("protected")
+        ).classify_batch(images, seeds)
+        assert served == expected.tolist()
 
 
 # --------------------------------------------------------------------- #
@@ -832,16 +949,15 @@ class TestServiceHTTP:
                 client._request("/nowhere")
 
     def test_bad_seed_fails_only_its_own_request(
-        self, registry, serve_model, small_split
+        self, tmp_path, serve_model, small_split
     ):
         """A rejected seed never fails the micro-batch it would have joined."""
         image = _test_images(small_split, 1)[0]
-        # Two requests fill a batch; the deadline only flushes a lone one.
+        # Two requests fill a batch; a lone one waits for the idle grace
+        # (a quarter of max_delay_ms, 500 ms), far longer than the 50 ms
+        # between the two submissions below.
         config = ServiceConfig(
-            models_dir=registry.root,
-            max_batch_size=2,
-            max_delay_ms=500.0,
-            idle_grace_ms=500.0,
+            models_dir=tmp_path / "models", max_batch_size=2, max_delay_ms=2000.0
         )
         outcomes = {}
 
@@ -853,8 +969,9 @@ class TestServiceHTTP:
             except Exception as exc:  # noqa: BLE001 - recorded for asserts
                 outcomes[label] = exc
 
-        with SoftSNNService(config, registry=registry) as svc:
-            registry.session("tiny-mnist", ServingMode.clean())
+        with SoftSNNService(config) as svc:
+            svc.register_model(serve_model, "tiny-mnist", workload="mnist")
+            svc.classify([image], model="tiny-mnist", seeds=[0])  # warm
             threads = [
                 threading.Thread(target=call, args=args)
                 for args in (("valid", 3), ("invalid", -1))
@@ -929,13 +1046,12 @@ class TestServiceHTTP:
             "window_size",
             "samples",
         }
-        assert snapshot["latency"]["window_size"] == service.config.latency_window
+        assert snapshot["latency"]["window_size"] == LATENCY_WINDOW
         assert snapshot["latency"]["samples"] == snapshot["latency"]["count"] == 2
         # The empty-reservoir branch carries the same keys.
-        empty = dataclasses.replace(service.config)
-        idle = SoftSNNService(empty, registry=service.registry)
-        assert set(idle.metrics.latency_summary()) == set(snapshot["latency"])
-        assert idle.metrics.latency_summary()["samples"] == 0
+        with SoftSNNService(service.config) as idle:
+            assert set(idle.metrics.latency_summary()) == set(snapshot["latency"])
+            assert idle.metrics.latency_summary()["samples"] == 0
 
     @staticmethod
     def _prom_value(text: str, series: str) -> float:
@@ -1069,7 +1185,7 @@ class TestPersistentConnections:
         assert not server._httpd._connections
 
     def test_restarted_server_is_reached_through_one_retry(
-        self, registry, service, serve_model, small_split, monkeypatch
+        self, service, serve_model, small_split, monkeypatch
     ):
         image = _test_images(small_split, 1)[0]
         first = ServiceServer(service, port=0).start()
@@ -1087,7 +1203,7 @@ class TestPersistentConnections:
             return original(self, *args, **kwargs)
 
         monkeypatch.setattr(http.client.HTTPConnection, "request", counting_request)
-        restarted = SoftSNNService(service.config, registry=registry)
+        restarted = SoftSNNService(service.config)
         with client, ServiceServer(restarted, port=port):
             response = client.classify([image], model="tiny-mnist", seeds=[11])
         # The stale kept-alive connection failed once, the fresh one answered.
@@ -1096,6 +1212,19 @@ class TestPersistentConnections:
             [image], [11]
         )
         assert response["predictions"] == expected.tolist()
+
+    def test_stop_without_start_returns_and_closes_the_service(
+        self, service, small_split
+    ):
+        server = ServiceServer(service, port=0)
+        stopper = threading.Thread(target=server.stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=5.0)
+        assert not stopper.is_alive(), "stop() blocked on a loop that never ran"
+        assert server._httpd.socket.fileno() == -1
+        image = _test_images(small_split, 1)[0]
+        with pytest.raises(RuntimeError, match="service is closed"):
+            service.classify([image], model="tiny-mnist", seeds=[1])
 
     def test_unrouted_post_body_is_consumed(self, service):
         with ServiceServer(service, port=0) as server:
