@@ -11,7 +11,7 @@ through both code paths:
     outer products, a dense add/subtract and a full-matrix clip per
     timestep, plus batch-of-one label-assignment presentations.
 ``vectorized``
-    The :class:`~repro.snn.train_engine.VectorizedTrainingEngine`: sparse
+    :class:`~repro.snn.training.TrainingRunner`: sparse
     trace-outer-product updates per timestep and true batched label
     assignment, bit-identical to the sequential path.
 

@@ -14,7 +14,7 @@ Run with ``python examples/fault_tolerance_analysis.py``.
 
 from __future__ import annotations
 
-from repro import FaultToleranceAnalyzer, STDPTrainer, TrainingConfig, load_workload, train_test_split
+from repro import FaultToleranceAnalyzer, TrainingConfig, TrainingRunner, load_workload, train_test_split
 from repro.eval.reporting import format_series, format_table
 from repro.snn.network import NetworkConfig
 from repro.utils.logging import configure_logging
@@ -26,7 +26,7 @@ def main() -> None:
     dataset = load_workload("mnist", n_samples=200, rng=0)
     train_set, test_set = train_test_split(dataset, test_fraction=0.2, rng=1)
 
-    trainer = STDPTrainer(
+    trainer = TrainingRunner(
         NetworkConfig(n_neurons=64, timesteps=100),
         TrainingConfig(epochs=2, learning_mode="fast_wta", label_assignment_mode="fast"),
     )

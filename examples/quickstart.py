@@ -23,8 +23,8 @@ from repro import (
     ComputeEngineFaultConfig,
     NoMitigation,
     SoftSNNMethodology,
-    STDPTrainer,
     TrainingConfig,
+    TrainingRunner,
     load_workload,
     train_test_split,
 )
@@ -42,7 +42,7 @@ def main() -> None:
 
     # 2. Train the clean SNN -------------------------------------------------
     network_config = NetworkConfig(n_neurons=80, timesteps=120)
-    trainer = STDPTrainer(
+    trainer = TrainingRunner(
         network_config,
         TrainingConfig(epochs=2, learning_mode="fast_wta", label_assignment_mode="fast"),
     )

@@ -32,7 +32,7 @@ from repro.serve.service import (
     SoftSNNService,
 )
 from repro.snn.network import NetworkConfig
-from repro.snn.training import STDPTrainer, TrainingConfig
+from repro.snn.training import TrainingConfig, TrainingRunner
 from repro.utils.logging import configure_logging
 
 
@@ -43,7 +43,7 @@ def main() -> None:
     print("training a 32-neuron model on the synthetic MNIST workload…")
     dataset = load_workload("mnist", n_samples=120, rng=7)
     train_set, test_set = train_test_split(dataset, test_fraction=0.2, rng=8)
-    trainer = STDPTrainer(
+    trainer = TrainingRunner(
         NetworkConfig(n_inputs=784, n_neurons=32, timesteps=80),
         TrainingConfig(
             epochs=2, learning_mode="fast_wta", label_assignment_mode="fast"

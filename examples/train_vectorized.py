@@ -1,19 +1,19 @@
 #!/usr/bin/env python
-"""Train → snapshot → serve with the vectorized STDP training engine.
+"""Train → snapshot → serve with the vectorized STDP trainer.
 
 The walkthrough behind the README's "Training quickstart":
 
 1. generate a synthetic-MNIST workload,
-2. train the paper's pairwise-STDP network through the vectorized engine
-   (``TrainingRunner.train``) and time it against the per-timestep
+2. train the paper's pairwise-STDP network through ``TrainingRunner.train``
+   (sparse, vectorized updates) and time it against the per-timestep
    reference trainer (``repro.snn.oracle.train_sequential``),
-3. verify the two are bit-identical — the engine's defining contract,
+3. verify the two are bit-identical — the trainer's defining contract,
 4. snapshot the model atomically and register it with the serving layer,
 5. retrain it in place through ``ModelRegistry.retrain`` (the hot path a
    live service uses) and show the snapshot checksums rolling over.
 
 Run with ``python examples/train_vectorized.py``.  See
-``docs/architecture.md`` for where the engine sits in the stack and
+``docs/architecture.md`` for where the trainer sits in the stack and
 ``EXPERIMENTS.md`` for the measured training-scale table.
 """
 
@@ -38,7 +38,7 @@ def main() -> None:
     train_set = load_workload("mnist", n_samples=48, rng=0)
     print(f"workload: {train_set.name}, {len(train_set)} training images")
 
-    # 2. Train: vectorized engine vs sequential reference --------------------
+    # 2. Train: vectorized trainer vs sequential reference -------------------
     runner = TrainingRunner(
         NetworkConfig(n_inputs=784, n_neurons=100, timesteps=100),
         TrainingConfig(
@@ -48,7 +48,7 @@ def main() -> None:
         ),
     )
     start = time.perf_counter()
-    model = runner.train(train_set, rng=7)  # the vectorized engine
+    model = runner.train(train_set, rng=7)  # the vectorized trainer
     vectorized_s = time.perf_counter() - start
 
     start = time.perf_counter()

@@ -44,12 +44,7 @@ from repro.hardware.compute_engine import ComputeEngineConfig
 from repro.hardware.enhancements import MitigationKind
 from repro.snn.inference import InferenceEngine, InferenceResult
 from repro.snn.network import DiehlCookNetwork, NetworkConfig
-from repro.snn.training import (
-    STDPTrainer,
-    TrainedModel,
-    TrainingConfig,
-    TrainingRunner,
-)
+from repro.snn.training import TrainedModel, TrainingConfig, TrainingRunner
 
 __version__ = "1.0.0"
 
@@ -74,7 +69,6 @@ __all__ = [
     "NeuronProtection",
     "NoMitigation",
     "ReExecutionTMR",
-    "STDPTrainer",
     "SoftSNNMethodology",
     "SyntheticFashionMNIST",
     "SyntheticMNIST",

@@ -30,7 +30,6 @@ from typing import Dict, Optional, Sequence
 import repro
 from repro.eval.campaign import (
     CampaignSpec,
-    TechniqueSpec,
     resolve_worker_count,
     run_campaign,
 )

@@ -500,7 +500,6 @@ class ReExecutionTMR(MitigationTechnique):
                     spike_counts=faulty.spike_counts.copy(),
                     total_input_spikes=faulty.total_input_spikes
                     + (self.n_executions - 1) * elected.total_input_spikes,
-                    per_sample_output_spikes=list(faulty.per_sample_output_spikes),
                 )
             )
         return results

@@ -9,7 +9,7 @@ trials without accidental cross-contamination.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Tuple
 
 import numpy as np
 

@@ -235,16 +235,21 @@ class ServingMode:
     # ------------------------------------------------------------------ #
     @property
     def cache_key(self) -> Tuple:
-        """Hashable identity of the mode among a service's warm pipelines."""
-        return (
-            self.kind,
-            self.fault_rate,
-            self.fault_seed,
-            self.inject_synapses,
-            self.inject_neurons,
-            self.variant.value,
-            self.protection_trigger_cycles,
-        )
+        """Hashable identity of the mode among a service's warm pipelines.
+
+        The fields of :meth:`to_dict`: those the mode's kind serves by
+        (a clean mode ignores the fault and protection fields).
+        """
+        return tuple(self.to_dict().items())
+
+    @property
+    def label(self) -> str:
+        """Readable name of the mode, distinct for distinct :attr:`cache_key`.
+
+        The values of :meth:`to_dict` joined by ``:`` — ``clean``,
+        ``faulty:0.1:7:True:True`` or ``protected:0.1:7:True:True:bnp3:2``.
+        """
+        return ":".join(str(value) for value in self.to_dict().values())
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-friendly description echoed back in service responses."""

@@ -323,7 +323,7 @@ class SoftSNNService:
                         run_batch,
                         max_batch_size=self.config.max_batch_size,
                         max_delay=self.config.max_delay_ms / 1000.0,
-                        name=f"{entry.name}:{mode.kind}",
+                        name=f"{entry.name}:{mode.label}",
                     ),
                 )
                 self._pipelines[key] = pipeline

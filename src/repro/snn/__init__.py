@@ -27,7 +27,8 @@ Design notes
   sequential per-timestep loop kept in :mod:`repro.snn.oracle` as the
   verification reference.
 * Training runs through one trainer,
-  :class:`~repro.snn.train_engine.VectorizedTrainingEngine`; its
+  :class:`~repro.snn.training.TrainingRunner`, whose spiking presentations
+  and label assignment are passes of the same inference engine; its
   per-timestep reference, :func:`repro.snn.oracle.train_sequential`, is
   likewise a test oracle only.
 * Both primitives of every hot path — the exact integer register-code GEMM
@@ -49,13 +50,7 @@ from repro.snn.neuron import LIFNeuronGroup, LIFParameters, NeuronOperationStatu
 from repro.snn.quantization import WeightQuantizer
 from repro.snn.stdp import STDPConfig
 from repro.snn.synapse import SynapseMatrix
-from repro.snn.train_engine import VectorizedTrainingEngine
-from repro.snn.training import (
-    STDPTrainer,
-    TrainedModel,
-    TrainingConfig,
-    TrainingRunner,
-)
+from repro.snn.training import TrainedModel, TrainingConfig, TrainingRunner
 
 __all__ = [
     "DEFAULT_BATCH_SIZE",
@@ -72,11 +67,9 @@ __all__ = [
     "NeuronOperationStatus",
     "PoissonEncoder",
     "STDPConfig",
-    "STDPTrainer",
     "SynapseMatrix",
     "TrainedModel",
     "TrainingConfig",
     "TrainingRunner",
-    "VectorizedTrainingEngine",
     "WeightQuantizer",
 ]

@@ -18,7 +18,7 @@ spike for spike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Sequence
 
 import numpy as np
@@ -102,7 +102,6 @@ class InferenceResult:
     labels: np.ndarray
     spike_counts: np.ndarray
     total_input_spikes: int = 0
-    per_sample_output_spikes: List[int] = field(default_factory=list)
     bounded_synapses: int = 0
     protected_neurons: FrozenSet[int] = frozenset()
     protection_activations: int = 0
@@ -272,9 +271,6 @@ class InferenceEngine:
             labels=dataset.labels.copy(),
             spike_counts=spike_counts,
             total_input_spikes=total_input_spikes,
-            per_sample_output_spikes=[
-                int(count) for count in spike_counts.sum(axis=1)
-            ],
         )
 
 
@@ -430,9 +426,6 @@ def evaluate_rows(
                 labels=labels.copy(),
                 spike_counts=spike_counts[m],
                 total_input_spikes=int(group_input_counts[row.raster_index].sum()),
-                per_sample_output_spikes=[
-                    int(count) for count in spike_counts[m].sum(axis=1)
-                ],
                 bounded_synapses=int(engine.bounded_synapses[m]),
                 protected_neurons=frozenset(
                     np.flatnonzero(protected[unique]).tolist()

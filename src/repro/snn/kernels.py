@@ -1,9 +1,9 @@
-"""Fused compute kernels shared by the inference and training engines.
+"""Fused compute kernels of the inference engine and the trainer.
 
-The inference engine (:class:`repro.snn.engine.MapParallelEngine`) and the
-vectorized STDP trainer
-(:class:`repro.snn.train_engine.VectorizedTrainingEngine`) run the same two
-primitives: the exact integer register-code GEMM that accumulates input
+The inference engine (:class:`repro.snn.engine.MapParallelEngine`) — which
+also runs every spiking presentation and the spiking label assignment of
+:class:`repro.snn.training.TrainingRunner` — is built on two primitives:
+the exact integer register-code GEMM that accumulates input
 currents, and the elementwise timestep advance of the neuron model.  This
 module owns those primitives (plus the Bound-and-Protect
 bounding-correction decomposition) so every perf tier is bought once.
@@ -25,8 +25,7 @@ The three primitives
 ``advance_timesteps`` + :class:`NeuronDynamics`
     The one in-place timestep loop over ``(rows, batch, neurons)`` state,
     run over one block of timesteps per call (the engine streams a pass
-    block by block with one dynamics object; the trainer makes one call
-    per presentation) and shared by every neuron model: leak, integrate,
+    block by block with one dynamics object) and shared by every neuron model: leak, integrate,
     clamp, threshold comparator, spike gating, reset + refractory entry,
     faulty-reset latching, lateral inhibition, latched-membrane pinning
     and (optionally) the neuron-protection trigger.  The loop owns every
@@ -418,7 +417,7 @@ class OperationMasks:
 
     @classmethod
     def healthy(cls, n_neurons: int) -> "OperationMasks":
-        """All-healthy single-row masks (the training-presentation case)."""
+        """All-healthy single-row masks."""
         ones = np.ones((1, n_neurons), dtype=bool)
         return cls(ones, ones, ones, ones)
 

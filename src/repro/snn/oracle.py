@@ -3,7 +3,7 @@
 Production code runs the network as a spec — a
 :class:`~repro.snn.network.NetworkConfig` plus weight registers and
 neuron-operation status — through :mod:`repro.snn.engine` and
-:mod:`repro.snn.train_engine`.  This module holds the other side of that
+:mod:`repro.snn.training`.  This module holds the other side of that
 split: the network object family
 (:class:`~repro.snn.network.DiehlCookNetwork`, built here) and the
 per-image, per-timestep loops that simulate it, one
@@ -41,12 +41,12 @@ from repro.snn.network import DiehlCookNetwork, NetworkConfig, SampleResult
 from repro.snn.neuron import LIFNeuronGroup
 from repro.snn.stdp import STDPRule
 from repro.snn.synapse import EffectiveWeights
-from repro.snn.train_engine import (
-    VectorizedTrainingEngine,
+from repro.snn.training import (
+    TrainedModel,
+    TrainingRunner,
     neuron_labels_from_responses,
     wta_sample_update,
 )
-from repro.snn.training import TrainedModel, TrainingRunner
 from repro.utils.rng import RNGLike, resolve_rng
 
 __all__ = [
@@ -139,7 +139,6 @@ def evaluate_sequential(
     network = engine.network
     predictions = np.zeros(len(dataset), dtype=np.int64)
     spike_counts = np.zeros((len(dataset), network.n_neurons), dtype=np.int64)
-    per_sample_output = []
     total_input_spikes = 0
 
     for index, (image, _) in enumerate(dataset):
@@ -152,7 +151,6 @@ def evaluate_sequential(
         )
         predictions[index] = engine.classify_counts(sample.spike_counts)
         spike_counts[index] = sample.spike_counts
-        per_sample_output.append(sample.total_output_spikes)
         total_input_spikes += sample.input_spike_count
 
     return InferenceResult(
@@ -160,7 +158,6 @@ def evaluate_sequential(
         labels=dataset.labels.copy(),
         spike_counts=spike_counts,
         total_input_spikes=total_input_spikes,
-        per_sample_output_spikes=per_sample_output,
     )
 
 
@@ -175,41 +172,40 @@ def train_sequential(
     Under the same *rng* the returned model's weights, neuron labels,
     theta, clean-weight statistics and history are bit-identical to
     :meth:`TrainingRunner.train`'s, and the generator is left in the same
-    state.  Input validation, fast label assignment and model assembly are
-    the runner's own, and the epoch order is the engine's; the training
-    network is built here.
+    state.  Input validation, the epoch order, fast label assignment and
+    model assembly are the runner's own; the training network and its
+    presentation loop are built here.
     """
     generator = runner._check_inputs(dataset, rng)
-    engine = VectorizedTrainingEngine(runner.network_config, runner.training_config)
     mode = runner.training_config.learning_mode
     if mode == "pairwise_stdp":
-        weights, history = _train_pairwise_stdp(engine, dataset, generator)
+        weights, history = _train_pairwise_stdp(runner, dataset, generator)
     else:
         weights, history = _train_wta(
-            engine, dataset, generator, spiking=(mode == "spiking_wta")
+            runner, dataset, generator, spiking=(mode == "spiking_wta")
         )
     if runner.training_config.label_assignment_mode == "spiking":
-        neuron_labels = assign_labels_sequential(engine, weights, dataset, generator)
+        neuron_labels = assign_labels_sequential(runner, weights, dataset, generator)
     else:
         neuron_labels = runner._assign_labels_fast(weights, dataset)
     return runner._trained_model(weights, neuron_labels, history)
 
 
 def _train_pairwise_stdp(
-    engine: VectorizedTrainingEngine,
+    runner: TrainingRunner,
     dataset: Dataset,
     generator: np.random.Generator,
 ) -> Tuple[np.ndarray, Dict[str, list]]:
     """Per-timestep pair-based STDP (the classical rule)."""
-    config = engine.training_config
-    network = _training_network(engine.network_config, generator)
+    config = runner.training_config
+    network = _training_network(runner.network_config, generator)
     network.normalize_weights(config.weight_norm_total)
     rule = STDPRule(network.n_inputs, network.n_neurons, network.config.stdp)
 
     history: Dict[str, list] = {"epoch_mean_spikes": []}
     for _ in range(config.epochs):
         epoch_spikes: List[int] = []
-        for index in engine._epoch_order(len(dataset), generator):
+        for index in runner._epoch_order(len(dataset), generator):
             image, _ = dataset[int(index)]
             epoch_spikes.append(_present_learning(network, rule, image, generator))
             network.normalize_weights(config.weight_norm_total)
@@ -245,23 +241,23 @@ def _present_learning(
 
 
 def _train_wta(
-    engine: VectorizedTrainingEngine,
+    runner: TrainingRunner,
     dataset: Dataset,
     generator: np.random.Generator,
     spiking: bool,
 ) -> Tuple[np.ndarray, Dict[str, list]]:
     """Sample-level winner-take-all learning, one network presentation each.
 
-    The per-sample update is the engine's own
-    :func:`~repro.snn.train_engine.wta_sample_update`, so this reference
-    and ``VectorizedTrainingEngine.train_wta`` differ only in how a sample
-    is presented.
+    The per-sample update is the runner's own
+    :func:`~repro.snn.training.wta_sample_update`, so this reference and
+    :meth:`TrainingRunner.train_wta` differ only in how a sample is
+    presented.
     """
-    config = engine.training_config
-    network_config = engine.network_config
+    config = runner.training_config
+    network_config = runner.network_config
     n_neurons = network_config.n_neurons
 
-    network = _training_network(engine.network_config, generator)
+    network = _training_network(network_config, generator)
     network.normalize_weights(config.weight_norm_total)
     weights = network.synapses.weights
     conscience = np.zeros(n_neurons, dtype=np.float64)
@@ -270,7 +266,7 @@ def _train_wta(
     history: Dict[str, list] = {"epoch_neurons_used": [], "epoch_mean_spikes": []}
     for _ in range(config.epochs):
         epoch_spikes: List[int] = []
-        for index in engine._epoch_order(len(dataset), generator):
+        for index in runner._epoch_order(len(dataset), generator):
             image, _ = dataset[int(index)]
             flat = image.reshape(-1)
             if spiking:
@@ -298,19 +294,18 @@ def _train_wta(
 
 
 def assign_labels_sequential(
-    engine: VectorizedTrainingEngine,
+    runner: TrainingRunner,
     weights: np.ndarray,
     dataset: Dataset,
     rng: RNGLike = None,
 ) -> np.ndarray:
     """Spiking label assignment, one presentation per labelled image.
 
-    The reference for
-    :meth:`~repro.snn.train_engine.VectorizedTrainingEngine.assign_labels_spiking`
-    at any batch size.
+    The reference for :meth:`TrainingRunner.assign_labels_spiking` at any
+    batch size.
     """
     generator = resolve_rng(rng)
-    network = _training_network(engine.network_config, generator)
+    network = _training_network(runner.network_config, generator)
     network.synapses.set_weights(weights)
     spike_counts = np.stack(
         [network.present(image, rng=generator).spike_counts for image, _ in dataset]
@@ -319,5 +314,5 @@ def assign_labels_sequential(
         spike_counts,
         dataset.labels,
         dataset.n_classes,
-        engine.training_config.label_smoothing,
+        runner.training_config.label_smoothing,
     )

@@ -379,48 +379,6 @@ class SynapseMatrix:
         """Maximum weight currently stored (the clean network's ``wgh_max``)."""
         return float(self._weights.max())
 
-    def weight_histogram(
-        self, bins: int = 50, value_range: Optional[Tuple[float, float]] = None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Histogram of the stored weights (used to reproduce Fig. 9)."""
-        if bins <= 0:
-            raise ValueError(f"bins must be positive, got {bins}")
-        if value_range is None:
-            value_range = (0.0, self.quantizer.full_scale)
-        counts, edges = np.histogram(self._weights, bins=bins, range=value_range)
-        return counts, edges
-
-    def most_probable_weight(self, bins: int = 64, exclude_zero: bool = True) -> float:
-        """Mode of the weight distribution (the paper's ``wgh_hp`` for BnP3).
-
-        The histogram is computed over the occupied weight range
-        ``[0, max_weight]`` rather than the full register range, so the mode
-        is resolved at the granularity of the weights that actually exist.
-        The returned value never exceeds the current maximum weight.
-
-        Parameters
-        ----------
-        bins:
-            Histogram resolution used to locate the mode.
-        exclude_zero:
-            STDP drives many weights to (near) zero; excluding the first bin
-            returns the most probable *informative* weight, which is what
-            BnP3 substitutes for out-of-range values.
-        """
-        max_weight = self.max_weight()
-        if max_weight <= 0:
-            return 0.0
-        counts, edges = self.weight_histogram(
-            bins=bins, value_range=(0.0, max_weight)
-        )
-        if exclude_zero and counts.size > 1:
-            counts = counts[1:]
-            edges = edges[1:]
-        if counts.sum() == 0:
-            return 0.0
-        index = int(np.argmax(counts))
-        return float(min(0.5 * (edges[index] + edges[index + 1]), max_weight))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"SynapseMatrix(shape={self.shape}, bits={self.quantizer.bits}, "

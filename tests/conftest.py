@@ -14,7 +14,7 @@ from repro.data.synthetic_mnist import SyntheticMNIST
 from repro.data.datasets import Dataset, train_test_split
 from repro.snn.network import NetworkConfig
 from repro.snn.neuron import LIFParameters
-from repro.snn.training import STDPTrainer, TrainingConfig
+from repro.snn.training import TrainingConfig, TrainingRunner
 
 
 @pytest.fixture(scope="session")
@@ -44,7 +44,7 @@ def tiny_network_config() -> NetworkConfig:
 def trained_model(tiny_network_config, small_split):
     """A small trained model shared by fault-injection and mitigation tests."""
     train_set, _ = small_split
-    trainer = STDPTrainer(
+    trainer = TrainingRunner(
         tiny_network_config,
         TrainingConfig(
             epochs=1, learning_mode="fast_wta", label_assignment_mode="fast"

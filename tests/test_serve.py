@@ -167,6 +167,8 @@ class TestServingMode:
         b = ServingMode.faulty(0.1, fault_seed=2)
         assert a.cache_key != b.cache_key
         assert a.cache_key == ServingMode.faulty(0.1, fault_seed=1).cache_key
+        assert a.label != b.label
+        assert ServingMode.clean().label == "clean"
 
     def test_from_request_rejects_non_boolean_inject_flags(self):
         for key in ("inject_synapses", "inject_neurons"):
@@ -802,6 +804,27 @@ class TestPipelineCache:
         (listing,) = service.models()
         assert listing["warm"] is True
         assert [mode["fault_seed"] for mode in listing["warm_modes"]] == fault_seeds
+
+    def test_metrics_keep_every_pipeline_of_one_kind(self, service, small_split):
+        """Pipelines of one model and kind report apart in ``/metrics``."""
+        image = _test_images(small_split, 1)[0]
+        fault_seeds = (1, 2, 3)
+        for fault_seed in fault_seeds:
+            service.classify(
+                [image], model="tiny-mnist", mode=_faulty(fault_seed), seeds=[1]
+            )
+        snapshot = service.metrics_snapshot()
+        names = set(snapshot["schedulers"])
+        assert len(names) == len(fault_seeds)
+        assert set(snapshot["queue_depth"]) == names
+        assert sum(snapshot["batch_size_histogram"].values()) == len(fault_seeds)
+        prefix = 'softsnn_serve_batches_total{scheduler="'
+        labelled = {
+            line[len(prefix) :].split('"', 1)[0]
+            for line in service.metrics_prometheus().splitlines()
+            if line.startswith(prefix)
+        }
+        assert names <= labelled
 
     def test_racing_cold_requests_leave_one_scheduler(
         self, service, serve_model, builds, small_split

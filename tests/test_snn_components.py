@@ -196,15 +196,10 @@ class TestSynapseMatrix:
         clone.apply_bit_flips(np.array([0]), np.array([0]))
         assert not np.array_equal(clone.registers, matrix.registers)
 
-    def test_max_weight_and_histogram(self):
+    def test_max_weight(self):
         matrix = self._matrix()
-        counts, edges = matrix.weight_histogram(bins=10)
-        assert counts.sum() == matrix.n_synapses
-        assert matrix.max_weight() <= edges[-1]
-
-    def test_most_probable_weight_not_above_max(self):
-        matrix = self._matrix()
-        assert matrix.most_probable_weight() <= matrix.max_weight() + 1e-12
+        assert matrix.max_weight() == matrix.weights.max()
+        assert matrix.max_weight() <= matrix.quantizer.full_scale
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):

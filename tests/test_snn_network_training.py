@@ -12,12 +12,7 @@ from repro.snn.network import DiehlCookNetwork, NetworkConfig
 from repro.snn.oracle import build_network, train_sequential
 from repro.snn.stdp import STDPConfig
 from repro.snn.synapse import BoundedWeightRule
-from repro.snn.training import (
-    STDPTrainer,
-    TrainedModel,
-    TrainingConfig,
-    TrainingRunner,
-)
+from repro.snn.training import TrainedModel, TrainingConfig, TrainingRunner
 
 
 class TestNetworkConfig:
@@ -168,7 +163,7 @@ class TestSTDPTrainer:
         return NetworkConfig(n_inputs=784, n_neurons=n_neurons, timesteps=timesteps)
 
     def test_fast_wta_training_produces_valid_model(self, tiny_data):
-        trainer = STDPTrainer(
+        trainer = TrainingRunner(
             self._config(),
             TrainingConfig(epochs=1, learning_mode="fast_wta", label_assignment_mode="fast"),
         )
@@ -179,8 +174,16 @@ class TestSTDPTrainer:
         assert model.neuron_labels.shape == (16,)
         assert set(np.unique(model.neuron_labels)).issubset(set(range(10)))
 
+    def test_most_probable_weight_within_clean_range(self, tiny_data):
+        """``wgh_hp`` (BnP3's substitute) is a non-zero weight up to ``wgh_max``."""
+        model = TrainingRunner(
+            self._config(),
+            TrainingConfig(epochs=1, learning_mode="fast_wta", label_assignment_mode="fast"),
+        ).train(tiny_data, rng=0)
+        assert 0.0 < model.clean_most_probable_weight <= model.clean_max_weight
+
     def test_spiking_wta_training_runs(self, tiny_data):
-        trainer = STDPTrainer(
+        trainer = TrainingRunner(
             self._config(n_neurons=8, timesteps=40),
             TrainingConfig(
                 epochs=1, learning_mode="spiking_wta", label_assignment_mode="fast"
@@ -191,7 +194,7 @@ class TestSTDPTrainer:
         assert "epoch_neurons_used" in model.training_history
 
     def test_pairwise_stdp_training_runs(self, tiny_data):
-        trainer = STDPTrainer(
+        trainer = TrainingRunner(
             self._config(n_neurons=8, timesteps=30),
             TrainingConfig(epochs=1, learning_mode="pairwise_stdp",
                            label_assignment_mode="fast"),
@@ -202,7 +205,7 @@ class TestSTDPTrainer:
 
     def test_training_is_deterministic_given_seed(self, tiny_data):
         def train_once():
-            trainer = STDPTrainer(
+            trainer = TrainingRunner(
                 self._config(),
                 TrainingConfig(epochs=1, learning_mode="fast_wta",
                                label_assignment_mode="fast"),
@@ -214,7 +217,7 @@ class TestSTDPTrainer:
         assert np.array_equal(a.neuron_labels, b.neuron_labels)
 
     def test_learning_achieves_better_than_chance(self, tiny_data):
-        trainer = STDPTrainer(
+        trainer = TrainingRunner(
             self._config(n_neurons=20),
             TrainingConfig(epochs=2, learning_mode="fast_wta",
                            label_assignment_mode="fast"),
@@ -226,7 +229,7 @@ class TestSTDPTrainer:
         assert result.accuracy_percent > 40.0
 
     def test_empty_dataset_raises(self):
-        trainer = STDPTrainer(self._config())
+        trainer = TrainingRunner(self._config())
         with pytest.raises(ValueError):
             trainer.train(
                 SyntheticMNIST().generate(n_samples=5, rng=0).subset(np.array([], int))
@@ -234,7 +237,7 @@ class TestSTDPTrainer:
 
     def test_wrong_input_dimension_raises(self):
         small_images = SyntheticMNIST(side=14).generate(n_samples=5, rng=0)
-        trainer = STDPTrainer(self._config())
+        trainer = TrainingRunner(self._config())
         with pytest.raises(ValueError):
             trainer.train(small_images)
 

@@ -1,9 +1,9 @@
-"""Bit-exact parity of the vectorized training engine vs the sequential oracle.
+"""Bit-exact parity of the trainer vs the sequential oracle.
 
-The contract (see :mod:`repro.snn.train_engine`) is *bitwise* equality of
+The contract (see :mod:`repro.snn.training`) is *bitwise* equality of
 everything a :class:`~repro.snn.training.TrainedModel` carries — weights,
 neuron labels, theta, clean-weight statistics, training history — between
-``TrainingRunner.train`` (the vectorized engine) and
+``TrainingRunner.train`` and
 :func:`repro.snn.oracle.train_sequential` (the per-timestep reference), for
 every learning mode, label-assignment mode, seed, dataset size, lower
 weight bound and label-assignment batch shape (including odd tails).
@@ -18,8 +18,7 @@ from repro.data.synthetic_mnist import SyntheticMNIST
 from repro.snn import oracle
 from repro.snn.network import NetworkConfig
 from repro.snn.stdp import STDPConfig
-from repro.snn.train_engine import VectorizedTrainingEngine
-from repro.snn.training import STDPTrainer, TrainingConfig, TrainingRunner
+from repro.snn.training import TrainingConfig, TrainingRunner
 from repro.utils.rng import resolve_rng
 
 
@@ -170,35 +169,31 @@ class TestLabelAssignmentBatching:
         """Any chunking of spiking label assignment gives identical labels —
         including batch 1, tails shorter than the batch, and one big batch."""
         dataset = _dataset(13)
-        network_config = _config(timesteps=25)
-        training_config = TrainingConfig(
-            epochs=1, learning_mode="fast_wta", label_assignment_mode="spiking"
+        runner = TrainingRunner(
+            _config(timesteps=25),
+            TrainingConfig(
+                epochs=1, learning_mode="fast_wta", label_assignment_mode="spiking"
+            ),
         )
-        engine = VectorizedTrainingEngine(network_config, training_config)
 
-        weights, _ = engine.train_wta(dataset, resolve_rng(9), spiking=False)
+        weights, _ = runner.train_wta(dataset, resolve_rng(9), spiking=False)
         reference = oracle.assign_labels_sequential(
-            engine, weights, dataset, resolve_rng(1234)
+            runner, weights, dataset, resolve_rng(1234)
         )
-        batched = engine.assign_labels_spiking(
+        batched = runner.assign_labels_spiking(
             weights, dataset, resolve_rng(1234), batch_size=batch_size
         )
         assert np.array_equal(reference, batched)
 
     def test_rejects_nonpositive_batch(self):
         dataset = _dataset(4)
-        engine = VectorizedTrainingEngine(
+        runner = TrainingRunner(
             _config(timesteps=10),
             TrainingConfig(learning_mode="fast_wta"),
         )
-        weights, _ = engine.train_wta(dataset, resolve_rng(0), spiking=False)
+        weights, _ = runner.train_wta(dataset, resolve_rng(0), spiking=False)
         with pytest.raises(ValueError, match="batch_size"):
-            engine.assign_labels_spiking(
+            runner.assign_labels_spiking(
                 weights, dataset, resolve_rng(0), batch_size=0
             )
 
-
-class TestFallbacksAndAliases:
-    def test_stdp_trainer_alias(self):
-        """The historical export name keeps working and is the same class."""
-        assert STDPTrainer is TrainingRunner

@@ -1,12 +1,12 @@
-"""No unused module-level imports in the test, bench and example scripts.
+"""No unused module-level imports in the package, tests, benches and examples.
 
-ruff lints ``src/repro`` only (``[tool.ruff] include`` in
-``pyproject.toml``), so nothing else catches an import that a refactor
-left behind in ``tests/``, ``benchmarks/`` or ``examples/``.  This is the
-dependency-free backstop: every module there is parsed with :mod:`ast`,
-and a name bound by a module-level import must be used somewhere in that
-module's syntax tree (string annotations included) or be listed in its
-``__all__``.
+ruff checks only the D1 docstring rules, and only in ``src/repro``
+(``[tool.ruff]`` in ``pyproject.toml``), so nothing else catches an import
+that a refactor left behind in ``src/repro/``, ``tests/``, ``benchmarks/``
+or ``examples/``.  This is the dependency-free backstop: every module there
+is parsed with :mod:`ast`, and a name bound by a module-level import must
+be used somewhere in that module's syntax tree (string annotations
+included) or be listed in its ``__all__``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DIRECTORIES = ("tests", "benchmarks", "examples")
+DIRECTORIES = ("src/repro", "tests", "benchmarks", "examples")
 
 
 def _module_paths():
